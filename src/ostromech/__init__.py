@@ -35,7 +35,6 @@ from .expressions import (
     VarRef,
     diff,
     equivalent_numeric,
-    evaluate,
     ext_momentum,
     jet,
     momentum,
@@ -61,7 +60,6 @@ from .legendre import (
     RegularityReport,
     derive,
     euler_lagrange_exprs,
-    hessian_at,
     hessian_det_expr,
     hessian_exprs,
     is_singular,

@@ -300,7 +300,7 @@ def cmd_action_check(args):
                                            args.quad_points)
     stat = variational.stationarity_check(
         ds, path, n_variations=args.variations, tol=args.tol, seed=args.seed,
-        quad_points=args.quad_points, jobs=args.jobs)
+        quad_points=args.quad_points)
     report = {
         "system": model.name,
         "source": source,
@@ -389,12 +389,7 @@ def cmd_unified_check(args):
             momenta = legendre.legendre_map(ds, JetPoint(t, jets))
             points.append(UnifiedPoint(JetPoint(t, jets), momenta))
 
-    if args.jobs > 1 and len(points) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            entries = list(pool.map(lambda up: _point_entry(ds, up), points))
-    else:
-        entries = [_point_entry(ds, up) for up in points]
+    entries = [_point_entry(ds, up) for up in points]
 
     on_constraint = all(entry["on_constraint"] for entry in entries)
     diffs = [entry["max_field_difference"] for entry in entries
@@ -423,9 +418,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42,
                         help="seed for every random draw (default 42)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for independent point checks "
-                             "and variation batches (default 1)")
     common.add_argument("--pretty", action="store_true",
                         help="indent JSON output")
     common.add_argument("--out", metavar="FILE",

@@ -31,8 +31,13 @@ from .errors import (
     ValidationError,
 )
 from .legendre import DerivedSystem, legendre_map
-from .systems import JetPoint, UnifiedPoint
-from .unified import constraint_residuals, constraint_tolerance
+from .systems import JetPoint, UnifiedPoint, jet_bindings
+from .unified import (
+    _unified_field,
+    constraint_residuals,
+    constraint_tolerance,
+    unified_coordinates,
+)
 
 __all__ = [
     "Trajectory", "integrate", "integrate_unified", "lagrangian_rhs",
@@ -101,68 +106,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-class _JetRHS:
-    """Time derivative of the flattened jet state."""
-
-    def __init__(self, ds: DerivedSystem):
-        self.ds = ds
-        k, n = ds.k, ds.n
-        self.k, self.n = k, n
-        self.tref = ex.time_var()
-        self.jet_refs = [ex.jet(a + 1, i)
-                         for a in range(n) for i in range(2 * k)]
-
-    def env_of(self, t, y):
-        env = {self.tref: t}
-        for ref, value in zip(self.jet_refs, y):
-            env[ref] = value
-        return env
-
-    def __call__(self, t, y):
-        k, n = self.k, self.n
-        env = self.env_of(t, y[:2 * k * n])
-        try:
-            accel = self.ds.acceleration(env)
-        except SingularHessianError as err:
-            err.state = np.array(y)
-            raise
-        ydot = np.empty(2 * k * n)
-        for a in range(n):
-            base = a * 2 * k
-            ydot[base:base + 2 * k - 1] = y[base + 1:base + 2 * k]
-            ydot[base + 2 * k - 1] = accel[a]
-        return ydot
-
-
-class _UnifiedRHS(_JetRHS):
-    """Jet shift plus the momentum equations dp^0 = dL/dq_0 and
-    dp^i = dL/dq_i - p^{i-1} (the sign convention dp = -dH/dq)."""
-
-    def __call__(self, t, y):
-        k, n = self.k, self.n
-        jets = y[:2 * k * n]
-        env = self.env_of(t, jets)
-        try:
-            accel = self.ds.acceleration(env)
-        except SingularHessianError as err:
-            err.state = np.array(y)
-            raise
-        ydot = np.empty(3 * k * n)
-        for a in range(n):
-            base = a * 2 * k
-            ydot[base:base + 2 * k - 1] = jets[base + 1:base + 2 * k]
-            ydot[base + 2 * k - 1] = accel[a]
-        partials = self.ds.lagrangian_partials
-        moff = 2 * k * n
-        for a in range(n):
-            base = moff + a * k
-            ydot[base] = partials[a][0].evaluate(env)
-            for i in range(1, k):
-                ydot[base + i] = (partials[a][i].evaluate(env)
-                                  - y[base + i - 1])
-        return ydot
-
-
 def lagrangian_rhs(ds: DerivedSystem, t: float, state) -> np.ndarray:
     """Time derivative of a flattened jet state.
 
@@ -175,7 +118,7 @@ def lagrangian_rhs(ds: DerivedSystem, t: float, state) -> np.ndarray:
     if y.shape != (2 * ds.k * ds.n,):
         raise DimensionError(
             f"jet state must have length {2 * ds.k * ds.n}, got {y.shape}")
-    return _JetRHS(ds)(float(t), y)
+    return _unified_field(ds)(float(t), y)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +179,13 @@ def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, first_step, max_steps):
     h = first_step if first_step else min(span / 100.0, max_step)
     accepted = rejected = 0
     stages = [None] * 6
+    stretch = 1.3
     while t < t_end:
         h = min(h, max_step)
         # land exactly on t_end, stretching up to 30% so the final step
         # never degenerates into a sliver (sliver grids ruin the finite
         # differencing done by verification)
-        last = t + 1.3 * h >= t_end
+        last = t + stretch * h >= t_end
         if last:
             h = t_end - t
         if h < 1e-14 * max(1.0, abs(t)):
@@ -267,8 +211,12 @@ def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, first_step, max_steps):
             grid.append(t)
             states.append(y.copy())
             accepted += 1
+            stretch = 1.3
         else:
             rejected += 1
+            # a shrunk step may still reach t_end within the stretch, which
+            # would retry the rejected final step unchanged forever
+            stretch = 1.0
         if accepted + rejected > max_steps:
             raise ConvergenceError(
                 f"adaptive integrator exceeded {max_steps} steps")
@@ -280,7 +228,7 @@ def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, first_step, max_steps):
     return np.array(grid), np.array(states), meta
 
 
-def _integrate(f, width, t0, y0, t_end, method, step, rtol, atol, max_step,
+def _integrate(f, t0, y0, t_end, method, step, rtol, atol, max_step,
                first_step, max_steps):
     if t_end <= t0:
         raise ValidationError("t_end must lie after the initial time")
@@ -310,10 +258,9 @@ def integrate(ds: DerivedSystem, init: JetPoint, t_end: float,
         raise DimensionError(
             f"initial jet point must have shape {(n, 2 * k)}, got "
             f"{init.q.shape}")
-    f = _JetRHS(ds)
     grid, states, meta = _integrate(
-        f, 2 * k * n, init.t, init.to_state(), t_end, method, step, rtol,
-        atol, max_step, first_step, max_steps)
+        _unified_field(ds), init.t, init.to_state(), t_end, method, step,
+        rtol, atol, max_step, first_step, max_steps)
     return Trajectory(grid, states, "jet", k, n, meta)
 
 
@@ -338,10 +285,9 @@ def integrate_unified(ds: DerivedSystem, init: UnifiedPoint, t_end: float,
         raise OffConstraintError(
             f"initial point violates the momentum constraints (residual "
             f"{worst:.3e} > tolerance {tol:.3e})", residuals=residuals)
-    f = _UnifiedRHS(ds)
     grid, states, meta = _integrate(
-        f, 3 * k * n, init.t, init.to_state(), t_end, method, step, rtol,
-        atol, max_step, first_step, max_steps)
+        _unified_field(ds), init.t, init.to_state(), t_end, method, step,
+        rtol, atol, max_step, first_step, max_steps)
     traj = Trajectory(grid, states, "unified", k, n, meta)
 
     drift = float(np.max(np.abs(_constraint_series(ds, traj))))
@@ -368,26 +314,13 @@ def ostrogradsky_energy(ds: DerivedSystem, jp: JetPoint) -> float:
     for a in range(n):
         for i in range(k):
             total += momenta[a, i] * jp.q[a, i + 1]
-    env = {ex.time_var(): jp.t}
-    for a in range(n):
-        for i in range(jp.orders):
-            env[ex.jet(a + 1, i)] = jp.q[a, i]
-    return float(total - ds.model.lagrangian.evaluate(env))
+    return float(total - ds.model.lagrangian.evaluate(jet_bindings(jp)))
 
 
 def _array_env(ds, traj):
     """Vectorized bindings over the whole grid."""
-    k, n = ds.k, ds.n
-    env = {ex.time_var(): traj.grid}
-    for a in range(n):
-        for i in range(2 * k):
-            env[ex.jet(a + 1, i)] = traj.states[:, a * 2 * k + i]
-    if traj.layout == "unified":
-        moff = 2 * k * n
-        for a in range(n):
-            for i in range(k):
-                env[ex.momentum(a + 1, i)] = traj.states[:, moff + a * k + i]
-    return env
+    coords = unified_coordinates(ds.k, ds.n)
+    return dict(zip(coords, (traj.grid, *traj.states.T)))
 
 
 def energy_series(ds: DerivedSystem, traj: Trajectory) -> np.ndarray:

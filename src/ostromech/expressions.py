@@ -36,7 +36,6 @@ __all__ = [
     "Quotient", "Call",
     "SystemContext", "parse", "to_text",
     "diff", "total_derivative", "simplify", "substitute",
-    "free_vars", "max_jet_order", "evaluate",
     "equivalent_numeric", "EquivalenceResult", "sample_point",
     "DEFAULT_SAMPLE_RANGE",
 ]
@@ -405,20 +404,6 @@ class Call(Expression):
 # ---------------------------------------------------------------------------
 # helpers over trees
 # ---------------------------------------------------------------------------
-
-
-def free_vars(expr: Expression) -> frozenset:
-    return expr.free_vars()
-
-
-def max_jet_order(expr: Expression) -> int:
-    """Highest jet order appearing in the expression, -1 if none do."""
-    orders = [v.order for v in expr.free_vars() if v.kind == "jet"]
-    return max(orders) if orders else -1
-
-
-def evaluate(expr: Expression, bindings) -> float:
-    return expr.evaluate(bindings)
 
 
 def substitute(expr: Expression, mapping) -> Expression:

@@ -41,7 +41,7 @@ __all__ = [
     "euler_lagrange_exprs", "hessian_exprs", "hessian_det_expr",
     "regularity_report", "RegularityReport",
     "legendre_map", "legendre_inverse",
-    "hessian_at", "singular_threshold", "is_singular",
+    "singular_threshold", "is_singular",
 ]
 
 # scale-aware cutoff below which |det W| counts as singular
@@ -229,10 +229,6 @@ def singular_threshold(w: np.ndarray) -> float:
 
 def is_singular(w: np.ndarray) -> bool:
     return abs(np.linalg.det(w)) <= singular_threshold(w)
-
-
-def hessian_at(ds: DerivedSystem, jp: JetPoint) -> np.ndarray:
-    return ds.hessian_value(jet_bindings(jp))
 
 
 @dataclass

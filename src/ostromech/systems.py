@@ -56,16 +56,6 @@ class SystemModel:
         """Number of momentum coordinates, kn."""
         return self.k * self.n
 
-    def jet_vars(self):
-        """Jet variables in the dof-major flattened order."""
-        return [ex.jet(a + 1, i)
-                for a in range(self.n) for i in range(2 * self.k)]
-
-    def momentum_vars(self):
-        """Momentum variables in the dof-major flattened order."""
-        return [ex.momentum(a + 1, i)
-                for a in range(self.n) for i in range(self.k)]
-
 
 @dataclass(frozen=True)
 class JetPoint:

@@ -27,7 +27,9 @@ assembles and solves the linear system built from the numeric two-form
 matrix plus the tangency rows, while :func:`explicit_semispray` evaluates
 the closed-form components.  They must agree at regular on-constraint
 points; the solver route is the one that would reveal a sign or ordering
-defect in the matrix assembly.
+defect in the matrix assembly.  The closed form is written once, in
+:func:`_unified_field`, which is also the right-hand side of both
+integrators.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import expressions as ex
 from .errors import (
@@ -48,7 +49,7 @@ from .legendre import DerivedSystem, is_singular
 from .systems import UnifiedPoint, unified_bindings
 
 __all__ = [
-    "unified_coordinates", "coordinate_index", "TwoFormMatrix",
+    "unified_coordinates", "TwoFormMatrix",
     "SemisprayVector", "coupling", "hamiltonian_section_p",
     "omega_r_matrix", "constraint_residuals", "constraint_tolerance",
     "explicit_semispray", "solve_unified_vf", "kernel_check", "KernelReport",
@@ -68,10 +69,6 @@ def unified_coordinates(k: int, n: int):
     for a in range(1, n + 1):
         coords.extend(ex.momentum(a, i) for i in range(k))
     return coords
-
-
-def coordinate_index(k: int, n: int) -> dict:
-    return {ref: i for i, ref in enumerate(unified_coordinates(k, n))}
 
 
 def _check_point(ds: DerivedSystem, up: UnifiedPoint):
@@ -219,28 +216,49 @@ def explicit_semispray(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
     equation.
     """
     _check_point(ds, up)
-    k, n = ds.k, ds.n
-    env = unified_bindings(up)
-    accel = ds.acceleration(env)
+    field = _unified_field(ds)
+    return SemisprayVector([1.0, *field(up.t, up.to_state())],
+                           tuple(unified_coordinates(ds.k, ds.n)))
 
+
+def _unified_field(ds: DerivedSystem):
+    """The unified vector field as a map (t, flat state) -> d(state)/dt.
+
+    The state layout is :func:`unified_coordinates` without time, and the
+    state binds those coordinates in order, so a 2kn jet state gets the
+    jet components only and a 3kn unified state also gets the momentum
+    components G^0 = dL/dq_0 and G^i = dL/dq_i - p^{i-1}.  A singular
+    Hessian raises :class:`SingularHessianError` with the state attached.
+    The coordinates are bound once here, not once per call.
+    """
+    k, n = ds.k, ds.n
     coords = unified_coordinates(k, n)
-    x = np.empty(3 * k * n + 1)
-    x[0] = 1.0
-    pos = 1
-    for a in range(n):
-        for i in range(2 * k - 1):
-            x[pos] = up.jet.q[a, i + 1]
-            pos += 1
-        x[pos] = accel[a]
-        pos += 1
-    for a in range(n):
-        x[pos] = ds.lagrangian_partials[a][0].evaluate(env)
-        pos += 1
-        for i in range(1, k):
-            x[pos] = (ds.lagrangian_partials[a][i].evaluate(env)
-                      - up.momenta[a, i - 1])
-            pos += 1
-    return SemisprayVector(x, tuple(coords))
+    jets = 2 * k * n
+    partials = ds.lagrangian_partials
+
+    def field(t, y):
+        env = dict(zip(coords, (t, *y)))
+        try:
+            accel = ds.acceleration(env)
+        except SingularHessianError as err:
+            err.state = np.array(y)
+            raise
+        ydot = np.empty(len(y))
+        # each jet order moves to the next one; the top order of every dof
+        # is then overwritten by its solved value
+        ydot[:jets - 1] = y[1:jets]
+        ydot[2 * k - 1:jets:2 * k] = accel
+        if len(y) == jets:
+            return ydot
+        for a in range(n):
+            base = jets + a * k
+            ydot[base] = partials[a][0].evaluate(env)
+            for i in range(1, k):
+                ydot[base + i] = (partials[a][i].evaluate(env)
+                                  - y[base + i - 1])
+        return ydot
+
+    return field
 
 
 def solve_unified_vf(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
@@ -304,8 +322,7 @@ def solve_unified_vf(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
             b[row] = -omega[r, 0]
             row += 1
 
-    lu, piv = scipy.linalg.lu_factor(a)
-    solution = scipy.linalg.lu_solve((lu, piv), b)
+    solution = np.linalg.solve(a, b)
     condition = float(np.linalg.cond(a))
     if condition > _CONDITION_WARN:
         logger.warning(

@@ -385,15 +385,13 @@ class StationarityReport:
 
 def stationarity_check(ds: DerivedSystem, path, n_variations: int = 20,
                        tol: float = 1e-6, seed: int = 0,
-                       quad_points: int = _DEFAULT_QUAD_POINTS,
-                       jobs: int = 1) -> StationarityReport:
+                       quad_points: int = _DEFAULT_QUAD_POINTS
+                       ) -> StationarityReport:
     """Probe stationarity of the action with seeded random bump variations.
 
     The path passes when max |dS| <= tol * (1 + |S|) over all drawn
     variations.  Bump exponents are k + 1 so every variation is admissible
-    for the order of the problem.  ``jobs`` evaluates the action
-    derivatives in a thread pool; variations are always drawn up front
-    from the seeded generator, so results do not depend on the pool size.
+    for the order of the problem.
     """
     _check_path(ds, path)
     if n_variations < 1:
@@ -412,16 +410,8 @@ def stationarity_check(ds: DerivedSystem, path, n_variations: int = 20,
                                     half_width=half_width,
                                     exponent=ds.k + 1))
 
-    def derivative_of(variation):
-        return action_derivative(ds, path, variation,
-                                 quad_points=quad_points)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            derivatives = list(pool.map(derivative_of, variations))
-    else:
-        derivatives = [derivative_of(v) for v in variations]
+    derivatives = [action_derivative(ds, path, v, quad_points=quad_points)
+                   for v in variations]
     action = discrete_action(ds, path, "lagrangian", quad_points)
     max_abs = max(abs(d) for d in derivatives)
     return StationarityReport(

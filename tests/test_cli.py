@@ -321,22 +321,45 @@ def test_unified_check_wrong_point_length(tmp_path, capsys):
 # -- cross-cutting ----------------------------------------------------------
 
 
-def test_outputs_byte_identical_across_jobs(tmp_path, capsys):
+def test_outputs_byte_identical_across_runs(tmp_path, capsys):
     spec = write_spec(tmp_path, "pais_uhlenbeck")
-    base = run_cli(capsys, ["unified-check", spec, "--random", "10"])
-    pooled = run_cli(capsys, ["unified-check", spec, "--random", "10",
-                              "--jobs", "4"])
-    assert base == pooled
-
+    csv = tmp_path / "traj.csv"
     pf = tmp_path / "path.json"
     pf.write_text(json.dumps({
         "basis": "fourier", "coefficients": [[0.0, 0.0, 0.0, 1.0, 0.0]],
         "interval": [0.0, 2 * np.pi]}))
-    serial = run_cli(capsys, ["action-check", spec, "--path", str(pf),
-                              "--variations", "8"])
-    threaded = run_cli(capsys, ["action-check", spec, "--path", str(pf),
-                                "--variations", "8", "--jobs", "3"])
-    assert serial == threaded
+    runs = [
+        ["simulate", spec, "--init=1,0,-1,0", "--t-end", "3",
+         "--out", str(csv)],
+        ["derive", spec, "--samples", "20"],
+        ["verify", spec, "--traj", str(csv)],
+        ["action-check", spec, "--path", str(pf), "--variations", "8"],
+        ["action-check", spec, "--traj", str(csv), "--variations", "4"],
+        ["unified-check", spec, "--random", "10"],
+    ]
+    for argv in runs:
+        first = run_cli(capsys, argv)[:2]
+        trajectory = csv.read_bytes()
+        assert first[0] in (0, 1) and first[1]
+        assert run_cli(capsys, argv)[:2] == first, argv
+        assert csv.read_bytes() == trajectory, argv
+
+
+def test_jobs_flag_is_gone(tmp_path, capsys):
+    spec = write_spec(tmp_path, "harmonic")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["unified-check", spec, "--random", "2", "--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ostromech.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_log_level_env(tmp_path, capsys, monkeypatch):

@@ -34,6 +34,16 @@ def test_rk45_harmonic_tracks_cosine(harmonic):
     assert traj.grid[-1] == 10.0
 
 
+def test_rk45_rejected_final_step_is_not_retried_unchanged(harmonic):
+    # on [0, 1.45] the stretched final step is rejected, and the shrunk
+    # step still reaches t_end within the 30% stretch
+    init = om.JetPoint(0.0, np.array([[1.0, 0.0]]))
+    traj = om.integrate(harmonic, init, 1.45, max_steps=1000)
+    assert traj.meta["rejected"] >= 1
+    assert traj.grid[-1] == 1.45
+    assert np.max(np.abs(traj.states[:, 0] - np.cos(traj.grid))) < 1e-8
+
+
 def test_driven_tracks_exact_solution(driven):
     init = om.JetPoint(0.0, np.array([[1.0, 0.0]]))
     traj = om.integrate(driven, init, 6.0)

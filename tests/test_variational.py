@@ -165,14 +165,11 @@ def test_stationarity_fail_off_solution(harmonic):
     assert report.max_abs_derivative > 1e-3
 
 
-def test_stationarity_seeding_and_jobs(harmonic):
+def test_stationarity_seeding(harmonic):
     path = om.PathRepresentation("monomial", [0.0, 1.0], (0.0, 1.0))
     one = om.stationarity_check(harmonic, path, n_variations=6, seed=5)
     again = om.stationarity_check(harmonic, path, n_variations=6, seed=5)
     assert one.derivatives == again.derivatives
-    pooled = om.stationarity_check(harmonic, path, n_variations=6, seed=5,
-                                   jobs=3)
-    assert pooled.derivatives == one.derivatives
     other = om.stationarity_check(harmonic, path, n_variations=6, seed=6)
     assert [v.center for v in other.variations] != \
         [v.center for v in one.variations]
