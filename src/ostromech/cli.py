@@ -60,10 +60,15 @@ def _configure_logging():
     name = os.environ.get("OSTRO_LOG", "warn").strip().lower()
     logger = logging.getLogger("ostromech")
     if not logger.handlers:
-        handler = logging.StreamHandler(sys.stderr)
+        handler = logging.StreamHandler()
+        handler.set_name(__name__)
         handler.setFormatter(
             logging.Formatter("%(levelname)s %(name)s: %(message)s"))
         logger.addHandler(handler)
+    for handler in logger.handlers:
+        if handler.name == __name__:
+            # not setStream, which flushes the old stream, maybe closed now
+            handler.stream = sys.stderr
     logger.setLevel(_LOG_LEVELS.get(name, logging.WARNING))
 
 

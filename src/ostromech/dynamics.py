@@ -9,9 +9,10 @@ integration.
 
 Verification differentiates the recorded time series with finite
 differences built from Fornberg weights on sliding stencils, fourth-order
-accurate at every grid point including the ends, and checks the recorded
-states against the equations of motion, the momentum equations in
-Hamiltonian form, energy conservation, and holonomy.
+accurate at every grid point including the ends; one vectorized recurrence
+gives the weights of the whole grid.  It checks the recorded states against
+the equations of motion, the momentum equations in Hamiltonian form, energy
+conservation, and holonomy.
 """
 
 from __future__ import annotations
@@ -184,10 +185,14 @@ def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, first_step, max_steps):
         h = min(h, max_step)
         # land exactly on t_end, stretching up to 30% so the final step
         # never degenerates into a sliver (sliver grids ruin the finite
-        # differencing done by verification)
+        # differencing done by verification); past max_step, up to the
+        # rounding in t, it is split into two equal steps
         last = t + stretch * h >= t_end
         if last:
             h = t_end - t
+            if h > max_step * (1.0 + 1e-9):
+                h *= 0.5
+                last = False
         if h < 1e-14 * max(1.0, abs(t)):
             raise ConvergenceError(
                 f"adaptive step size underflow at t={t!r}")
@@ -354,27 +359,30 @@ def _constraint_series(ds, traj):
 
 
 def _fornberg_weights(z, x, m):
-    """Finite-difference weights for derivatives 0..m at z on nodes x."""
-    npts = len(x)
-    c = np.zeros((npts, m + 1))
+    """Weights for derivatives 0..m at every z[p] on the nodes x[p].
+
+    Shapes: z (npts,), x (npts, width), result (npts, width, m + 1)."""
+    npts, width = x.shape
+    c = np.zeros((npts, width, m + 1))
     c1 = 1.0
-    c4 = x[0] - z
-    c[0, 0] = 1.0
-    for i in range(1, npts):
+    c4 = x[:, 0] - z
+    c[:, 0, 0] = 1.0
+    for i in range(1, width):
         mn = min(i, m)
         c2 = 1.0
         c5 = c4
-        c4 = x[i] - z
+        c4 = x[:, i] - z
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = x[:, i] - x[:, j]
+            c2 = c2 * c3
             if j == i - 1:
                 for v in range(mn, 0, -1):
-                    c[i, v] = c1 * (v * c[i - 1, v - 1] - c5 * c[i - 1, v]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    c[:, i, v] = c1 * (v * c[:, i - 1, v - 1]
+                                       - c5 * c[:, i - 1, v]) / c2
+                c[:, i, 0] = -c1 * c5 * c[:, i - 1, 0] / c2
             for v in range(mn, 0, -1):
-                c[j, v] = (c4 * c[j, v] - v * c[j, v - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                c[:, j, v] = (c4 * c[:, j, v] - v * c[:, j, v - 1]) / c3
+            c[:, j, 0] = c4 * c[:, j, 0] / c3
         c1 = c2
     return c
 
@@ -384,7 +392,8 @@ def fd_derivative(grid, values, order: int = 1) -> np.ndarray:
 
     Uses sliding Fornberg stencils of order + 4 points, which gives
     fourth-order accuracy at interior and boundary points alike (the
-    boundary stencils are one-sided but keep the same width).
+    boundary stencils are one-sided but keep the same width).  The weights
+    of every grid point come from one vectorized recurrence.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -393,12 +402,12 @@ def fd_derivative(grid, values, order: int = 1) -> np.ndarray:
     if width <= order:
         raise ValidationError(
             f"grid of {npts} points is too short for derivative order {order}")
-    out = np.empty(npts)
-    for i in range(npts):
-        start = min(max(i - width // 2, 0), npts - width)
-        w = _fornberg_weights(grid[i], grid[start:start + width], order)
-        out[i] = w[:, order] @ values[start:start + width]
-    return out
+    starts = np.clip(np.arange(npts) - width // 2, 0, npts - width)
+    idx = starts[:, None] + np.arange(width)
+    w = _fornberg_weights(grid, grid[idx], order)[:, :, order]
+    # one dot product per point: a sum over the stencil or a single matrix
+    # product for all points adds in another order and moves the last bits
+    return np.matmul(w[:, None, :], values[idx][:, :, None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -464,22 +473,23 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
 
     # Euler-Lagrange defect: alternating finite-difference derivatives of
     # the recorded dL/dq_i series
+    partials = [[np.broadcast_to(expr.evaluate(env), grid.shape).astype(float)
+                 for expr in row] for row in ds.lagrangian_partials]
     el_max = 0.0
     for a in range(n):
         residual = np.zeros(grid.size)
-        for i in range(k + 1):
-            series = np.broadcast_to(
-                ds.lagrangian_partials[a][i].evaluate(env), grid.shape).astype(float)
+        for i, series in enumerate(partials[a]):
             term = series if i == 0 else fd_derivative(grid, series, order=i)
             residual = residual + (-1.0) ** i * term
         el_max = max(el_max, float(np.max(np.abs(residual))))
 
     # holonomy: differentiated q_i must reproduce q_{i+1}
+    qdots = [[fd_derivative(grid, traj.states[:, a * 2 * k + i])
+              for i in range(2 * k - 1)] for a in range(n)]
     holo_max = 0.0
     for a in range(n):
         for i in range(2 * k - 1):
-            d = fd_derivative(grid, traj.states[:, a * 2 * k + i])
-            defect = d - traj.states[:, a * 2 * k + i + 1]
+            defect = qdots[a][i] - traj.states[:, a * 2 * k + i + 1]
             holo_max = max(holo_max, float(np.max(np.abs(defect))))
     tol = tolerance if tolerance is not None else traj.meta.get("tolerance")
     if tol is None:
@@ -509,8 +519,7 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
             for i in range(k):
                 pcol = traj.states[:, moff + a * k + i]
                 pdot = fd_derivative(grid, pcol)
-                rhs = ds.lagrangian_partials[a][i].evaluate(env)
-                rhs = np.broadcast_to(rhs, grid.shape).astype(float)
+                rhs = partials[a][i]
                 if i > 0:
                     rhs = rhs - traj.states[:, moff + a * k + i - 1]
                 momenta_residual = max(momenta_residual,
@@ -523,13 +532,12 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
                 hp_residual = max(hp_residual,
                                   float(np.max(np.abs(pdot + dh_dq))))
                 # Hamilton form: dq_i/dt - dH/dp^i = 0
-                qdot = fd_derivative(grid, traj.states[:, a * 2 * k + i])
                 dh_dp = ds.hamiltonian_partials.get(ex.momentum(a + 1, i))
                 dh_dp = (np.zeros(grid.size) if dh_dp is None
                          else np.broadcast_to(dh_dp.evaluate(env),
                                               grid.shape).astype(float))
                 hq_residual = max(hq_residual,
-                                  float(np.max(np.abs(qdot - dh_dp))))
+                                  float(np.max(np.abs(qdots[a][i] - dh_dp))))
 
     return VerificationReport(
         el_residual=el_max,

@@ -1,5 +1,7 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import logging
 import subprocess
@@ -372,6 +374,25 @@ def test_log_level_env(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("OSTRO_LOG")
     cli._configure_logging()
     assert logging.getLogger("ostromech").level == logging.WARNING
+
+
+def test_log_handler_follows_current_stderr(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("OSTRO_LOG", raising=False)
+    spec = write_spec(tmp_path, "harmonic")
+    csv = tmp_path / "traj.csv"
+    run_json(capsys, ["simulate", spec, "--init", "1,0",
+                      "--t-end", f"{2 * np.pi:.17g}", "--out", str(csv)])
+    # the default 12-coefficient monomial fit logs an ill-conditioning warning
+    argv = ["action-check", spec, "--traj", str(csv), "--variations", "2"]
+    for _ in range(2):
+        stream = io.StringIO()
+        with contextlib.redirect_stderr(stream):
+            cli.main(argv)
+        err = stream.getvalue()
+        stream.close()
+        assert "WARNING ostromech.variational: normal equations are " \
+            "ill-conditioned" in err
+        assert "Logging error" not in err
 
 
 def test_installed_entry_point(tmp_path):

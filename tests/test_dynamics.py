@@ -1,9 +1,12 @@
 """Integration, energy, finite differences, verification, trajectory files."""
 
+import math
+
 import numpy as np
 import pytest
 
 import ostromech as om
+from ostromech import dynamics
 
 from conftest import cos_jet, derived
 
@@ -42,6 +45,15 @@ def test_rk45_rejected_final_step_is_not_retried_unchanged(harmonic):
     assert traj.meta["rejected"] >= 1
     assert traj.grid[-1] == 1.45
     assert np.max(np.abs(traj.states[:, 0] - np.cos(traj.grid))) < 1e-8
+
+
+def test_rk45_final_step_respects_max_step(harmonic):
+    # the 30% stretch of the final step would take 0.1298 here
+    init = om.JetPoint(0.0, np.array([[1.0, 0.0]]))
+    traj = om.integrate(harmonic, init, 1.3083, rtol=1e-5, atol=1e-5,
+                        max_step=0.1)
+    assert np.max(np.diff(traj.grid)) <= 0.1 * (1 + 1e-9)
+    assert traj.grid[-1] == 1.3083
 
 
 def test_driven_tracks_exact_solution(driven):
@@ -143,6 +155,72 @@ def test_fd_derivative_fourth_order_convergence():
         errs.append(np.max(np.abs(err)))
     assert 10 < errs[0] / errs[1] < 30
     assert 10 < errs[1] / errs[2] < 30
+
+
+def _scalar_fornberg_weights(z, x, m):
+    """Fornberg's recurrence for one point, in the operation order of the
+    vectorized routine."""
+    c = np.zeros((len(x), m + 1))
+    c1 = 1.0
+    c4 = x[0] - z
+    c[0, 0] = 1.0
+    for i in range(1, len(x)):
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - z
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for v in range(min(i, m), 0, -1):
+                    c[i, v] = c1 * (v * c[i - 1, v - 1] - c5 * c[i - 1, v]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for v in range(min(i, m), 0, -1):
+                c[j, v] = (c4 * c[j, v] - v * c[j, v - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c
+
+
+def test_fornberg_weights_equal_scalar_recurrence():
+    rng = np.random.default_rng(23)
+    for m in (1, 2, 3):
+        z = rng.uniform(-1, 1, size=50)
+        x = np.sort(rng.uniform(-1, 1, size=(50, m + 4)), axis=1)
+        got = dynamics._fornberg_weights(z, x, m)
+        for p in range(z.size):
+            assert np.array_equal(got[p], _scalar_fornberg_weights(z[p], x[p], m))
+
+
+def _vandermonde_derivative(grid, values, order):
+    """Stencil weights solved from the moment conditions at each point."""
+    npts = grid.size
+    width = min(order + 4, npts)
+    out = np.empty(npts)
+    for p in range(npts):
+        start = min(max(p - width // 2, 0), npts - width)
+        nodes = grid[start:start + width] - grid[p]
+        scale = np.max(np.abs(nodes))
+        powers = np.vander(nodes / scale, width, increasing=True).T
+        rhs = np.zeros(width)
+        rhs[order] = math.factorial(order)
+        weights = np.linalg.solve(powers, rhs) / scale ** order
+        out[p] = weights @ values[start:start + width]
+    return out
+
+
+def test_fd_derivative_matches_vandermonde_weights():
+    rng = np.random.default_rng(17)
+    for order in (1, 2, 3):
+        # npts == width makes every row use the same one-sided stencil
+        for npts in (order + 4, 7, 40, int(rng.integers(100, 501))):
+            steps = rng.uniform(0.02, 0.08, size=npts - 1)
+            grid = np.concatenate([[0.0], np.cumsum(steps)]) + rng.uniform(-1, 1)
+            values = np.sin(1.3 * grid) + 0.2 * grid ** 2
+            got = om.fd_derivative(grid, values, order=order)
+            want = _vandermonde_derivative(grid, values, order)
+            np.testing.assert_allclose(got, want, rtol=1e-8,
+                                       atol=1e-8 * np.max(np.abs(want)))
 
 
 def test_fd_derivative_short_grid():
