@@ -41,6 +41,9 @@ EXIT_CHECKS_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 
+# default coefficient count of the action-check --traj fit
+_FIT_COEFFS = 12
+
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -294,7 +297,10 @@ def cmd_action_check(args):
         source["path_file"] = args.path
     else:
         traj = dynamics.load_trajectory_csv(args.traj, k=model.k, n=model.n)
-        fit = variational.fit_path(traj, args.basis, args.coeffs)
+        coeffs = args.coeffs
+        if coeffs is None:
+            coeffs = min(_FIT_COEFFS, traj.grid.size)
+        fit = variational.fit_path(traj, args.basis, coeffs)
         path = fit.path
         source["trajectory_file"] = args.traj
         source["fit"] = _jsonable(fit.to_dict())
@@ -511,8 +517,9 @@ def _build_parser():
     p.add_argument("--basis", choices=("monomial", "fourier"),
                    default="monomial",
                    help="fit basis for --traj (default monomial)")
-    p.add_argument("--coeffs", type=int, default=12,
-                   help="fit coefficient count for --traj (default 12)")
+    p.add_argument("--coeffs", type=int,
+                   help=f"fit coefficient count for --traj (default "
+                        f"{_FIT_COEFFS}, or the grid point count if smaller)")
     p.add_argument("--variations", type=int, default=20,
                    help="number of random bump variations (default 20)")
     p.add_argument("--tol", type=float, default=1e-6,

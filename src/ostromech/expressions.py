@@ -8,14 +8,25 @@ total time derivatives along holonomic prolongations, a terminating
 simplifier, numeric evaluation over scalars or numpy arrays, parsing and
 printing of a small infix grammar, and seeded numeric equivalence checks.
 
+Evaluation walks the tree (:meth:`Expression.evaluate`).  For a hot loop,
+:func:`compile_kernel` lowers a list of expressions into one generated
+straight-line Python function with common subexpressions computed once;
+on scalars it performs the tree walker's operations in the tree walker's
+order, so its values are the same to the bit.  The tree walker remains
+the reference and the error path: where a kernel raises, callers evaluate
+with the tree walker, which gives the value or the exact
+:class:`DomainEvalError`.
+
 Equality of expressions is structural.  Semantic equality is established
 numerically with :func:`equivalent_numeric`; no canonical form is claimed.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import re
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +48,10 @@ __all__ = [
     "SystemContext", "parse", "to_text",
     "diff", "total_derivative", "simplify", "substitute",
     "equivalent_numeric", "EquivalenceResult", "sample_point",
-    "DEFAULT_SAMPLE_RANGE",
+    "DEFAULT_SAMPLE_RANGE", "compile_kernel",
 ]
+
+logger = logging.getLogger("ostromech.expressions")
 
 # Default sampling interval for variables with no explicit domain entry.
 DEFAULT_SAMPLE_RANGE = (-2.0, 2.0)
@@ -1126,3 +1139,97 @@ def equivalent_numeric(e1: Expression, e2: Expression, domain=None,
         worst_point=worst[1],
         worst_values=worst[2],
     )
+
+
+# ---------------------------------------------------------------------------
+# compiled kernels
+# ---------------------------------------------------------------------------
+
+
+def _real_power(base, exponent):
+    """``base ** exponent`` for a non-integer exponent.  Python would return
+    a complex number for a negative base; the tree walker refuses it."""
+    if base < 0:
+        raise ValueError(f"negative base raised to non-integer power {exponent}")
+    return base ** exponent
+
+
+def compile_kernel(exprs, coords, name: str = "kernel"):
+    """Lower expressions into one straight-line function of the coordinates.
+
+    Returns ``f(*values) -> tuple``: ``values`` are bound to ``coords`` in
+    order, and the tuple holds one value per expression.  The function is
+    generated as Python source and built once with ``compile()``.  Each
+    distinct non-leaf node (equal :meth:`Expression.key`) becomes one
+    local temporary, so a shared subtree is computed once.  Sums and
+    products fold left to right and every node performs the operation the
+    tree walker performs, so on float arguments the values equal
+    :meth:`Expression.evaluate` bit for bit.
+
+    Where the tree walker raises :class:`DomainEvalError`, the kernel
+    raises a plain ``ArithmeticError`` or ``ValueError``, and it raises
+    ``OverflowError`` where ``**`` overflows on Python floats; the caller
+    then evaluates with the tree walker.  A variable outside ``coords``
+    raises :class:`UnboundVariableError` when the kernel is built.  Under
+    debug logging one line reports ``name``, the expression and temporary
+    counts and the build time.
+    """
+    start = time.perf_counter()
+    args = {ref: f"x{i}" for i, ref in enumerate(coords)}
+    namespace = {"_real_power": _real_power, **_SCALAR_FUNCS}
+    temps = {}          # node -> name of the local holding its value
+    body = []
+
+    def literal(value):
+        if not math.isfinite(value):
+            # repr gives inf or nan, which are no Python literals
+            const = f"_c{len(namespace)}"
+            namespace[const] = value
+            return const
+        # parenthesized so a negative constant cannot bind looser than **
+        return f"({value!r})" if math.copysign(1.0, value) < 0 else repr(value)
+
+    def operation(node):
+        if isinstance(node, Sum):
+            return " + ".join([operand(term) for term in node.terms])
+        if isinstance(node, Product):
+            return " * ".join([operand(factor) for factor in node.factors])
+        if isinstance(node, Neg):
+            return f"-{operand(node.child)}"
+        if isinstance(node, Quotient):
+            return f"{operand(node.numerator)} / {operand(node.denominator)}"
+        if isinstance(node, Call):
+            return f"{node.fname}({operand(node.arg)})"
+        if isinstance(node, Power):
+            base, exponent = operand(node.base), literal(node.exponent)
+            if node.exponent.is_integer():
+                return f"{base} ** {exponent}"
+            return f"_real_power({base}, {exponent})"
+        raise TypeError(f"cannot compile node {type(node).__name__}")
+
+    def operand(node):
+        if isinstance(node, Const):
+            return literal(node.value)
+        if isinstance(node, Variable):
+            try:
+                return args[node.ref]
+            except KeyError:
+                raise UnboundVariableError(node.ref) from None
+        local = temps.get(node)
+        if local is None:
+            text = operation(node)
+            local = temps[node] = f"v{len(temps)}"
+            body.append(f"    {local} = {text}")
+        return local
+
+    outputs = [operand(expr) for expr in exprs]
+    source = "\n".join([
+        f"def kernel({', '.join(args.values())}):",
+        *body,
+        f"    return ({''.join(out + ', ' for out in outputs)})",
+    ])
+    exec(compile(source, f"<kernel {name}>", "exec"), namespace)
+    logger.debug("compiled kernel %s: %d expressions, %d temporaries, "
+                 "%.2f ms", name, len(outputs), len(temps),
+                 1e3 * (time.perf_counter() - start))
+    return namespace["kernel"]

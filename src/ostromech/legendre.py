@@ -205,12 +205,23 @@ class DerivedSystem:
         :class:`SingularHessianError` when the Hessian fails the scale-aware
         regularity test.
         """
-        w = self.hessian_value(env)
+        return self._solve_top_jets(
+            self.hessian_value(env),
+            (e.evaluate(env) for e in self.el_reduced),
+            env.get(ex.time_var()))
+
+    def _solve_top_jets(self, w, reduced, time) -> np.ndarray:
+        """Solve (-1)^k W q_{2k} + reduced = 0 for the order-2k jets.
+
+        ``reduced`` is iterated only after the regularity test, so a
+        generator of evaluations runs in the tree walker's order; a
+        singular ``w`` raises :class:`SingularHessianError` at ``time``.
+        """
         if is_singular(w):
             raise SingularHessianError(
                 "Hessian is singular, accelerations are not determined",
-                time=env.get(ex.time_var()))
-        rhs = np.array([-e.evaluate(env) for e in self.el_reduced])
+                time=time)
+        rhs = np.array([-value for value in reduced])
         sign = -1.0 if self.k % 2 else 1.0
         return np.linalg.solve(sign * w, rhs)
 

@@ -229,17 +229,39 @@ def _unified_field(ds: DerivedSystem):
     jet components only and a 3kn unified state also gets the momentum
     components G^0 = dL/dq_0 and G^i = dL/dq_i - p^{i-1}.  A singular
     Hessian raises :class:`SingularHessianError` with the state attached.
-    The coordinates are bound once here, not once per call.
+
+    The Hessian, the reduced Euler-Lagrange values and the partials
+    dL/dq_i (i < k) come from one kernel over (t, jets) built by
+    :func:`expressions.compile_kernel` on first use; the field is cached
+    on ``ds``, so a system compiles once.  Where the kernel raises (a
+    domain error, or ``**`` overflowing on Python floats), the call
+    evaluates with the tree walker in the order of
+    :meth:`DerivedSystem.acceleration` and so returns the tree walker's
+    values or raises its exact :class:`DomainEvalError`.
     """
+    cached = getattr(ds, "_unified_field", None)
+    if cached is not None:
+        return cached
     k, n = ds.k, ds.n
     coords = unified_coordinates(k, n)
     jets = 2 * k * n
-    partials = ds.lagrangian_partials
+    nn = n * n
+    exprs = ([w for row in ds.hessian for w in row] + ds.el_reduced
+             + [g for row in ds.lagrangian_partials for g in row[:k]])
+    kernel = ex.compile_kernel(exprs, coords[:jets + 1], name=ds.model.name)
 
     def field(t, y):
-        env = dict(zip(coords, (t, *y)))
         try:
-            accel = ds.acceleration(env)
+            value = kernel(t, *y[:jets].tolist()).__getitem__
+        except (ArithmeticError, ValueError, TypeError):
+            env = dict(zip(coords, (t, *y)))
+
+            def value(i):
+                return exprs[i].evaluate(env)
+        try:
+            accel = ds._solve_top_jets(
+                np.array([value(i) for i in range(nn)]).reshape(n, n),
+                (value(nn + a) for a in range(n)), t)
         except SingularHessianError as err:
             err.state = np.array(y)
             raise
@@ -251,13 +273,13 @@ def _unified_field(ds: DerivedSystem):
         if len(y) == jets:
             return ydot
         for a in range(n):
-            base = jets + a * k
-            ydot[base] = partials[a][0].evaluate(env)
+            base, g = jets + a * k, nn + n + a * k
+            ydot[base] = value(g)
             for i in range(1, k):
-                ydot[base + i] = (partials[a][i].evaluate(env)
-                                  - y[base + i - 1])
+                ydot[base + i] = value(g + i) - y[base + i - 1]
         return ydot
 
+    ds._unified_field = field
     return field
 
 

@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 import logging
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ import ostromech as om
 from ostromech import cli
 
 from conftest import SYSTEM_DOCS, write_spec
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos" / "systems"
 
 
 def run_cli(capsys, argv):
@@ -248,6 +252,22 @@ def test_action_check_fitted_trajectory(tmp_path, capsys):
     assert report["source"]["fit"]["max_residual"] < 1e-8
 
 
+def test_action_check_short_trajectory_default_coeffs(tmp_path, capsys):
+    # rk45 takes 4 steps here; the default fit needs no more coefficients
+    # than the trajectory has grid points
+    spec = str(DEMOS / "free_particle.json")
+    csv = tmp_path / "short.csv"
+    run_json(capsys, ["simulate", spec, "--init", "0,1", "--t-end", "3",
+                      "--out", str(csv)])
+    assert len(csv.read_text().splitlines()) == 1 + 5
+    report = run_json(capsys, ["action-check", spec, "--traj", str(csv)])
+    assert report["source"]["fit"]["n_coefficients"] == 5
+    assert report["passed"] is True
+    code, _, err = run_cli(capsys, ["action-check", spec, "--traj", str(csv),
+                                    "--coeffs", "6"])
+    assert code == 2 and "n_coeffs" in err
+
+
 def test_action_check_usage(tmp_path, capsys):
     spec = write_spec(tmp_path, "harmonic")
     pf = tmp_path / "path.json"
@@ -374,6 +394,25 @@ def test_log_level_env(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("OSTRO_LOG")
     cli._configure_logging()
     assert logging.getLogger("ostromech").level == logging.WARNING
+
+
+def test_debug_log_reports_compiled_kernel(tmp_path, capsys, monkeypatch):
+    spec = write_spec(tmp_path, "harmonic")
+    argv = ["simulate", spec, "--init", "1,0", "--t-end", "1"]
+    monkeypatch.delenv("OSTRO_LOG", raising=False)
+    quiet = run_cli(capsys, argv)
+    monkeypatch.setenv("OSTRO_LOG", "debug")
+    try:
+        code, out, err = run_cli(capsys, argv)
+    finally:
+        monkeypatch.delenv("OSTRO_LOG")
+        cli._configure_logging()
+    assert (code, out) == quiet[:2]
+    lines = [line for line in err.splitlines() if "compiled kernel" in line]
+    assert len(lines) == 1
+    assert re.fullmatch(r"DEBUG ostromech\.expressions: compiled kernel "
+                        r"harmonic: 3 expressions, \d+ temporaries, "
+                        r"\d+\.\d\d ms", lines[0])
 
 
 def test_log_handler_follows_current_stderr(tmp_path, capsys, monkeypatch):

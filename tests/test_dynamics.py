@@ -330,3 +330,23 @@ def test_trajectory_validation():
         traj.unified_point(0)
     with pytest.raises(ValueError):
         traj.states[0, 0] = 1.0  # read-only
+
+
+def test_singular_hessian_error_contract(degenerate):
+    # W = 0 everywhere, so the first right-hand side call fails
+    init = om.JetPoint(0.25, np.array([[1.0, 0.5, -0.3, 0.2]]))
+    up = om.UnifiedPoint(init, om.legendre_map(degenerate, init))
+    runs = [(om.integrate, init), (om.integrate_unified, up)]
+    for run, start in runs:
+        for method, step in (("rk45", None), ("rk4", 0.1)):
+            with pytest.raises(om.SingularHessianError) as info:
+                run(degenerate, start, 1.0, method=method, step=step)
+            err = info.value
+            assert np.array_equal(err.state, start.to_state())
+            assert err.time == 0.25
+            assert err.last_good_time == 0.25
+    state = init.to_state()
+    with pytest.raises(om.SingularHessianError) as info:
+        om.lagrangian_rhs(degenerate, 0.5, state)
+    assert np.array_equal(info.value.state, state)
+    assert info.value.time == 0.5

@@ -1,10 +1,14 @@
 """Expression language: parsing, printing, differentiation, simplification."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ostromech as om
 from ostromech import expressions as ex
+from ostromech import unified
 
 CTX = om.SystemContext.for_lagrangian(2, 1)
 CTX2 = om.SystemContext.for_lagrangian(1, 2)
@@ -256,3 +260,117 @@ def test_cannot_parse_empty_or_trailing():
         om.parse("q0 q1", CTX)
     with pytest.raises(om.ParseError):
         om.parse("q0 +", CTX)
+
+
+# -- compiled kernels ---------------------------------------------------------
+
+DEMO_SYSTEMS = Path(__file__).resolve().parent.parent / "demos" / "systems"
+
+# an order-3, three-dof system with weak nonlinear couplings, as in the
+# benchmark's nl3 roster entry
+NL3_DOC = {
+    "name": "nl3-like", "order": 3, "dofs": 3,
+    "lagrangian": (
+        "1/2*(q3_1^2 - 2.1*q2_1^2 + 1.3*q1_1^2 - 0.25*q0_1^2)"
+        " + 1/2*(q3_2^2 - 3.4*q2_2^2 + 3.7*q1_2^2 - 1.1*q0_2^2)"
+        " + 1/2*(q3_3^2 - 4.9*q2_3^2 + 7.6*q1_3^2 - 4.2*q0_3^2)"
+        " + 0.021*q0_3^2*q3_1^2 + 0.013*q0_1^2*q0_2^2"
+        " + 0.027*q0_2*q0_3*q1_1^2"),
+}
+
+# every node type: the five functions, a quotient, a fractional power, a
+# negative constant and subtrees shared between derived expressions
+ALL_NODES_DOC = {
+    "name": "all-nodes", "order": 2, "dofs": 1,
+    "lagrangian": (
+        "1/2*q2^2*(2 + cos(q0*q1)) + q1^2*log(2 + sin(q0))"
+        " - 3.5*q0^2*cos(t) + sqrt(1 + q1^2)*exp(-q0^2/4)"
+        " + q2*q1/(3 + cos(q0)) + (2 + sin(q0*q1))^1.5"),
+}
+
+
+def _kernel_families(ds):
+    """Every derived family over the unified coordinates, flattened."""
+    exprs = [w for row in ds.hessian for w in row] + list(ds.el_reduced)
+    exprs += [g for row in ds.lagrangian_partials for g in row]
+    exprs += [p for row in ds.momenta for p in row]
+    exprs += list(ds.hamiltonian_partials.values())
+    return exprs + [ds.hamiltonian, ds.model.lagrangian]
+
+
+def _nodes(expr):
+    yield expr
+    for child in (getattr(expr, "terms", ()) + getattr(expr, "factors", ())
+                  + tuple(getattr(expr, attr) for attr in
+                          ("base", "child", "numerator", "denominator", "arg")
+                          if hasattr(expr, attr))):
+        yield from _nodes(child)
+
+
+def _kernel_systems():
+    docs = {path.stem: json.loads(path.read_text())
+            for path in sorted(DEMO_SYSTEMS.glob("*.json"))}
+    docs.update({"nl3": NL3_DOC, "all_nodes": ALL_NODES_DOC})
+    return docs
+
+
+@pytest.mark.parametrize("key", sorted(_kernel_systems()))
+def test_compiled_kernel_equals_tree_walker(key):
+    ds = om.derive(om.build_system(_kernel_systems()[key]))
+    coords = unified.unified_coordinates(ds.k, ds.n)
+    exprs = _kernel_families(ds)
+    kernel = ex.compile_kernel(exprs, coords)
+    if key == "all_nodes":
+        nodes = [node for e in exprs for node in _nodes(e)]
+        kinds = {type(node).__name__ for node in nodes}
+        assert kinds >= {"Sum", "Product", "Power", "Neg", "Quotient", "Call"}
+        assert {n.fname for n in nodes if isinstance(n, ex.Call)} == {
+            "sin", "cos", "exp", "log", "sqrt"}
+        assert any(isinstance(n, ex.Power) and not n.exponent.is_integer()
+                   for n in nodes)
+        assert any(isinstance(n, ex.Const) and n.value < 0 for n in nodes)
+        compound = [n for n in nodes if not isinstance(n, (ex.Const, ex.Variable))]
+        assert len(set(compound)) < len(compound)  # shared subtrees
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        values = rng.uniform(-2.0, 2.0, len(coords))
+        got = np.array(kernel(*values.tolist()))
+        # the integrators bind numpy scalars, library callers Python floats
+        for point in (values, values.tolist()):
+            env = dict(zip(coords, point))
+            want = np.array([e.evaluate(env) for e in exprs])
+            assert got.tobytes() == want.tobytes()
+
+
+def test_compiled_kernel_leaves_and_constants():
+    ctx = om.SystemContext.for_lagrangian(2, 1)
+    coords = [om.time_var(), om.jet(1, 0), om.jet(1, 1)]
+    exprs = [om.parse("q0", ctx), ex.Const(-2.5), ex.Const(float("inf")),
+             ex.Power(ex.Const(-2.0), 2.0), ex.Neg(ex.Const(-0.0)),
+             om.parse("q0^-2 + t*q1", ctx)]
+    kernel = ex.compile_kernel(exprs, coords)
+    got = kernel(0.5, 3.0, -1.0)
+    env = dict(zip(coords, (0.5, 3.0, -1.0)))
+    assert np.array(got).tobytes() == np.array(
+        [e.evaluate(env) for e in exprs]).tobytes()
+    assert got[3] == 4.0  # (-2)^2, not -(2^2)
+    assert ex.compile_kernel([], coords)(0.5, 3.0, -1.0) == ()
+    with pytest.raises(om.UnboundVariableError):
+        ex.compile_kernel([om.parse("q2", ctx)], coords)
+
+
+def test_compiled_kernel_raises_where_tree_walker_does():
+    ctx = om.SystemContext.for_lagrangian(1, 1)
+    coords = [om.time_var(), om.jet(1, 0), om.jet(1, 1)]
+    for text, q0 in (("log(q0)", -1.0), ("q1/q0", 0.0), ("q0^1.5", -2.0),
+                     ("q0^-1", 0.0), ("sqrt(q0)", -4.0)):
+        expr = om.parse(text, ctx)
+        kernel = ex.compile_kernel([expr], coords)
+        with pytest.raises((ArithmeticError, ValueError)):
+            kernel(0.0, q0, 1.0)
+        with pytest.raises(om.DomainEvalError):
+            expr.evaluate(dict(zip(coords, (0.0, q0, 1.0))))
+    # Python floats raise on a power overflow, numpy scalars give inf
+    kernel = ex.compile_kernel([om.parse("q0^3", ctx)], coords)
+    with pytest.raises(OverflowError):
+        kernel(0.0, 1e200, 0.0)

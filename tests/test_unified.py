@@ -7,9 +7,9 @@ import pytest
 
 import ostromech as om
 from ostromech import expressions as ex
-from ostromech import unified
+from ostromech import cli, unified
 
-from conftest import cos_jet, on_constraint_points
+from conftest import SYSTEM_DOCS, cos_jet, on_constraint_points, write_spec
 
 
 def pu_point(t=0.0):
@@ -161,3 +161,62 @@ def test_condition_warning_logged(pu, monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="ostromech.unified"):
         om.solve_unified_vf(pu, pu_point())
     assert any("ill-conditioned" in rec.message for rec in caplog.records)
+
+
+def _one_dof(lagrangian):
+    return om.derive(om.build_system(
+        {"name": "probe", "order": 1, "dofs": 1, "lagrangian": lagrangian}))
+
+
+def test_field_falls_back_to_tree_walker_errors():
+    # log of a negative value, a zero denominator, a negative base to a
+    # fractional power: the kernel raises a plain Python error, and the
+    # field reports the tree walker's DomainEvalError
+    coords = om.unified_coordinates(1, 1)
+    for lagrangian, q0 in (("1/2*q1^2 - q0*log(q0)", -1.0),
+                           ("1/2*q1^2 - 1/q0", 0.0),
+                           ("1/2*q1^2 - q0^2.5", -1.0)):
+        ds = _one_dof(lagrangian)
+        state = np.array([q0, 0.5])
+        env = dict(zip(coords, (0.0, *state)))
+        with pytest.raises(om.DomainEvalError) as walked:
+            ds.el_reduced[0].evaluate(env)
+        with pytest.raises(om.DomainEvalError) as fielded:
+            om.lagrangian_rhs(ds, 0.0, state)
+        assert type(fielded.value) is type(walked.value)
+        assert str(fielded.value) == str(walked.value)
+
+
+def test_field_overflow_returns_tree_walker_value():
+    # q0^3 overflows on Python floats (OverflowError) and gives inf on the
+    # numpy scalars the tree walker binds
+    ds = _one_dof("1/2*q1^2 - q0^4/4")
+    state = np.array([1e200, 1.0])
+    env = dict(zip(om.unified_coordinates(1, 1), (0.0, *state)))
+    with np.errstate(all="ignore"):
+        got = om.lagrangian_rhs(ds, 0.0, state)
+        want = np.array([state[1], *ds.acceleration(env)])
+    assert np.isinf(got[1])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_field_compiles_once_per_system(tmp_path, capsys, monkeypatch):
+    names = []
+    compile_kernel = ex.compile_kernel
+
+    def counting(exprs, coords, name="kernel"):
+        names.append(name)
+        return compile_kernel(exprs, coords, name)
+
+    monkeypatch.setattr(ex, "compile_kernel", counting)
+    ds = om.derive(om.build_system(SYSTEM_DOCS["pais_uhlenbeck"]))
+    assert cli.main(["derive", write_spec(tmp_path, "pais_uhlenbeck")]) == 0
+    capsys.readouterr()
+    assert names == []  # deriving builds no kernel
+    state = cos_jet().to_state()
+    first = om.lagrangian_rhs(ds, 0.0, state)
+    assert om.lagrangian_rhs(ds, 0.0, state).tobytes() == first.tobytes()
+    om.explicit_semispray(ds, pu_point())
+    om.explicit_semispray(ds, pu_point(0.5))
+    assert names == ["pais-uhlenbeck"]
+    assert unified._unified_field(ds) is unified._unified_field(ds)
