@@ -42,7 +42,8 @@ def main():
     report = om.regularity_report(ds, samples=200, seed=0)
     print()
     print(f"regular on the sampled box: {report.regular} "
-          f"(|det W| in [{report.min_abs_det:g}, {report.max_abs_det:g}])")
+          f"(|det W| in [{report.min_abs_det:g}, {report.max_abs_det:g}], "
+          f"max condition {report.max_condition:g})")
 
     # and the cautionary tale
     bad = om.derive(load("degenerate.json"))

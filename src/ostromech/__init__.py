@@ -62,13 +62,11 @@ from .legendre import (
     euler_lagrange_exprs,
     hessian_det_expr,
     hessian_exprs,
-    is_singular,
     legendre_inverse,
     legendre_map,
     momentum_exprs,
     momentum_exprs_recursive,
     regularity_report,
-    singular_threshold,
 )
 from .unified import (
     KernelReport,

@@ -170,7 +170,7 @@ def cmd_derive(args):
         "euler_lagrange": [ex.to_text(e, n) for e in ds.el],
         "hessian": [[ex.to_text(entry, n) for entry in row]
                     for row in ds.hessian],
-        "hessian_det": ex.to_text(legendre.hessian_det_expr(model), n),
+        "hessian_det": ex.to_text(legendre.hessian_det_expr(ds), n),
         "hamiltonian": ex.to_text(ds.hamiltonian, n),
         "regularity": _jsonable(regularity.to_dict()),
         "singular_warning": not regularity.regular,
@@ -332,9 +332,7 @@ def cmd_action_check(args):
 
 
 def _point_entry(ds, up):
-    residuals = unified.constraint_residuals(ds, up)
-    tolerance = unified.constraint_tolerance(up)
-    worst = max(float(np.max(np.abs(r))) for r in residuals)
+    residuals, worst, tolerance = unified._constraint_check(ds, up)
     on_constraint = worst <= tolerance
 
     env_value = float(ds.hamiltonian.evaluate(unified_bindings(up)))

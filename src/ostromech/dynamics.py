@@ -33,12 +33,7 @@ from .errors import (
 )
 from .legendre import DerivedSystem, legendre_map
 from .systems import JetPoint, UnifiedPoint, jet_bindings
-from .unified import (
-    _unified_field,
-    constraint_residuals,
-    constraint_tolerance,
-    unified_coordinates,
-)
+from .unified import _constraint_check, _unified_field, unified_coordinates
 
 __all__ = [
     "Trajectory", "integrate", "integrate_unified", "lagrangian_rhs",
@@ -155,7 +150,7 @@ def _run_rk4(f, t0, y0, t_end, step, max_steps):
     y = np.array(y0, dtype=float)
     states[0] = y
     for j in range(nsteps):
-        t = grid[j]
+        t = float(grid[j])
         try:
             k1 = f(t, y)
             k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
@@ -283,9 +278,7 @@ def integrate_unified(ds: DerivedSystem, init: UnifiedPoint, t_end: float,
     logged and flagged in ``meta["constraint_drift_warning"]``.
     """
     k, n = ds.k, ds.n
-    residuals = constraint_residuals(ds, init)
-    worst = max(float(np.max(np.abs(r))) for r in residuals)
-    tol = constraint_tolerance(init)
+    residuals, worst, tol = _constraint_check(ds, init)
     if worst > tol:
         raise OffConstraintError(
             f"initial point violates the momentum constraints (residual "
@@ -585,10 +578,14 @@ def load_trajectory_csv(path, k: int | None = None,
     The layout and dimensions are recovered from the header and, when
     ``k``/``n`` are given, validated against them.  Any malformed header,
     ragged row, or non-numeric cell raises
-    :class:`TrajectoryFormatError`.
+    :class:`TrajectoryFormatError`, and so does a file that cannot be read.
     """
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh if line.strip()]
+    except (OSError, UnicodeDecodeError) as err:
+        raise TrajectoryFormatError(
+            f"{path}: cannot read trajectory file: {err}") from err
     if not lines:
         raise TrajectoryFormatError(f"{path}: empty trajectory file")
     header = lines[0].split(",")

@@ -41,10 +41,9 @@ __all__ = [
     "euler_lagrange_exprs", "hessian_exprs", "hessian_det_expr",
     "regularity_report", "RegularityReport",
     "legendre_map", "legendre_inverse",
-    "singular_threshold", "is_singular",
 ]
 
-# scale-aware cutoff below which |det W| counts as singular
+# W counts as singular when its 1-norm condition number reaches 1/rtol
 _SINGULAR_RTOL = 1e-9
 
 
@@ -123,9 +122,10 @@ def hessian_exprs(sys: SystemModel):
     return rows
 
 
-def hessian_det_expr(sys: SystemModel) -> ex.Expression:
-    """Symbolic determinant of the Hessian (Leibniz expansion)."""
-    w = hessian_exprs(sys)
+def hessian_det_expr(sys: SystemModel | DerivedSystem) -> ex.Expression:
+    """Symbolic determinant of the Hessian (Leibniz expansion) of a model,
+    or of a :class:`DerivedSystem`, whose Hessian is reused."""
+    w = sys.hessian if isinstance(sys, DerivedSystem) else hessian_exprs(sys)
     n = sys.n
     terms = []
     for perm in itertools.permutations(range(n)):
@@ -202,8 +202,8 @@ class DerivedSystem:
 
         Uses el_a = (-1)^k W_ab q_{2k}^b + reduced_a = 0, i.e. a linear
         solve against the Hessian at the bound point.  Raises
-        :class:`SingularHessianError` when the Hessian fails the scale-aware
-        regularity test.
+        :class:`SingularHessianError` when the Hessian fails the regularity
+        test of :func:`_regular_inverse`.
         """
         return self._solve_top_jets(
             self.hessian_value(env),
@@ -217,13 +217,13 @@ class DerivedSystem:
         generator of evaluations runs in the tree walker's order; a
         singular ``w`` raises :class:`SingularHessianError` at ``time``.
         """
-        if is_singular(w):
+        inv = _regular_inverse(w)[0]
+        if inv is None:
             raise SingularHessianError(
                 "Hessian is singular, accelerations are not determined",
                 time=time)
-        rhs = np.array([-value for value in reduced])
         sign = -1.0 if self.k % 2 else 1.0
-        return np.linalg.solve(sign * w, rhs)
+        return sign * (inv @ np.array([-value for value in reduced]))
 
 
 def derive(sys: SystemModel) -> DerivedSystem:
@@ -231,15 +231,18 @@ def derive(sys: SystemModel) -> DerivedSystem:
     return DerivedSystem(sys)
 
 
-def singular_threshold(w: np.ndarray) -> float:
-    """|det W| at or below this value counts as singular (scale-aware)."""
-    n = w.shape[0]
-    scale = np.linalg.norm(w, np.inf) if w.size else 0.0
-    return _SINGULAR_RTOL * (1.0 + scale ** n)
-
-
-def is_singular(w: np.ndarray) -> bool:
-    return abs(np.linalg.det(w)) <= singular_threshold(w)
+def _regular_inverse(w: np.ndarray):
+    """The one regularity test: W^-1, or None when W is singular, and
+    kappa_1(W) = |W|_1 |W^-1|_1 (inf where the inversion fails), from one
+    inversion.  W is singular when kappa_1(W) >= 1/rtol, but not when it is
+    NaN; scaling W leaves kappa_1(W) and so the verdict unchanged."""
+    try:
+        inv = np.linalg.inv(w)
+    except np.linalg.LinAlgError:
+        return None, np.inf
+    condition = float(np.abs(w).sum(axis=0).max()
+                      * np.abs(inv).sum(axis=0).max())
+    return (None if condition * _SINGULAR_RTOL >= 1.0 else inv), condition
 
 
 @dataclass
@@ -249,7 +252,7 @@ class RegularityReport:
     regular: bool
     min_abs_det: float
     max_abs_det: float
-    threshold: float
+    max_condition: float
     worst_point: dict = field(default_factory=dict)
     rank_at_worst: int = 0
     samples: int = 0
@@ -262,7 +265,7 @@ class RegularityReport:
             "regular": self.regular,
             "min_abs_det": self.min_abs_det,
             "max_abs_det": self.max_abs_det,
-            "threshold": self.threshold,
+            "max_condition": self.max_condition,
             "rank_at_worst_point": self.rank_at_worst,
             "worst_point": worst,
             "samples": self.samples,
@@ -277,12 +280,11 @@ def _worst_dofs(point):
 
 def regularity_report(sys: SystemModel, domain=None, samples: int = 100,
                       seed: int = 0) -> RegularityReport:
-    """Sample the Hessian determinant over a box and report regularity.
+    """Sample the Hessian over a box and report regularity.
 
-    The system is regular on the box when |det W| stays above the
-    scale-aware threshold at every sampled point.  The rank at the worst
-    point comes from a singular value decomposition with the same
-    relative cutoff.
+    The system is regular on the box when W passes :func:`_regular_inverse`
+    at every sample.  The worst point is the sample of largest kappa_1(W),
+    the first on ties; the |det W| range is descriptive only.
     """
     ds = sys if isinstance(sys, DerivedSystem) else DerivedSystem(sys)
     variables = set()
@@ -293,26 +295,23 @@ def regularity_report(sys: SystemModel, domain=None, samples: int = 100,
 
     regular = True
     min_det, max_det = np.inf, 0.0
-    worst_point, worst_w = {}, None
-    threshold_at_worst = 0.0
+    max_condition, worst_point, worst_w = -np.inf, {}, None
     for _ in range(max(samples, 1)):
         point = ex.sample_point(variables, rng, domain)
         w = ds.hessian_value(point)
-        detval = abs(np.linalg.det(w))
-        if detval <= singular_threshold(w):
+        inv, condition = _regular_inverse(w)
+        if inv is None:
             regular = False
-        if detval < min_det:
-            min_det, worst_point, worst_w = detval, point, w
-            threshold_at_worst = singular_threshold(w)
-        max_det = max(max_det, detval)
+        if worst_w is None or condition > max_condition:
+            max_condition, worst_point, worst_w = condition, point, w
+        detval = abs(np.linalg.det(w))
+        min_det, max_det = min(min_det, detval), max(max_det, detval)
 
-    sv = np.linalg.svd(worst_w, compute_uv=False)
-    cutoff = _SINGULAR_RTOL * (1.0 + (sv[0] if sv.size else 0.0))
-    rank = int(np.sum(sv > cutoff))
     return RegularityReport(
         regular=regular, min_abs_det=float(min_det), max_abs_det=float(max_det),
-        threshold=threshold_at_worst, worst_point=worst_point,
-        rank_at_worst=rank, samples=samples, seed=seed)
+        max_condition=max_condition, worst_point=worst_point,
+        rank_at_worst=int(np.linalg.matrix_rank(worst_w)),
+        samples=samples, seed=seed)
 
 
 def legendre_map(ds: DerivedSystem, jp: JetPoint) -> np.ndarray:

@@ -45,7 +45,7 @@ from .errors import (
     SingularHessianError,
     ValidationError,
 )
-from .legendre import DerivedSystem, is_singular
+from .legendre import DerivedSystem, _regular_inverse
 from .systems import UnifiedPoint, unified_bindings
 
 __all__ = [
@@ -205,6 +205,15 @@ def constraint_residuals(ds: DerivedSystem, up: UnifiedPoint):
     return levels
 
 
+def _constraint_check(ds: DerivedSystem, up: UnifiedPoint):
+    """Constraint residuals of a point, their worst absolute value and the
+    tolerance it is held to: the point is on the constraint manifold when
+    ``worst <= tolerance``."""
+    residuals = constraint_residuals(ds, up)
+    worst = max(float(np.max(np.abs(r))) for r in residuals)
+    return residuals, worst, constraint_tolerance(up)
+
+
 def explicit_semispray(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
     """Closed-form components of the unified vector field at a point.
 
@@ -301,9 +310,7 @@ def solve_unified_vf(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
     """
     _check_point(ds, up)
     k, n = ds.k, ds.n
-    tol = constraint_tolerance(up)
-    residuals = constraint_residuals(ds, up)
-    worst = max(float(np.max(np.abs(r))) for r in residuals)
+    residuals, worst, tol = _constraint_check(ds, up)
     if worst > tol:
         raise OffConstraintError(
             f"point violates the momentum constraints (residual {worst:.3e} "
@@ -311,7 +318,7 @@ def solve_unified_vf(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
 
     env = unified_bindings(up)
     w = ds.hessian_value(env)
-    if is_singular(w):
+    if _regular_inverse(w)[0] is None:
         raise SingularHessianError(
             "Hessian is singular, the unified vector field is not "
             "determined", time=up.t)

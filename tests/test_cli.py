@@ -154,6 +154,30 @@ def test_simulate_degenerate_exits_singular(tmp_path, capsys):
     assert "last good time t=0.0" in err
 
 
+def test_simulate_rk4_singular_message_has_plain_times(tmp_path, capsys):
+    spec = write_spec(tmp_path, "degenerate")
+    code, _, err = run_cli(capsys, [
+        "simulate", spec, "--init", "1,0,0,0", "--t-end", "1",
+        "--method", "rk4", "--step", "0.1"])
+    assert code == 3
+    assert err == ("error: Hessian is singular, accelerations are not "
+                   "determined (at t=0.0) (last good time t=0.0)\n")
+
+
+def test_small_mass_is_regular(tmp_path, capsys):
+    doc = {"name": "particle", "order": 1, "dofs": 3,
+           "lagrangian": "1/2*1e-3*(q1_1^2+q1_2^2+q1_3^2)"}
+    spec = tmp_path / "particle.json"
+    spec.write_text(json.dumps(doc))
+    regularity = run_json(capsys, ["derive", str(spec)])["regularity"]
+    assert regularity["regular"] is True
+    assert regularity["max_condition"] == pytest.approx(1.0)
+    assert regularity["rank_at_worst_point"] == 3
+    summary = run_json(capsys, ["simulate", str(spec), "--init",
+                                "1,1,0,2,0,-1", "--t-end", "1"])
+    assert summary["final_state"] == pytest.approx([2, 1, 2, 2, -1, -1])
+
+
 def test_simulate_blow_up_exits_singular(tmp_path, capsys):
     doc = {"name": "crossing", "order": 1, "dofs": 1,
            "lagrangian": "1/2*q0*q1^2"}
@@ -208,6 +232,17 @@ def test_verify_malformed_csv(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["verify", spec, "--traj", str(broken)])
     assert code == 2
     assert "broken.csv" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "action-check"])
+def test_unreadable_trajectory_is_a_usage_error(tmp_path, capsys, command):
+    spec = write_spec(tmp_path, "harmonic")
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for traj in (tmp_path / "missing.csv", binary):
+        code, out, err = run_cli(capsys, [command, spec, "--traj", str(traj)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {traj}: cannot read trajectory file")
 
 
 # -- action-check -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Mechanical derivation: momenta, Euler-Lagrange, Hessian, inverse map."""
 
+import itertools
 import json
 import pathlib
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import ostromech as om
-from ostromech import expressions as ex
+from ostromech import legendre
 
 from conftest import cos_jet, derived
 
@@ -119,7 +120,7 @@ def test_regularity_report_regular(pu):
     rep = om.regularity_report(pu, samples=100, seed=0)
     assert rep.regular
     assert rep.min_abs_det == 1.0 and rep.max_abs_det == 1.0
-    assert rep.threshold == pytest.approx(2e-9)
+    assert rep.max_condition == 1.0
     d = rep.to_dict()
     assert d["rank_at_worst_point"] == 1
     assert d["samples"] == 100 and d["seed"] == 0
@@ -133,23 +134,72 @@ def test_regularity_report_degenerate(degenerate):
 
 
 def test_regularity_sign_crossing():
-    # W = [[q0]] is singular wherever the sampled box pins q0 near zero
+    # W = [[q0]] is singular where the sampled box pins q0 to zero
     model = om.build_system({"name": "crossing", "order": 1, "dofs": 1,
                              "lagrangian": "1/2*q0*q1^2"})
     wide = om.regularity_report(model, samples=100, seed=0)
     assert wide.min_abs_det < wide.max_abs_det  # det actually varies
-    pinned = om.regularity_report(
-        model, domain={ex.jet(1, 0): (-1e-12, 1e-12)}, samples=20, seed=0)
+    pinned = om.regularity_report(model, domain=(0.0, 0.0), samples=20,
+                                  seed=0)
     assert not pinned.regular
     assert pinned.to_dict()["rank_at_worst_point"] == 0
 
 
-def test_singular_threshold_scale_aware():
-    assert om.singular_threshold(np.array([[2.0]])) == pytest.approx(3e-9)
-    big = np.diag([1e4, 1e4])
-    assert om.singular_threshold(big) == pytest.approx(1e-9 * (1 + 1e8))
-    assert not om.is_singular(big)
-    assert om.is_singular(np.zeros((2, 2)))
+def particle(mass, n):
+    """Free particle with n dofs and W = mass * identity."""
+    kinetic = " + ".join(f"q1_{a}^2" for a in range(1, n + 1))
+    return om.build_system({"name": "particle", "order": 1, "dofs": n,
+                            "lagrangian": f"1/2*{mass!r}*({kinetic})"})
+
+
+def test_regularity_test_is_scale_invariant():
+    """W = c*I is regular for every c, whatever the units; the verdict
+    comes from kappa_1(W), which scaling leaves at 1."""
+    for n, mass in itertools.product((1, 2, 3), (1e-6, 1e-3, 1.0, 1e3, 1e6)):
+        inv, condition = legendre._regular_inverse(mass * np.eye(n))
+        np.testing.assert_allclose(inv, np.eye(n) / mass, rtol=1e-15)
+        assert condition == pytest.approx(1.0, rel=1e-15)
+
+        ds = om.derive(particle(mass, n))
+        report = om.regularity_report(ds, samples=5, seed=0)
+        assert report.regular
+        assert report.max_condition == pytest.approx(1.0, rel=1e-15)
+        assert report.rank_at_worst == n
+
+        init = om.JetPoint(0.0, np.tile([1.0, -0.5], (n, 1)))
+        traj = om.integrate(ds, init, 1.0)
+        np.testing.assert_allclose(traj.states[-1], np.tile([0.5, -0.5], n),
+                                   rtol=1e-12)
+
+
+@pytest.mark.parametrize("w", [[[1.0, 1.0], [1.0, 1.0]],
+                               [[1.0, 0.0], [0.0, 1e-10]],
+                               [[0.0, 0.0], [0.0, 0.0]]])
+def test_regularity_test_refuses_singular(w):
+    for scale in (1e-6, 1.0, 1e6):
+        inv, condition = legendre._regular_inverse(scale * np.array(w))
+        assert inv is None and condition >= 1e9
+
+
+def test_regularity_test_nan_is_not_singular():
+    inv, condition = legendre._regular_inverse(np.array([[np.nan]]))
+    assert inv is not None and np.isnan(condition)
+
+
+def test_rank_deficient_hessian_refused_by_dynamics():
+    model = om.build_system({"name": "sum", "order": 1, "dofs": 2,
+                             "lagrangian": "1/2*(q1_1 + q1_2)^2"})
+    ds = om.derive(model)
+    assert not om.regularity_report(ds, samples=5, seed=0).regular
+    with pytest.raises(om.SingularHessianError):
+        om.integrate(ds, om.JetPoint(0.0, np.array([[0.0, 1.0],
+                                                    [0.0, 2.0]])), 1.0)
+
+
+def test_hessian_det_expr_reuses_derived_hessian(pu, monkeypatch):
+    expected = om.to_text(om.hessian_det_expr(pu.model))
+    monkeypatch.setattr(legendre, "hessian_exprs", None)
+    assert om.to_text(om.hessian_det_expr(pu)) == expected
 
 
 def test_legendre_map_cos_jet(pu):
