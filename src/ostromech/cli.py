@@ -32,7 +32,7 @@ from .errors import (
     TrajectoryFormatError,
     ValidationError,
 )
-from .systems import JetPoint, UnifiedPoint, build_system, unified_bindings
+from .systems import JetPoint, UnifiedPoint, build_system
 
 __all__ = ["main"]
 
@@ -189,9 +189,9 @@ def cmd_simulate(args):
     ds = legendre.derive(model)
     k, n = model.k, model.n
     values = _parse_floats(args.init, "--init")
-    max_step = args.max_step if args.max_step else np.inf
     kwargs = dict(method=args.method, step=args.step, rtol=args.tol,
-                  atol=args.tol, max_step=max_step)
+                  atol=args.tol,
+                  max_step=np.inf if args.max_step is None else args.max_step)
     if args.unified:
         init = UnifiedPoint.from_state(args.t0, values, k, n)
         traj = dynamics.integrate_unified(ds, init, args.t_end, **kwargs)
@@ -335,43 +335,39 @@ def _point_entry(ds, up):
     residuals, worst, tolerance = unified._constraint_check(ds, up)
     on_constraint = worst <= tolerance
 
-    env_value = float(ds.hamiltonian.evaluate(unified_bindings(up)))
-    section_p = -env_value
-    if up.p_ext is not None:
-        coupling_value = unified.coupling(up)
-    else:
-        lifted = UnifiedPoint(up.jet, up.momenta, p_ext=section_p)
-        coupling_value = unified.coupling(lifted)
+    section_p = float(unified.hamiltonian_section_p(ds, up))
+    lifted = up if up.p_ext is not None else UnifiedPoint(
+        up.jet, up.momenta, p_ext=section_p)
 
     entry = {
         "t": up.t,
         "on_constraint": on_constraint,
         "constraint_residuals": [list(level) for level in residuals],
         "constraint_tolerance": tolerance,
-        "hamiltonian": env_value,
+        "hamiltonian": -section_p,
         "section_p": section_p,
-        "coupling": coupling_value,
+        "coupling": unified.coupling(lifted),
     }
     explicit = unified.explicit_semispray(ds, up)
     entry["explicit_field"] = list(explicit.components)
+    entry["solved_field"] = None
+    field = explicit
     if on_constraint:
-        solved = unified.solve_unified_vf(ds, up)
-        kernel = unified.kernel_check(ds, up, solved)
-        entry["solved_field"] = list(solved.components)
+        field = unified.solve_unified_vf(ds, up)
+        entry["solved_field"] = list(field.components)
         entry["max_field_difference"] = float(
-            np.max(np.abs(solved.components - explicit.components)))
-        entry["kernel_residual"] = kernel.residual
-        entry["transversality"] = kernel.transversality
-        entry["condition"] = solved.condition
-    else:
-        kernel = unified.kernel_check(ds, up, explicit)
-        entry["solved_field"] = None
-        entry["kernel_residual"] = kernel.residual
-        entry["transversality"] = kernel.transversality
+            np.max(np.abs(field.components - explicit.components)))
+    kernel = unified.kernel_check(ds, up, field)
+    entry["kernel_residual"] = kernel.residual
+    entry["transversality"] = kernel.transversality
+    if on_constraint:
+        entry["condition"] = field.condition
     return entry
 
 
 def cmd_unified_check(args):
+    if args.random is not None and args.random < 1:
+        raise ValidationError("--random must be at least 1")
     model = _load_model(args.spec)
     ds = legendre.derive(model)
     k, n = model.k, model.n

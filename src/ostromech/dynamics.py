@@ -31,9 +31,11 @@ from .errors import (
     TrajectoryFormatError,
     ValidationError,
 )
-from .legendre import DerivedSystem, legendre_map
-from .systems import JetPoint, UnifiedPoint, jet_bindings
-from .unified import _constraint_check, _unified_field, unified_coordinates
+from .legendre import DerivedSystem
+from .systems import (
+    JetPoint, UnifiedPoint, _bindings, _coordinates, _split_state,
+    jet_bindings)
+from .unified import _constraint_check, _unified_field
 
 __all__ = [
     "Trajectory", "integrate", "integrate_unified", "lagrangian_rhs",
@@ -166,13 +168,12 @@ def _run_rk4(f, t0, y0, t_end, step, max_steps):
     return grid, states, meta
 
 
-def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, first_step, max_steps):
+def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, max_steps):
     t = t0
     y = np.array(y0, dtype=float)
     grid = [t]
     states = [y.copy()]
-    span = t_end - t0
-    h = first_step if first_step else min(span / 100.0, max_step)
+    h = min((t_end - t0) / 100.0, max_step)
     accepted = rejected = 0
     stages = [None] * 6
     stretch = 1.3
@@ -229,7 +230,7 @@ def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, first_step, max_steps):
 
 
 def _integrate(f, t0, y0, t_end, method, step, rtol, atol, max_step,
-               first_step, max_steps):
+               max_steps):
     if t_end <= t0:
         raise ValidationError("t_end must lie after the initial time")
     if method == "rk4":
@@ -237,15 +238,18 @@ def _integrate(f, t0, y0, t_end, method, step, rtol, atol, max_step,
             raise ValidationError("rk4 integration needs a positive step")
         return _run_rk4(f, t0, y0, t_end, step, max_steps)
     if method == "rk45":
-        return _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, first_step,
-                          max_steps)
+        if not (atol > 0 and rtol >= 0 and max_step > 0):
+            raise ValidationError(
+                f"rk45 integration needs atol > 0, rtol >= 0 and max_step "
+                f"> 0, got atol={atol}, rtol={rtol}, max_step={max_step}")
+        return _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, max_steps)
     raise ValidationError(f"unknown integration method {method!r}")
 
 
 def integrate(ds: DerivedSystem, init: JetPoint, t_end: float,
               method: str = "rk45", step: float | None = None,
               rtol: float = _DEFAULT_RTOL, atol: float = _DEFAULT_ATOL,
-              max_step: float = np.inf, first_step: float | None = None,
+              max_step: float = np.inf,
               max_steps: int = 1_000_000) -> Trajectory:
     """Integrate the Euler-Lagrange dynamics from a full jet point.
 
@@ -260,14 +264,14 @@ def integrate(ds: DerivedSystem, init: JetPoint, t_end: float,
             f"{init.q.shape}")
     grid, states, meta = _integrate(
         _unified_field(ds), init.t, init.to_state(), t_end, method, step,
-        rtol, atol, max_step, first_step, max_steps)
+        rtol, atol, max_step, max_steps)
     return Trajectory(grid, states, "jet", k, n, meta)
 
 
 def integrate_unified(ds: DerivedSystem, init: UnifiedPoint, t_end: float,
                       method: str = "rk45", step: float | None = None,
                       rtol: float = _DEFAULT_RTOL, atol: float = _DEFAULT_ATOL,
-                      max_step: float = np.inf, first_step: float | None = None,
+                      max_step: float = np.inf,
                       max_steps: int = 1_000_000) -> Trajectory:
     """Integrate the unified dynamics from an on-constraint point.
 
@@ -285,7 +289,7 @@ def integrate_unified(ds: DerivedSystem, init: UnifiedPoint, t_end: float,
             f"{worst:.3e} > tolerance {tol:.3e})", residuals=residuals)
     grid, states, meta = _integrate(
         _unified_field(ds), init.t, init.to_state(), t_end, method, step,
-        rtol, atol, max_step, first_step, max_steps)
+        rtol, atol, max_step, max_steps)
     traj = Trajectory(grid, states, "unified", k, n, meta)
 
     drift = float(np.max(np.abs(_constraint_series(ds, traj))))
@@ -304,46 +308,42 @@ def integrate_unified(ds: DerivedSystem, init: UnifiedPoint, t_end: float,
 # ---------------------------------------------------------------------------
 
 
+def _energy(ds, env, jets):
+    """E = sum p_A^i q_{i+1}^A - L with the momenta of the Legendre map,
+    at a point or over a grid."""
+    total = 0.0
+    for a in range(ds.n):
+        for i in range(ds.k):
+            total = total + ds.momenta[a][i].evaluate(env) * jets[a, i + 1]
+    return total - ds.model.lagrangian.evaluate(env)
+
+
 def ostrogradsky_energy(ds: DerivedSystem, jp: JetPoint) -> float:
     """E = sum p_A^i q_{i+1}^A - L with momenta from the Legendre map."""
-    momenta = legendre_map(ds, jp)
-    k, n = ds.k, ds.n
-    total = 0.0
-    for a in range(n):
-        for i in range(k):
-            total += momenta[a, i] * jp.q[a, i + 1]
-    return float(total - ds.model.lagrangian.evaluate(jet_bindings(jp)))
+    if jp.n != ds.n or jp.orders < 2 * ds.k:
+        raise DimensionError(f"jet point must carry {ds.n} dofs and orders "
+                             f"up to {2 * ds.k - 1}")
+    return float(_energy(ds, jet_bindings(jp), jp.q))
 
 
-def _array_env(ds, traj):
-    """Vectorized bindings over the whole grid."""
-    coords = unified_coordinates(ds.k, ds.n)
-    return dict(zip(coords, (traj.grid, *traj.states.T)))
+def _grid_bindings(traj):
+    """Column views jets[a, i] and momenta[a, i] of a trajectory, each a
+    series over the grid, and the bindings of the whole grid."""
+    jets, momenta = _split_state(traj.states.T, traj.k, traj.n)
+    return jets, momenta, _bindings(traj.grid, jets, momenta)
 
 
 def energy_series(ds: DerivedSystem, traj: Trajectory) -> np.ndarray:
     """Ostrogradsky energy at every grid point (via the Legendre map)."""
-    k, n = ds.k, ds.n
-    env = _array_env(ds, traj)
-    total = np.zeros(traj.grid.size)
-    for a in range(n):
-        for i in range(k):
-            p = ds.momenta[a][i].evaluate(env)
-            total = total + p * traj.states[:, a * 2 * k + i + 1]
-    return total - ds.model.lagrangian.evaluate(env)
+    jets, _, env = _grid_bindings(traj)
+    return _energy(ds, env, jets)
 
 
 def _constraint_series(ds, traj):
     """Constraint residuals p - (closed-form momenta) along a trajectory."""
-    k, n = ds.k, ds.n
-    env = _array_env(ds, traj)
-    moff = 2 * k * n
-    rows = []
-    for a in range(n):
-        for i in range(k):
-            rows.append(traj.states[:, moff + a * k + i]
-                        - ds.momenta[a][i].evaluate(env))
-    return np.array(rows)
+    _, momenta, env = _grid_bindings(traj)
+    return np.array([momenta[a, i] - ds.momenta[a][i].evaluate(env)
+                     for a in range(ds.n) for i in range(ds.k)])
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +462,17 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
     if traj.k != k or traj.n != n:
         raise DimensionError("trajectory dimensions do not match the system")
     grid = traj.grid
-    env = _array_env(ds, traj)
+    jets, momenta, env = _grid_bindings(traj)
+
+    def on_grid(expr):
+        """Values of an expression over the grid, zero for a missing one."""
+        value = 0.0 if expr is None else expr.evaluate(env)
+        return np.broadcast_to(value, grid.shape).astype(float)
 
     # Euler-Lagrange defect: alternating finite-difference derivatives of
     # the recorded dL/dq_i series
-    partials = [[np.broadcast_to(expr.evaluate(env), grid.shape).astype(float)
-                 for expr in row] for row in ds.lagrangian_partials]
+    partials = [[on_grid(expr) for expr in row]
+                for row in ds.lagrangian_partials]
     el_max = 0.0
     for a in range(n):
         residual = np.zeros(grid.size)
@@ -477,12 +482,12 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
         el_max = max(el_max, float(np.max(np.abs(residual))))
 
     # holonomy: differentiated q_i must reproduce q_{i+1}
-    qdots = [[fd_derivative(grid, traj.states[:, a * 2 * k + i])
-              for i in range(2 * k - 1)] for a in range(n)]
+    qdots = [[fd_derivative(grid, jets[a, i]) for i in range(2 * k - 1)]
+             for a in range(n)]
     holo_max = 0.0
     for a in range(n):
         for i in range(2 * k - 1):
-            defect = qdots[a][i] - traj.states[:, a * 2 * k + i + 1]
+            defect = qdots[a][i] - jets[a, i + 1]
             holo_max = max(holo_max, float(np.max(np.abs(defect))))
     tol = tolerance if tolerance is not None else traj.meta.get("tolerance")
     if tol is None:
@@ -491,7 +496,7 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
         # the verdict cannot be sharper than the truncation floor of the
         # fourth-order differencing on this grid
         floor = float(np.max(np.diff(grid))) ** 4 * max(
-            1.0, float(np.max(np.abs(traj.states[:, :2 * k * n]))))
+            1.0, float(np.max(np.abs(jets))))
         holo_tol = 10.0 * float(tol) + floor
     holo_ok = None if holo_tol is None else holo_max <= holo_tol
 
@@ -504,31 +509,24 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
     hq_residual = None
     hp_residual = None
     if traj.layout == "unified":
-        moff = 2 * k * n
         momenta_residual = 0.0
         hq_residual = 0.0
         hp_residual = 0.0
         for a in range(n):
             for i in range(k):
-                pcol = traj.states[:, moff + a * k + i]
-                pdot = fd_derivative(grid, pcol)
+                pdot = fd_derivative(grid, momenta[a, i])
                 rhs = partials[a][i]
                 if i > 0:
-                    rhs = rhs - traj.states[:, moff + a * k + i - 1]
+                    rhs = rhs - momenta[a, i - 1]
                 momenta_residual = max(momenta_residual,
                                        float(np.max(np.abs(pdot - rhs))))
                 # Hamilton form: dp^i/dt + dH/dq_i = 0
-                dh_dq = ds.hamiltonian_partials.get(ex.jet(a + 1, i))
-                dh_dq = (np.zeros(grid.size) if dh_dq is None
-                         else np.broadcast_to(dh_dq.evaluate(env),
-                                              grid.shape).astype(float))
+                dh_dq = on_grid(ds.hamiltonian_partials.get(ex.jet(a + 1, i)))
                 hp_residual = max(hp_residual,
                                   float(np.max(np.abs(pdot + dh_dq))))
                 # Hamilton form: dq_i/dt - dH/dp^i = 0
-                dh_dp = ds.hamiltonian_partials.get(ex.momentum(a + 1, i))
-                dh_dp = (np.zeros(grid.size) if dh_dp is None
-                         else np.broadcast_to(dh_dp.evaluate(env),
-                                              grid.shape).astype(float))
+                dh_dp = on_grid(
+                    ds.hamiltonian_partials.get(ex.momentum(a + 1, i)))
                 hq_residual = max(hq_residual,
                                   float(np.max(np.abs(qdots[a][i] - dh_dp))))
 
@@ -552,13 +550,9 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
 
 
 def _column_names(k, n, layout):
-    names = ["t"]
-    for a in range(1, n + 1):
-        names.extend(f"q_{i}_{a}" for i in range(2 * k))
-    if layout == "unified":
-        for a in range(1, n + 1):
-            names.extend(f"p_{i}_{a}" for i in range(k))
-    return names
+    coords = _coordinates(n, 2 * k, k if layout == "unified" else 0)
+    return ["t", *(f"{'q' if ref.kind == 'jet' else 'p'}_{ref.order}_{ref.dof}"
+                   for ref in coords[1:])]
 
 
 def save_trajectory_csv(traj: Trajectory, path):

@@ -32,6 +32,7 @@ from .errors import (
     DimensionError,
     SingularHessianError,
     SingularJacobianError,
+    ValidationError,
 )
 from .systems import JetPoint, SystemModel, jet_bindings
 
@@ -190,12 +191,7 @@ class DerivedSystem:
         return self.model.lagrangian.evaluate(env)
 
     def hessian_value(self, env) -> np.ndarray:
-        n = self.n
-        w = np.empty((n, n))
-        for a in range(n):
-            for b in range(n):
-                w[a, b] = self.hessian[a][b].evaluate(env)
-        return w
+        return _values(self.hessian, env)
 
     def acceleration(self, env) -> np.ndarray:
         """Solve the Euler-Lagrange system for the order-2k jets.
@@ -224,6 +220,12 @@ class DerivedSystem:
                 time=time)
         sign = -1.0 if self.k % 2 else 1.0
         return sign * (inv @ np.array([-value for value in reduced]))
+
+
+def _values(rows, env) -> np.ndarray:
+    """Float array of the values of a nested list of expressions."""
+    return np.array([[e.evaluate(env) for e in row] for row in rows],
+                    dtype=float)
 
 
 def derive(sys: SystemModel) -> DerivedSystem:
@@ -284,8 +286,11 @@ def regularity_report(sys: SystemModel, domain=None, samples: int = 100,
 
     The system is regular on the box when W passes :func:`_regular_inverse`
     at every sample.  The worst point is the sample of largest kappa_1(W),
-    the first on ties; the |det W| range is descriptive only.
+    the first on ties; the |det W| range is descriptive only.  ``samples``
+    must be at least 1.
     """
+    if samples < 1:
+        raise ValidationError(f"samples must be at least 1, got {samples}")
     ds = sys if isinstance(sys, DerivedSystem) else DerivedSystem(sys)
     variables = set()
     for row in ds.hessian:
@@ -296,7 +301,7 @@ def regularity_report(sys: SystemModel, domain=None, samples: int = 100,
     regular = True
     min_det, max_det = np.inf, 0.0
     max_condition, worst_point, worst_w = -np.inf, {}, None
-    for _ in range(max(samples, 1)):
+    for _ in range(samples):
         point = ex.sample_point(variables, rng, domain)
         w = ds.hessian_value(point)
         inv, condition = _regular_inverse(w)
@@ -324,12 +329,7 @@ def legendre_map(ds: DerivedSystem, jp: JetPoint) -> np.ndarray:
     if jp.n != n or jp.orders < 2 * k:
         raise DimensionError(
             f"jet point must carry {n} dofs and orders up to {2 * k - 1}")
-    env = jet_bindings(jp)
-    p = np.empty((n, k))
-    for a in range(n):
-        for i in range(k):
-            p[a, i] = ds.momenta[a][i].evaluate(env)
-    return p
+    return _values(ds.momenta, jet_bindings(jp))
 
 
 def _momentum_jacobian_exprs(ds: DerivedSystem):
@@ -374,7 +374,6 @@ def legendre_inverse(ds: DerivedSystem, t: float, base_q, momenta,
             else np.array(guess, dtype=float).reshape(n, k))
 
     jac_exprs = _momentum_jacobian_exprs(ds)
-    m = n * k
 
     def residual_of(high_jets):
         jp = JetPoint(t, np.hstack([base_q, high_jets]))
@@ -384,13 +383,8 @@ def legendre_inverse(ds: DerivedSystem, t: float, base_q, momenta,
     for _ in range(max_iterations):
         if np.max(np.abs(res)) <= tol:
             return high
-        env = jet_bindings(jp)
-        jac = np.empty((m, m))
-        for r in range(m):
-            for c in range(m):
-                jac[r, c] = jac_exprs[r][c].evaluate(env)
         try:
-            step = np.linalg.solve(jac, -res)
+            step = np.linalg.solve(_values(jac_exprs, jet_bindings(jp)), -res)
         except np.linalg.LinAlgError:
             raise SingularJacobianError(
                 "Jacobian of the momentum map is singular; the system is "

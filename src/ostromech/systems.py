@@ -4,11 +4,14 @@ A system of order k with n degrees of freedom lives on jet coordinates
 q_i^A for orders i = 0 .. 2k-1 together with momenta p_A^i for levels
 i = 0 .. k-1.  Flattened state vectors and file columns are dof-major:
 all orders of dof 1, then all orders of dof 2, and so on, with momenta
-appended in the same pattern.
+appended in the same pattern.  This module alone defines that layout:
+:func:`_coordinates` names the coordinates in order, :func:`_split_state`
+views a state as jets[a, i] and momenta[a, i], :func:`_bindings` binds them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,7 +96,7 @@ class JetPoint:
         if y.shape != (2 * k * n,):
             raise DimensionError(
                 f"jet state must have length {2 * k * n}, got {y.shape}")
-        return cls(t, y.reshape(n, 2 * k))
+        return cls(t, _split_state(y, k, n)[0])
 
 
 @dataclass(frozen=True)
@@ -135,31 +138,50 @@ class UnifiedPoint:
         if y.shape != (3 * k * n,):
             raise DimensionError(
                 f"unified state must have length {3 * k * n}, got {y.shape}")
-        jets = y[:2 * k * n].reshape(n, 2 * k)
-        momenta = y[2 * k * n:].reshape(n, k)
+        jets, momenta = _split_state(y, k, n)
         return cls(JetPoint(t, jets), momenta, p_ext)
+
+
+@functools.cache
+def _coordinates(n: int, orders: int, levels: int) -> tuple:
+    """Time, then the jets q_i^A (i < orders) and then the momenta p_A^i
+    (i < levels), each dof-major."""
+    return (ex.time_var(),
+            *(ex.jet(a, i) for a in range(1, n + 1) for i in range(orders)),
+            *(ex.momentum(a, i) for a in range(1, n + 1)
+              for i in range(levels)))
+
+
+def _split_state(y, k: int, n: int):
+    """Views jets[a, i] and momenta[a, i] of a state laid out along axis 0
+    (a trajectory passes ``states.T``); a jet state has no momentum levels."""
+    rest = y.shape[1:]
+    return (y[:2 * k * n].reshape(n, 2 * k, *rest),
+            y[2 * k * n:].reshape(n, -1, *rest))
+
+
+def _bindings(t, jets, momenta=None, p_ext=None) -> dict:
+    """Evaluation bindings {VarRef: value} with jets[a, i] bound to
+    q_i^(a+1) and momenta[a, i] to p_(a+1)^i; the values are scalars at a
+    point or arrays over a grid."""
+    n, orders, *rest = jets.shape
+    levels = 0 if momenta is None else momenta.shape[1]
+    env = dict(zip(_coordinates(n, orders, levels),
+                   (t, *jets.reshape(-1, *rest),
+                    *(momenta.reshape(-1, *rest) if levels else ()))))
+    if p_ext is not None:
+        env[ex.ext_momentum()] = p_ext
+    return env
 
 
 def jet_bindings(jp: JetPoint) -> dict:
     """Evaluation bindings {VarRef: value} for a jet point."""
-    env = {ex.time_var(): jp.t}
-    n, orders = jp.q.shape
-    for a in range(n):
-        for i in range(orders):
-            env[ex.jet(a + 1, i)] = jp.q[a, i]
-    return env
+    return _bindings(jp.t, jp.q)
 
 
 def unified_bindings(up: UnifiedPoint) -> dict:
     """Evaluation bindings for a unified point (jets, momenta, optional p)."""
-    env = jet_bindings(up.jet)
-    n, levels = up.momenta.shape
-    for a in range(n):
-        for i in range(levels):
-            env[ex.momentum(a + 1, i)] = up.momenta[a, i]
-    if up.p_ext is not None:
-        env[ex.ext_momentum()] = up.p_ext
-    return env
+    return _bindings(up.t, up.jet.q, up.momenta, up.p_ext)
 
 
 def build_system(doc: dict) -> SystemModel:

@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .legendre import DerivedSystem, _regular_inverse
-from .systems import UnifiedPoint, unified_bindings
+from .systems import UnifiedPoint, _coordinates, unified_bindings
 
 __all__ = [
     "unified_coordinates", "TwoFormMatrix",
@@ -63,12 +63,7 @@ _CONDITION_WARN = 1e12
 
 def unified_coordinates(k: int, n: int):
     """Coordinates of the unified space in canonical order."""
-    coords = [ex.time_var()]
-    for a in range(1, n + 1):
-        coords.extend(ex.jet(a, i) for i in range(2 * k))
-    for a in range(1, n + 1):
-        coords.extend(ex.momentum(a, i) for i in range(k))
-    return coords
+    return list(_coordinates(n, 2 * k, k))
 
 
 def _check_point(ds: DerivedSystem, up: UnifiedPoint):

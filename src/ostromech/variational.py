@@ -28,6 +28,7 @@ from . import expressions as ex
 from .errors import DimensionError, ValidationError
 from .dynamics import Trajectory
 from .legendre import DerivedSystem
+from .systems import _bindings, _split_state
 
 __all__ = [
     "PathRepresentation", "Variation", "discrete_action",
@@ -227,19 +228,16 @@ def _simpson(f, interval, breakpoints, panels):
     return total
 
 
-def _path_env(ds, pathlike, ts, max_order):
-    env = {ex.time_var(): np.asarray(ts, dtype=float)}
-    derivs = [pathlike.derivative_values(ts, order)
-              for order in range(max_order + 1)]
-    for a in range(ds.n):
-        for i in range(max_order + 1):
-            env[ex.jet(a + 1, i)] = derivs[i][a]
-    return env
+def _path_env(pathlike, ts, max_order):
+    """Bindings of the path's jets, orders 0 .. max_order, at the times ts."""
+    jets = np.stack([pathlike.derivative_values(ts, order)
+                     for order in range(max_order + 1)], axis=1)
+    return _bindings(np.asarray(ts, dtype=float), jets)
 
 
 def _lagrangian_integrand(ds, pathlike):
     def f(ts):
-        env = _path_env(ds, pathlike, ts, ds.k)
+        env = _path_env(pathlike, ts, ds.k)
         return np.broadcast_to(ds.model.lagrangian.evaluate(env),
                                np.shape(ts)).astype(float)
     return f
@@ -249,7 +247,7 @@ def _cartan_integrand(ds, pathlike):
     k, n = ds.k, ds.n
 
     def f(ts):
-        env = _path_env(ds, pathlike, ts, 2 * k - 1)
+        env = _path_env(pathlike, ts, 2 * k - 1)
         total = np.zeros(np.size(ts))
         for a in range(n):
             for i in range(k):
@@ -351,7 +349,7 @@ def first_variation(ds: DerivedSystem, path, variation: Variation,
     a_index = variation.dof - 1
 
     def f(ts):
-        env = _path_env(ds, path, ts, 2 * k)
+        env = _path_env(path, ts, 2 * k)
         el = np.broadcast_to(ds.el[a_index].evaluate(env),
                              np.shape(ts)).astype(float)
         return el * variation.derivative_values(ts)
@@ -423,7 +421,7 @@ def stationarity_check(ds: DerivedSystem, path, n_variations: int = 20,
 def el_along_path(ds: DerivedSystem, path, ts) -> np.ndarray:
     """Euler-Lagrange residuals of an analytic path, one row per dof."""
     _check_path(ds, path)
-    env = _path_env(ds, path, ts, 2 * ds.k)
+    env = _path_env(path, ts, 2 * ds.k)
     return np.vstack([
         np.broadcast_to(e.evaluate(env), np.shape(ts)).astype(float)
         for e in ds.el])
@@ -477,8 +475,8 @@ def fit_path(traj: Trajectory, basis: str, n_coeffs: int) -> FitResult:
             f"n_coeffs must lie in 1..{npts} (grid points), got {n_coeffs}")
     interval = (float(traj.grid[0]), float(traj.grid[-1]))
     design = _basis_matrix(basis, interval, n_coeffs, traj.grid)
-    targets = np.column_stack([
-        traj.states[:, a * 2 * traj.k] for a in range(traj.n)])
+    jets = _split_state(traj.states.T, traj.k, traj.n)[0]
+    targets = np.column_stack([jets[a, 0] for a in range(traj.n)])
 
     gram = design.T @ design
     condition = float(np.linalg.cond(gram))
@@ -495,14 +493,14 @@ def fit_path(traj: Trajectory, basis: str, n_coeffs: int) -> FitResult:
     fitted = path.derivative_values(traj.grid)
     max_residual = 0.0
     for a in range(traj.n):
-        defect = fitted[a] - traj.states[:, a * 2 * traj.k]
+        defect = fitted[a] - jets[a, 0]
         max_residual = max(max_residual, float(np.max(np.abs(defect))))
     derivative_residuals = []
     for order in range(1, 2 * traj.k):
         values = path.derivative_values(traj.grid, order)
         worst = 0.0
         for a in range(traj.n):
-            defect = values[a] - traj.states[:, a * 2 * traj.k + order]
+            defect = values[a] - jets[a, order]
             worst = max(worst, float(np.max(np.abs(defect))))
         derivative_residuals.append(worst)
     return FitResult(path=path, max_residual=max_residual,

@@ -96,6 +96,14 @@ def test_derive_bad_inputs(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_derive_sample_count_must_be_positive(tmp_path, capsys, count):
+    spec = write_spec(tmp_path, "harmonic")
+    code, out, err = run_cli(capsys, ["derive", spec, "--samples", count])
+    assert code == 2 and out == ""
+    assert err == f"error: samples must be at least 1, got {count}\n"
+
+
 # -- simulate ---------------------------------------------------------------
 
 
@@ -202,6 +210,19 @@ def test_simulate_usage_errors(tmp_path, capsys):
         "simulate", spec, "--init", "1,0", "--t-end", "1",
         "--method", "rk4"])
     assert code == 2  # rk4 without --step
+
+
+@pytest.mark.parametrize("flag", [
+    "--tol=-1e-9", "--tol=0", "--max-step=0", "--max-step=-0.1"])
+def test_simulate_rejects_bad_integrator_inputs(tmp_path, capsys, flag):
+    # a negative tolerance was a TypeError traceback, a zero one a
+    # divide-by-zero step underflow, a zero cap an uncapped run and a
+    # negative cap a step underflow
+    spec = write_spec(tmp_path, "harmonic")
+    code, out, err = run_cli(capsys, [
+        "simulate", spec, "--init", "1,0", "--t-end", "1", flag])
+    assert code == 2 and out == ""
+    assert err.startswith("error: rk45 integration needs atol > 0")
 
 
 # -- verify -----------------------------------------------------------------
@@ -355,6 +376,16 @@ def test_unified_check_random_points(tmp_path, capsys):
     assert report["all_on_constraint"] is True
     assert report["max_field_difference"] <= 1e-10
     assert report["max_kernel_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_unified_check_random_count_must_be_positive(tmp_path, capsys, count):
+    # zero points passed with all_on_constraint true, having checked nothing
+    spec = write_spec(tmp_path, "harmonic")
+    code, out, err = run_cli(capsys, [
+        "unified-check", spec, f"--random={count}"])
+    assert code == 2 and out == ""
+    assert err == "error: --random must be at least 1\n"
 
 
 def test_unified_check_off_constraint_point(tmp_path, capsys):

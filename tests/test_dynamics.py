@@ -78,6 +78,32 @@ def test_integration_validation(harmonic):
         om.integrate(harmonic, init, 10.0, max_steps=3)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("atol", 0.0), ("atol", -1e-9), ("atol", math.nan), ("rtol", -1e-9),
+    ("rtol", math.nan), ("max_step", 0.0), ("max_step", -0.1)])
+def test_rk45_rejects_bad_tolerances_and_step_caps(harmonic, pu, name, value):
+    init = om.JetPoint(0.0, np.array([[1.0, 0.0]]))
+    with pytest.raises(om.ValidationError, match="rk45 integration needs"):
+        om.integrate(harmonic, init, 1.0, **{name: value})
+    with pytest.raises(om.ValidationError, match="rk45 integration needs"):
+        om.integrate_unified(pu, pu_unified_init(pu), 1.0, **{name: value})
+
+
+def test_rk45_accepts_zero_rtol_and_rk4_ignores_tolerances(harmonic):
+    init = om.JetPoint(0.0, np.array([[1.0, 0.0]]))
+    traj = om.integrate(harmonic, init, 1.0, rtol=0.0)
+    assert abs(traj.states[-1, 0] - math.cos(1.0)) < 1e-8
+    traj = om.integrate(harmonic, init, 1.0, method="rk4", step=0.1,
+                        atol=0.0, max_step=0.0)
+    assert traj.meta["steps"] == 10
+
+
+def test_first_step_knob_is_gone(harmonic):
+    init = om.JetPoint(0.0, np.array([[1.0, 0.0]]))
+    with pytest.raises(TypeError):
+        om.integrate(harmonic, init, 1.0, first_step=0.1)
+
+
 def test_unified_integration(pu):
     traj = om.integrate_unified(pu, pu_unified_init(pu), 5.0)
     assert traj.layout == "unified"

@@ -126,6 +126,12 @@ def test_regularity_report_regular(pu):
     assert d["samples"] == 100 and d["seed"] == 0
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_regularity_report_needs_a_sample(pu, samples):
+    with pytest.raises(om.ValidationError, match="samples must be at least 1"):
+        om.regularity_report(pu, samples=samples)
+
+
 def test_regularity_report_degenerate(degenerate):
     rep = om.regularity_report(degenerate, samples=50, seed=3)
     assert not rep.regular

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ostromech as om
+from ostromech import dynamics, variational
 from ostromech import expressions as ex
 
 from conftest import SYSTEM_DOCS
@@ -99,6 +100,47 @@ def test_bindings():
     uenv = om.unified_bindings(up)
     assert uenv[ex.momentum(2, 0)] == 6.0
     assert uenv[ex.ext_momentum()] == 7.0
+
+
+def test_one_coordinate_layout():
+    """Point, trajectory and path bindings all bind unified_coordinates()[j]
+    to the value at layout position j (k = 2, n = 2)."""
+    k, n = 2, 2
+    coords = om.unified_coordinates(k, n)
+    assert len(coords) == 1 + 3 * k * n and coords[8] == ex.jet(2, 3)
+
+    state = np.arange(1.0, 1.0 + 3 * k * n)
+    env = om.unified_bindings(om.UnifiedPoint.from_state(0.5, state, k, n))
+    assert list(env) == coords and [env[c] for c in coords] == [0.5, *state]
+
+    grid = np.linspace(0.0, 1.0, 6)
+    states = 100.0 * np.arange(3 * k * n) + grid[:, None]
+    traj = om.Trajectory(grid, states, "unified", k, n)
+    jets, momenta, tenv = dynamics._grid_bindings(traj)
+    assert list(tenv) == coords
+    for column, ref in zip([grid, *states.T], coords):
+        np.testing.assert_array_equal(tenv[ref], column)
+    np.testing.assert_array_equal(tenv[ex.jet(2, 3)], states[:, 7])
+    np.testing.assert_array_equal(jets[1, 3], states[:, 7])
+    np.testing.assert_array_equal(momenta[1, 0], states[:, 10])
+    jet_traj = om.Trajectory(grid, states[:, :2 * k * n], "jet", k, n)
+    assert list(dynamics._grid_bindings(jet_traj)[2]) == coords[:1 + 2 * k * n]
+
+    path = om.PathRepresentation(
+        "monomial", [[1.0, 2.0, 3.0, 4.0, 5.0], [5.0, 4.0, 3.0, 2.0, 1.0]],
+        (0.0, 1.0))
+    penv = variational._path_env(path, grid, 2 * k - 1)
+    assert list(penv) == coords[:1 + 2 * k * n]
+    np.testing.assert_array_equal(penv[ex.time_var()], grid)
+    for ref in coords[1:1 + 2 * k * n]:
+        np.testing.assert_array_equal(
+            penv[ref], path.derivative_values(grid, ref.order)[ref.dof - 1])
+
+    # the coordinates are cached; a caller's list is its own
+    expected = list(coords)
+    coords.append(ex.ext_momentum())
+    coords[0] = ex.jet(9, 9)
+    assert om.unified_coordinates(k, n) == expected
 
 
 def test_jet_of_polynomial_oracles():
