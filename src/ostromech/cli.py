@@ -44,6 +44,12 @@ EXIT_SINGULAR = 3
 # default coefficient count of the action-check --traj fit
 _FIT_COEFFS = 12
 
+# derive prints hessian_det up to this many dofs; the text of the nested
+# row expansion grows like n!: about 2.3 MB at 8 dofs, some 20 MB at 9
+_DET_TEXT_MAX_DOFS = 8
+
+logger = logging.getLogger("ostromech.cli")
+
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -170,13 +176,23 @@ def cmd_derive(args):
         "euler_lagrange": [ex.to_text(e, n) for e in ds.el],
         "hessian": [[ex.to_text(entry, n) for entry in row]
                     for row in ds.hessian],
-        "hessian_det": ex.to_text(legendre.hessian_det_expr(ds), n),
+        "hessian_det": _hessian_det_text(ds),
         "hamiltonian": ex.to_text(ds.hamiltonian, n),
         "regularity": _jsonable(regularity.to_dict()),
         "singular_warning": not regularity.regular,
     }
     _emit(args, report)
     return EXIT_OK
+
+
+def _hessian_det_text(ds):
+    """The symbolic det W, or None above _DET_TEXT_MAX_DOFS dofs, where the
+    sampled determinant of the regularity report stands alone."""
+    if ds.n > _DET_TEXT_MAX_DOFS:
+        logger.warning("hessian_det omitted: %d dofs exceed the limit of %d",
+                       ds.n, _DET_TEXT_MAX_DOFS)
+        return None
+    return ex.to_text(legendre.hessian_det_expr(ds), ds.n)
 
 
 # ---------------------------------------------------------------------------

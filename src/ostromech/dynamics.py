@@ -231,6 +231,9 @@ def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, max_steps):
 
 def _integrate(f, t0, y0, t_end, method, step, rtol, atol, max_step,
                max_steps):
+    if not (np.isfinite(t0) and np.isfinite(t_end)):
+        raise ValidationError(f"the time span must be finite, got "
+                              f"t0={float(t0)}, t_end={float(t_end)}")
     if t_end <= t0:
         raise ValidationError("t_end must lie after the initial time")
     if method == "rk4":

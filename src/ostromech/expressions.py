@@ -655,6 +655,30 @@ def _simplify_sum(terms):
     return Sum(*out)
 
 
+def _normal_sum(terms):
+    """The simplified sum of already simplified ``terms``: nested sums are
+    flattened, zeros dropped and like terms collected."""
+    flat = []
+    for term in terms:
+        if isinstance(term, Sum):
+            flat.extend(term.terms)
+        elif not _is_zero(term):
+            flat.append(term)
+    return _simplify_sum(flat)
+
+
+def _normal_product(factors):
+    """The simplified product of already simplified ``factors``: nested
+    products are flattened, constants folded and repeats merged."""
+    flat = []
+    for factor in factors:
+        if isinstance(factor, Product):
+            flat.extend(factor.factors)
+        else:
+            flat.append(factor)
+    return _simplify_product(flat)
+
+
 def simplify(expr: Expression) -> Expression:
     """One bottom-up normalization pass.
 
@@ -668,24 +692,10 @@ def simplify(expr: Expression) -> Expression:
         return expr
 
     if isinstance(expr, Sum):
-        flat = []
-        for term in expr.terms:
-            s = simplify(term)
-            if isinstance(s, Sum):
-                flat.extend(s.terms)
-            elif not _is_zero(s):
-                flat.append(s)
-        return _simplify_sum(flat)
+        return _normal_sum([simplify(term) for term in expr.terms])
 
     if isinstance(expr, Product):
-        flat = []
-        for factor in expr.factors:
-            s = simplify(factor)
-            if isinstance(s, Product):
-                flat.extend(s.factors)
-            else:
-                flat.append(s)
-        return _simplify_product(flat)
+        return _normal_product([simplify(factor) for factor in expr.factors])
 
     if isinstance(expr, Neg):
         child = simplify(expr.child)

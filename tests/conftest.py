@@ -123,3 +123,18 @@ def write_spec(tmp_path, key, **overrides):
     path = tmp_path / f"{key}.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def chain_doc(n, zero_dof=None):
+    """A dense n-dof chain of rotors: nearest-neighbour springs plus
+    all-pairs velocity couplings, so every entry of W is non-zero.  The
+    velocity of ``zero_dof`` enters nowhere, which makes its row of W zero.
+    """
+    moving = [a for a in range(1, n + 1) if a != zero_dof]
+    terms = ["-1/2*q0_1^2"]
+    terms += [f"1/2*(1 + 1/10*q0_{a}^2)*q1_{a}^2" for a in moving]
+    terms += [f"{(a + 2 * b) % 7 + 2}/100*cos(q0_{a} - q0_{b})*q1_{a}*q1_{b}"
+              for a in moving for b in moving if a < b]
+    terms += [f"-1/2*(q0_{a} - q0_{a + 1})^2" for a in range(1, n)]
+    return {"name": f"chain{n}", "order": 1, "dofs": n,
+            "lagrangian": " + ".join(terms), "autonomous": True}

@@ -15,7 +15,7 @@ import pytest
 import ostromech as om
 from ostromech import cli
 
-from conftest import SYSTEM_DOCS, write_spec
+from conftest import SYSTEM_DOCS, chain_doc, write_spec
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "systems"
 
@@ -102,6 +102,22 @@ def test_derive_sample_count_must_be_positive(tmp_path, capsys, count):
     code, out, err = run_cli(capsys, ["derive", spec, "--samples", count])
     assert code == 2 and out == ""
     assert err == f"error: samples must be at least 1, got {count}\n"
+
+
+def test_derive_omits_determinant_text_above_eight_dofs(tmp_path, capsys,
+                                                        monkeypatch):
+    # the nested-expansion text of a dense 9 x 9 W would be some 20 MB
+    monkeypatch.delenv("OSTRO_LOG", raising=False)
+    spec = tmp_path / "chain9.json"
+    spec.write_text(json.dumps(chain_doc(9)))
+    code, out, err = run_cli(capsys, ["derive", str(spec), "--samples", "5"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["hessian_det"] is None
+    assert report["regularity"]["regular"] is True
+    assert len(report["hessian"]) == 9
+    assert err == ("WARNING ostromech.cli: hessian_det omitted: 9 dofs "
+                   "exceed the limit of 8\n")
 
 
 # -- simulate ---------------------------------------------------------------
@@ -223,6 +239,23 @@ def test_simulate_rejects_bad_integrator_inputs(tmp_path, capsys, flag):
         "simulate", spec, "--init", "1,0", "--t-end", "1", flag])
     assert code == 2 and out == ""
     assert err.startswith("error: rk45 integration needs atol > 0")
+
+
+@pytest.mark.parametrize("method", [["--method", "rk4", "--step", "0.1"],
+                                    ["--method", "rk45"]])
+@pytest.mark.parametrize("layout", [["--init", "1,0"],
+                                    ["--unified", "--init", "1,0,0"]])
+@pytest.mark.parametrize("span", [["--t-end", "inf"], ["--t-end", "nan"],
+                                  ["--t0=-inf", "--t-end", "1"]])
+def test_simulate_rejects_non_finite_span(tmp_path, capsys, method, layout,
+                                          span):
+    # rk4 died with an OverflowError (inf) or ValueError (nan) traceback
+    # and exit 1; rk45 ran to max_steps
+    spec = write_spec(tmp_path, "harmonic")
+    code, out, err = run_cli(capsys, ["simulate", spec, *layout, *span,
+                                      *method])
+    assert code == 2 and out == ""
+    assert err.startswith("error: the time span must be finite, got t0=")
 
 
 # -- verify -----------------------------------------------------------------

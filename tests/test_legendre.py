@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import ostromech as om
+from ostromech import expressions as ex
 from ostromech import legendre
 
-from conftest import cos_jet, derived
+from conftest import chain_doc, cos_jet, derived
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "pais_uhlenbeck_derivation.json"
 
@@ -94,8 +95,60 @@ def test_hessians(pu, coupled_beam, degenerate):
         "lagrangian": "1/2*(q1_1^2 + q1_2^2) + 1/2*q1_1*q1_2"}))
     np.testing.assert_allclose(cross.hessian_value({}),
                                [[1.0, 0.5], [0.5, 1.0]])
-    det = om.hessian_det_expr(cross.model)
-    assert det.evaluate({}) == pytest.approx(0.75)
+    assert om.to_text(om.hessian_det_expr(cross.model)) == "0.75"
+    assert om.to_text(om.hessian_det_expr(degenerate)) == "0"
+
+
+def _tridiagonal_doc(n):
+    """W tridiagonal: diagonal 1 + q0_a^2/10, off-diagonal cos(q0_a)/5, and
+    zero entries everywhere else."""
+    terms = [f"1/2*(1 + 1/10*q0_{a}^2)*q1_{a}^2" for a in range(1, n + 1)]
+    terms += [f"1/5*cos(q0_{a})*q1_{a}*q1_{a + 1}" for a in range(1, n)]
+    return {"name": f"tridiagonal{n}", "order": 1, "dofs": n,
+            "lagrangian": " + ".join(terms)}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("kind", ["dense", "tridiagonal", "zero_row"])
+def test_hessian_det_expr_equals_numeric_det(n, kind):
+    zero_dof = n // 2 + 1 if kind == "zero_row" else None
+    doc = (_tridiagonal_doc(n) if kind == "tridiagonal"
+           else chain_doc(n, zero_dof))
+    ds = om.derive(om.build_system(doc))
+    det = om.hessian_det_expr(ds)
+    if kind == "zero_row":
+        assert om.to_text(det, n) == "0"
+    variables = {v for row in ds.hessian for entry in row
+                 for v in entry.free_vars()}
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        env = ex.sample_point(variables, rng)
+        assert det.evaluate(env) == pytest.approx(
+            np.linalg.det(ds.hessian_value(env)), rel=1e-12, abs=0.0)
+
+
+def test_hessian_det_expr_cost_is_subset_bounded(monkeypatch):
+    """The memoized row expansion of a dense 6 x 6 W forms at most
+    6 * 2^5 = 192 products (Leibniz: 720 of six factors each) and never
+    re-simplifies a minor."""
+    ds = om.derive(om.build_system(chain_doc(6)))
+    calls = {"product": 0, "simplify": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(ex, "_normal_product",
+                        counted("product", ex._normal_product))
+    monkeypatch.setattr(ex, "simplify", counted("simplify", ex.simplify))
+    det = om.hessian_det_expr(ds)
+    assert 0 < calls["product"] <= 6 * 2 ** 5
+    assert calls["simplify"] == 0
+    env = ex.sample_point(det.free_vars(), np.random.default_rng(0))
+    assert det.evaluate(env) == pytest.approx(
+        np.linalg.det(ds.hessian_value(env)), rel=1e-12)
 
 
 def test_acceleration_oracle(pu):
