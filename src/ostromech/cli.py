@@ -24,12 +24,9 @@ from . import expressions as ex
 from . import dynamics, legendre, unified, variational
 from .errors import (
     ConvergenceError,
-    ExpressionError,
-    OffConstraintError,
     OstromechError,
     SingularHessianError,
     SingularJacobianError,
-    TrajectoryFormatError,
     ValidationError,
 )
 from .systems import JetPoint, UnifiedPoint, build_system
@@ -123,17 +120,24 @@ def _emit(args, report, to_out=True):
         sys.stdout.write(text + "\n")
 
 
-def _load_model(path):
+def _load_json(path, what):
+    """The JSON object held by the file ``path``; ``what`` names the file
+    in the error messages."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as err:
-        raise ValidationError(f"cannot read spec {path!r}: {err}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ValidationError(f"cannot read {what} {path!r}: {err}") from err
     except json.JSONDecodeError as err:
-        raise ValidationError(f"spec {path!r} is not valid JSON: {err}") from err
+        raise ValidationError(
+            f"{what} {path!r} is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
-        raise ValidationError(f"spec {path!r} must hold a JSON object")
-    return build_system(doc)
+        raise ValidationError(f"{what} {path!r} must hold a JSON object")
+    return doc
+
+
+def _load_model(path):
+    return build_system(_load_json(path, "spec"))
 
 
 def _parse_floats(text, what):
@@ -282,23 +286,21 @@ def cmd_verify(args):
 
 
 def _load_path(path_file):
-    try:
-        with open(path_file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as err:
-        raise ValidationError(f"cannot read path {path_file!r}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ValidationError(
-            f"path {path_file!r} is not valid JSON: {err}") from err
+    doc = _load_json(path_file, "path")
     for field in ("basis", "coefficients", "interval"):
         if field not in doc:
             raise ValidationError(f"path document lacks the {field!r} field")
     interval = doc["interval"]
     if not (isinstance(interval, (list, tuple)) and len(interval) == 2):
         raise ValidationError("path interval must be a [start, end] pair")
-    return variational.PathRepresentation(
-        doc["basis"], np.asarray(doc["coefficients"], dtype=float),
-        (float(interval[0]), float(interval[1])))
+    try:
+        coefficients = np.asarray(doc["coefficients"], dtype=float)
+        interval = (float(interval[0]), float(interval[1]))
+    except (TypeError, ValueError) as err:
+        raise ValidationError("path coefficients and interval ends must be "
+                              f"numbers, one row per dof: {err}") from None
+    return variational.PathRepresentation(doc["basis"], coefficients,
+                                          interval)
 
 
 def cmd_action_check(args):
@@ -576,10 +578,6 @@ def main(argv=None) -> int:
     except (SingularJacobianError, ConvergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (ValidationError, ExpressionError, TrajectoryFormatError,
-            OffConstraintError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except OstromechError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -599,11 +599,51 @@ def _rebuild_term(coeff, factors):
     return Product(Const(coeff), *factors)
 
 
-def _simplify_product(factors):
+def _normal_sum(terms):
+    """The simplified sum of already simplified ``terms``: nested sums are
+    flattened, zeros dropped and like terms collected."""
+    flat = []
+    for term in terms:
+        if isinstance(term, Sum):
+            flat.extend(term.terms)
+        elif not _is_zero(term):
+            flat.append(term)
+    order = []          # insertion-free deterministic ordering of keys
+    collected = {}      # factors-key -> [coeff, factors]
+    for t in flat:
+        coeff, factors = _term_parts(t)
+        k = tuple(f.key() for f in factors)
+        if k in collected:
+            collected[k][0] += coeff
+        else:
+            collected[k] = [coeff, factors]
+            order.append(k)
+    out = []
+    for k in sorted(order):
+        coeff, factors = collected[k]
+        if coeff == 0.0:
+            continue
+        out.append(_rebuild_term(coeff, factors))
+    if not out:
+        return _ZERO
+    if len(out) == 1:
+        return out[0]
+    return Sum(*out)
+
+
+def _normal_product(factors):
+    """The simplified product of already simplified ``factors``: nested
+    products are flattened, constants folded and repeats merged."""
+    flat = []
+    for factor in factors:
+        if isinstance(factor, Product):
+            flat.extend(factor.factors)
+        else:
+            flat.append(factor)
     coeff = 1.0
     bases = []          # ordered list of base expressions
     exponents = {}      # key -> [base, exponent]
-    for f in factors:
+    for f in flat:
         if isinstance(f, Const):
             coeff *= f.value
             continue
@@ -629,54 +669,6 @@ def _simplify_product(factors):
             continue
         out.append(base if exp == 1.0 else Power(base, exp))
     return _rebuild_term(coeff, tuple(out))
-
-
-def _simplify_sum(terms):
-    order = []          # insertion-free deterministic ordering of keys
-    collected = {}      # factors-key -> [coeff, factors]
-    for t in terms:
-        coeff, factors = _term_parts(t)
-        k = tuple(f.key() for f in factors)
-        if k in collected:
-            collected[k][0] += coeff
-        else:
-            collected[k] = [coeff, factors]
-            order.append(k)
-    out = []
-    for k in sorted(order):
-        coeff, factors = collected[k]
-        if coeff == 0.0:
-            continue
-        out.append(_rebuild_term(coeff, factors))
-    if not out:
-        return _ZERO
-    if len(out) == 1:
-        return out[0]
-    return Sum(*out)
-
-
-def _normal_sum(terms):
-    """The simplified sum of already simplified ``terms``: nested sums are
-    flattened, zeros dropped and like terms collected."""
-    flat = []
-    for term in terms:
-        if isinstance(term, Sum):
-            flat.extend(term.terms)
-        elif not _is_zero(term):
-            flat.append(term)
-    return _simplify_sum(flat)
-
-
-def _normal_product(factors):
-    """The simplified product of already simplified ``factors``: nested
-    products are flattened, constants folded and repeats merged."""
-    flat = []
-    for factor in factors:
-        if isinstance(factor, Product):
-            flat.extend(factor.factors)
-        else:
-            flat.append(factor)
-    return _simplify_product(flat)
 
 
 def simplify(expr: Expression) -> Expression:

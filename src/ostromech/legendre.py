@@ -52,29 +52,56 @@ def _dt(expr, max_order):
     return ex.simplify(ex.total_derivative(expr, max_order))
 
 
+def _partial_chains(sys: SystemModel):
+    """Each partial of L and its total derivatives, derived once: the
+    table ``chains[a][j] = [dL/dq_j, D dL/dq_j, ..., D^j dL/dq_j]`` of dof
+    a+1, j = 0 .. k, with entry 0 the unsimplified partial."""
+    k = sys.k
+    chains = []
+    for a in range(1, sys.n + 1):
+        per_dof = []
+        for j in range(k + 1):
+            chain = [ex.diff(sys.lagrangian, ex.jet(a, j))]
+            for _ in range(j):
+                chain.append(_dt(chain[-1], 2 * k))
+            per_dof.append(chain)
+        chains.append(per_dof)
+    return chains
+
+
+def _alternating_sum(terms):
+    """simplify(t_0 - t_1 + t_2 - ...)."""
+    return ex.simplify(ex._add(*(ex.Neg(term) if i % 2 else term
+                                 for i, term in enumerate(terms))))
+
+
+def _momenta(chains, k):
+    # level r-1 of dof a: sum_i (-1)^i D^i dL/dq_{r+i}
+    return [[_alternating_sum([per_dof[r + i][i] for i in range(k - r + 1)])
+             for r in range(1, k + 1)]
+            for per_dof in chains]
+
+
+def _euler_lagrange(chains):
+    # el of dof a: sum_i (-1)^i D^i dL/dq_i
+    return [_alternating_sum([chain[-1] for chain in per_dof])
+            for per_dof in chains]
+
+
+def _hessian(firsts, k):
+    # W_ab from the unsimplified firsts[a] = dL/dq_k^(a+1)
+    return [[ex.simplify(ex.diff(first, ex.jet(b, k)))
+             for b in range(1, len(firsts) + 1)]
+            for first in firsts]
+
+
 def momentum_exprs(sys: SystemModel):
     """Closed-form momenta as expressions on jets of order <= 2k-1.
 
     Returns nested lists indexed [dof][level]; the level r-1 momentum
     involves jets of order at most 2k-r.
     """
-    k = sys.k
-    out = []
-    for a in range(1, sys.n + 1):
-        per_dof = []
-        for r in range(1, k + 1):
-            terms = []
-            for i in range(k - r + 1):
-                term = ex.diff(sys.lagrangian, ex.jet(a, r + i))
-                for _ in range(i):
-                    term = _dt(term, 2 * k - 1)
-                if i % 2:
-                    term = ex.Neg(term)
-                terms.append(term)
-            # r runs 1..k, so per_dof is already indexed by level r-1
-            per_dof.append(ex.simplify(ex._add(*terms)))
-        out.append(per_dof)
-    return out
+    return _momenta(_partial_chains(sys), sys.k)
 
 
 def momentum_exprs_recursive(sys: SystemModel):
@@ -95,32 +122,13 @@ def momentum_exprs_recursive(sys: SystemModel):
 
 def euler_lagrange_exprs(sys: SystemModel):
     """Euler-Lagrange expressions, one per dof, on jets of order <= 2k."""
-    k = sys.k
-    out = []
-    for a in range(1, sys.n + 1):
-        terms = []
-        for i in range(k + 1):
-            term = ex.diff(sys.lagrangian, ex.jet(a, i))
-            for _ in range(i):
-                term = _dt(term, 2 * k)
-            if i % 2:
-                term = ex.Neg(term)
-            terms.append(term)
-        out.append(ex.simplify(ex._add(*terms)))
-    return out
+    return _euler_lagrange(_partial_chains(sys))
 
 
 def hessian_exprs(sys: SystemModel):
     """Symmetric Hessian of L in the highest jet order, as expressions."""
-    k, n = sys.k, sys.n
-    rows = []
-    for a in range(1, n + 1):
-        row = []
-        first = ex.diff(sys.lagrangian, ex.jet(a, k))
-        for b in range(1, n + 1):
-            row.append(ex.simplify(ex.diff(first, ex.jet(b, k))))
-        rows.append(row)
-    return rows
+    return _hessian([ex.diff(sys.lagrangian, ex.jet(a, sys.k))
+                     for a in range(1, sys.n + 1)], sys.k)
 
 
 def hessian_det_expr(sys: SystemModel | DerivedSystem) -> ex.Expression:
@@ -165,15 +173,13 @@ class DerivedSystem:
     def __init__(self, model: SystemModel):
         self.model = model
         k, n = model.k, model.n
-        self.momenta = momentum_exprs(model)
-        self.el = euler_lagrange_exprs(model)
-        self.hessian = hessian_exprs(model)
-
+        chains = _partial_chains(model)
+        self.momenta = _momenta(chains, k)
+        self.el = _euler_lagrange(chains)
+        self.hessian = _hessian([per_dof[k][0] for per_dof in chains], k)
         # dL/dq_i for i = 0 .. k, per dof
-        self.lagrangian_partials = [
-            [ex.simplify(ex.diff(model.lagrangian, ex.jet(a, i)))
-             for i in range(k + 1)]
-            for a in range(1, n + 1)]
+        self.lagrangian_partials = [[ex.simplify(chain[0]) for chain in per_dof]
+                                    for per_dof in chains]
 
         # H = -L + sum_{a,i} p_a^i q_{i+1}^a on the unified space
         coupling_terms = [
@@ -235,10 +241,21 @@ class DerivedSystem:
         return sign * (inv @ np.array([-value for value in reduced]))
 
 
-def _values(rows, env) -> np.ndarray:
-    """Float array of the values of a nested list of expressions."""
-    return np.array([[e.evaluate(env) for e in row] for row in rows],
-                    dtype=float)
+def _values(family, env, shape=()) -> np.ndarray:
+    """The one evaluator of derived families: the float array of the
+    values of an expression, or of a nested list of expressions, under
+    ``env``, each broadcast to ``shape``, the shape of the grid the
+    bindings range over, or () at a point."""
+    return np.array(_evaluated(family, env, shape), dtype=float)
+
+
+def _evaluated(family, env, shape):
+    # module level, not a closure: a self-referencing closure is a cycle
+    # that would keep the bindings of a whole grid alive until collected
+    if isinstance(family, ex.Expression):
+        value = family.evaluate(env)
+        return np.broadcast_to(value, shape) if shape else value
+    return [_evaluated(member, env, shape) for member in family]
 
 
 def derive(sys: SystemModel) -> DerivedSystem:

@@ -45,7 +45,7 @@ from .errors import (
     SingularHessianError,
     ValidationError,
 )
-from .legendre import DerivedSystem, _regular_inverse
+from .legendre import DerivedSystem, _regular_inverse, _values
 from .systems import UnifiedPoint, _coordinates, unified_bindings
 
 __all__ = [
@@ -166,11 +166,10 @@ def omega_r_matrix(ds: DerivedSystem, up: UnifiedPoint) -> TwoFormMatrix:
             r, c = index[ex.jet(a, i)], index[ex.momentum(a, i)]
             m[r, c] += 1.0
             m[c, r] -= 1.0
-    for ref, partial in ds.hamiltonian_partials.items():
-        value = partial.evaluate(env)
-        r = index[ref]
-        m[r, 0] += value
-        m[0, r] -= value
+    rows = [index[ref] for ref in ds.hamiltonian_partials]
+    values = _values(list(ds.hamiltonian_partials.values()), env)
+    m[rows, 0] += values
+    m[0, rows] -= values
     return TwoFormMatrix(m, tuple(coords))
 
 
@@ -189,15 +188,8 @@ def constraint_residuals(ds: DerivedSystem, up: UnifiedPoint):
     length n.
     """
     _check_point(ds, up)
-    k, n = ds.k, ds.n
-    env = unified_bindings(up)
-    levels = []
-    for level in range(1, k + 1):
-        i = k - level
-        res = np.array([up.momenta[a, i] - ds.momenta[a][i].evaluate(env)
-                        for a in range(n)])
-        levels.append(res)
-    return levels
+    residuals = up.momenta - _values(ds.momenta, unified_bindings(up))
+    return [residuals[:, i] for i in range(ds.k - 1, -1, -1)]
 
 
 def _constraint_check(ds: DerivedSystem, up: UnifiedPoint):
@@ -333,10 +325,11 @@ def solve_unified_vf(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
             row += 1
     # tangency rows determine the top jet components
     sign = -1.0 if k % 2 else 1.0
+    reduced = _values(ds.el_reduced, env)
     for dof in range(n):
         for other in range(n):
             a[row, index[ex.jet(other + 1, 2 * k - 1)] - 1] = sign * w[dof, other]
-        b[row] = -ds.el_reduced[dof].evaluate(env)
+        b[row] = -reduced[dof]
         row += 1
     # momentum rows of the two-form matrix (time column moves to the rhs)
     for dof in range(1, n + 1):

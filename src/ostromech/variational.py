@@ -27,7 +27,7 @@ from numpy.polynomial import polynomial as npoly
 from . import expressions as ex
 from .errors import DimensionError, ValidationError
 from .dynamics import Trajectory
-from .legendre import DerivedSystem
+from .legendre import DerivedSystem, _values
 from .systems import _bindings, _split_state
 
 __all__ = [
@@ -101,10 +101,13 @@ class PathRepresentation:
             raise DimensionError("coefficients must be one row per dof")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
-        a, b = self.interval
+        a, b = (float(end) for end in self.interval)
+        if not (np.isfinite(a) and np.isfinite(b)):
+            raise ValidationError(f"path interval ends must be finite, got "
+                                  f"[{a}, {b}]")
         if not b > a:
             raise ValidationError("path interval must have positive length")
-        object.__setattr__(self, "interval", (float(a), float(b)))
+        object.__setattr__(self, "interval", (a, b))
 
     @property
     def n(self) -> int:
@@ -228,18 +231,22 @@ def _simpson(f, interval, breakpoints, panels):
     return total
 
 
+def _path_jets(pathlike, ts, max_order):
+    """The path's jets[a, i] at the times ts, orders 0 .. max_order."""
+    return np.stack([pathlike.derivative_values(ts, order)
+                     for order in range(max_order + 1)], axis=1)
+
+
 def _path_env(pathlike, ts, max_order):
     """Bindings of the path's jets, orders 0 .. max_order, at the times ts."""
-    jets = np.stack([pathlike.derivative_values(ts, order)
-                     for order in range(max_order + 1)], axis=1)
-    return _bindings(np.asarray(ts, dtype=float), jets)
+    return _bindings(np.asarray(ts, dtype=float),
+                     _path_jets(pathlike, ts, max_order))
 
 
 def _lagrangian_integrand(ds, pathlike):
     def f(ts):
-        env = _path_env(pathlike, ts, ds.k)
-        return np.broadcast_to(ds.model.lagrangian.evaluate(env),
-                               np.shape(ts)).astype(float)
+        return _values(ds.model.lagrangian, _path_env(pathlike, ts, ds.k),
+                       np.shape(ts))
     return f
 
 
@@ -247,16 +254,15 @@ def _cartan_integrand(ds, pathlike):
     k, n = ds.k, ds.n
 
     def f(ts):
-        env = _path_env(pathlike, ts, 2 * k - 1)
+        jets = _path_jets(pathlike, ts, 2 * k - 1)
+        momenta = _values(ds.momenta, _bindings(ts, jets), np.shape(ts))
         total = np.zeros(np.size(ts))
         for a in range(n):
             for i in range(k):
-                p = np.broadcast_to(ds.momenta[a][i].evaluate(env),
-                                    np.shape(ts)).astype(float)
-                env[ex.momentum(a + 1, i)] = p
-                total = total + p * env[ex.jet(a + 1, i + 1)]
-        p_section = -ds.hamiltonian.evaluate(env)
-        return total + np.broadcast_to(p_section, np.shape(ts))
+                total = total + momenta[a, i] * jets[a, i + 1]
+        # p = -H on the Hamiltonian section
+        return total - _values(ds.hamiltonian, _bindings(ts, jets, momenta),
+                               np.shape(ts))
     return f
 
 
@@ -349,9 +355,7 @@ def first_variation(ds: DerivedSystem, path, variation: Variation,
     a_index = variation.dof - 1
 
     def f(ts):
-        env = _path_env(path, ts, 2 * k)
-        el = np.broadcast_to(ds.el[a_index].evaluate(env),
-                             np.shape(ts)).astype(float)
+        el = _values(ds.el[a_index], _path_env(path, ts, 2 * k), np.shape(ts))
         return el * variation.derivative_values(ts)
 
     return _simpson(f, variation.support, (), quad_points)
@@ -421,10 +425,7 @@ def stationarity_check(ds: DerivedSystem, path, n_variations: int = 20,
 def el_along_path(ds: DerivedSystem, path, ts) -> np.ndarray:
     """Euler-Lagrange residuals of an analytic path, one row per dof."""
     _check_path(ds, path)
-    env = _path_env(path, ts, 2 * ds.k)
-    return np.vstack([
-        np.broadcast_to(e.evaluate(env), np.shape(ts)).astype(float)
-        for e in ds.el])
+    return _values(ds.el, _path_env(path, ts, 2 * ds.k), np.shape(ts))
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,25 @@ def test_action_check_usage(tmp_path, capsys):
     assert code == 2 and "interval" in err
 
 
+@pytest.mark.parametrize("text", [
+    b"3",
+    b'{"basis": "monomial", "coefficients": "abc", "interval": [0, 1]}',
+    b'{"basis": "monomial", "coefficients": [[0, 1]], "interval": ["a", 1]}',
+    b'{"basis": "monomial", "coefficients": [[0, 1], [1]], "interval": [0, 1]}',
+    b'{"basis": "monomial", "coefficients": [[0, 1]], '
+    b'"interval": [0, Infinity]}',
+    b"\xff\xfe",
+], ids=["not_object", "text_coefficients", "text_interval", "ragged",
+        "infinite_interval", "not_utf8"])
+def test_malformed_path_document_is_a_usage_error(tmp_path, capsys, text):
+    spec = write_spec(tmp_path, "harmonic")
+    pf = tmp_path / "path.json"
+    pf.write_bytes(text)
+    code, out, err = run_cli(capsys, ["action-check", spec, "--path", str(pf)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # -- unified-check ----------------------------------------------------------
 
 

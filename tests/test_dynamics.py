@@ -293,6 +293,48 @@ def test_verify_unified_hamilton_residuals(pu):
     assert d["layout"] == "unified"
 
 
+def test_holonomy_verdict_per_column():
+    """Each column q_i is held to 10 tol plus its own truncation floor
+    h^4 max|q_{i+5}|: a correct order-3 trajectory passes, though one
+    floor from max|q| for all columns failed it, and an offset of 1e-3 in
+    its q_1 column fails."""
+    ds = om.derive(om.build_system({
+        "name": "order3", "order": 3, "dofs": 1,
+        "lagrangian": "1/2*(q3^2 - 14*q2^2 + 49*q1^2 - 36*q0^2)"}))
+    init = om.JetPoint(0.0, np.array([[0.3, 0.0, 0.0, 0.0, 0.0, 0.0]]))
+    traj = om.integrate(ds, init, 5.0)
+    report = om.verify_trajectory(ds, traj)
+    assert report.energy_drift < 1e-8
+    assert report.holonomy_ok is True
+    assert report.holonomy_defect <= report.holonomy_tolerance
+
+    states = traj.states.copy()
+    states[:, 1] += 1e-3
+    bad = om.Trajectory(traj.grid, states, "jet", 3, 1, dict(traj.meta))
+    report = om.verify_trajectory(ds, bad)
+    assert report.holonomy_ok is False
+    assert report.holonomy_defect > report.holonomy_tolerance
+
+
+@pytest.mark.parametrize("key", ["coupled_beam", "pais_uhlenbeck", "driven"])
+def test_point_and_grid_values_agree_bit_for_bit(key):
+    """The energy and the constraint residuals of a trajectory row are the
+    same numbers whether evaluated at the point or over the grid."""
+    ds = derived(key)
+    k, n = ds.k, ds.n
+    jp = om.JetPoint(0.0, 0.3 + 0.1 * np.arange(2 * k * n).reshape(n, 2 * k))
+    traj = om.integrate_unified(
+        ds, om.UnifiedPoint(jp, om.legendre_map(ds, jp)), 1.0)
+    energies = om.energy_series(ds, traj)
+    series = dynamics._constraint_series(ds, traj)
+    for r in range(traj.grid.size):
+        assert om.ostrogradsky_energy(ds, traj.jet_point(r)) == energies[r]
+        levels = om.constraint_residuals(ds, traj.unified_point(r))
+        for level, residuals in enumerate(levels, start=1):
+            np.testing.assert_array_equal(residuals,
+                                          series[:, k - level, r])
+
+
 def test_verify_dimension_mismatch(pu, harmonic):
     traj = om.integrate(harmonic, om.JetPoint(0.0, np.array([[1.0, 0.0]])), 1.0)
     with pytest.raises(om.DimensionError):

@@ -151,6 +151,31 @@ def test_hessian_det_expr_cost_is_subset_bounded(monkeypatch):
         np.linalg.det(ds.hessian_value(env)), rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_derive_takes_each_total_derivative_once(k, monkeypatch):
+    """derive differentiates each dL/dq_j along its chain once: per dof
+    D^i dL/dq_j for 1 <= i <= j <= k, so n k(k+1)/2 total derivatives."""
+    n = 2
+    terms = [f"1/2*q{k}_{a}^2" for a in (1, 2)]
+    terms += [f"q{i}_1*q{i + 1}_2" for i in range(k)]
+    model = om.build_system({"name": f"order{k}", "order": k, "dofs": n,
+                             "lagrangian": " + ".join(terms)})
+    calls = []
+    total_derivative = ex.total_derivative
+
+    def counted(*args):
+        calls.append(args)
+        return total_derivative(*args)
+
+    monkeypatch.setattr(ex, "total_derivative", counted)
+    ds = legendre.derive(model)
+    assert len(calls) == n * k * (k + 1) // 2
+    monkeypatch.undo()
+    assert ds.momenta == legendre.momentum_exprs(model)
+    assert ds.el == legendre.euler_lagrange_exprs(model)
+    assert ds.hessian == legendre.hessian_exprs(model)
+
+
 def test_acceleration_oracle(pu):
     # el = 4 q0 + 5 q2 + q4 = 0 gives q4 = -4 q0 - 5 q2; cos jet ->  1
     env = om.jet_bindings(cos_jet())
