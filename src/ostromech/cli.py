@@ -111,7 +111,7 @@ def _rounded(value):
 
 def _emit(args, report, to_out=True):
     """Print the report as JSON, to --out when given and applicable."""
-    text = json.dumps(report, indent=2 if args.pretty else None)
+    text = json.dumps(_jsonable(report), indent=2 if args.pretty else None)
     destination = getattr(args, "out", None) if to_out else None
     if destination:
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
@@ -182,7 +182,7 @@ def cmd_derive(args):
                     for row in ds.hessian],
         "hessian_det": _hessian_det_text(ds),
         "hamiltonian": ex.to_text(ds.hamiltonian, n),
-        "regularity": _jsonable(regularity.to_dict()),
+        "regularity": regularity.to_dict(),
         "singular_warning": not regularity.regular,
     }
     _emit(args, report)
@@ -265,13 +265,13 @@ def cmd_verify(args):
     }
     values = report.to_dict()
     failed = [name for name, limit in thresholds.items()
-              if values.get(name) is not None and values[name] > limit]
+              if values.get(name) is not None and not values[name] <= limit]
     out = {
         "system": model.name,
         "trajectory_file": args.traj,
         "layout": traj.layout,
         "n_points": int(traj.grid.size),
-        "report": _jsonable(values),
+        "report": values,
         "thresholds": thresholds,
         "failed_checks": failed,
         "passed": not failed,
@@ -321,15 +321,14 @@ def cmd_action_check(args):
         fit = variational.fit_path(traj, args.basis, coeffs)
         path = fit.path
         source["trajectory_file"] = args.traj
-        source["fit"] = _jsonable(fit.to_dict())
+        source["fit"] = fit.to_dict()
 
-    s_lagrangian = variational.discrete_action(ds, path, "lagrangian",
-                                               args.quad_points)
-    s_cartan = variational.discrete_action(ds, path, "cartan",
-                                           args.quad_points)
     stat = variational.stationarity_check(
         ds, path, n_variations=args.variations, tol=args.tol, seed=args.seed,
         quad_points=args.quad_points)
+    s_lagrangian = stat.action
+    s_cartan = variational.discrete_action(ds, path, "cartan",
+                                           args.quad_points)
     report = {
         "system": model.name,
         "source": source,
@@ -337,7 +336,7 @@ def cmd_action_check(args):
         "action_lagrangian": s_lagrangian,
         "action_cartan": s_cartan,
         "action_difference": abs(s_lagrangian - s_cartan),
-        "stationarity": _jsonable(stat.to_dict()),
+        "stationarity": stat.to_dict(),
         "passed": stat.stationary,
     }
     _emit(args, report)
@@ -424,7 +423,7 @@ def cmd_unified_check(args):
         "all_on_constraint": on_constraint,
         "max_field_difference": max(diffs) if diffs else None,
         "max_kernel_residual": max(kernels) if kernels else None,
-        "points": _jsonable(entries),
+        "points": entries,
     }
     if args.random:
         report["seed"] = args.seed

@@ -474,13 +474,13 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
     # Euler-Lagrange defect: alternating finite-difference derivatives of
     # the recorded dL/dq_i series
     partials = _values(ds.lagrangian_partials, env, grid.shape)
-    el_max = 0.0
+    residuals = np.zeros((n, grid.size))
     for a in range(n):
-        residual = np.zeros(grid.size)
         for i, series in enumerate(partials[a]):
             term = series if i == 0 else fd_derivative(grid, series, order=i)
-            residual = residual + (-1.0) ** i * term
-        el_max = max(el_max, float(np.max(np.abs(residual))))
+            residuals[a] = residuals[a] + (-1.0) ** i * term
+    # one maximum over every dof, so a NaN residual is not dropped
+    el_max = float(np.max(np.abs(residuals)))
 
     # holonomy: differentiated q_i must reproduce q_{i+1}
     qdots = np.array([[fd_derivative(grid, jets[a, i])

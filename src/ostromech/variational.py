@@ -13,7 +13,8 @@ this agreement can be measured.
 Compactly supported polynomial bumps provide admissible variations whose
 derivatives vanish at the support ends to high order, so boundary terms
 drop from the first variation and stationarity can be probed by finite
-differences of the action alone.
+differences of the action alone.  The actions of one such difference share
+one quadrature grid and one set of path and bump derivatives on it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from . import expressions as ex
 from .errors import DimensionError, ValidationError
 from .dynamics import Trajectory
 from .legendre import DerivedSystem, _values
@@ -99,6 +99,8 @@ class PathRepresentation:
             coeffs = coeffs[None, :]
         if coeffs.ndim != 2 or coeffs.shape[1] < 1:
             raise DimensionError("coefficients must be one row per dof")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValidationError("path coefficients must be finite")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
         a, b = (float(end) for end in self.interval)
@@ -112,10 +114,6 @@ class PathRepresentation:
     @property
     def n(self) -> int:
         return self.coefficients.shape[0]
-
-    @property
-    def breakpoints(self) -> tuple:
-        return ()
 
     def derivative_values(self, ts, order: int = 0) -> np.ndarray:
         """Order-th time derivative of every dof at the given times."""
@@ -171,64 +169,31 @@ class Variation:
         return out
 
 
-class _PerturbedPath:
-    """A path plus one scaled variation, sharing the path interface."""
-
-    def __init__(self, path, variation, scale):
-        self.path = path
-        self.variation = variation
-        self.scale = scale
-
-    @property
-    def n(self):
-        return self.path.n
-
-    @property
-    def interval(self):
-        return self.path.interval
-
-    @property
-    def breakpoints(self):
-        return tuple(self.variation.support)
-
-    def derivative_values(self, ts, order=0):
-        values = self.path.derivative_values(ts, order)
-        if self.scale:
-            bump = self.variation.derivative_values(ts, order)
-            values = values.copy()
-            values[self.variation.dof - 1] += self.scale * bump
-        return values
-
-
 # ---------------------------------------------------------------------------
-# quadrature
+# quadrature: segment nodes -> path jets -> integrand -> Simpson sum
 # ---------------------------------------------------------------------------
 
 
-def _segments(interval, breakpoints, panels):
-    """Split the interval at interior breakpoints into smooth segments.
+def _segments(interval, cuts, panels):
+    """Simpson nodes and step of each smooth segment of the interval,
+    split at the cuts that lie inside it.
 
     Every segment receives the full panel count: variation bumps have
     derivatives growing like width^-6, so short support segments need
     the resolution far more than their share of the interval suggests.
     """
     a, b = interval
-    cuts = sorted(p for p in breakpoints if a < p < b)
-    edges = [a] + cuts + [b]
-    return [(lo, hi, panels) for lo, hi in zip(edges[:-1], edges[1:])]
+    edges = [a] + sorted(p for p in cuts if a < p < b) + [b]
+    return [(np.linspace(lo, hi, 2 * panels + 1), (hi - lo) / (2 * panels))
+            for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def _simpson(f, interval, breakpoints, panels):
-    total = 0.0
-    for lo, hi, share in _segments(interval, breakpoints, panels):
-        ts = np.linspace(lo, hi, 2 * share + 1)
-        values = f(ts)
-        h = (hi - lo) / (2 * share)
-        weights = np.ones(ts.size)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        total += (h / 3.0) * float(weights @ values)
-    return total
+def _simpson(values, h):
+    """Composite Simpson sum of one segment's node values at step h."""
+    weights = np.ones(values.size)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return (h / 3.0) * float(weights @ values)
 
 
 def _path_jets(pathlike, ts, max_order):
@@ -243,27 +208,31 @@ def _path_env(pathlike, ts, max_order):
                      _path_jets(pathlike, ts, max_order))
 
 
-def _lagrangian_integrand(ds, pathlike):
-    def f(ts):
-        return _values(ds.model.lagrangian, _path_env(pathlike, ts, ds.k),
-                       np.shape(ts))
-    return f
+def _lagrangian(ds, ts, jets):
+    return _values(ds.model.lagrangian, _bindings(ts, jets), ts.shape)
 
 
-def _cartan_integrand(ds, pathlike):
-    k, n = ds.k, ds.n
+def _cartan(ds, ts, jets):
+    momenta = _values(ds.momenta, _bindings(ts, jets), ts.shape)
+    total = np.zeros(ts.size)
+    for a in range(ds.n):
+        for i in range(ds.k):
+            total = total + momenta[a, i] * jets[a, i + 1]
+    # p = -H on the Hamiltonian section
+    return total - _values(ds.hamiltonian, _bindings(ts, jets, momenta),
+                           ts.shape)
 
-    def f(ts):
-        jets = _path_jets(pathlike, ts, 2 * k - 1)
-        momenta = _values(ds.momenta, _bindings(ts, jets), np.shape(ts))
-        total = np.zeros(np.size(ts))
-        for a in range(n):
-            for i in range(k):
-                total = total + momenta[a, i] * jets[a, i + 1]
-        # p = -H on the Hamiltonian section
-        return total - _values(ds.hamiltonian, _bindings(ts, jets, momenta),
-                               np.shape(ts))
-    return f
+
+def _integrand(ds, name, quad_points):
+    """Check the panel count, then return the integrand called ``name``
+    and the top jet order it reads."""
+    if quad_points < 2:
+        raise ValidationError("quad_points must be at least 2")
+    if name == "lagrangian":
+        return _lagrangian, ds.k
+    if name == "cartan":
+        return _cartan, 2 * ds.k - 1
+    raise ValidationError(f"unknown integrand {name!r}")
 
 
 def _check_path(ds, pathlike):
@@ -283,16 +252,9 @@ def discrete_action(ds: DerivedSystem, path, integrand: str = "lagrangian",
     quadrature error of smooth integrands by about 16x.
     """
     _check_path(ds, path)
-    if quad_points < 2:
-        raise ValidationError("quad_points must be at least 2")
-    if integrand == "lagrangian":
-        f = _lagrangian_integrand(ds, path)
-    elif integrand == "cartan":
-        f = _cartan_integrand(ds, path)
-    else:
-        raise ValidationError(f"unknown integrand {integrand!r}")
-    return _simpson(f, path.interval, getattr(path, "breakpoints", ()),
-                    quad_points)
+    f, top = _integrand(ds, integrand, quad_points)
+    (ts, h), = _segments(path.interval, (), quad_points)
+    return _simpson(f(ds, ts, _path_jets(path, ts, top)), h)
 
 
 def _variation_inside(path, variation):
@@ -315,18 +277,32 @@ def action_derivative(ds: DerivedSystem, path, variation: Variation,
     Central finite difference in the variation scale.  When the two
     one-sided differences disagree by more than 10 percent the result is
     Richardson-extrapolated from a second central difference at half the
-    scale.  All action evaluations share one quadrature grid (split at
-    the variation's support ends) so quadrature error cancels in the
-    differences.
+    scale.  All actions of one derivative share one quadrature grid (split
+    at the variation's support ends), so quadrature error cancels in the
+    differences, and one set of path and bump derivatives on it: each
+    action adds its scaled bump jets to the path jets of the variation's
+    dof.
     """
     _check_path(ds, path)
     _variation_inside(path, variation)
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
+    f, top = _integrand(ds, integrand, quad_points)
+    row = variation.dof - 1
+    pieces = [(ts, h, _path_jets(path, ts, top),
+               np.array([variation.derivative_values(ts, order)
+                         for order in range(top + 1)]))
+              for ts, h in _segments(path.interval, variation.support,
+                                     quad_points)]
 
     def action(scale):
-        return discrete_action(ds, _PerturbedPath(path, variation, scale),
-                               integrand, quad_points)
+        total = 0.0
+        for ts, h, jets, bump in pieces:
+            if scale:
+                jets = jets.copy()
+                jets[row] += scale * bump
+            total += _simpson(f(ds, ts, jets), h)
+        return total
 
     s_plus = action(epsilon)
     s_minus = action(-epsilon)
@@ -351,14 +327,10 @@ def first_variation(ds: DerivedSystem, path, variation: Variation,
     """
     _check_path(ds, path)
     _variation_inside(path, variation)
-    k = ds.k
-    a_index = variation.dof - 1
-
-    def f(ts):
-        el = _values(ds.el[a_index], _path_env(path, ts, 2 * k), np.shape(ts))
-        return el * variation.derivative_values(ts)
-
-    return _simpson(f, variation.support, (), quad_points)
+    (ts, h), = _segments(variation.support, (), quad_points)
+    el = _values(ds.el[variation.dof - 1], _path_env(path, ts, 2 * ds.k),
+                 ts.shape)
+    return _simpson(el * variation.derivative_values(ts), h)
 
 
 @dataclass
@@ -491,19 +463,8 @@ def fit_path(traj: Trajectory, basis: str, n_coeffs: int) -> FitResult:
         coeffs = np.linalg.solve(gram, design.T @ targets)
     path = PathRepresentation(basis, coeffs.T, interval)
 
-    fitted = path.derivative_values(traj.grid)
-    max_residual = 0.0
-    for a in range(traj.n):
-        defect = fitted[a] - jets[a, 0]
-        max_residual = max(max_residual, float(np.max(np.abs(defect))))
-    derivative_residuals = []
-    for order in range(1, 2 * traj.k):
-        values = path.derivative_values(traj.grid, order)
-        worst = 0.0
-        for a in range(traj.n):
-            defect = values[a] - jets[a, order]
-            worst = max(worst, float(np.max(np.abs(defect))))
-        derivative_residuals.append(worst)
-    return FitResult(path=path, max_residual=max_residual,
-                     derivative_residuals=derivative_residuals,
+    residuals = np.max(np.abs(_path_jets(path, traj.grid, 2 * traj.k - 1)
+                              - jets), axis=(0, 2))
+    return FitResult(path=path, max_residual=float(residuals[0]),
+                     derivative_residuals=residuals[1:].tolist(),
                      condition=condition, used_orthogonal=used_orthogonal)

@@ -279,6 +279,23 @@ def test_verify_flags_corruption(tmp_path, capsys):
     assert "el_residual" in verdict["failed_checks"]
 
 
+def test_verify_fails_a_nan_cell(tmp_path, capsys):
+    spec = str(DEMOS / "harmonic.json")
+    csv = tmp_path / "h.csv"
+    run_json(capsys, ["simulate", spec, "--init", "1,0", "--t-end", "1",
+                      "--out", str(csv)])
+    lines = csv.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    rows[len(rows) // 2][lines[0].split(",").index("q_1_1")] = "nan"
+    csv.write_text("\n".join([lines[0]] + [",".join(row) for row in rows])
+                   + "\n")
+    code, out, _ = run_cli(capsys, ["verify", spec, "--traj", str(csv)])
+    verdict = json.loads(out)
+    assert code == 1 and verdict["passed"] is False
+    assert verdict["report"]["el_residual"] == "nan"
+    assert "el_residual" in verdict["failed_checks"]
+
+
 def test_verify_malformed_csv(tmp_path, capsys):
     spec = write_spec(tmp_path, "pais_uhlenbeck")
     broken = tmp_path / "broken.csv"
@@ -384,8 +401,9 @@ def test_action_check_usage(tmp_path, capsys):
     b'{"basis": "monomial", "coefficients": [[0, 1]], '
     b'"interval": [0, Infinity]}',
     b"\xff\xfe",
+    b'{"basis": "monomial", "coefficients": [[null, 1]], "interval": [0, 1]}',
 ], ids=["not_object", "text_coefficients", "text_interval", "ragged",
-        "infinite_interval", "not_utf8"])
+        "infinite_interval", "not_utf8", "null_coefficient"])
 def test_malformed_path_document_is_a_usage_error(tmp_path, capsys, text):
     spec = write_spec(tmp_path, "harmonic")
     pf = tmp_path / "path.json"

@@ -133,6 +133,66 @@ def test_action_derivative_matches_first_variation(free_particle):
     assert cartan == pytest.approx(exact, abs=1e-9)
 
 
+# the PU path of the benchmark that is not a solution, and a coupled-beam
+# case whose one-sided differences disagree, so that its derivative takes
+# the Richardson branch (five actions, not three)
+_PU_OFF = om.PathRepresentation("fourier", [[0, 1, 0, 0, 0, 0.1]],
+                                (0.0, math.pi))
+_PU_BUMP = om.Variation(dof=1, center=1.2, half_width=0.3, exponent=3)
+_BEAM_PATH = om.PathRepresentation(
+    "monomial", [[0.3, 0.2, -0.1, 0.05], [0.4, -0.2, 0.1, 0.3]], (0.0, 1.0))
+_BEAM_BUMP = om.Variation(dof=2, center=0.6, half_width=0.15, exponent=3)
+
+
+def test_action_values_pinned_bit_for_bit(pu, coupled_beam):
+    # values of the quadrature as it was before the path and bump jets were
+    # shared between the actions of one derivative
+    for integrand in ("lagrangian", "cartan"):
+        assert om.discrete_action(pu, _PU_OFF, integrand).hex() == \
+            "0x1.41b2f769cf0dap-2"
+        assert om.action_derivative(pu, _PU_OFF, _PU_BUMP,
+                                    integrand=integrand).hex() == \
+            "-0x1.e17cb27473e1fp-1"
+        assert om.action_derivative(coupled_beam, _BEAM_PATH, _BEAM_BUMP,
+                                    integrand=integrand).hex() == \
+            "0x1.bce5415605fffp-10"
+    assert om.first_variation(pu, _PU_OFF, _PU_BUMP).hex() == \
+        "-0x1.e17cb275990aep-1"
+    assert om.first_variation(coupled_beam, _BEAM_PATH, _BEAM_BUMP).hex() \
+        == "0x1.bce55445aa553p-10"
+
+
+@pytest.mark.parametrize("integrand", ["lagrangian", "cartan"])
+@pytest.mark.parametrize("case, actions", [("pu", 3), ("beam", 5)])
+def test_action_derivative_evaluates_each_jet_once(pu, coupled_beam,
+                                                   monkeypatch, integrand,
+                                                   case, actions):
+    # 3 segments (split at the support ends), orders 0 .. top, however
+    # many actions the difference takes: 3 for a central difference, 5
+    # when it is Richardson-extrapolated
+    ds, path, bump = ((pu, _PU_OFF, _PU_BUMP) if case == "pu"
+                      else (coupled_beam, _BEAM_PATH, _BEAM_BUMP))
+    top = ds.k if integrand == "lagrangian" else 2 * ds.k - 1
+    counts = {}
+    for cls in (om.PathRepresentation, om.Variation):
+        method = cls.derivative_values
+
+        def counted(self, ts, order=0, method=method, name=cls.__name__):
+            counts[name] = counts.get(name, 0) + 1
+            return method(self, ts, order)
+        monkeypatch.setattr(cls, "derivative_values", counted)
+    simpson = om.variational._simpson
+
+    def counted_simpson(*args):
+        counts["_simpson"] = counts.get("_simpson", 0) + 1
+        return simpson(*args)
+    monkeypatch.setattr(om.variational, "_simpson", counted_simpson)
+    om.action_derivative(ds, path, bump, integrand=integrand)
+    assert counts == {"PathRepresentation": (top + 1) * 3,
+                      "Variation": (top + 1) * 3,
+                      "_simpson": actions * 3}
+
+
 def test_action_derivative_validation(free_particle):
     line = om.PathRepresentation("monomial", [0.0, 1.0], (0.0, 1.0))
     outside = om.Variation(dof=1, center=0.9, half_width=0.2, exponent=2)

@@ -39,6 +39,8 @@ MALFORMED_PATHS = {
               '"interval": [0, 1]}',
     "infinite_interval": '{"basis": "monomial", "coefficients": [[0, 1]], '
                          '"interval": [0, Infinity]}',
+    "null_coefficient": '{"basis": "monomial", "coefficients": [[null, 1]], '
+                        '"interval": [0, 1]}',
 }
 
 
@@ -101,6 +103,14 @@ def _runs(work: Path):
     for what, text in MALFORMED_PATHS.items():
         (work / f"{what}.json").write_text(text)
         yield ["action-check", "harmonic.json", "--path", f"{what}.json"], None
+
+    # a trajectory with one NaN cell must fail verify
+    lines = (work / "harmonic_rk45.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    rows[len(rows) // 2][lines[0].split(",").index("q_1_1")] = "nan"
+    (work / "harmonic_nan.csv").write_text(
+        "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n")
+    yield ["verify", "harmonic.json", "--traj", "harmonic_nan.csv"], None
 
 
 def main() -> int:
