@@ -18,7 +18,7 @@ conservation, and holonomy.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -443,18 +443,7 @@ class VerificationReport:
     n_points: int
 
     def to_dict(self):
-        return {
-            "el_residual": self.el_residual,
-            "holonomy_defect": self.holonomy_defect,
-            "holonomy_tolerance": self.holonomy_tolerance,
-            "holonomy_ok": self.holonomy_ok,
-            "energy_drift": self.energy_drift,
-            "momenta_residual": self.momenta_residual,
-            "hamilton_q_residual": self.hamilton_q_residual,
-            "hamilton_p_residual": self.hamilton_p_residual,
-            "layout": self.layout,
-            "n_points": self.n_points,
-        }
+        return asdict(self)
 
 
 def verify_trajectory(ds: DerivedSystem, traj: Trajectory,

@@ -167,36 +167,6 @@ class Expression:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def __add__(self, other):
-        return Sum(self, _coerce(other))
-
-    def __radd__(self, other):
-        return Sum(_coerce(other), self)
-
-    def __sub__(self, other):
-        return Sum(self, Neg(_coerce(other)))
-
-    def __rsub__(self, other):
-        return Sum(_coerce(other), Neg(self))
-
-    def __mul__(self, other):
-        return Product(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return Product(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return Quotient(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return Quotient(_coerce(other), self)
-
-    def __neg__(self):
-        return Neg(self)
-
-    def __pow__(self, exponent):
-        return Power(self, exponent)
-
     def __repr__(self):
         return f"<{type(self).__name__} {to_text(self)}>"
 
@@ -1077,21 +1047,13 @@ def to_text(expr: Expression, n_dofs: int = 1) -> str:
 def sample_point(variables, rng, domain=None):
     """Draw one binding for the given variables from a box domain.
 
-    ``domain`` is either a single (lo, hi) pair applied to every variable
-    or a map from VarRef to such pairs; missing entries use
+    ``domain`` is a (lo, hi) pair applied to every variable, by default
     ``DEFAULT_SAMPLE_RANGE``.  Variables are drawn in a fixed sorted
     order, so a seeded generator yields reproducible points.
     """
-    per_var = domain if isinstance(domain, dict) else {}
-    if domain is None or isinstance(domain, dict):
-        default = DEFAULT_SAMPLE_RANGE
-    else:
-        default = (float(domain[0]), float(domain[1]))
-    point = {}
-    for v in sorted(variables, key=lambda r: r._key()):
-        lo, hi = per_var.get(v, default)
-        point[v] = float(rng.uniform(lo, hi))
-    return point
+    lo, hi = DEFAULT_SAMPLE_RANGE if domain is None else domain
+    return {v: float(rng.uniform(lo, hi))
+            for v in sorted(variables, key=lambda r: r._key())}
 
 
 @dataclass

@@ -5,8 +5,9 @@ q_i^A for orders i = 0 .. 2k-1 together with momenta p_A^i for levels
 i = 0 .. k-1.  Flattened state vectors and file columns are dof-major:
 all orders of dof 1, then all orders of dof 2, and so on, with momenta
 appended in the same pattern.  This module alone defines that layout:
-:func:`_coordinates` names the coordinates in order, :func:`_split_state`
-views a state as jets[a, i] and momenta[a, i], :func:`_bindings` binds them.
+:func:`_coordinates` names the coordinates in order, :func:`_index` gives
+their positions, :func:`_split_state` views a state as jets[a, i] and
+momenta[a, i], :func:`_bindings` binds them.
 """
 
 from __future__ import annotations
@@ -48,16 +49,6 @@ class SystemModel:
     parameters: dict = field(default_factory=dict)
     autonomous: bool = True
     lagrangian_text: str = ""
-
-    @property
-    def jet_count(self) -> int:
-        """Number of jet coordinates, 2kn."""
-        return 2 * self.k * self.n
-
-    @property
-    def momentum_count(self) -> int:
-        """Number of momentum coordinates, kn."""
-        return self.k * self.n
 
 
 @dataclass(frozen=True)
@@ -150,6 +141,12 @@ def _coordinates(n: int, orders: int, levels: int) -> tuple:
             *(ex.jet(a, i) for a in range(1, n + 1) for i in range(orders)),
             *(ex.momentum(a, i) for a in range(1, n + 1)
               for i in range(levels)))
+
+
+@functools.cache
+def _index(n: int, orders: int, levels: int) -> dict:
+    """Position of each coordinate of :func:`_coordinates`."""
+    return {ref: i for i, ref in enumerate(_coordinates(n, orders, levels))}
 
 
 def _split_state(y, k: int, n: int):

@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .legendre import DerivedSystem, _regular_inverse, _values
-from .systems import UnifiedPoint, _coordinates, unified_bindings
+from .systems import UnifiedPoint, _coordinates, _index, unified_bindings
 
 __all__ = [
     "unified_coordinates", "TwoFormMatrix",
@@ -96,8 +96,8 @@ class TwoFormMatrix:
         return self.entries.shape[0]
 
     def entry(self, row: ex.VarRef, col: ex.VarRef) -> float:
-        index = {ref: i for i, ref in enumerate(self.coords)}
-        return float(self.entries[index[row], index[col]])
+        return float(self.entries[self.coords.index(row),
+                                  self.coords.index(col)])
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,7 @@ class SemisprayVector:
         return float(self.components[0])
 
     def component(self, ref: ex.VarRef) -> float:
-        index = {r: i for i, r in enumerate(self.coords)}
-        return float(self.components[index[ref]])
+        return float(self.components[self.coords.index(ref)])
 
 
 def coupling(up: UnifiedPoint) -> float:
@@ -156,8 +155,7 @@ def omega_r_matrix(ds: DerivedSystem, up: UnifiedPoint) -> TwoFormMatrix:
     """Numeric two-form matrix at a point."""
     _check_point(ds, up)
     k, n = ds.k, ds.n
-    coords = unified_coordinates(k, n)
-    index = {ref: i for i, ref in enumerate(coords)}
+    index = _index(n, 2 * k, k)
     env = unified_bindings(up)
     dim = 3 * k * n + 1
     m = np.zeros((dim, dim))
@@ -170,7 +168,7 @@ def omega_r_matrix(ds: DerivedSystem, up: UnifiedPoint) -> TwoFormMatrix:
     values = _values(list(ds.hamiltonian_partials.values()), env)
     m[rows, 0] += values
     m[0, rows] -= values
-    return TwoFormMatrix(m, tuple(coords))
+    return TwoFormMatrix(m, _coordinates(n, 2 * k, k))
 
 
 def constraint_tolerance(up: UnifiedPoint) -> float:
@@ -214,7 +212,7 @@ def explicit_semispray(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
     _check_point(ds, up)
     field = _unified_field(ds)
     return SemisprayVector([1.0, *field(up.t, up.to_state())],
-                           tuple(unified_coordinates(ds.k, ds.n)))
+                           _coordinates(ds.n, 2 * ds.k, ds.k))
 
 
 def _unified_field(ds: DerivedSystem):
@@ -231,8 +229,8 @@ def _unified_field(ds: DerivedSystem):
     :func:`expressions.compile_kernel` on first use; the field is cached
     on ``ds``, so a system compiles once.  Where the kernel raises (a
     domain error, or ``**`` overflowing on Python floats), the call
-    evaluates with the tree walker in the order of
-    :meth:`DerivedSystem.acceleration` and so returns the tree walker's
+    solves with :meth:`DerivedSystem.acceleration` and, for a unified
+    state, tree-walks the partials, and so returns the tree walker's
     values or raises its exact :class:`DomainEvalError`.
     """
     cached = getattr(ds, "_unified_field", None)
@@ -248,16 +246,14 @@ def _unified_field(ds: DerivedSystem):
 
     def field(t, y):
         try:
-            value = kernel(t, *y[:jets].tolist()).__getitem__
+            values = kernel(t, *y[:jets].tolist())
         except (ArithmeticError, ValueError, TypeError):
+            values = None
             env = dict(zip(coords, (t, *y)))
-
-            def value(i):
-                return exprs[i].evaluate(env)
         try:
-            accel = ds._solve_top_jets(
-                np.array([value(i) for i in range(nn)]).reshape(n, n),
-                (value(nn + a) for a in range(n)), t)
+            accel = (ds.acceleration(env) if values is None else
+                     ds._solve_top_jets(np.array(values[:nn]).reshape(n, n),
+                                        values[nn:nn + n], t))
         except SingularHessianError as err:
             err.state = np.array(y)
             raise
@@ -268,11 +264,13 @@ def _unified_field(ds: DerivedSystem):
         ydot[2 * k - 1:jets:2 * k] = accel
         if len(y) == jets:
             return ydot
+        partials = (values[nn + n:] if values is not None else
+                    [g.evaluate(env) for g in exprs[nn + n:]])
         for a in range(n):
-            base, g = jets + a * k, nn + n + a * k
-            ydot[base] = value(g)
+            base, g = jets + a * k, a * k
+            ydot[base] = partials[g]
             for i in range(1, k):
-                ydot[base + i] = value(g + i) - y[base + i - 1]
+                ydot[base + i] = partials[g + i] - y[base + i - 1]
         return ydot
 
     ds._unified_field = field
@@ -310,8 +308,7 @@ def solve_unified_vf(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
             "Hessian is singular, the unified vector field is not "
             "determined", time=up.t)
 
-    coords = unified_coordinates(k, n)
-    index = {ref: i for i, ref in enumerate(coords)}
+    index = _index(n, 2 * k, k)
     omega = omega_r_matrix(ds, up).entries
     size = 3 * k * n
     a = np.zeros((size, size))
@@ -346,7 +343,7 @@ def solve_unified_vf(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
             "unified vector-field system is ill-conditioned (cond=%.3e)",
             condition)
     x = np.concatenate([[1.0], solution])
-    return SemisprayVector(x, tuple(coords), condition=condition)
+    return SemisprayVector(x, _coordinates(n, 2 * k, k), condition=condition)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,9 @@ logger = logging.getLogger("ostromech.variational")
 _BASES = ("monomial", "fourier")
 _DEFAULT_QUAD_POINTS = 512
 
+# scale of the variation in the central differences of action_derivative
+_EPSILON = 1e-5
+
 # condition number of the normal equations above which fitting falls back
 # to an orthogonal factorization
 _FIT_CONDITION_LIMIT = 1e10
@@ -182,6 +185,8 @@ def _segments(interval, cuts, panels):
     derivatives growing like width^-6, so short support segments need
     the resolution far more than their share of the interval suggests.
     """
+    if panels < 2:
+        raise ValidationError("quad_points must be at least 2")
     a, b = interval
     edges = [a] + sorted(p for p in cuts if a < p < b) + [b]
     return [(np.linspace(lo, hi, 2 * panels + 1), (hi - lo) / (2 * panels))
@@ -223,11 +228,8 @@ def _cartan(ds, ts, jets):
                            ts.shape)
 
 
-def _integrand(ds, name, quad_points):
-    """Check the panel count, then return the integrand called ``name``
-    and the top jet order it reads."""
-    if quad_points < 2:
-        raise ValidationError("quad_points must be at least 2")
+def _integrand(ds, name):
+    """The integrand called ``name`` and the top jet order it reads."""
     if name == "lagrangian":
         return _lagrangian, ds.k
     if name == "cartan":
@@ -252,7 +254,7 @@ def discrete_action(ds: DerivedSystem, path, integrand: str = "lagrangian",
     quadrature error of smooth integrands by about 16x.
     """
     _check_path(ds, path)
-    f, top = _integrand(ds, integrand, quad_points)
+    f, top = _integrand(ds, integrand)
     (ts, h), = _segments(path.interval, (), quad_points)
     return _simpson(f(ds, ts, _path_jets(path, ts, top)), h)
 
@@ -269,12 +271,11 @@ def _variation_inside(path, variation):
 
 
 def action_derivative(ds: DerivedSystem, path, variation: Variation,
-                      epsilon: float = 1e-5,
                       quad_points: int = _DEFAULT_QUAD_POINTS,
                       integrand: str = "lagrangian") -> float:
     """Directional derivative of the action along a variation.
 
-    Central finite difference in the variation scale.  When the two
+    Central finite difference in the variation scale, 1e-5.  When the two
     one-sided differences disagree by more than 10 percent the result is
     Richardson-extrapolated from a second central difference at half the
     scale.  All actions of one derivative share one quadrature grid (split
@@ -285,9 +286,7 @@ def action_derivative(ds: DerivedSystem, path, variation: Variation,
     """
     _check_path(ds, path)
     _variation_inside(path, variation)
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
-    f, top = _integrand(ds, integrand, quad_points)
+    f, top = _integrand(ds, integrand)
     row = variation.dof - 1
     pieces = [(ts, h, _path_jets(path, ts, top),
                np.array([variation.derivative_values(ts, order)
@@ -304,15 +303,15 @@ def action_derivative(ds: DerivedSystem, path, variation: Variation,
             total += _simpson(f(ds, ts, jets), h)
         return total
 
-    s_plus = action(epsilon)
-    s_minus = action(-epsilon)
+    s_plus = action(_EPSILON)
+    s_minus = action(-_EPSILON)
     s_zero = action(0.0)
-    central = (s_plus - s_minus) / (2.0 * epsilon)
-    d_plus = (s_plus - s_zero) / epsilon
-    d_minus = (s_zero - s_minus) / epsilon
+    central = (s_plus - s_minus) / (2.0 * _EPSILON)
+    d_plus = (s_plus - s_zero) / _EPSILON
+    d_minus = (s_zero - s_minus) / _EPSILON
     disagreement = abs(d_plus - d_minus)
     if disagreement > 0.1 * max(abs(d_plus), abs(d_minus)):
-        half = (action(0.5 * epsilon) - action(-0.5 * epsilon)) / epsilon
+        half = (action(0.5 * _EPSILON) - action(-0.5 * _EPSILON)) / _EPSILON
         return (4.0 * half - central) / 3.0
     return central
 

@@ -120,6 +120,32 @@ def test_derive_omits_determinant_text_above_eight_dofs(tmp_path, capsys,
                    "exceed the limit of 8\n")
 
 
+VARYING_HESSIAN = {"name": "varying", "order": 1, "dofs": 1,
+                   "lagrangian": "1/2*q1^2 + 1/4*q1^4 - 1/2*q0^2"}
+
+
+@pytest.mark.parametrize("box", ["-inf,inf", "0,inf", "-1e308,1e308",
+                                 "nan,1", "2,1", "1", "a,b"])
+@pytest.mark.parametrize("command", ["derive", "unified-check"])
+def test_sampling_box_must_be_finite(tmp_path, capsys, command, box):
+    # an infinite box or width made rng.uniform raise OverflowError
+    spec = tmp_path / "varying.json"
+    spec.write_text(json.dumps(VARYING_HESSIAN))
+    flags = ([f"--domain={box}"] if command == "derive"
+             else ["--random", "2", f"--box={box}"])
+    code, out, err = run_cli(capsys, [command, str(spec), *flags])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--box" in err
+
+
+def test_sampling_box_bounds_the_samples(tmp_path, capsys):
+    spec = tmp_path / "varying.json"
+    spec.write_text(json.dumps(VARYING_HESSIAN))
+    report = run_json(capsys, ["derive", str(spec), "--domain=1,1.5"])
+    worst = report["regularity"]["worst_point"]
+    assert worst and all(1.0 <= v <= 1.5 for v in worst.values())
+
+
 # -- simulate ---------------------------------------------------------------
 
 
@@ -279,8 +305,8 @@ def test_verify_flags_corruption(tmp_path, capsys):
     assert "el_residual" in verdict["failed_checks"]
 
 
-def test_verify_fails_a_nan_cell(tmp_path, capsys):
-    spec = str(DEMOS / "harmonic.json")
+def nan_velocity_csv(tmp_path, capsys, spec):
+    """A harmonic rk45 trajectory with one q_1_1 cell set to NaN."""
     csv = tmp_path / "h.csv"
     run_json(capsys, ["simulate", spec, "--init", "1,0", "--t-end", "1",
                       "--out", str(csv)])
@@ -289,7 +315,13 @@ def test_verify_fails_a_nan_cell(tmp_path, capsys):
     rows[len(rows) // 2][lines[0].split(",").index("q_1_1")] = "nan"
     csv.write_text("\n".join([lines[0]] + [",".join(row) for row in rows])
                    + "\n")
-    code, out, _ = run_cli(capsys, ["verify", spec, "--traj", str(csv)])
+    return str(csv)
+
+
+def test_verify_fails_a_nan_cell(tmp_path, capsys):
+    spec = str(DEMOS / "harmonic.json")
+    csv = nan_velocity_csv(tmp_path, capsys, spec)
+    code, out, _ = run_cli(capsys, ["verify", spec, "--traj", csv])
     verdict = json.loads(out)
     assert code == 1 and verdict["passed"] is False
     assert verdict["report"]["el_residual"] == "nan"
@@ -356,6 +388,18 @@ def test_action_check_fitted_trajectory(tmp_path, capsys):
     assert report["passed"] is True
     assert report["source"]["fit"]["used_orthogonal"] is False
     assert report["source"]["fit"]["max_residual"] < 1e-8
+
+
+def test_action_check_fails_a_non_finite_fit_residual(tmp_path, capsys):
+    # the fit reads positions only, so the path stays stationary
+    spec = str(DEMOS / "harmonic.json")
+    csv = nan_velocity_csv(tmp_path, capsys, spec)
+    code, out, _ = run_cli(capsys, ["action-check", spec, "--traj", csv,
+                                    "--variations", "5"])
+    report = json.loads(out)
+    assert report["source"]["fit"]["derivative_residuals"] == ["nan"]
+    assert report["stationarity"]["stationary"] is True
+    assert code == 1 and report["passed"] is False
 
 
 def test_action_check_short_trajectory_default_coeffs(tmp_path, capsys):

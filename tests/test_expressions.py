@@ -221,6 +221,23 @@ def test_evaluate_errors():
         om.parse("q0^-1", CTX).evaluate({ex.jet(1, 0): 0.0})
 
 
+@pytest.mark.parametrize("text, q0", [
+    ("q0^2.5", [1.0, -1.0]),
+    ("q0^-1", [1.0, 0.0]),
+    ("q0^3", [1.0, 1e200]),
+    ("1/q0", [1.0, 0.0]),
+    ("log(q0)", [1.0, 0.0]),
+    ("sqrt(q0)", [1.0, -4.0]),
+    ("exp(q0)", [1.0, 1e3]),
+], ids=["negative_base", "zero_to_negative", "power_overflow",
+        "zero_denominator", "log", "sqrt", "exp_overflow"])
+def test_evaluate_array_errors(text, q0):
+    # the grid bindings of verify and the action quadrature: one bad
+    # point fails the whole array
+    with pytest.raises(om.DomainEvalError):
+        om.parse(text, CTX).evaluate({ex.jet(1, 0): np.array(q0)})
+
+
 def test_evaluate_vectorized_matches_scalar():
     e = om.parse("sin(q0)*q1 + q0/(q1^2 + 1)", CTX)
     q0 = np.linspace(-2, 2, 23)

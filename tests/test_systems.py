@@ -17,7 +17,6 @@ def test_build_system_basic():
     assert model.parameters == {"w1": 1.0, "w2": 2.0}
     # parameters are substituted into the stored expression
     assert not any(v.kind == "param" for v in model.lagrangian.free_vars())
-    assert model.jet_count == 4 and model.momentum_count == 2
 
 
 def test_build_system_validation():

@@ -200,6 +200,31 @@ def test_field_overflow_returns_tree_walker_value():
     assert got.tobytes() == want.tobytes()
 
 
+def test_field_falls_back_through_acceleration(monkeypatch):
+    # the tree walker has one route to the top jets; the field takes it
+    # once per call where the kernel fails and never where it does not
+    calls = []
+    acceleration = om.DerivedSystem.acceleration
+
+    def counting(self, env):
+        calls.append(env)
+        return acceleration(self, env)
+
+    monkeypatch.setattr(om.DerivedSystem, "acceleration", counting)
+    ds = _one_dof("1/2*q1^2 - q0^4/4")
+    field = unified._unified_field(ds)
+    field(0.0, np.array([0.5, 1.0]))
+    field(0.0, np.array([0.5, 1.0, 1.0]))
+    assert calls == []
+    with np.errstate(all="ignore"):
+        field(0.0, np.array([1e200, 1.0]))
+        assert len(calls) == 1
+        # a unified state also tree-walks G^0 = dL/dq_0 = -q0^3
+        ydot = field(0.0, np.array([1e200, 1.0, 1.0]))
+    assert len(calls) == 2
+    assert ydot[2] == -np.inf
+
+
 def test_field_compiles_once_per_system(tmp_path, capsys, monkeypatch):
     names = []
     compile_kernel = ex.compile_kernel

@@ -201,9 +201,21 @@ def test_action_derivative_validation(free_particle):
     wrong_dof = om.Variation(dof=2, center=0.5, half_width=0.1, exponent=2)
     with pytest.raises(om.ValidationError):
         om.action_derivative(free_particle, line, wrong_dof)
+
+
+@pytest.mark.parametrize("quad_points", [1, 0])
+def test_quadratures_reject_too_few_panels(free_particle, quad_points):
+    line = om.PathRepresentation("monomial", [0.0, 1.0], (0.0, 1.0))
     v = om.Variation(dof=1, center=0.5, half_width=0.1, exponent=2)
-    with pytest.raises(om.ValidationError):
-        om.action_derivative(free_particle, line, v, epsilon=0.0)
+    for quadrature in (
+            lambda: om.discrete_action(free_particle, line,
+                                       quad_points=quad_points),
+            lambda: om.action_derivative(free_particle, line, v,
+                                         quad_points=quad_points),
+            lambda: om.first_variation(free_particle, line, v,
+                                       quad_points=quad_points)):
+        with pytest.raises(om.ValidationError, match="quad_points"):
+            quadrature()
 
 
 def test_stationarity_pass_on_solution(harmonic):

@@ -111,6 +111,14 @@ def _runs(work: Path):
     (work / "harmonic_nan.csv").write_text(
         "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n")
     yield ["verify", "harmonic.json", "--traj", "harmonic_nan.csv"], None
+    # ... and action-check, whose fit then has a NaN derivative residual
+    yield ["action-check", "harmonic.json", "--traj", "harmonic_nan.csv",
+           "--variations", "5"], None
+
+    # sampling boxes must be finite with lo < hi
+    yield ["unified-check", "harmonic.json", "--random", "2",
+           "--box=-inf,inf"], None
+    yield ["derive", "harmonic.json", "--domain=2,1"], None
 
 
 def main() -> int:
