@@ -49,16 +49,20 @@ logger = logging.getLogger("ostromech.cli")
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
-# verify thresholds sit between the residuals of a tolerance-1e-9
-# adaptive run (1e-5 and below, dominated by finite differencing) and
-# those of a visibly wrong trajectory (1e-2 and above)
-_VERIFY_DEFAULTS = {
-    "el": 1e-3,
-    "holonomy": 1e-4,
-    "energy": 1e-6,
-    "momenta": 1e-3,
-    "hamilton": 1e-3,
-}
+# the checks of verify: the flag --NAME-tol, its default, the report
+# fields it bounds and its help; the defaults sit between the residuals of
+# a tolerance-1e-9 adaptive run (1e-5 and below, dominated by finite
+# differencing) and those of a visibly wrong trajectory (1e-2 and above)
+_VERIFY_CHECKS = (
+    ("el", "1e-3", ("el_residual",), "Euler-Lagrange residual threshold"),
+    ("holonomy", "1e-4", ("holonomy_defect",), "holonomy defect threshold"),
+    ("energy", "1e-6", ("energy_drift",),
+     "energy drift threshold, autonomous systems only"),
+    ("momenta", "1e-3", ("momenta_residual",),
+     "momentum-equation residual threshold, unified trajectories only"),
+    ("hamilton", "1e-3", ("hamilton_q_residual", "hamilton_p_residual"),
+     "Hamilton-form residual threshold, unified trajectories only"),
+)
 
 
 def _configure_logging():
@@ -139,22 +143,34 @@ def _load_model(path):
     return build_system(_load_json(path, "spec"))
 
 
-def _parse_floats(text, what):
+def _parse_floats(text, what, count=None, layout=""):
+    """The numbers of the comma-separated value ``text`` of option
+    ``what``, every one finite and, with ``count``, exactly that many;
+    ``layout`` says in the count error what the values are."""
     try:
-        return [float(part) for part in text.split(",")]
+        values = [float(part) for part in text.split(",")]
     except ValueError as err:
         raise ValidationError(f"{what} must be comma-separated numbers, "
                               f"got {text!r}") from err
+    if count is not None and len(values) != count:
+        raise ValidationError(
+            f"{what} needs {count} values{layout}, got {len(values)}")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{what} must be finite numbers, got {text!r}")
+    return values
 
 
 def _parse_domain(text):
     if text is None:
         return None
-    lo, hi = (_parse_floats(text, "--domain/--box") + [None, None])[:2]
-    if hi is None or not (hi > lo and np.isfinite(hi - lo)):
-        raise ValidationError(f"--domain/--box must be 'lo,hi' with lo < hi "
-                              f"and a finite hi - lo, got {text!r}")
-    return (lo, hi)
+    try:
+        lo, hi = _parse_floats(text, "--domain/--box", 2)
+        if hi > lo and np.isfinite(hi - lo):
+            return (lo, hi)
+    except ValidationError:
+        pass
+    raise ValidationError(f"--domain/--box must be 'lo,hi' with lo < hi "
+                          f"and a finite hi - lo, got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +270,9 @@ def cmd_verify(args):
     traj = dynamics.load_trajectory_csv(args.traj, k=model.k, n=model.n)
     report = dynamics.verify_trajectory(ds, traj, tolerance=args.tol)
 
-    thresholds = {
-        "el_residual": args.el_tol,
-        "holonomy_defect": args.holonomy_tol,
-        "energy_drift": args.energy_tol,
-        "momenta_residual": args.momenta_tol,
-        "hamilton_q_residual": args.hamilton_tol,
-        "hamilton_p_residual": args.hamilton_tol,
-    }
+    thresholds = {field: getattr(args, f"{name}_tol")
+                  for name, _, fields, _ in _VERIFY_CHECKS
+                  for field in fields}
     values = report.to_dict()
     failed = [name for name, limit in thresholds.items()
               if values.get(name) is not None and not values[name] <= limit]
@@ -352,8 +363,7 @@ def cmd_action_check(args):
 
 
 def _point_entry(ds, up):
-    residuals, worst, tolerance = unified._constraint_check(ds, up)
-    on_constraint = worst <= tolerance
+    residuals, tolerance, on_constraint = unified._constraint_check(ds, up)
 
     section_p = float(unified.hamiltonian_section_p(ds, up))
     lifted = up if up.p_ext is not None else UnifiedPoint(
@@ -394,13 +404,10 @@ def cmd_unified_check(args):
 
     points = []
     if args.point is not None:
-        values = _parse_floats(args.point, "--point")
-        expected = 1 + 3 * k * n + (1 if args.extended else 0)
-        if len(values) != expected:
-            raise ValidationError(
-                f"--point needs {expected} values (t, {2 * k * n} jets, "
-                f"{k * n} momenta" + (", p)" if args.extended else ")")
-                + f", got {len(values)}")
+        values = _parse_floats(
+            args.point, "--point", 1 + 3 * k * n + (1 if args.extended else 0),
+            f" (t, {2 * k * n} jets, {k * n} momenta"
+            + (", p)" if args.extended else ")"))
         t = values[0]
         state = np.asarray(values[1:1 + 3 * k * n])
         p_ext = values[-1] if args.extended else None
@@ -500,23 +507,10 @@ def _build_parser():
     p.add_argument("--tol", type=float,
                    help="integrator tolerance used for the holonomy "
                         "verdict (default: none recorded in a CSV)")
-    p.add_argument("--el-tol", type=float, default=_VERIFY_DEFAULTS["el"],
-                   help="Euler-Lagrange residual threshold (default 1e-3)")
-    p.add_argument("--holonomy-tol", type=float,
-                   default=_VERIFY_DEFAULTS["holonomy"],
-                   help="holonomy defect threshold (default 1e-4)")
-    p.add_argument("--energy-tol", type=float,
-                   default=_VERIFY_DEFAULTS["energy"],
-                   help="energy drift threshold, autonomous systems only "
-                        "(default 1e-6)")
-    p.add_argument("--momenta-tol", type=float,
-                   default=_VERIFY_DEFAULTS["momenta"],
-                   help="momentum-equation residual threshold, unified "
-                        "trajectories only (default 1e-3)")
-    p.add_argument("--hamilton-tol", type=float,
-                   default=_VERIFY_DEFAULTS["hamilton"],
-                   help="Hamilton-form residual threshold, unified "
-                        "trajectories only (default 1e-3)")
+    for name, default, _, text in _VERIFY_CHECKS:
+        # argparse converts a string default with the option's type
+        p.add_argument(f"--{name}-tol", type=float, default=default,
+                       help=f"{text} (default {default})")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("action-check", parents=[common],

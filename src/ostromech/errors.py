@@ -75,8 +75,8 @@ class SingularHessianError(OstromechError):
 
 
 class SingularJacobianError(OstromechError):
-    """Newton's method hit a singular Jacobian while inverting the
-    Legendre-Ostrogradsky map."""
+    """The Hessian W, the Jacobian of the Legendre-Ostrogradsky map in
+    each level's top jet, is singular where the map is being inverted."""
 
 
 class ConvergenceError(OstromechError):

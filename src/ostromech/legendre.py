@@ -34,7 +34,7 @@ from .errors import (
     SingularJacobianError,
     ValidationError,
 )
-from .systems import JetPoint, SystemModel, jet_bindings
+from .systems import JetPoint, SystemModel, _bindings, jet_bindings
 
 __all__ = [
     "DerivedSystem", "derive",
@@ -291,23 +291,16 @@ class RegularityReport:
     seed: int = 0
 
     def to_dict(self):
-        worst = {ref.display(n_dofs=_worst_dofs(self.worst_point)): value
-                 for ref, value in self.worst_point.items()}
         return {
             "regular": self.regular,
             "min_abs_det": self.min_abs_det,
             "max_abs_det": self.max_abs_det,
             "max_condition": self.max_condition,
             "rank_at_worst_point": self.rank_at_worst,
-            "worst_point": worst,
+            "worst_point": self.worst_point,
             "samples": self.samples,
             "seed": self.seed,
         }
-
-
-def _worst_dofs(point):
-    dofs = [ref.dof for ref in point if ref.kind == "jet"]
-    return max(dofs) if dofs else 1
 
 
 def regularity_report(sys: SystemModel, domain=None, samples: int = 100,
@@ -316,8 +309,9 @@ def regularity_report(sys: SystemModel, domain=None, samples: int = 100,
 
     The system is regular on the box when W passes :func:`_regular_inverse`
     at every sample.  The worst point is the sample of largest kappa_1(W),
-    the first on ties; the |det W| range is descriptive only.  ``samples``
-    must be at least 1.
+    the first on ties, keyed by variable names as the system's n dofs
+    spell them; the |det W| range is descriptive only.  ``samples`` must be
+    at least 1.
     """
     if samples < 1:
         raise ValidationError(f"samples must be at least 1, got {samples}")
@@ -344,7 +338,9 @@ def regularity_report(sys: SystemModel, domain=None, samples: int = 100,
 
     return RegularityReport(
         regular=regular, min_abs_det=float(min_det), max_abs_det=float(max_det),
-        max_condition=max_condition, worst_point=worst_point,
+        max_condition=max_condition,
+        worst_point={ref.display(ds.n): value
+                     for ref, value in worst_point.items()},
         rank_at_worst=int(np.linalg.matrix_rank(worst_w)),
         samples=samples, seed=seed)
 
@@ -362,36 +358,23 @@ def legendre_map(ds: DerivedSystem, jp: JetPoint) -> np.ndarray:
     return _values(ds.momenta, jet_bindings(jp))
 
 
-def _momentum_jacobian_exprs(ds: DerivedSystem):
-    """d p^i_A / d q_j^B for the high jets j = k .. 2k-1 (cached)."""
-    cached = getattr(ds, "_momentum_jacobian", None)
-    if cached is not None:
-        return cached
-    k, n = ds.k, ds.n
-    rows = []
-    for a in range(n):
-        for i in range(k):
-            row = []
-            for b in range(n):
-                for j in range(k, 2 * k):
-                    row.append(ex.simplify(
-                        ex.diff(ds.momenta[a][i], ex.jet(b + 1, j))))
-            rows.append(row)
-    ds._momentum_jacobian = rows
-    return rows
-
-
 def legendre_inverse(ds: DerivedSystem, t: float, base_q, momenta,
                      guess=None, tol: float = 1e-10,
                      max_iterations: int = 50) -> np.ndarray:
     """Recover the high jets q_k .. q_{2k-1} from base jets and momenta.
 
-    Damped Newton iteration with step halving on the residual
-    ``legendre_map - momenta``; the Jacobian is evaluated from exact
-    symbolic partials.  Raises :class:`SingularJacobianError` when the
-    Jacobian cannot be inverted and :class:`ConvergenceError` when the
-    residual fails to fall below ``tol`` within ``max_iterations``.
-    Returns the high jets with shape (n, k).
+    The level r-1 momentum is affine in its top jet q_{2k-r} with
+    coefficient (-1)^(k-r) W, so W is the only Jacobian the inversion
+    needs, and the solve runs level by level.  A damped Newton iteration
+    with step halving solves p^{k-1} = dL/dq_k for q_k, seeded by
+    ``guess[:, 0]`` (zero without a guess; the rest of ``guess`` is not
+    used).  Each lower level r = k-1 .. 1 is then one linear solve,
+        q_{2k-r} = (-1)^(k-r) W^-1 (p^{r-1} - p^{r-1}|_{q_{2k-r}=0}).
+    W is tested by :func:`_regular_inverse` at every Newton iterate and
+    raises :class:`SingularJacobianError` where it is singular.  The
+    returned jets, of shape (n, k), reproduce ``momenta`` within ``tol``
+    at every level; otherwise, and when Newton has not reached ``tol``
+    after ``max_iterations`` steps, :class:`ConvergenceError` is raised.
     """
     k, n = ds.k, ds.n
     base_q = np.asarray(base_q, dtype=float)
@@ -400,41 +383,43 @@ def legendre_inverse(ds: DerivedSystem, t: float, base_q, momenta,
         raise DimensionError(f"base jets must have shape {(n, k)}")
     if target.shape != (n, k):
         raise DimensionError(f"momenta must have shape {(n, k)}")
-    high = (np.zeros((n, k)) if guess is None
-            else np.array(guess, dtype=float).reshape(n, k))
+    jets = np.hstack([base_q, np.zeros((n, k))])
+    if guess is not None:
+        jets[:, k] = np.array(guess, dtype=float).reshape(n, k)[:, 0]
 
-    jac_exprs = _momentum_jacobian_exprs(ds)
+    def residual(r):
+        # the level r-1 momenta at the current jets less their targets
+        return (_values([per_dof[r - 1] for per_dof in ds.momenta],
+                        _bindings(t, jets)) - target[:, r - 1])
 
-    def residual_of(high_jets):
-        jp = JetPoint(t, np.hstack([base_q, high_jets]))
-        return (legendre_map(ds, jp) - target).reshape(-1), jp
-
-    res, jp = residual_of(high)
-    for _ in range(max_iterations):
-        if np.max(np.abs(res)) <= tol:
-            return high
-        try:
-            step = np.linalg.solve(_values(jac_exprs, jet_bindings(jp)), -res)
-        except np.linalg.LinAlgError:
+    res = residual(k)
+    for iteration in range(max_iterations + 1):
+        inv = _regular_inverse(ds.hessian_value(_bindings(t, jets)))[0]
+        if inv is None:
             raise SingularJacobianError(
-                "Jacobian of the momentum map is singular; the system is "
-                "degenerate at this point") from None
+                "Hessian is singular, the momenta do not determine the jets")
+        worst = np.max(np.abs(res))
+        if worst <= tol or iteration == max_iterations:
+            break
         # damped update: halve the step until the residual improves
-        scale = 1.0
-        best = np.max(np.abs(res))
-        for _ in range(30):
-            trial = high + scale * step.reshape(n, k)
-            trial_res, trial_jp = residual_of(trial)
-            if np.max(np.abs(trial_res)) < best or scale < 1e-12:
-                high, res, jp = trial, trial_res, trial_jp
+        q_k, step = jets[:, k].copy(), inv @ res
+        for halving in range(30):
+            jets[:, k] = q_k - 0.5 ** halving * step
+            trial = residual(k)
+            if np.max(np.abs(trial)) < worst:
+                res = trial
                 break
-            scale *= 0.5
         else:
             raise ConvergenceError(
                 "Newton step failed to reduce the momentum residual")
-    if np.max(np.abs(res)) <= tol:
-        return high
-    raise ConvergenceError(
-        f"momentum inversion did not reach residual {tol} in "
-        f"{max_iterations} iterations (final residual "
-        f"{np.max(np.abs(res)):.3e})")
+
+    # W involves jets up to order k only, so inv serves every lower level,
+    # whose top jet is still zero when its residual is taken
+    for r in range(k - 1, 0, -1):
+        jets[:, 2 * k - r] = (-1) ** (k - r) * inv @ -residual(r)
+    worst = np.max(np.abs(_values(ds.momenta, _bindings(t, jets)) - target))
+    if not worst <= tol:
+        raise ConvergenceError(
+            f"momentum inversion did not reach residual {tol} in "
+            f"{max_iterations} iterations (final residual {worst:.3e})")
+    return jets[:, k:].copy()

@@ -190,13 +190,21 @@ def constraint_residuals(ds: DerivedSystem, up: UnifiedPoint):
     return [residuals[:, i] for i in range(ds.k - 1, -1, -1)]
 
 
-def _constraint_check(ds: DerivedSystem, up: UnifiedPoint):
-    """Constraint residuals of a point, their worst absolute value and the
-    tolerance it is held to: the point is on the constraint manifold when
-    ``worst <= tolerance``."""
+def _constraint_check(ds: DerivedSystem, up: UnifiedPoint, require=None):
+    """The one membership test of the constraint manifold: the constraint
+    residuals of a point, the tolerance their worst absolute value is held
+    to and the verdict, on the manifold only when ``worst <= tolerance``
+    and both are finite.  With ``require``, the name of the point in the
+    message, a point off the manifold raises :class:`OffConstraintError`."""
     residuals = constraint_residuals(ds, up)
-    worst = max(float(np.max(np.abs(r))) for r in residuals)
-    return residuals, worst, constraint_tolerance(up)
+    worst = float(np.max(np.abs(residuals)))
+    tolerance = constraint_tolerance(up)
+    on = bool(np.isfinite(tolerance) and worst <= tolerance)
+    if require and not on:
+        raise OffConstraintError(
+            f"{require} violates the momentum constraints (residual "
+            f"{worst:.3e} > tolerance {tolerance:.3e})", residuals=residuals)
+    return residuals, tolerance, on
 
 
 def explicit_semispray(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
@@ -293,13 +301,8 @@ def solve_unified_vf(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
     :class:`SingularHessianError` when the Hessian is singular at the
     point, in which case no numeric answer is produced.
     """
-    _check_point(ds, up)
+    _constraint_check(ds, up, require="point")
     k, n = ds.k, ds.n
-    residuals, worst, tol = _constraint_check(ds, up)
-    if worst > tol:
-        raise OffConstraintError(
-            f"point violates the momentum constraints (residual {worst:.3e} "
-            f"> tolerance {tol:.3e})", residuals=residuals)
 
     env = unified_bindings(up)
     w = ds.hessian_value(env)

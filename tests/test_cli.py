@@ -624,3 +624,22 @@ def test_installed_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["system"] == "harmonic"
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--domain=1,2,3"],
+    ["unified-check", "--point", "nan,1,0,0"],
+    ["unified-check", "--point", "0,inf,0,0"],
+    ["simulate", "--init", "nan,0", "--t-end", "1", "--method", "rk4",
+     "--step", "0.1"],
+    ["simulate", "--init", "nan,0", "--t-end", "1"],
+    ["simulate", "--unified", "--init", "1,0,nan", "--t-end", "1",
+     "--method", "rk4", "--step", "0.1"],
+    ["simulate", "--init", "1,0", "--t-end", "1", "--method", "rk4",
+     "--step", "nan"],
+])
+def test_non_finite_or_extra_numbers_are_usage_errors(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, "harmonic")
+    code, out, err = run_cli(capsys, [argv[0], spec, *argv[1:]])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -329,3 +329,54 @@ def test_legendre_inverse_errors(degenerate, pu):
     np.testing.assert_allclose(got, [[1.0, 0.0]])
     with pytest.raises(om.DimensionError):
         om.legendre_inverse(pu, 0.0, [[0.0]], [[0.0, 1.0]])
+
+
+# W = diag(1, 1e-12): kappa_1(W) = 1e12 is past the one regularity test
+STIFF_PAIR = {"name": "stiff-pair", "order": 1, "dofs": 2,
+              "lagrangian": "1/2*q1_1^2 + 1/2*0.000000000001*q1_2^2"
+                            " - 1/2*q0_1^2 - 1/2*q0_2^2"}
+
+
+def test_legendre_inverse_shares_the_regularity_test():
+    ds = om.derive(om.build_system(STIFF_PAIR))
+    jp = om.JetPoint(0.0, [[0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(om.SingularHessianError):
+        om.lagrangian_rhs(ds, 0.0, jp.to_state())
+    with pytest.raises(om.SingularJacobianError):
+        om.legendre_inverse(ds, 0.0, jp.q[:, :1], om.legendre_map(ds, jp))
+
+
+INVERSE_DOCS = [
+    {"name": "nl3", "order": 3, "dofs": 3,
+     "lagrangian": "1/2*(1 + q0_2^2)*q3_1^2 + 1/2*q3_2^2"
+                   " + 1/2*q3_3^2*(1 + 1/10*q1_1^2) + 1/5*q3_1*q3_2"
+                   " - q0_1^2*q2_3 + cos(q1_2)*q2_1*q0_3"},
+    {"name": "order4", "order": 4, "dofs": 2,
+     "lagrangian": "1/2*q4_1^2 + 1/2*(1 + 1/4*q0_1^2)*q4_2^2"
+                   " + 1/3*q4_1*q3_2 - q1_1^2*q2_2 - 1/2*q0_1^2 - 1/2*q0_2^2"},
+    {"name": "driven-beam", "order": 2, "dofs": 1, "autonomous": False,
+     "lagrangian": "1/2*(1 + 1/4*t^2)*q2^2 + sin(t)*q1*q2 - 1/2*q0^2"},
+]
+
+
+@pytest.mark.parametrize("doc", INVERSE_DOCS, ids=lambda doc: doc["name"])
+def test_legendre_inverse_round_trip_levels(doc):
+    ds = om.derive(om.build_system(doc))
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        t = float(rng.uniform(-1, 1))
+        base = rng.uniform(-1, 1, size=(ds.n, ds.k))
+        high = rng.uniform(-1, 1, size=(ds.n, ds.k))
+        p = om.legendre_map(ds, om.JetPoint(t, np.hstack([base, high])))
+        np.testing.assert_allclose(om.legendre_inverse(ds, t, base, p), high,
+                                   atol=1e-9)
+
+
+def test_worst_point_named_with_the_system_dofs(tmp_path):
+    # only q0_1 enters W, yet the system has two dofs
+    ds = om.derive(om.build_system({
+        "name": "two-dof", "order": 2, "dofs": 2,
+        "lagrangian": "1/2*q2_1^2*(1 + q0_1^2) + 1/2*q2_2^2"
+                      " - 1/2*q0_1^2 - 1/2*q0_2^2"}))
+    worst = om.regularity_report(ds, samples=5).to_dict()["worst_point"]
+    assert list(worst) == ["q0_1"]

@@ -245,3 +245,16 @@ def test_field_compiles_once_per_system(tmp_path, capsys, monkeypatch):
     om.explicit_semispray(ds, pu_point(0.5))
     assert names == ["pais-uhlenbeck"]
     assert unified._unified_field(ds) is unified._unified_field(ds)
+
+
+@pytest.mark.parametrize("momentum", [np.nan, np.inf])
+def test_non_finite_momentum_is_off_constraint(harmonic, momentum):
+    # a NaN residual and an infinite tolerance used to pass a point
+    bad = om.UnifiedPoint(om.JetPoint(0.0, [[1.0, 0.0]]), [[momentum]])
+    with pytest.raises(om.OffConstraintError):
+        om.solve_unified_vf(harmonic, bad)
+    with pytest.raises(om.OffConstraintError):
+        om.integrate_unified(harmonic, bad, 1.0, method="rk4", step=0.1)
+    with np.errstate(invalid="ignore"):
+        entry = cli._point_entry(harmonic, bad)
+    assert entry["on_constraint"] is False and entry["solved_field"] is None

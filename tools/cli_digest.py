@@ -120,6 +120,13 @@ def _runs(work: Path):
            "--box=-inf,inf"], None
     yield ["derive", "harmonic.json", "--domain=2,1"], None
 
+    # option values hold exactly their count of finite numbers
+    yield ["derive", "harmonic.json", "--domain=1,2,3"], None
+    yield ["unified-check", "harmonic.json", "--point", "nan,1,0,0"], None
+    yield ["simulate", "harmonic.json", "--init", "nan,0", "--t-end", "1",
+           "--method", "rk4", "--step", "0.1"], None
+    yield ["simulate", "harmonic.json", "--init", "nan,0", "--t-end", "1"], None
+
 
 def main() -> int:
     sys.path.insert(0, str(SRC))
