@@ -54,10 +54,11 @@ class Trajectory:
     """Sampled states on a strictly increasing time grid.
 
     ``layout`` is ``"jet"`` (states are flattened jets) or ``"unified"``
-    (momenta appended).  ``meta`` records the integrator and its
-    tolerances; ``meta["tolerance"]`` is the scalar used by downstream
-    tolerance-relative checks (max of atol and rtol for the adaptive
-    method, the fourth power of the step for fixed-step RK4).
+    (momenta appended).  ``meta`` records the integrator, its tolerances
+    and its counters ``rhs_calls``, ``smallest_step`` and ``largest_step``
+    (over accepted steps); ``meta["tolerance"]`` is the scalar used by
+    downstream tolerance-relative checks (max of atol and rtol for the
+    adaptive method, the fourth power of the step for fixed-step RK4).
     """
 
     grid: np.ndarray
@@ -122,19 +123,20 @@ def lagrangian_rhs(ds: DerivedSystem, t: float, state) -> np.ndarray:
 # integrators
 # ---------------------------------------------------------------------------
 
-# Runge-Kutta-Fehlberg 4(5) tableau
+# Runge-Kutta-Fehlberg 4(5) tableau, the rows of A and the b as arrays
 _RKF_C = (0.0, 0.25, 3.0 / 8.0, 12.0 / 13.0, 1.0, 0.5)
-_RKF_A = (
+_RKF_A = tuple(np.array(row) for row in (
     (),
     (0.25,),
     (3.0 / 32.0, 9.0 / 32.0),
     (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
     (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
     (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
-)
-_RKF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0,
-           -9.0 / 50.0, 2.0 / 55.0)
-_RKF_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -0.2, 0.0)
+))
+_RKF_B5 = np.array((16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0,
+                    -9.0 / 50.0, 2.0 / 55.0))
+_RKF_B4 = np.array((25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0,
+                    -0.2, 0.0))
 
 
 def _run_rk4(f, t0, y0, t_end, step, max_steps):
@@ -163,18 +165,24 @@ def _run_rk4(f, t0, y0, t_end, step, max_steps):
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[j + 1] = y
     meta = {"method": "rk4", "step": h, "steps": nsteps, "rejected": 0,
+            "rhs_calls": 4 * nsteps, "smallest_step": h, "largest_step": h,
             "tolerance": h ** 4}
     return grid, states, meta
 
 
 def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, max_steps):
+    """Adaptive RKF 4(5) steps from (t0, y0) to t_end.  The stages of a
+    step fill the rows of one array, and each stage input and both
+    solutions are one coefficient row times them (``row @ stages[:s]``),
+    zero coefficients included, so a non-finite stage rejects the step."""
     t = t0
     y = np.array(y0, dtype=float)
     grid = [t]
     states = [y.copy()]
     h = min((t_end - t0) / 100.0, max_step)
     accepted = rejected = 0
-    stages = [None] * 6
+    smallest, largest = np.inf, 0.0
+    stages = np.empty((6, y.size))
     stretch = 1.3
     while t < t_end:
         h = min(h, max_step)
@@ -194,14 +202,13 @@ def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, max_steps):
         try:
             stages[0] = f(t, y)
             for s in range(1, 6):
-                ys = y + h * sum(c * stages[j]
-                                 for j, c in enumerate(_RKF_A[s]))
-                stages[s] = f(t + _RKF_C[s] * h, ys)
+                stages[s] = f(t + _RKF_C[s] * h,
+                              y + h * (_RKF_A[s] @ stages[:s]))
         except SingularHessianError as err:
             err.last_good_time = t
             raise
-        y5 = y + h * sum(b * ks for b, ks in zip(_RKF_B5, stages) if b)
-        y4 = y + h * sum(b * ks for b, ks in zip(_RKF_B4, stages) if b)
+        y5 = y + h * (_RKF_B5 @ stages)
+        y4 = y + h * (_RKF_B4 @ stages)
         err = np.abs(y5 - y4)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         ratio = float(np.max(err / scale))
@@ -211,6 +218,7 @@ def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, max_steps):
             grid.append(t)
             states.append(y.copy())
             accepted += 1
+            smallest, largest = min(smallest, h), max(largest, h)
             stretch = 1.3
         else:
             rejected += 1
@@ -224,7 +232,9 @@ def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, max_steps):
         h *= min(5.0, max(0.2, factor))
     meta = {"method": "rk45", "rtol": rtol, "atol": atol,
             "steps": accepted, "rejected": rejected,
-            "max_step": max_step, "tolerance": max(rtol, atol)}
+            "rhs_calls": 6 * (accepted + rejected), "smallest_step": smallest,
+            "largest_step": largest, "max_step": max_step,
+            "tolerance": max(rtol, atol)}
     return np.array(grid), np.array(states), meta
 
 

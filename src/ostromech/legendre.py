@@ -21,6 +21,7 @@ live on jets of order at most 2k-1 and el on jets of order at most 2k.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -275,6 +276,50 @@ def _regular_inverse(w: np.ndarray):
     condition = float(np.abs(w).sum(axis=0).max()
                       * np.abs(inv).sum(axis=0).max())
     return (None if condition * _SINGULAR_RTOL >= 1.0 else inv), condition
+
+
+@functools.cache
+def _top_jet_solver(n: int):
+    """The top-jet solve of n <= 3 dofs, straight-line code generated once
+    per n: ``solve(values, sign)`` takes the kernel's floats, the n^2
+    Hessian entries row by row then the n reduced Euler-Lagrange values,
+    and returns the jets ``sign * (W^-1 @ -reduced)`` with
+    W^-1 = adj(W) / det W, or None to leave W to
+    :meth:`DerivedSystem._solve_top_jets`.  It does so unless det W is
+    finite and nonzero and kappa_1(W) * _SINGULAR_RTOL < 0.999, so every
+    singular verdict and NaN outcome is still that of
+    :func:`_regular_inverse`; the adjugate's kappa_1 is off by about
+    n kappa_1 eps, some 1e-6 relative at 1e9, so no verdict changes."""
+    def minor(rows, cols):
+        # the determinant of W on rows x cols, along its first row, as text
+        return " ".join(
+            ("- " if pos % 2 else "+ " if pos else "") + f"w{rows[0]}{c}"
+            + (f" * ({minor(rows[1:], cols[:pos] + cols[pos + 1:])})"
+               if len(rows) > 1 else "")
+            for pos, c in enumerate(cols)) or "1.0"
+
+    idx = range(n)
+    pairs = list(itertools.product(idx, idx))
+    source = "\n    ".join([
+        "def solve(values, sign):",
+        "".join(f"w{i}{j}, " for i, j in pairs)
+        + "".join(f"r{i}, " for i in idx) + f"= values[:{n * n + n}]",
+        *(f"c{i}{j} = {'-' if (i + j) % 2 else ''}("
+          f"{minor([r for r in idx if r != i], [c for c in idx if c != j])})"
+          for i, j in pairs),
+        "det = " + " + ".join(f"w0{j} * c0{j}" for j in idx),
+        "if not 0.0 < abs(det) < _INF: return None",
+        *(f"i{i}{j} = c{j}{i} / det" for i, j in pairs),
+        # kappa_1: the largest column sum of |W| times that of |W^-1|
+        "kappa = " + " * ".join("max((" + "".join(" + ".join(
+            f"abs({m}{i}{j})" for i in idx) + ", " for j in idx) + "))"
+            for m in "wi"),
+        "if not kappa * _RTOL < 0.999: return None",
+        "return (" + "".join("sign * (" + " + ".join(
+            f"i{i}{j} * -r{j}" for j in idx) + "), " for i in idx) + ")"])
+    namespace = {"_INF": np.inf, "_RTOL": _SINGULAR_RTOL}
+    exec(compile(source, f"<top-jet solve n={n}>", "exec"), namespace)
+    return namespace["solve"]
 
 
 @dataclass

@@ -45,7 +45,8 @@ from .errors import (
     SingularHessianError,
     ValidationError,
 )
-from .legendre import DerivedSystem, _regular_inverse, _values
+from .legendre import (
+    DerivedSystem, _regular_inverse, _top_jet_solver, _values)
 from .systems import UnifiedPoint, _coordinates, _index, unified_bindings
 
 __all__ = [
@@ -235,11 +236,15 @@ def _unified_field(ds: DerivedSystem):
     The Hessian, the reduced Euler-Lagrange values and the partials
     dL/dq_i (i < k) come from one kernel over (t, jets) built by
     :func:`expressions.compile_kernel` on first use; the field is cached
-    on ``ds``, so a system compiles once.  Where the kernel raises (a
-    domain error, or ``**`` overflowing on Python floats), the call
-    solves with :meth:`DerivedSystem.acceleration` and, for a unified
-    state, tree-walks the partials, and so returns the tree walker's
-    values or raises its exact :class:`DomainEvalError`.
+    on ``ds``, so a system compiles once.  For n <= 3 the top jets come
+    from the straight-line solve :func:`legendre._top_jet_solver` on the
+    kernel's floats; it leaves every doubtful W, and above n = 3 every W,
+    to :meth:`DerivedSystem._solve_top_jets` and its one regularity test.
+    Where the kernel raises (a domain error, or ``**`` overflowing on
+    Python floats), the call solves with
+    :meth:`DerivedSystem.acceleration` and, for a unified state,
+    tree-walks the partials, and so returns the tree walker's values or
+    raises its exact :class:`DomainEvalError`.
     """
     cached = getattr(ds, "_unified_field", None)
     if cached is not None:
@@ -252,6 +257,9 @@ def _unified_field(ds: DerivedSystem):
              + [g for row in ds.lagrangian_partials for g in row[:k]])
     kernel = ex.compile_kernel(exprs, coords[:jets + 1], name=ds.model.name)
 
+    solve = _top_jet_solver(n) if n <= 3 else None
+    sign = -1.0 if k % 2 else 1.0
+
     def field(t, y):
         try:
             values = kernel(t, *y[:jets].tolist())
@@ -259,9 +267,11 @@ def _unified_field(ds: DerivedSystem):
             values = None
             env = dict(zip(coords, (t, *y)))
         try:
-            accel = (ds.acceleration(env) if values is None else
-                     ds._solve_top_jets(np.array(values[:nn]).reshape(n, n),
-                                        values[nn:nn + n], t))
+            if values is None:
+                accel = ds.acceleration(env)
+            elif not solve or (accel := solve(values, sign)) is None:
+                accel = ds._solve_top_jets(
+                    np.array(values[:nn]).reshape(n, n), values[nn:nn + n], t)
         except SingularHessianError as err:
             err.state = np.array(y)
             raise

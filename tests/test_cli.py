@@ -7,6 +7,7 @@ import logging
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,21 @@ def test_simulate_unified_summary(tmp_path, capsys):
     assert report["max_constraint_residual"] < 1e-7
     assert report["constraint_drift_warning"] is False
     assert report["verification"]["hamilton_q_residual"] is not None
+
+
+@pytest.mark.parametrize("method", [[], ["--method", "rk4", "--step", "0.1"]])
+def test_simulate_summary_prints_the_counters(tmp_path, capsys, method):
+    spec = write_spec(tmp_path, "harmonic")
+    report = run_json(capsys, ["simulate", spec, "--init", "1,0",
+                               "--t-end", "1.45", *method])
+    keys = list(report)
+    at = keys.index("rejected")
+    assert keys[at + 1:at + 4] == ["rhs_calls", "smallest_step",
+                                   "largest_step"]
+    per_step = 4 if method else 6
+    assert report["rhs_calls"] == per_step * (report["steps"]
+                                              + report["rejected"])
+    assert 0 < report["smallest_step"] <= report["largest_step"]
 
 
 def test_simulate_unified_rejects_off_constraint(tmp_path, capsys):
@@ -512,6 +528,26 @@ def test_unified_check_off_constraint_point(tmp_path, capsys):
     assert entry["on_constraint"] is False
     assert entry["solved_field"] is None
     assert entry["kernel_residual"] > 0.1
+
+
+def test_unified_check_fails_an_overflowing_point(tmp_path, capsys):
+    # 1e200^2 overflows: the fields say inf, and the run fails without a
+    # raw numpy warning
+    spec = write_spec(tmp_path, "harmonic")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, [
+            "unified-check", spec, "--point", "0,1e200,0,0"])
+    assert code == 1 and caught == []
+    assert "RuntimeWarning" not in err
+    assert err == ("warning: point 0 has non-finite hamiltonian, section_p, "
+                   "coupling\n")
+    report = json.loads(out)
+    assert report["all_on_constraint"] is True
+    entry = report["points"][0]
+    assert entry["hamiltonian"] == "inf" and entry["coupling"] == "-inf"
+    assert list(entry) == list(run_json(capsys, [
+        "unified-check", spec, "--point", "0,1,0,0"])["points"][0])
 
 
 def test_unified_check_wrong_point_length(tmp_path, capsys):

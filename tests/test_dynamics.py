@@ -1,12 +1,14 @@
 """Integration, energy, finite differences, verification, trajectory files."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ostromech as om
-from ostromech import dynamics
+from ostromech import dynamics, unified
 
 from conftest import cos_jet, derived
 
@@ -54,6 +56,87 @@ def test_rk45_final_step_respects_max_step(harmonic):
                         max_step=0.1)
     assert np.max(np.diff(traj.grid)) <= 0.1 * (1 + 1e-9)
     assert traj.grid[-1] == 1.3083
+
+
+@pytest.mark.parametrize("method, step", [("rk45", None), ("rk4", 0.1)])
+def test_integrator_counters(harmonic, method, step):
+    # on [0, 1.45] rk45 rejects its stretched final step
+    field = unified._unified_field(harmonic)
+    calls = []
+
+    def counting(t, y):
+        calls.append(t)
+        return field(t, y)
+
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        grid, states, meta = dynamics._integrate(
+            counting, 0.0, np.array([1.0, 0.0]), 1.45, method, step,
+            1e-9, 1e-9, np.inf, 1000)
+        per_step = 6 if method == "rk45" else 4
+        assert meta["rhs_calls"] == len(calls) == per_step * (
+            meta["steps"] + meta["rejected"])
+        steps = np.diff(grid)
+        assert meta["smallest_step"] == pytest.approx(steps.min(), rel=1e-12)
+        assert meta["largest_step"] == pytest.approx(steps.max(), rel=1e-12)
+        runs.append((grid.tobytes(), states.tobytes(), meta))
+    assert runs[0] == runs[1]
+    assert (meta["rejected"] >= 1) == (method == "rk45")
+
+
+@pytest.mark.parametrize("stage", range(6))
+def test_rk45_rejects_a_step_with_a_non_finite_stage(stage):
+    # stage 1 has weight zero in both solutions, stage 5 in the embedded one
+    calls = []
+
+    def decay(t, y):
+        calls.append(t)
+        return np.full_like(y, np.inf) if len(calls) == stage + 1 else -y
+
+    with np.errstate(invalid="ignore"):
+        grid, states, meta = dynamics._integrate(
+            decay, 0.0, np.array([1.0]), 1.0, "rk45", None, 1e-9, 1e-9,
+            np.inf, 1000)
+    # the first try, h = 0.01, is rejected and the step shrinks fivefold
+    assert meta["rejected"] >= 1 and grid[1] == pytest.approx(0.002)
+    assert np.all(np.isfinite(states))
+    assert states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-8)
+
+
+def test_coupled_mass_straight_line_solve_matches_the_inversion(monkeypatch):
+    # the demo's dense W goes through the adjugate; a run forced through
+    # _regular_inverse gives the same trajectories to rounding
+    path = Path(__file__).resolve().parent.parent / "demos" / "systems"
+    doc = json.loads((path / "coupled_mass.json").read_text())
+    init = om.JetPoint(0.0, [[0.3, 0.4], [0.5, 0.6], [0.7, 0.8]])
+    solved = []
+    solve_top_jets = om.DerivedSystem._solve_top_jets
+
+    def counting(self, w, reduced, time):
+        solved.append(time)
+        return solve_top_jets(self, w, reduced, time)
+
+    monkeypatch.setattr(om.DerivedSystem, "_solve_top_jets", counting)
+
+    # the step cap holds every step at 0.02, so both runs share one grid;
+    # uncapped, the controller turns the last-bit changes of the error
+    # estimate into grid shifts of some 1e-9, and the states follow
+    def runs():
+        ds = om.derive(om.build_system(doc))
+        start = om.UnifiedPoint(init, om.legendre_map(ds, init))
+        return [om.integrate(ds, init, 2.0, max_step=0.02),
+                om.integrate_unified(ds, start, 2.0, max_step=0.02)]
+
+    fast = runs()
+    assert solved == []
+    monkeypatch.setattr(unified, "_top_jet_solver", lambda n: None)
+    forced = runs()
+    assert len(solved) == sum(t.meta["rhs_calls"] for t in forced)
+    for got, want in zip(fast, forced):
+        assert got.grid.tobytes() == want.grid.tobytes()
+        assert (np.max(np.abs(got.states - want.states))
+                <= 1e-12 * np.max(np.abs(want.states)))
 
 
 def test_driven_tracks_exact_solution(driven):

@@ -270,6 +270,35 @@ def test_regularity_test_nan_is_not_singular():
     assert inv is not None and np.isnan(condition)
 
 
+def _dense_w(rng, n, kappa):
+    """A dense n x n matrix of random scale whose 2-norm condition number
+    is kappa (1 for n = 1)."""
+    u = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    s = np.geomspace(1.0, 1.0 / kappa, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return (u * s) @ v.T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_straight_line_top_jets_match_the_solve(n, harmonic, pu):
+    """Over dense W with kappa_1 from 1 to 1e8, the adjugate solve accepts
+    W and agrees with the inversion route to 1e-12 kappa_1 relative, for
+    odd and even k."""
+    rng = np.random.default_rng(n)
+    solve = legendre._top_jet_solver(n)
+    for _ in range(500):
+        w = _dense_w(rng, n, 10.0 ** rng.uniform(0.0, 8.0))
+        reduced = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        condition = legendre._regular_inverse(w)[1]
+        for ds in (harmonic, pu):
+            got = solve([*w.ravel().tolist(), *reduced.tolist()],
+                        -1.0 if ds.k % 2 else 1.0)
+            want = ds._solve_top_jets(w, reduced, 0.0)
+            assert got is not None
+            assert (np.max(np.abs(np.subtract(got, want)))
+                    <= 1e-12 * condition * np.max(np.abs(want)))
+
+
 def test_rank_deficient_hessian_refused_by_dynamics():
     model = om.build_system({"name": "sum", "order": 1, "dofs": 2,
                              "lagrangian": "1/2*(q1_1 + q1_2)^2"})

@@ -225,6 +225,62 @@ def test_field_falls_back_through_acceleration(monkeypatch):
     assert ydot[2] == -np.inf
 
 
+# W = [[q0_1, q0_1 q0_2], [q0_1 q0_2, q0_2]], dense at q0 = (1 - d, 1),
+# where kappa_1(W) = (2 - d)^2 / ((1 - d) d)
+PINCHED = {"name": "pinched", "order": 1, "dofs": 2,
+           "lagrangian": "1/2*q0_1*q1_1^2 + q0_1*q0_2*q1_1*q1_2"
+                         " + 1/2*q0_2*q1_2^2"}
+
+
+def _pinched_at(kappa):
+    """q0_1 = 1 - d with kappa_1(W) = kappa, the small root of
+    (kappa + 1) d^2 - (kappa + 4) d + 4 = 0."""
+    b = kappa + 4.0
+    return 1.0 - 8.0 / (b + np.sqrt(b * b - 16.0 * (kappa + 1.0)))
+
+
+def test_pinched_hessian_has_the_asked_condition():
+    for kappa in (1e9 * (1 - 1e-4), 1e9 * (1 + 1e-4)):
+        x = _pinched_at(kappa)
+        w = np.array([[x, x], [x, 1.0]])
+        assert om.legendre._regular_inverse(w)[1] == pytest.approx(
+            kappa, rel=1e-6)
+
+
+def _field_outcome(ds, y):
+    try:
+        return unified._unified_field(ds)(0.0, np.array(y)).tobytes()
+    except om.SingularHessianError as err:
+        return "singular", err.state.tobytes()
+
+
+@pytest.mark.parametrize("q0, verdict", [
+    ((_pinched_at(1e9 * (1 - 1e-4)), 1.0), "regular"),
+    ((_pinched_at(1e9 * (1 + 1e-4)), 1.0), "singular"),
+    ((0.0, 0.0), "singular"),
+    ((np.nan, 1.0), "nan"),
+    ((np.inf, 1.0), "nan"),
+])
+def test_straight_line_solve_leaves_doubtful_w_to_the_one_test(
+        monkeypatch, q0, verdict):
+    # the adjugate declines W, and the field gives the outcome of the
+    # inversion route: the same jets, or the same error and state
+    (x, z), y = q0, [q0[0], 0.5, q0[1], -0.5]
+    w = [x, x * z, x * z, z]
+    assert om.legendre._top_jet_solver(2)([*w, 1.0, 1.0], 1.0) is None
+    with np.errstate(all="ignore"):
+        fast = _field_outcome(om.derive(om.build_system(PINCHED)), y)
+        monkeypatch.setattr(unified, "_top_jet_solver", lambda n: None)
+        forced = _field_outcome(om.derive(om.build_system(PINCHED)), y)
+    assert fast == forced
+    if verdict == "singular":
+        assert fast == ("singular", np.array(y).tobytes())
+    else:
+        jets = np.frombuffer(fast)[1::2]
+        assert np.all(np.isnan(jets) if verdict == "nan"
+                      else np.isfinite(jets))
+
+
 def test_field_compiles_once_per_system(tmp_path, capsys, monkeypatch):
     names = []
     compile_kernel = ex.compile_kernel

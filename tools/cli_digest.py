@@ -123,6 +123,8 @@ def _runs(work: Path):
     # option values hold exactly their count of finite numbers
     yield ["derive", "harmonic.json", "--domain=1,2,3"], None
     yield ["unified-check", "harmonic.json", "--point", "nan,1,0,0"], None
+    # a finite point whose evaluation overflows fails, with no numpy warning
+    yield ["unified-check", "harmonic.json", "--point", "0,1e200,0,0"], None
     yield ["simulate", "harmonic.json", "--init", "nan,0", "--t-end", "1",
            "--method", "rk4", "--step", "0.1"], None
     yield ["simulate", "harmonic.json", "--init", "nan,0", "--t-end", "1"], None
