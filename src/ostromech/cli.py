@@ -12,8 +12,10 @@ warn, info, debug) controls diagnostic verbosity on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
+import math
 import os
 import sys
 
@@ -91,7 +93,7 @@ def _jsonable(value):
         return [_jsonable(item) for item in value.tolist()]
     if isinstance(value, (np.floating, float)):
         value = float(value)
-        return value if np.isfinite(value) else repr(value)
+        return value if math.isfinite(value) else repr(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.bool_,)):
@@ -366,9 +368,11 @@ def cmd_action_check(args):
 
 
 def _point_entry(ds, up):
-    residuals, tolerance, on_constraint = unified._constraint_check(ds, up)
+    # one evaluation of the point serves every check below
+    values = unified._PointValues.compiled(ds, up)
+    residuals, tolerance, on_constraint = unified._constraint_check(values)
 
-    section_p = float(unified.hamiltonian_section_p(ds, up))
+    section_p = float(-values.hamiltonian)
     lifted = up if up.p_ext is not None else UnifiedPoint(
         up.jet, up.momenta, p_ext=section_p)
 
@@ -381,16 +385,16 @@ def _point_entry(ds, up):
         "section_p": section_p,
         "coupling": unified.coupling(lifted),
     }
-    explicit = unified.explicit_semispray(ds, up)
+    explicit = values.explicit
     entry["explicit_field"] = list(explicit.components)
     entry["solved_field"] = None
     field = explicit
     if on_constraint:
-        field = unified.solve_unified_vf(ds, up)
+        field = unified._solve_unified_vf(values)
         entry["solved_field"] = list(field.components)
         entry["max_field_difference"] = float(
             np.max(np.abs(field.components - explicit.components)))
-    kernel = unified.kernel_check(ds, up, field)
+    kernel = unified._kernel_check(values, field)
     entry["kernel_residual"] = kernel.residual
     entry["transversality"] = kernel.transversality
     if on_constraint:
@@ -421,7 +425,7 @@ def cmd_unified_check(args):
         for _ in range(args.random):
             t = float(rng.uniform(*box))
             jets = rng.uniform(box[0], box[1], size=(n, 2 * k))
-            momenta = legendre.legendre_map(ds, JetPoint(t, jets))
+            momenta = legendre._compiled_legendre_map(ds, JetPoint(t, jets))
             points.append(UnifiedPoint(JetPoint(t, jets), momenta))
 
     # a finite point may still overflow, and inf - inf is NaN; the
@@ -459,7 +463,9 @@ def cmd_unified_check(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42,
                         help="seed for every random draw (default 42)")

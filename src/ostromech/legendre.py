@@ -35,7 +35,8 @@ from .errors import (
     SingularJacobianError,
     ValidationError,
 )
-from .systems import JetPoint, SystemModel, _bindings, jet_bindings
+from .systems import (
+    JetPoint, SystemModel, _bindings, _coordinates, jet_bindings)
 
 __all__ = [
     "DerivedSystem", "derive",
@@ -196,6 +197,7 @@ class DerivedSystem:
         # el with the top jet removed: el_a = (-1)^k W_ab q_{2k}^b + reduced_a
         top = {ex.jet(b, 2 * k): 0.0 for b in range(1, n + 1)}
         self.el_reduced = [ex.simplify(ex.substitute(e, top)) for e in self.el]
+        self._kernels = {}
 
     # -- numeric helpers ----------------------------------------------------
 
@@ -206,6 +208,20 @@ class DerivedSystem:
     @property
     def n(self):
         return self.model.n
+
+    def _kernel(self, use, family, coords):
+        """The compiled kernel of ``use``, built on first use by
+        :func:`expressions.compile_kernel` from the expressions
+        ``family()`` over ``coords`` and then cached on the system, so a
+        system compiles each kernel once.  The debug line of the build
+        names the system, followed by ``use`` except for the unified
+        field's kernel."""
+        kernel = self._kernels.get(use)
+        if kernel is None:
+            name = self.model.name + ("" if use == "field" else f" {use}")
+            kernel = self._kernels[use] = ex.compile_kernel(
+                family(), coords, name=name)
+        return kernel
 
     def lagrangian_value(self, env) -> float:
         return self.model.lagrangian.evaluate(env)
@@ -401,6 +417,22 @@ def legendre_map(ds: DerivedSystem, jp: JetPoint) -> np.ndarray:
         raise DimensionError(
             f"jet point must carry {n} dofs and orders up to {2 * k - 1}")
     return _values(ds.momenta, jet_bindings(jp))
+
+
+def _compiled_legendre_map(ds: DerivedSystem, jp: JetPoint) -> np.ndarray:
+    """:func:`legendre_map` of a jet point of orders 0 .. 2k-1, by the
+    system's compiled momenta kernel over (t, jets); where the kernel
+    raises, by :func:`legendre_map` itself, whose values or
+    :class:`DomainEvalError` are then the answer."""
+    k, n = ds.k, ds.n
+    kernel = ds._kernel(
+        "momenta", lambda: [p for per_dof in ds.momenta for p in per_dof],
+        _coordinates(n, 2 * k, 0))
+    try:
+        values = kernel(jp.t, *jp.q.reshape(-1).tolist())
+    except (ArithmeticError, ValueError, TypeError):
+        return legendre_map(ds, jp)
+    return np.array(values).reshape(n, k)
 
 
 def legendre_inverse(ds: DerivedSystem, t: float, base_q, momenta,

@@ -34,6 +34,7 @@ integrators.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -74,6 +75,111 @@ def _check_point(ds: DerivedSystem, up: UnifiedPoint):
             f"point does not match the system: expected jets {(n, 2 * k)} "
             f"and momenta {(n, k)}, got jets {up.jet.q.shape} and momenta "
             f"{up.momenta.shape}")
+
+
+def _partials_family(ds: DerivedSystem):
+    """The partials of H along every coordinate of
+    :func:`unified_coordinates`, zero where H does not depend on it."""
+    return [ds.hamiltonian_partials.get(ref, ex._ZERO)
+            for ref in _coordinates(ds.n, 2 * ds.k, ds.k)]
+
+
+def _point_family(ds: DerivedSystem):
+    """The expressions of the point kernel in the order of its outputs:
+    the momenta dof-major, H, :func:`_partials_family`, W row by row and
+    ``el_reduced``."""
+    return [*(p for per_dof in ds.momenta for p in per_dof), ds.hamiltonian,
+            *_partials_family(ds), *(w for row in ds.hessian for w in row),
+            *ds.el_reduced]
+
+
+class _PointValues:
+    """What the checks of this module read at one matching point, each
+    computed once: the momenta family (n, k), H, the values of
+    :func:`_partials_family`, W, ``el_reduced``, the two-form matrix and
+    the explicit semispray.
+
+    Built directly, it tree-walks each family on first read, so a public
+    function evaluates only the families it reads, in its order, and meets
+    the tree walker's first :class:`DomainEvalError` there.
+    :meth:`compiled` takes the five families from one kernel call instead.
+    """
+
+    def __init__(self, ds: DerivedSystem, up: UnifiedPoint):
+        _check_point(ds, up)
+        self.ds, self.up = ds, up
+
+    @classmethod
+    def compiled(cls, ds: DerivedSystem, up: UnifiedPoint) -> "_PointValues":
+        """The values of a point from one call of the point kernel over
+        :func:`unified_coordinates`, compiled once per system by
+        :meth:`DerivedSystem._kernel`.  Where the kernel raises (a domain
+        error, or ``**`` overflowing on Python floats), the families are
+        tree-walked as read, so the tree walker's values (inf, NaN) or its
+        :class:`DomainEvalError` are what the check reports."""
+        values = cls(ds, up)
+        k, n = ds.k, ds.n
+        coords = _coordinates(n, 2 * k, k)
+        kernel = ds._kernel("point", lambda: _point_family(ds), coords)
+        try:
+            out = kernel(up.t, *up.to_state().tolist())
+        except (ArithmeticError, ValueError, TypeError):
+            return values
+        nk = n * k
+        h = nk + 1 + len(coords)  # W starts here
+        values.momenta = np.array(out[:nk]).reshape(n, k)
+        values.hamiltonian = out[nk]
+        values.partials = np.array(out[nk + 1:h])
+        values.hessian = np.array(out[h:h + n * n]).reshape(n, n)
+        values.reduced = np.array(out[h + n * n:])
+        return values
+
+    @functools.cached_property
+    def env(self):
+        return unified_bindings(self.up)
+
+    @functools.cached_property
+    def momenta(self):
+        return _values(self.ds.momenta, self.env)
+
+    @functools.cached_property
+    def hamiltonian(self):
+        return self.ds.hamiltonian.evaluate(self.env)
+
+    @functools.cached_property
+    def partials(self):
+        return _values(_partials_family(self.ds), self.env)
+
+    @functools.cached_property
+    def hessian(self):
+        return self.ds.hessian_value(self.env)
+
+    @functools.cached_property
+    def reduced(self):
+        return _values(self.ds.el_reduced, self.env)
+
+    @functools.cached_property
+    def omega(self):
+        """The entries of the two-form matrix: the +1/-1 pairing blocks
+        and the partials of H in the dt column and, negated, the dt row
+        (whose dt entry is dH/dt - dH/dt, so NaN where dH/dt is not
+        finite)."""
+        k, n = self.ds.k, self.ds.n
+        levels, momenta, _, _ = _positions(k, n)
+        m = np.zeros((3 * k * n + 1,) * 2)
+        m[levels, momenta] = 1.0
+        m[momenta, levels] = -1.0
+        m[:, 0] += self.partials
+        m[0, :] -= self.partials
+        return m
+
+    @functools.cached_property
+    def explicit(self):
+        """The closed-form field of :func:`_unified_field` at the point."""
+        ds, up = self.ds, self.up
+        return SemisprayVector(
+            [1.0, *_unified_field(ds)(up.t, up.to_state())],
+            _coordinates(ds.n, 2 * ds.k, ds.k))
 
 
 @dataclass(frozen=True)
@@ -148,28 +254,13 @@ def hamiltonian_section_p(ds: DerivedSystem, up: UnifiedPoint) -> float:
     Substituting this value makes :func:`coupling` equal the Lagrangian at
     the point, which is the defining property of the section.
     """
-    _check_point(ds, up)
-    return -ds.hamiltonian.evaluate(unified_bindings(up))
+    return -_PointValues(ds, up).hamiltonian
 
 
 def omega_r_matrix(ds: DerivedSystem, up: UnifiedPoint) -> TwoFormMatrix:
     """Numeric two-form matrix at a point."""
-    _check_point(ds, up)
-    k, n = ds.k, ds.n
-    index = _index(n, 2 * k, k)
-    env = unified_bindings(up)
-    dim = 3 * k * n + 1
-    m = np.zeros((dim, dim))
-    for a in range(1, n + 1):
-        for i in range(k):
-            r, c = index[ex.jet(a, i)], index[ex.momentum(a, i)]
-            m[r, c] += 1.0
-            m[c, r] -= 1.0
-    rows = [index[ref] for ref in ds.hamiltonian_partials]
-    values = _values(list(ds.hamiltonian_partials.values()), env)
-    m[rows, 0] += values
-    m[0, rows] -= values
-    return TwoFormMatrix(m, _coordinates(n, 2 * k, k))
+    return TwoFormMatrix(_PointValues(ds, up).omega,
+                         _coordinates(ds.n, 2 * ds.k, ds.k))
 
 
 def constraint_tolerance(up: UnifiedPoint) -> float:
@@ -186,18 +277,19 @@ def constraint_residuals(ds: DerivedSystem, up: UnifiedPoint):
     k which fixes p^0.  Returns a list of arrays, one per level, each of
     length n.
     """
-    _check_point(ds, up)
-    residuals = up.momenta - _values(ds.momenta, unified_bindings(up))
-    return [residuals[:, i] for i in range(ds.k - 1, -1, -1)]
+    return _constraint_check(_PointValues(ds, up))[0]
 
 
-def _constraint_check(ds: DerivedSystem, up: UnifiedPoint, require=None):
+def _constraint_check(values, require=None):
     """The one membership test of the constraint manifold: the constraint
-    residuals of a point, the tolerance their worst absolute value is held
-    to and the verdict, on the manifold only when ``worst <= tolerance``
-    and both are finite.  With ``require``, the name of the point in the
-    message, a point off the manifold raises :class:`OffConstraintError`."""
-    residuals = constraint_residuals(ds, up)
+    residuals of the point of ``values``, a :class:`_PointValues`, the
+    tolerance their worst absolute value is held to and the verdict, on
+    the manifold only when ``worst <= tolerance`` and both are finite.
+    With ``require``, the name of the point in the message, a point off
+    the manifold raises :class:`OffConstraintError`."""
+    up = values.up
+    levels = up.momenta - values.momenta
+    residuals = [levels[:, i] for i in range(up.momenta.shape[1] - 1, -1, -1)]
     worst = float(np.max(np.abs(residuals)))
     tolerance = constraint_tolerance(up)
     on = bool(np.isfinite(tolerance) and worst <= tolerance)
@@ -218,10 +310,7 @@ def explicit_semispray(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
     constraint manifold the result is simply not a solution of the field
     equation.
     """
-    _check_point(ds, up)
-    field = _unified_field(ds)
-    return SemisprayVector([1.0, *field(up.t, up.to_state())],
-                           _coordinates(ds.n, 2 * ds.k, ds.k))
+    return _PointValues(ds, up).explicit
 
 
 def _unified_field(ds: DerivedSystem):
@@ -235,8 +324,8 @@ def _unified_field(ds: DerivedSystem):
 
     The Hessian, the reduced Euler-Lagrange values and the partials
     dL/dq_i (i < k) come from one kernel over (t, jets) built by
-    :func:`expressions.compile_kernel` on first use; the field is cached
-    on ``ds``, so a system compiles once.  For n <= 3 the top jets come
+    :func:`DerivedSystem._kernel` on first use; the field is cached on
+    ``ds``, so a system compiles it once.  For n <= 3 the top jets come
     from the straight-line solve :func:`legendre._top_jet_solver` on the
     kernel's floats; it leaves every doubtful W, and above n = 3 every W,
     to :meth:`DerivedSystem._solve_top_jets` and its one regularity test.
@@ -255,7 +344,7 @@ def _unified_field(ds: DerivedSystem):
     nn = n * n
     exprs = ([w for row in ds.hessian for w in row] + ds.el_reduced
              + [g for row in ds.lagrangian_partials for g in row[:k]])
-    kernel = ex.compile_kernel(exprs, coords[:jets + 1], name=ds.model.name)
+    kernel = ds._kernel("field", lambda: exprs, coords[:jets + 1])
 
     solve = _top_jet_solver(n) if n <= 3 else None
     sign = -1.0 if k % 2 else 1.0
@@ -311,43 +400,56 @@ def solve_unified_vf(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
     :class:`SingularHessianError` when the Hessian is singular at the
     point, in which case no numeric answer is produced.
     """
-    _constraint_check(ds, up, require="point")
-    k, n = ds.k, ds.n
+    values = _PointValues(ds, up)
+    _constraint_check(values, require="point")
+    return _solve_unified_vf(values)
 
-    env = unified_bindings(up)
-    w = ds.hessian_value(env)
+
+@functools.cache
+def _positions(k: int, n: int):
+    """Positions in :func:`unified_coordinates` that the two-form matrix
+    and the solver address, found once per (k, n): the jets q_i^A of the
+    levels i < k, their momenta p_A^i, the jets below the top order and
+    the top jets q_{2k-1}^A, each dof-major."""
+    index = _index(n, 2 * k, k)
+    dofs = range(1, n + 1)
+
+    def at(refs):
+        return np.array([index[ref] for ref in refs], dtype=int)
+
+    return (at(ex.jet(a, i) for a in dofs for i in range(k)),
+            at(ex.momentum(a, i) for a in dofs for i in range(k)),
+            at(ex.jet(a, i) for a in dofs for i in range(2 * k - 1)),
+            at(ex.jet(a, 2 * k - 1) for a in dofs))
+
+
+def _solve_unified_vf(values) -> SemisprayVector:
+    """:func:`solve_unified_vf` on the :class:`_PointValues` of a point
+    already found on the constraint manifold."""
+    ds, up = values.ds, values.up
+    k, n = ds.k, ds.n
+    w = values.hessian
     if _regular_inverse(w)[0] is None:
         raise SingularHessianError(
             "Hessian is singular, the unified vector field is not "
             "determined", time=up.t)
 
-    index = _index(n, 2 * k, k)
-    omega = omega_r_matrix(ds, up).entries
+    levels, _, low, top = _positions(k, n)
+    omega = values.omega
     size = 3 * k * n
     a = np.zeros((size, size))
     b = np.zeros(size)
-    row = 0
     # semispray rows: jet components below the top order shift upward
-    for dof in range(1, n + 1):
-        for i in range(2 * k - 1):
-            a[row, index[ex.jet(dof, i)] - 1] = 1.0
-            b[row] = up.jet.q[dof - 1, i + 1]
-            row += 1
+    semi = len(low)
+    a[np.arange(semi), low - 1] = 1.0
+    b[:semi] = up.jet.q[:, 1:].reshape(-1)
     # tangency rows determine the top jet components
     sign = -1.0 if k % 2 else 1.0
-    reduced = _values(ds.el_reduced, env)
-    for dof in range(n):
-        for other in range(n):
-            a[row, index[ex.jet(other + 1, 2 * k - 1)] - 1] = sign * w[dof, other]
-        b[row] = -reduced[dof]
-        row += 1
+    a[semi:semi + n, top - 1] = sign * w
+    b[semi:semi + n] = -values.reduced
     # momentum rows of the two-form matrix (time column moves to the rhs)
-    for dof in range(1, n + 1):
-        for i in range(k):
-            r = index[ex.jet(dof, i)]
-            a[row, :] = omega[r, 1:]
-            b[row] = -omega[r, 0]
-            row += 1
+    a[semi + n:] = omega[levels, 1:]
+    b[semi + n:] = -omega[levels, 0]
 
     solution = np.linalg.solve(a, b)
     condition = float(np.linalg.cond(a))
@@ -377,9 +479,15 @@ class KernelReport:
 
 def kernel_check(ds: DerivedSystem, up: UnifiedPoint, field) -> KernelReport:
     """Contract the two-form with a vector and report the residual."""
+    return _kernel_check(_PointValues(ds, up), field)
+
+
+def _kernel_check(values, field) -> KernelReport:
+    """:func:`kernel_check` with the two-form matrix of a
+    :class:`_PointValues`."""
     x = field.components if isinstance(field, SemisprayVector) else \
         np.asarray(field, dtype=float)
-    omega = omega_r_matrix(ds, up).entries
+    omega = values.omega
     if x.shape != (omega.shape[0],):
         raise ValidationError(
             f"vector length {x.shape} does not match the unified dimension "

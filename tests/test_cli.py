@@ -591,6 +591,31 @@ def test_jobs_flag_is_gone(tmp_path, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+def _exit(capsys, parse, argv):
+    """The exit code, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    return (exit_info.value.code, *capsys.readouterr())
+
+
+def test_one_parser_per_process(tmp_path, capsys):
+    spec = write_spec(tmp_path, "harmonic")
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert cli.main(["derive", spec, "--samples", "2"]) == 0
+    capsys.readouterr()
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # what a parser built afresh for each call printed, the shared one prints
+    fresh = cli._build_parser.__wrapped__().parse_args
+    for argv in (["--help"], ["unified-check", "--help"], ["--version"],
+                 ["derive"], ["derive", spec, "--samples", "many"]):
+        want = _exit(capsys, fresh, argv)
+        assert want[0] == (0 if argv[-1] in ("--help", "--version") else 2)
+        for _ in range(2):
+            assert _exit(capsys, cli.main, argv) == want, argv
+
+
 def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -1,6 +1,9 @@
 """Unified phase space: coupling, two-form, constraints, vector field."""
 
+import json
 import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,7 +294,8 @@ def test_field_compiles_once_per_system(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(ex, "compile_kernel", counting)
     ds = om.derive(om.build_system(SYSTEM_DOCS["pais_uhlenbeck"]))
-    assert cli.main(["derive", write_spec(tmp_path, "pais_uhlenbeck")]) == 0
+    spec = write_spec(tmp_path, "pais_uhlenbeck")
+    assert cli.main(["derive", spec]) == 0
     capsys.readouterr()
     assert names == []  # deriving builds no kernel
     state = cos_jet().to_state()
@@ -301,6 +305,38 @@ def test_field_compiles_once_per_system(tmp_path, capsys, monkeypatch):
     om.explicit_semispray(ds, pu_point(0.5))
     assert names == ["pais-uhlenbeck"]
     assert unified._unified_field(ds) is unified._unified_field(ds)
+
+    # the integrators, the constraint check of a unified start included,
+    # run through the field kernel alone
+    names.clear()
+    fresh = om.derive(om.build_system(SYSTEM_DOCS["pais_uhlenbeck"]))
+    om.integrate(fresh, cos_jet(), 1.0)
+    om.integrate_unified(fresh, pu_point(), 1.0)
+    assert names == ["pais-uhlenbeck"]
+
+    # unified-check compiles each kernel it uses once, for all its points,
+    # and logs one debug line for each without changing stdout
+    names.clear()
+    argv = ["unified-check", spec, "--random", "20"]
+    monkeypatch.delenv("OSTRO_LOG", raising=False)
+    assert cli.main(argv) == 0
+    quiet = capsys.readouterr().out
+    kernels = ["pais-uhlenbeck momenta", "pais-uhlenbeck point",
+               "pais-uhlenbeck"]
+    assert names == kernels
+    monkeypatch.setenv("OSTRO_LOG", "debug")
+    try:
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+    finally:
+        monkeypatch.delenv("OSTRO_LOG")
+        cli._configure_logging()
+    assert out == quiet
+    logged = [re.fullmatch(r"DEBUG ostromech\.expressions: compiled kernel "
+                           r"(.+): \d+ expressions, \d+ temporaries, "
+                           r"\d+\.\d\d ms", line)
+              for line in err.splitlines() if "compiled kernel" in line]
+    assert [match[1] for match in logged] == kernels
 
 
 @pytest.mark.parametrize("momentum", [np.nan, np.inf])
@@ -314,3 +350,192 @@ def test_non_finite_momentum_is_off_constraint(harmonic, momentum):
     with np.errstate(invalid="ignore"):
         entry = cli._point_entry(harmonic, bad)
     assert entry["on_constraint"] is False and entry["solved_field"] is None
+
+
+# -- one evaluation per unified-check point ---------------------------------
+#
+# The references below evaluate every family by the tree walker under the
+# point's bindings and assemble the matrices entry by entry, with one
+# coordinate lookup each; the point kernel, the library functions and the
+# precomputed positions must reproduce them bit for bit.
+
+DEMO_SYSTEMS = Path(__file__).resolve().parent.parent / "demos" / "systems"
+
+# k = 3, n = 3: sixth-order oscillators with weak couplings, among them a
+# Hessian entry that depends on the state, a cube and two functions
+NL3_LIKE = {
+    "name": "nl3-like", "order": 3, "dofs": 3, "autonomous": True,
+    "lagrangian": "1/2*(q3_1^2 - 3*q2_1^2 + 2*q1_1^2 - q0_1^2)"
+                  " + 1/2*(q3_2^2 - 2*q2_2^2 + q1_2^2 - 1/2*q0_2^2)"
+                  " + 1/2*(q3_3^2 - q2_3^2 + 1/2*q1_3^2 - 1/4*q0_3^2)"
+                  " + 1/10*q0_1^2*q0_2^2 + 1/20*q1_2*q1_3*q0_1^3"
+                  " + 1/10*q0_3^2*q3_1^2 + 1/50*sin(q0_2)*q2_3^2"
+                  " + 1/100*exp(1/4*q1_1)*q3_2*q3_3",
+}
+
+
+def _point_systems():
+    docs = {path.stem: json.loads(path.read_text())
+            for path in sorted(DEMO_SYSTEMS.glob("*.json"))}
+    return {**docs, "nl3_like": NL3_LIKE}
+
+
+def _reference_omega(ds, up):
+    k, n = ds.k, ds.n
+    index = {ref: i for i, ref in enumerate(om.unified_coordinates(k, n))}
+    env = om.unified_bindings(up)
+    m = np.zeros((3 * k * n + 1,) * 2)
+    for a in range(1, n + 1):
+        for i in range(k):
+            r, c = index[ex.jet(a, i)], index[ex.momentum(a, i)]
+            m[r, c] += 1.0
+            m[c, r] -= 1.0
+    rows = [index[ref] for ref in ds.hamiltonian_partials]
+    values = np.array([e.evaluate(env)
+                       for e in ds.hamiltonian_partials.values()])
+    m[rows, 0] += values
+    m[0, rows] -= values
+    return m
+
+
+def _reference_residuals(ds, up):
+    env = om.unified_bindings(up)
+    momenta = np.array([[p.evaluate(env) for p in per_dof]
+                        for per_dof in ds.momenta])
+    residuals = up.momenta - momenta
+    return [residuals[:, i] for i in range(ds.k - 1, -1, -1)]
+
+
+def _reference_solve(ds, up):
+    """(components, condition) of the solved field, or the error raised."""
+    k, n = ds.k, ds.n
+    index = {ref: i for i, ref in enumerate(om.unified_coordinates(k, n))}
+    env = om.unified_bindings(up)
+    w = np.array([[e.evaluate(env) for e in row] for row in ds.hessian])
+    if unified._regular_inverse(w)[0] is None:
+        return om.SingularHessianError
+    omega = _reference_omega(ds, up)
+    size = 3 * k * n
+    a, b, row = np.zeros((size, size)), np.zeros(size), 0
+    for dof in range(1, n + 1):
+        for i in range(2 * k - 1):
+            a[row, index[ex.jet(dof, i)] - 1] = 1.0
+            b[row] = up.jet.q[dof - 1, i + 1]
+            row += 1
+    sign = -1.0 if k % 2 else 1.0
+    reduced = [e.evaluate(env) for e in ds.el_reduced]
+    for dof in range(n):
+        for other in range(n):
+            a[row, index[ex.jet(other + 1, 2 * k - 1)] - 1] = \
+                sign * w[dof, other]
+        b[row] = -reduced[dof]
+        row += 1
+    for dof in range(1, n + 1):
+        for i in range(k):
+            r = index[ex.jet(dof, i)]
+            a[row, :] = omega[r, 1:]
+            b[row] = -omega[r, 0]
+            row += 1
+    return (np.concatenate([[1.0], np.linalg.solve(a, b)]),
+            float(np.linalg.cond(a)))
+
+
+def _public_entry(ds, up):
+    """The unified-check entry composed of the public functions."""
+    residuals = om.constraint_residuals(ds, up)
+    worst = float(np.max(np.abs(residuals)))
+    tolerance = om.constraint_tolerance(up)
+    on_constraint = bool(np.isfinite(tolerance) and worst <= tolerance)
+    section_p = float(om.hamiltonian_section_p(ds, up))
+    entry = {
+        "t": up.t,
+        "on_constraint": on_constraint,
+        "constraint_residuals": [list(level) for level in residuals],
+        "constraint_tolerance": tolerance,
+        "hamiltonian": -section_p,
+        "section_p": section_p,
+        "coupling": om.coupling(
+            om.UnifiedPoint(up.jet, up.momenta, p_ext=section_p)),
+    }
+    explicit = om.explicit_semispray(ds, up)
+    entry["explicit_field"] = list(explicit.components)
+    entry["solved_field"] = None
+    field = explicit
+    if on_constraint:
+        field = om.solve_unified_vf(ds, up)
+        entry["solved_field"] = list(field.components)
+        entry["max_field_difference"] = float(
+            np.max(np.abs(field.components - explicit.components)))
+    kernel = om.kernel_check(ds, up, field)
+    entry["kernel_residual"] = kernel.residual
+    entry["transversality"] = kernel.transversality
+    if on_constraint:
+        entry["condition"] = field.condition
+    return entry
+
+
+def _bits(value):
+    """A value with every float spelled by float.hex, so == is bit equality
+    (every NaN compares equal)."""
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return [value.dtype.str, value.shape, value.tobytes()]
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    return value
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", _bits(fn(*args))
+    except om.OstromechError as err:
+        return type(err).__name__, str(err)
+
+
+def _check_points(ds, seed):
+    on = on_constraint_points(ds, 20, seed=seed)
+    up = on[0]
+    return on + [om.UnifiedPoint(up.jet, up.momenta + 0.5)]
+
+
+@pytest.mark.parametrize("name", sorted(_point_systems()))
+def test_one_evaluation_gives_the_tree_walked_answer(name):
+    ds = om.derive(om.build_system(_point_systems()[name]))
+    points = _check_points(ds, seed=sum(map(ord, name)))
+    if name == "harmonic":
+        # the point kernel overflows on Python floats and falls back
+        points.append(om.UnifiedPoint.from_state(0.0, [1e200, 0.0, 0.0], 1, 1))
+    singular = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for up in points:
+            entry = _outcome(cli._point_entry, ds, up)
+            assert entry == _outcome(_public_entry, ds, up)
+            singular += entry[0] == "SingularHessianError"
+            assert _bits(om.constraint_residuals(ds, up)) == _bits(
+                _reference_residuals(ds, up))
+            omega = om.omega_r_matrix(ds, up).entries
+            assert _bits(omega) == _bits(_reference_omega(ds, up))
+            x = np.arange(omega.shape[0], dtype=float) - 1.5
+            report = om.kernel_check(ds, up, x)
+            assert _bits(report.contraction) == _bits(omega @ x)
+            assert report.transversality == -1.5
+            if up is points[20]:
+                # the moved momenta leave the manifold, so nothing is solved
+                assert entry[0] != "ok" or not entry[1]["on_constraint"]
+                continue
+            want = _reference_solve(ds, up)
+            if want is om.SingularHessianError:
+                with pytest.raises(om.SingularHessianError):
+                    om.solve_unified_vf(ds, up)
+                continue
+            solved = om.solve_unified_vf(ds, up)
+            assert _bits((solved.components, solved.condition)) == _bits(want)
+    # the degenerate system has a singular W everywhere, every other one
+    # only off the sampled box
+    assert singular == (21 if name == "degenerate" else 0)
+    if name == "harmonic":
+        with pytest.raises(OverflowError):
+            ds._kernels["point"](0.0, 1e200, 0.0, 0.0)

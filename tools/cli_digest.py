@@ -125,6 +125,10 @@ def _runs(work: Path):
     yield ["unified-check", "harmonic.json", "--point", "nan,1,0,0"], None
     # a finite point whose evaluation overflows fails, with no numpy warning
     yield ["unified-check", "harmonic.json", "--point", "0,1e200,0,0"], None
+    # the compiled point kernel overflows on Python floats at these points,
+    # so the tree walker evaluates them
+    yield ["unified-check", "pais_uhlenbeck.json", "--random", "3",
+           "--box=-1e170,1e170"], None
     yield ["simulate", "harmonic.json", "--init", "nan,0", "--t-end", "1",
            "--method", "rk4", "--step", "0.1"], None
     yield ["simulate", "harmonic.json", "--init", "nan,0", "--t-end", "1"], None
