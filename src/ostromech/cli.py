@@ -102,9 +102,9 @@ def _jsonable(value):
 
 
 def _rounded(value):
-    """Like _jsonable but with floats rounded to 15 significant digits,
-    hiding last-ulp accumulation noise in human-facing summaries."""
-    value = _jsonable(value)
+    """A plain report, as _jsonable returns it, with its floats rounded to
+    15 significant digits, hiding last-ulp accumulation noise in
+    human-facing summaries."""
     if isinstance(value, float):
         return float(f"{value:.15g}")
     if isinstance(value, dict):
@@ -260,7 +260,7 @@ def cmd_simulate(args):
     if traj.layout == "unified":
         summary["max_constraint_residual"] = meta["max_constraint_residual"]
         summary["constraint_drift_warning"] = meta["constraint_drift_warning"]
-    _emit(args, _rounded(summary), to_out=False)
+    _emit(args, _rounded(_jsonable(summary)), to_out=False)
     return EXIT_OK
 
 
@@ -369,7 +369,7 @@ def cmd_action_check(args):
 
 def _point_entry(ds, up):
     # one evaluation of the point serves every check below
-    values = unified._PointValues.compiled(ds, up)
+    values = unified._PointValues(ds, up)
     residuals, tolerance, on_constraint = unified._constraint_check(values)
 
     section_p = float(-values.hamiltonian)
@@ -385,7 +385,7 @@ def _point_entry(ds, up):
         "section_p": section_p,
         "coupling": unified.coupling(lifted),
     }
-    explicit = values.explicit
+    explicit = unified.explicit_semispray(ds, up)
     entry["explicit_field"] = list(explicit.components)
     entry["solved_field"] = None
     field = explicit
@@ -425,7 +425,7 @@ def cmd_unified_check(args):
         for _ in range(args.random):
             t = float(rng.uniform(*box))
             jets = rng.uniform(box[0], box[1], size=(n, 2 * k))
-            momenta = legendre._compiled_legendre_map(ds, JetPoint(t, jets))
+            momenta = legendre.legendre_map(ds, JetPoint(t, jets))
             points.append(UnifiedPoint(JetPoint(t, jets), momenta))
 
     # a finite point may still overflow, and inf - inf is NaN; the
@@ -581,6 +581,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # a NaN bound fails every comparison; inf stays "no bound"
+        for name, value in vars(args).items():
+            if (name.endswith("tol") and value is not None
+                    and math.isnan(value)):
+                raise ValidationError(
+                    f"--{name.replace('_', '-')} must be a number, got nan")
         return args.func(args)
     except SingularHessianError as err:
         last = getattr(err, "last_good_time", None)

@@ -13,8 +13,8 @@ Evaluation walks the tree (:meth:`Expression.evaluate`).  For a hot loop,
 straight-line Python function with common subexpressions computed once;
 on scalars it performs the tree walker's operations in the tree walker's
 order, so its values are the same to the bit.  The tree walker remains
-the reference and the error path: where a kernel raises, callers evaluate
-with the tree walker, which gives the value or the exact
+the reference and the error path: where a kernel returns None, callers
+evaluate with the tree walker, which gives the value or the exact
 :class:`DomainEvalError`.
 
 Equality of expressions is structural.  Semantic equality is established
@@ -1121,22 +1121,25 @@ def _real_power(base, exponent):
 def compile_kernel(exprs, coords, name: str = "kernel"):
     """Lower expressions into one straight-line function of the coordinates.
 
-    Returns ``f(*values) -> tuple``: ``values`` are bound to ``coords`` in
-    order, and the tuple holds one value per expression.  The function is
-    generated as Python source and built once with ``compile()``.  Each
-    distinct non-leaf node (equal :meth:`Expression.key`) becomes one
-    local temporary, so a shared subtree is computed once.  Sums and
-    products fold left to right and every node performs the operation the
-    tree walker performs, so on float arguments the values equal
-    :meth:`Expression.evaluate` bit for bit.
+    Returns ``f(*values) -> tuple | None``: ``values`` are bound to
+    ``coords`` in order, and the tuple holds one value per expression.
+    The function is generated as Python source and built once with
+    ``compile()``.  Each distinct non-leaf node (equal
+    :meth:`Expression.key`) becomes one local temporary, so a shared
+    subtree is computed once.  Sums and products fold left to right and
+    every node performs the operation the tree walker performs, so on
+    float arguments the values equal :meth:`Expression.evaluate` bit for
+    bit.
 
-    Where the tree walker raises :class:`DomainEvalError`, the kernel
-    raises a plain ``ArithmeticError`` or ``ValueError``, and it raises
-    ``OverflowError`` where ``**`` overflows on Python floats; the caller
-    then evaluates with the tree walker.  A variable outside ``coords``
-    raises :class:`UnboundVariableError` when the kernel is built.  Under
-    debug logging one line reports ``name``, the expression and temporary
-    counts and the build time.
+    The body runs in one ``try``: where an operation raises
+    ``ArithmeticError``, ``ValueError`` or ``TypeError`` (a domain error
+    where the tree walker raises :class:`DomainEvalError`, or ``**``
+    overflowing on Python floats), the kernel returns None, and the
+    caller then evaluates with the tree walker.  A call with the wrong
+    number of values still raises ``TypeError``.  A variable outside
+    ``coords`` raises :class:`UnboundVariableError` when the kernel is
+    built.  Under debug logging one line reports ``name``, the expression
+    and temporary counts and the build time.
     """
     start = time.perf_counter()
     args = {ref: f"x{i}" for i, ref in enumerate(coords)}
@@ -1183,14 +1186,17 @@ def compile_kernel(exprs, coords, name: str = "kernel"):
         if local is None:
             text = operation(node)
             local = temps[node] = f"v{len(temps)}"
-            body.append(f"    {local} = {text}")
+            body.append(f"        {local} = {text}")
         return local
 
     outputs = [operand(expr) for expr in exprs]
     source = "\n".join([
         f"def kernel({', '.join(args.values())}):",
+        "    try:",
         *body,
-        f"    return ({''.join(out + ', ' for out in outputs)})",
+        f"        return ({''.join(out + ', ' for out in outputs)})",
+        "    except (ArithmeticError, ValueError, TypeError):",
+        "        return None",
     ])
     exec(compile(source, f"<kernel {name}>", "exec"), namespace)
     logger.debug("compiled kernel %s: %d expressions, %d temporaries, "

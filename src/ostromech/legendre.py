@@ -213,9 +213,11 @@ class DerivedSystem:
         """The compiled kernel of ``use``, built on first use by
         :func:`expressions.compile_kernel` from the expressions
         ``family()`` over ``coords`` and then cached on the system, so a
-        system compiles each kernel once.  The debug line of the build
-        names the system, followed by ``use`` except for the unified
-        field's kernel."""
+        system compiles each kernel once.  A call returns the values of
+        the family, or None where the tree walker would raise or a power
+        overflows; the caller then tree-walks what it reads.  The debug
+        line of the build names the system, followed by ``use`` except
+        for the unified field's kernel."""
         kernel = self._kernels.get(use)
         if kernel is None:
             name = self.model.name + ("" if use == "field" else f" {use}")
@@ -410,28 +412,21 @@ def legendre_map(ds: DerivedSystem, jp: JetPoint) -> np.ndarray:
     """Momenta of a jet point under the Legendre-Ostrogradsky map.
 
     Returns an array of shape (n, k); the jet point must carry orders up
-    to 2k-1.
+    to 2k-1, and any higher order is not read.  The values come from the
+    system's momenta kernel over (t, q_0 .. q_{2k-1}); where it returns
+    None, from the tree walker, whose values or :class:`DomainEvalError`
+    are then the answer.
     """
     k, n = ds.k, ds.n
     if jp.n != n or jp.orders < 2 * k:
         raise DimensionError(
             f"jet point must carry {n} dofs and orders up to {2 * k - 1}")
-    return _values(ds.momenta, jet_bindings(jp))
-
-
-def _compiled_legendre_map(ds: DerivedSystem, jp: JetPoint) -> np.ndarray:
-    """:func:`legendre_map` of a jet point of orders 0 .. 2k-1, by the
-    system's compiled momenta kernel over (t, jets); where the kernel
-    raises, by :func:`legendre_map` itself, whose values or
-    :class:`DomainEvalError` are then the answer."""
-    k, n = ds.k, ds.n
     kernel = ds._kernel(
         "momenta", lambda: [p for per_dof in ds.momenta for p in per_dof],
         _coordinates(n, 2 * k, 0))
-    try:
-        values = kernel(jp.t, *jp.q.reshape(-1).tolist())
-    except (ArithmeticError, ValueError, TypeError):
-        return legendre_map(ds, jp)
+    values = kernel(jp.t, *jp.q[:, :2 * k].reshape(-1).tolist())
+    if values is None:
+        return _values(ds.momenta, jet_bindings(jp))
     return np.array(values).reshape(n, k)
 
 

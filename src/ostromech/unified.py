@@ -96,43 +96,33 @@ def _point_family(ds: DerivedSystem):
 class _PointValues:
     """What the checks of this module read at one matching point, each
     computed once: the momenta family (n, k), H, the values of
-    :func:`_partials_family`, W, ``el_reduced``, the two-form matrix and
-    the explicit semispray.
+    :func:`_partials_family`, W, ``el_reduced`` and the two-form matrix.
 
-    Built directly, it tree-walks each family on first read, so a public
-    function evaluates only the families it reads, in its order, and meets
-    the tree walker's first :class:`DomainEvalError` there.
-    :meth:`compiled` takes the five families from one kernel call instead.
+    The five families come from one call of the point kernel over
+    :func:`unified_coordinates`, compiled once per system by
+    :meth:`DerivedSystem._kernel`.  Where the kernel returns None (a
+    domain error, or ``**`` overflowing on Python floats), each family is
+    tree-walked on first read instead, so a check reads only what it
+    needs, in its order, and reports the tree walker's values (inf, NaN)
+    or its first :class:`DomainEvalError`.
     """
 
     def __init__(self, ds: DerivedSystem, up: UnifiedPoint):
         _check_point(ds, up)
         self.ds, self.up = ds, up
-
-    @classmethod
-    def compiled(cls, ds: DerivedSystem, up: UnifiedPoint) -> "_PointValues":
-        """The values of a point from one call of the point kernel over
-        :func:`unified_coordinates`, compiled once per system by
-        :meth:`DerivedSystem._kernel`.  Where the kernel raises (a domain
-        error, or ``**`` overflowing on Python floats), the families are
-        tree-walked as read, so the tree walker's values (inf, NaN) or its
-        :class:`DomainEvalError` are what the check reports."""
-        values = cls(ds, up)
         k, n = ds.k, ds.n
         coords = _coordinates(n, 2 * k, k)
         kernel = ds._kernel("point", lambda: _point_family(ds), coords)
-        try:
-            out = kernel(up.t, *up.to_state().tolist())
-        except (ArithmeticError, ValueError, TypeError):
-            return values
+        out = kernel(up.t, *up.to_state().tolist())
+        if out is None:
+            return
         nk = n * k
         h = nk + 1 + len(coords)  # W starts here
-        values.momenta = np.array(out[:nk]).reshape(n, k)
-        values.hamiltonian = out[nk]
-        values.partials = np.array(out[nk + 1:h])
-        values.hessian = np.array(out[h:h + n * n]).reshape(n, n)
-        values.reduced = np.array(out[h + n * n:])
-        return values
+        self.momenta = np.array(out[:nk]).reshape(n, k)
+        self.hamiltonian = out[nk]
+        self.partials = np.array(out[nk + 1:h])
+        self.hessian = np.array(out[h:h + n * n]).reshape(n, n)
+        self.reduced = np.array(out[h + n * n:])
 
     @functools.cached_property
     def env(self):
@@ -172,14 +162,6 @@ class _PointValues:
         m[:, 0] += self.partials
         m[0, :] -= self.partials
         return m
-
-    @functools.cached_property
-    def explicit(self):
-        """The closed-form field of :func:`_unified_field` at the point."""
-        ds, up = self.ds, self.up
-        return SemisprayVector(
-            [1.0, *_unified_field(ds)(up.t, up.to_state())],
-            _coordinates(ds.n, 2 * ds.k, ds.k))
 
 
 @dataclass(frozen=True)
@@ -310,7 +292,9 @@ def explicit_semispray(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
     constraint manifold the result is simply not a solution of the field
     equation.
     """
-    return _PointValues(ds, up).explicit
+    _check_point(ds, up)
+    return SemisprayVector([1.0, *_unified_field(ds)(up.t, up.to_state())],
+                           _coordinates(ds.n, 2 * ds.k, ds.k))
 
 
 def _unified_field(ds: DerivedSystem):
@@ -329,8 +313,8 @@ def _unified_field(ds: DerivedSystem):
     from the straight-line solve :func:`legendre._top_jet_solver` on the
     kernel's floats; it leaves every doubtful W, and above n = 3 every W,
     to :meth:`DerivedSystem._solve_top_jets` and its one regularity test.
-    Where the kernel raises (a domain error, or ``**`` overflowing on
-    Python floats), the call solves with
+    Where the kernel returns None (a domain error, or ``**`` overflowing
+    on Python floats), the call solves with
     :meth:`DerivedSystem.acceleration` and, for a unified state,
     tree-walks the partials, and so returns the tree walker's values or
     raises its exact :class:`DomainEvalError`.
@@ -350,13 +334,10 @@ def _unified_field(ds: DerivedSystem):
     sign = -1.0 if k % 2 else 1.0
 
     def field(t, y):
-        try:
-            values = kernel(t, *y[:jets].tolist())
-        except (ArithmeticError, ValueError, TypeError):
-            values = None
-            env = dict(zip(coords, (t, *y)))
+        values = kernel(t, *y[:jets].tolist())
         try:
             if values is None:
+                env = dict(zip(coords, (t, *y)))
                 accel = ds.acceleration(env)
             elif not solve or (accel := solve(values, sign)) is None:
                 accel = ds._solve_top_jets(

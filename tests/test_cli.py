@@ -698,9 +698,34 @@ def test_installed_entry_point(tmp_path):
      "--method", "rk4", "--step", "0.1"],
     ["simulate", "--init", "1,0", "--t-end", "1", "--method", "rk4",
      "--step", "nan"],
+    # a NaN tolerance is a usage error, not a passed or failed check
+    *(["verify", "--traj", "TRAJ", f"--{name}-tol", "nan"]
+      for name, *_ in cli._VERIFY_CHECKS),
+    ["verify", "--traj", "TRAJ", "--tol", "nan"],
+    ["action-check", "--traj", "TRAJ", "--tol", "nan"],
 ])
 def test_non_finite_or_extra_numbers_are_usage_errors(tmp_path, capsys, argv):
     spec = write_spec(tmp_path, "harmonic")
+    if "TRAJ" in argv:
+        # a valid trajectory, so the NaN alone makes the usage error
+        csv = str(tmp_path / "traj.csv")
+        run_json(capsys, ["simulate", spec, "--init", "1,0", "--t-end", "1",
+                          "--out", csv])
+        argv = [csv if arg == "TRAJ" else arg for arg in argv]
     code, out, err = run_cli(capsys, [argv[0], spec, *argv[1:]])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_infinite_tolerance_is_no_bound(tmp_path, capsys):
+    spec = write_spec(tmp_path, "harmonic")
+    csv = str(tmp_path / "traj.csv")
+    run_json(capsys, ["simulate", spec, "--init", "1,0", "--t-end", "1",
+                      "--out", csv])
+    verdict = run_json(capsys, ["verify", spec, "--traj", csv, "--tol", "inf",
+                                "--el-tol", "inf"])
+    assert verdict["thresholds"]["el_residual"] == "inf"
+    assert verdict["passed"]
+    report = run_json(capsys, ["action-check", spec, "--traj", csv,
+                               "--variations", "3", "--tol", "inf"])
+    assert report["stationarity"]["tolerance"] == "inf"

@@ -322,29 +322,40 @@ def test_legendre_map_cos_jet(pu):
         om.legendre_map(pu, om.JetPoint(0.0, np.array([[1.0, 0.0]])))
 
 
-def test_compiled_legendre_map_is_legendre_map(monkeypatch):
+def test_legendre_map_tree_walks_only_where_the_kernel_fails(monkeypatch):
     # p = q1^3 + log(q0): the momenta kernel overflows at q1 = 1e200 and
-    # meets a domain error at q0 = -1; both fall back to legendre_map
+    # meets a domain error at q0 = -1; only these two are tree-walked
     ds = om.derive(om.build_system({
         "name": "quartic", "order": 1, "dofs": 1,
         "lagrangian": "1/4*q1^4 + log(q0)*q1"}))
     walks = []
-    tree_walk = legendre.legendre_map
+    values = legendre._values
 
-    def counting(ds, jp):
-        walks.append(jp.q.tolist())
-        return tree_walk(ds, jp)
+    def counting(family, env, shape=()):
+        if family is ds.momenta:
+            walks.append([env[om.jet(1, 0)], env[om.jet(1, 1)]])
+        return values(family, env, shape)
 
-    monkeypatch.setattr(legendre, "legendre_map", counting)
+    monkeypatch.setattr(legendre, "_values", counting)
     with np.errstate(over="ignore"):
         for q in ([2.0, 0.7], [0.3, -1.9], [2.0, 1e200]):
             jp = om.JetPoint(0.5, [q])
-            got = legendre._compiled_legendre_map(ds, jp)
-            assert got.tobytes() == tree_walk(ds, jp).tobytes()
+            got = om.legendre_map(ds, jp)
+            want = values(ds.momenta, om.jet_bindings(jp))
+            assert got.tobytes() == want.tobytes()
     assert got.tolist() == [[np.inf]]
     with pytest.raises(om.DomainEvalError):
-        legendre._compiled_legendre_map(ds, om.JetPoint(0.5, [[-1.0, 1.0]]))
-    assert walks == [[[2.0, 1e200]], [[-1.0, 1.0]]]
+        om.legendre_map(ds, om.JetPoint(0.5, [[-1.0, 1.0]]))
+    assert walks == [[2.0, 1e200], [-1.0, 1.0]]
+
+
+def test_legendre_map_reads_orders_up_to_2k_minus_1(pu, coupled_beam):
+    rng = np.random.default_rng(5)
+    for ds in (pu, coupled_beam):
+        q = rng.uniform(-1, 1, size=(ds.n, 2 * ds.k + 2))
+        got = om.legendre_map(ds, om.JetPoint(0.3, q))
+        want = om.legendre_map(ds, om.JetPoint(0.3, q[:, :2 * ds.k]))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_legendre_inverse_round_trip(pu, coupled_beam):

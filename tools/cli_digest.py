@@ -132,6 +132,13 @@ def _runs(work: Path):
     yield ["simulate", "harmonic.json", "--init", "nan,0", "--t-end", "1",
            "--method", "rk4", "--step", "0.1"], None
     yield ["simulate", "harmonic.json", "--init", "nan,0", "--t-end", "1"], None
+    # a NaN tolerance is a usage error
+    yield ["verify", "harmonic.json", "--traj", "harmonic_rk45.csv",
+           "--el-tol", "nan"], None
+    yield ["verify", "harmonic.json", "--traj", "harmonic_rk45.csv",
+           "--tol", "nan"], None
+    yield ["action-check", "harmonic.json", "--traj", "harmonic_rk45.csv",
+           "--tol", "nan"], None
 
 
 def main() -> int:
