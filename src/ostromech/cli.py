@@ -370,7 +370,8 @@ def cmd_action_check(args):
 def _point_entry(ds, up):
     # one evaluation of the point serves every check below
     values = unified._PointValues(ds, up)
-    residuals, tolerance, on_constraint = unified._constraint_check(values)
+    residuals, tolerance, on_constraint = unified._constraint_check(
+        up, values.momenta)
 
     section_p = float(-values.hamiltonian)
     lifted = up if up.p_ext is not None else UnifiedPoint(

@@ -30,11 +30,11 @@ from .errors import (
     TrajectoryFormatError,
     ValidationError,
 )
-from .legendre import DerivedSystem, _values
+from .legendre import DerivedSystem, _values, legendre_map
 from .systems import (
     JetPoint, UnifiedPoint, _bindings, _coordinates, _split_state,
     jet_bindings)
-from .unified import _PointValues, _constraint_check, _unified_field
+from .unified import _check_point, _constraint_check, _unified_field
 
 __all__ = [
     "Trajectory", "integrate", "integrate_unified", "lagrangian_rhs",
@@ -294,7 +294,9 @@ def integrate_unified(ds: DerivedSystem, init: UnifiedPoint, t_end: float,
     logged and flagged in ``meta["constraint_drift_warning"]``.
     """
     k, n = ds.k, ds.n
-    _constraint_check(_PointValues(ds, init), require="initial point")
+    _check_point(ds, init)
+    _constraint_check(init, legendre_map(ds, init.jet),
+                      require="initial point")
     grid, states, meta = _integrate(
         _unified_field(ds), init.t, init.to_state(), t_end, method, step,
         rtol, atol, max_step, max_steps)

@@ -49,6 +49,9 @@ __all__ = [
 # W counts as singular when its 1-norm condition number reaches 1/rtol
 _SINGULAR_RTOL = 1e-9
 
+# samples per block of the regularity sweep, which bounds its arrays
+_SWEEP_BLOCK = 256
+
 
 def _dt(expr, max_order):
     return ex.simplify(ex.total_derivative(expr, max_order))
@@ -165,11 +168,14 @@ def hessian_det_expr(sys: SystemModel | DerivedSystem) -> ex.Expression:
 class DerivedSystem:
     """A system model together with everything derived from its Lagrangian.
 
-    Exposes the momenta, Euler-Lagrange expressions, Hessian, the unified
-    Hamiltonian ``hamiltonian`` with its partial derivatives, partials of L
-    with respect to the low jet orders, and the reduced Euler-Lagrange
-    expressions obtained by deleting the q_{2k} terms (the affine remainder
-    used when solving for accelerations).
+    Exposes the momenta, Euler-Lagrange expressions, Hessian and the
+    unified Hamiltonian ``hamiltonian``, derived when the system is built.
+    Three families that only the unified checks, the integrators and the
+    action read are derived on first read and then kept:
+    ``lagrangian_partials``, the partials of L with respect to the jet
+    orders 0 .. k; ``hamiltonian_partials``, the partials of H; and
+    ``el_reduced``, the Euler-Lagrange expressions with the q_{2k} terms
+    deleted (the affine remainder used when solving for accelerations).
     """
 
     def __init__(self, model: SystemModel):
@@ -178,10 +184,9 @@ class DerivedSystem:
         chains = _partial_chains(model)
         self.momenta = _momenta(chains, k)
         self.el = _euler_lagrange(chains)
-        self.hessian = _hessian([per_dof[k][0] for per_dof in chains], k)
-        # dL/dq_i for i = 0 .. k, per dof
-        self.lagrangian_partials = [[ex.simplify(chain[0]) for chain in per_dof]
-                                    for per_dof in chains]
+        # the unsimplified dL/dq_i for i = 0 .. k, per dof
+        self._firsts = [[chain[0] for chain in per_dof] for per_dof in chains]
+        self.hessian = _hessian([firsts[k] for firsts in self._firsts], k)
 
         # H = -L + sum_{a,i} p_a^i q_{i+1}^a on the unified space
         coupling_terms = [
@@ -190,14 +195,28 @@ class DerivedSystem:
             for a in range(1, n + 1) for i in range(k)]
         self.hamiltonian = ex.simplify(
             ex._add(ex.Neg(model.lagrangian), *coupling_terms))
-        self.hamiltonian_partials = {
-            v: ex.simplify(ex.diff(self.hamiltonian, v))
-            for v in sorted(self.hamiltonian.free_vars(), key=lambda r: r._key())}
-
-        # el with the top jet removed: el_a = (-1)^k W_ab q_{2k}^b + reduced_a
-        top = {ex.jet(b, 2 * k): 0.0 for b in range(1, n + 1)}
-        self.el_reduced = [ex.simplify(ex.substitute(e, top)) for e in self.el]
         self._kernels = {}
+
+    @functools.cached_property
+    def lagrangian_partials(self):
+        """dL/dq_i for i = 0 .. k, per dof."""
+        return [[ex.simplify(first) for first in firsts]
+                for firsts in self._firsts]
+
+    @functools.cached_property
+    def hamiltonian_partials(self):
+        """{v: dH/dv} over the free variables of H, in sorted order."""
+        return {v: ex.simplify(ex.diff(self.hamiltonian, v))
+                for v in sorted(self.hamiltonian.free_vars(),
+                                key=lambda r: r._key())}
+
+    @functools.cached_property
+    def el_reduced(self):
+        """el with the top jet removed:
+        el_a = (-1)^k W_ab q_{2k}^b + reduced_a."""
+        k = self.k
+        top = {ex.jet(b, 2 * k): 0.0 for b in range(1, self.n + 1)}
+        return [ex.simplify(ex.substitute(e, top)) for e in self.el]
 
     # -- numeric helpers ----------------------------------------------------
 
@@ -375,35 +394,62 @@ def regularity_report(sys: SystemModel, domain=None, samples: int = 100,
     the first on ties, keyed by variable names as the system's n dofs
     spell them; the |det W| range is descriptive only.  ``samples`` must be
     at least 1.
+
+    The samples are drawn in :func:`expressions.sample_point`'s order and
+    swept in blocks of ``_SWEEP_BLOCK``: W comes from the system's
+    compiled Hessian kernel, tree-walked at a sample where the kernel
+    returns None, and a block then takes one stacked inverse and one
+    stacked determinant.  Where the stacked inverse raises, each W of the
+    block is judged by :func:`_regular_inverse` alone, so every verdict,
+    extreme and error is that of a sample-by-sample sweep.
     """
     if samples < 1:
         raise ValidationError(f"samples must be at least 1, got {samples}")
     ds = sys if isinstance(sys, DerivedSystem) else DerivedSystem(sys)
+    n = ds.n
     variables = set()
     for row in ds.hessian:
         for entry in row:
             variables |= entry.free_vars()
+    order = tuple(sorted(variables, key=lambda r: r._key()))
+    kernel = ds._kernel(
+        "hessian", lambda: [w for row in ds.hessian for w in row], order)
+    lo, hi = ex.DEFAULT_SAMPLE_RANGE if domain is None else domain
     rng = np.random.default_rng(seed)
 
     regular = True
     min_det, max_det = np.inf, 0.0
-    max_condition, worst_point, worst_w = -np.inf, {}, None
-    for _ in range(samples):
-        point = ex.sample_point(variables, rng, domain)
-        w = ds.hessian_value(point)
-        inv, condition = _regular_inverse(w)
-        if inv is None:
+    max_condition, worst_point, worst_w = -np.inf, (), None
+    for start in range(0, samples, _SWEEP_BLOCK):
+        size = min(_SWEEP_BLOCK, samples - start)
+        points = rng.uniform(lo, hi, (size, len(order))).tolist()
+        entries = []
+        for point in points:
+            values = kernel(*point)
+            if values is None:
+                values = ds.hessian_value(dict(zip(order, point))).ravel()
+            entries.append(values)
+        ws = np.array(entries, dtype=float).reshape(size, n, n)
+        try:
+            invs = np.linalg.inv(ws)
+        except np.linalg.LinAlgError:
+            conditions = [_regular_inverse(w)[1] for w in ws]
+        else:
+            conditions = (np.abs(ws).sum(axis=1).max(axis=1)
+                          * np.abs(invs).sum(axis=1).max(axis=1)).tolist()
+        if any(condition * _SINGULAR_RTOL >= 1.0 for condition in conditions):
             regular = False
-        if worst_w is None or condition > max_condition:
-            max_condition, worst_point, worst_w = condition, point, w
-        detval = abs(np.linalg.det(w))
-        min_det, max_det = min(min_det, detval), max(max_det, detval)
+        for point, w, condition in zip(points, ws, conditions):
+            if worst_w is None or condition > max_condition:
+                max_condition, worst_point, worst_w = condition, point, w
+        dets = np.abs(np.linalg.det(ws))
+        min_det, max_det = min(min_det, *dets), max(max_det, *dets)
 
     return RegularityReport(
         regular=regular, min_abs_det=float(min_det), max_abs_det=float(max_det),
         max_condition=max_condition,
-        worst_point={ref.display(ds.n): value
-                     for ref, value in worst_point.items()},
+        worst_point={ref.display(n): value
+                     for ref, value in zip(order, worst_point)},
         rank_at_worst=int(np.linalg.matrix_rank(worst_w)),
         samples=samples, seed=seed)
 

@@ -259,18 +259,17 @@ def constraint_residuals(ds: DerivedSystem, up: UnifiedPoint):
     k which fixes p^0.  Returns a list of arrays, one per level, each of
     length n.
     """
-    return _constraint_check(_PointValues(ds, up))[0]
+    return _constraint_check(up, _PointValues(ds, up).momenta)[0]
 
 
-def _constraint_check(values, require=None):
+def _constraint_check(up, momenta, require=None):
     """The one membership test of the constraint manifold: the constraint
-    residuals of the point of ``values``, a :class:`_PointValues`, the
-    tolerance their worst absolute value is held to and the verdict, on
-    the manifold only when ``worst <= tolerance`` and both are finite.
+    residuals of ``up``, whose jets the Legendre map takes to ``momenta``,
+    the tolerance their worst absolute value is held to and the verdict,
+    on the manifold only when ``worst <= tolerance`` and both are finite.
     With ``require``, the name of the point in the message, a point off
     the manifold raises :class:`OffConstraintError`."""
-    up = values.up
-    levels = up.momenta - values.momenta
+    levels = up.momenta - momenta
     residuals = [levels[:, i] for i in range(up.momenta.shape[1] - 1, -1, -1)]
     worst = float(np.max(np.abs(residuals)))
     tolerance = constraint_tolerance(up)
@@ -382,7 +381,7 @@ def solve_unified_vf(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
     point, in which case no numeric answer is produced.
     """
     values = _PointValues(ds, up)
-    _constraint_check(values, require="point")
+    _constraint_check(up, values.momenta, require="point")
     return _solve_unified_vf(values)
 
 

@@ -229,6 +229,112 @@ def test_regularity_sign_crossing():
     assert pinned.to_dict()["rank_at_worst_point"] == 0
 
 
+# -- the stacked regularity sweep --------------------------------------------
+#
+# The reference is the sample-by-sample sweep: W tree-walked at each point
+# that expressions.sample_point draws and judged alone by _regular_inverse.
+# The compiled, stacked sweep must give the same report, float for float.
+
+DEMO_SYSTEMS = (pathlib.Path(__file__).resolve().parent.parent
+                / "demos" / "systems")
+CROSSING = {"name": "crossing", "order": 1, "dofs": 1,
+            "lagrangian": "1/2*q0*q1^2"}
+# W = q0 + |q0| is exactly zero at every negative q0, so a block mixes
+# singular and regular W
+KINK = {"name": "kink", "order": 1, "dofs": 1,
+        "lagrangian": "1/2*(q0 + sqrt(q0^2))*q1^2"}
+# W = 2e300*q0 overflows to +-inf where |q0| exceeds about 9e7, and there
+# kappa_1 = inf * 0 is NaN
+HUGE = {"name": "huge", "order": 1, "dofs": 1, "lagrangian": "1e300*q0*q1^2"}
+# W = 1e300*(exp(q0) - exp(2*q0)) is -inf for q0 in about (9.5, 19) and
+# inf - inf = NaN above, so some |det W| are NaN
+OVERFLOW = {"name": "overflow", "order": 1, "dofs": 1,
+            "lagrangian": "1/2*(1e300*exp(q0) - 1e300*exp(2*q0))*q1^2"}
+
+
+def _swept_one_by_one(ds, domain=None, samples=100, seed=0):
+    variables = set()
+    for row in ds.hessian:
+        for entry in row:
+            variables |= entry.free_vars()
+    rng = np.random.default_rng(seed)
+    regular, min_det, max_det = True, np.inf, 0.0
+    max_condition, worst_point, worst_w = -np.inf, {}, None
+    for _ in range(samples):
+        point = ex.sample_point(variables, rng, domain)
+        w = ds.hessian_value(point)
+        inv, condition = legendre._regular_inverse(w)
+        if inv is None:
+            regular = False
+        if worst_w is None or condition > max_condition:
+            max_condition, worst_point, worst_w = condition, point, w
+        detval = abs(np.linalg.det(w))
+        min_det, max_det = min(min_det, detval), max(max_det, detval)
+    return legendre.RegularityReport(
+        regular=regular, min_abs_det=float(min_det),
+        max_abs_det=float(max_det), max_condition=max_condition,
+        worst_point={ref.display(ds.n): value
+                     for ref, value in worst_point.items()},
+        rank_at_worst=int(np.linalg.matrix_rank(worst_w)),
+        samples=samples, seed=seed).to_dict()
+
+
+def _sweep_cases():
+    for path in sorted(DEMO_SYSTEMS.glob("*.json")):
+        doc = json.loads(path.read_text())
+        yield path.stem, doc, None, 100, 42
+    mass = json.loads((DEMO_SYSTEMS / "coupled_mass.json").read_text())
+    blocks = 2 * legendre._SWEEP_BLOCK + 37
+    for seed in (0, 3, 11):
+        yield f"coupled_mass-{seed}", mass, None, blocks, seed
+    yield "coupled_mass-wide", mass, (-40.0, 40.0), 300, 5
+    yield "crossing-pinned", CROSSING, (0.0, 0.0), 20, 0
+    yield "crossing-unit", CROSSING, (-1.0, 1.0), 300, 0
+    degenerate = json.loads((DEMO_SYSTEMS / "degenerate.json").read_text())
+    yield "degenerate-blocks", degenerate, None, legendre._SWEEP_BLOCK + 1, 3
+    yield "kink", KINK, (-1.0, 1.0), 300, 0
+    # a NaN kappa_1 in the first sample stays worst (seed 0); after a
+    # finite one it is never worst (seed 1)
+    yield "huge-nan-first", HUGE, (-1e9, 1e9), 40, 0
+    yield "huge-nan-later", HUGE, (-1e9, 1e9), 40, 1
+    yield "overflow-nan-det", OVERFLOW, (-30.0, 30.0), 60, 1
+
+
+SWEEP_CASES = list(_sweep_cases())
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("doc, domain, samples, seed",
+                         [case[1:] for case in SWEEP_CASES],
+                         ids=[case[0] for case in SWEEP_CASES])
+def test_stacked_sweep_is_the_sample_by_sample_sweep(doc, domain, samples,
+                                                     seed):
+    ds = om.derive(om.build_system(doc))
+    got = om.regularity_report(ds, domain=domain, samples=samples,
+                               seed=seed).to_dict()
+    assert repr(got) == repr(_swept_one_by_one(ds, domain, samples, seed))
+
+
+def test_unified_families_are_derived_on_first_read(pu):
+    ds = om.derive(pu.model)
+    lazy = ("lagrangian_partials", "hamiltonian_partials", "el_reduced")
+    assert not set(lazy) & set(vars(ds))
+    for name in lazy:
+        assert getattr(ds, name) == getattr(pu, name)
+        assert getattr(ds, name) is getattr(ds, name)
+
+
+def test_stacked_sweep_raises_the_tree_walkers_error():
+    # 2*sqrt(q0) is a domain error at every negative sample
+    ds = om.derive(om.build_system({"name": "root", "order": 1, "dofs": 1,
+                                    "lagrangian": "sqrt(q0)*q1^2"}))
+    with pytest.raises(om.DomainEvalError) as want:
+        _swept_one_by_one(ds, samples=50, seed=1)
+    with pytest.raises(om.DomainEvalError) as got:
+        om.regularity_report(ds, samples=50, seed=1)
+    assert str(got.value) == str(want.value)
+
+
 def particle(mass, n):
     """Free particle with n dofs and W = mass * identity."""
     kinetic = " + ".join(f"q1_{a}^2" for a in range(1, n + 1))

@@ -293,11 +293,31 @@ def test_field_compiles_once_per_system(tmp_path, capsys, monkeypatch):
         return compile_kernel(exprs, coords, name)
 
     monkeypatch.setattr(ex, "compile_kernel", counting)
+
+    def debug_run(argv):
+        # stdout and the kernels named by the debug lines of one run
+        monkeypatch.setenv("OSTRO_LOG", "debug")
+        try:
+            assert cli.main(argv) == 0
+            out, err = capsys.readouterr()
+        finally:
+            monkeypatch.delenv("OSTRO_LOG")
+            cli._configure_logging()
+        logged = [re.fullmatch(r"DEBUG ostromech\.expressions: compiled "
+                               r"kernel (.+): \d+ expressions, \d+ "
+                               r"temporaries, \d+\.\d\d ms", line)
+                  for line in err.splitlines() if "compiled kernel" in line]
+        return out, [match[1] for match in logged]
+
     ds = om.derive(om.build_system(SYSTEM_DOCS["pais_uhlenbeck"]))
     spec = write_spec(tmp_path, "pais_uhlenbeck")
+    monkeypatch.delenv("OSTRO_LOG", raising=False)
+    # deriving builds one kernel, the Hessian's of the regularity sweep
     assert cli.main(["derive", spec]) == 0
-    capsys.readouterr()
-    assert names == []  # deriving builds no kernel
+    quiet = capsys.readouterr().out
+    assert names == ["pais-uhlenbeck hessian"]
+    assert debug_run(["derive", spec]) == (quiet, ["pais-uhlenbeck hessian"])
+    names.clear()
     state = cos_jet().to_state()
     first = om.lagrangian_rhs(ds, 0.0, state)
     assert om.lagrangian_rhs(ds, 0.0, state).tobytes() == first.tobytes()
@@ -307,36 +327,23 @@ def test_field_compiles_once_per_system(tmp_path, capsys, monkeypatch):
     assert unified._unified_field(ds) is unified._unified_field(ds)
 
     # the integrators run through the field kernel, and the constraint
-    # check of a unified start through the point kernel
+    # check of a unified start through the momenta kernel
     names.clear()
     fresh = om.derive(om.build_system(SYSTEM_DOCS["pais_uhlenbeck"]))
     om.integrate(fresh, cos_jet(), 1.0)
     om.integrate_unified(fresh, pu_point(), 1.0)
-    assert names == ["pais-uhlenbeck", "pais-uhlenbeck point"]
+    assert names == ["pais-uhlenbeck", "pais-uhlenbeck momenta"]
 
     # unified-check compiles each kernel it uses once, for all its points,
     # and logs one debug line for each without changing stdout
     names.clear()
     argv = ["unified-check", spec, "--random", "20"]
-    monkeypatch.delenv("OSTRO_LOG", raising=False)
     assert cli.main(argv) == 0
     quiet = capsys.readouterr().out
     kernels = ["pais-uhlenbeck momenta", "pais-uhlenbeck point",
                "pais-uhlenbeck"]
     assert names == kernels
-    monkeypatch.setenv("OSTRO_LOG", "debug")
-    try:
-        assert cli.main(argv) == 0
-        out, err = capsys.readouterr()
-    finally:
-        monkeypatch.delenv("OSTRO_LOG")
-        cli._configure_logging()
-    assert out == quiet
-    logged = [re.fullmatch(r"DEBUG ostromech\.expressions: compiled kernel "
-                           r"(.+): \d+ expressions, \d+ temporaries, "
-                           r"\d+\.\d\d ms", line)
-              for line in err.splitlines() if "compiled kernel" in line]
-    assert [match[1] for match in logged] == kernels
+    assert debug_run(argv) == (quiet, kernels)
 
 
 @pytest.mark.parametrize("momentum", [np.nan, np.inf])

@@ -43,6 +43,16 @@ MALFORMED_PATHS = {
                         '"interval": [0, 1]}',
 }
 
+# system documents written inline for the regularity sweep of derive: W
+# crosses zero inside the default box, and W = 2*sqrt(q0) is a domain
+# error at every negative sample (a usage error)
+INLINE_SYSTEMS = {
+    "crossing": '{"name": "crossing", "order": 1, "dofs": 1, '
+                '"lagrangian": "1/2*q0*q1^2"}',
+    "root": '{"name": "root", "order": 1, "dofs": 1, '
+            '"lagrangian": "sqrt(q0)*q1^2"}',
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
@@ -139,6 +149,16 @@ def _runs(work: Path):
            "--tol", "nan"], None
     yield ["action-check", "harmonic.json", "--traj", "harmonic_rk45.csv",
            "--tol", "nan"], None
+
+    # the regularity sweep of derive: more samples than one block of
+    # legendre._SWEEP_BLOCK (256) at a second seed, a wide box, and the
+    # inline systems
+    yield ["derive", "coupled_mass.json", "--samples", "600", "--seed",
+           "7"], None
+    yield ["derive", "coupled_mass.json", "--domain=-40,40"], None
+    for what, text in INLINE_SYSTEMS.items():
+        (work / f"{what}.json").write_text(text)
+        yield ["derive", f"{what}.json"], None
 
 
 def main() -> int:
