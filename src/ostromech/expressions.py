@@ -13,9 +13,9 @@ Evaluation walks the tree (:meth:`Expression.evaluate`).  For a hot loop,
 straight-line Python function with common subexpressions computed once;
 on scalars it performs the tree walker's operations in the tree walker's
 order, so its values are the same to the bit.  The tree walker remains
-the reference and the error path: where a kernel returns None, callers
-evaluate with the tree walker, which gives the value or the exact
-:class:`DomainEvalError`.
+the reference and the error path: where the straight-line code fails,
+the kernel itself tree-walks its expressions, so every call answers with
+the tree walker's values or its exact :class:`DomainEvalError`.
 
 Equality of expressions is structural.  Semantic equality is established
 numerically with :func:`equivalent_numeric`; no canonical form is claimed.
@@ -290,7 +290,8 @@ class Power(Expression):
                 except FloatingPointError as exc:
                     raise DomainEvalError(f"power evaluation failed: {exc}") from None
         if b < 0 and not e.is_integer():
-            raise DomainEvalError(f"negative base {b!r} raised to non-integer power {e}")
+            raise DomainEvalError(
+                f"negative base {float(b)!r} raised to non-integer power {e}")
         if b == 0.0 and e < 0:
             raise DomainEvalError("zero raised to a negative power")
         try:
@@ -375,9 +376,9 @@ class Call(Expression):
                 except FloatingPointError as exc:
                     raise DomainEvalError(f"{name} evaluation failed: {exc}") from None
         if name == "log" and x <= 0.0:
-            raise DomainEvalError(f"log of non-positive value {x!r}")
+            raise DomainEvalError(f"log of non-positive value {float(x)!r}")
         if name == "sqrt" and x < 0.0:
-            raise DomainEvalError(f"sqrt of negative value {x!r}")
+            raise DomainEvalError(f"sqrt of negative value {float(x)!r}")
         try:
             return _SCALAR_FUNCS[name](x)
         except (ValueError, OverflowError) as exc:
@@ -1121,29 +1122,36 @@ def _real_power(base, exponent):
 def compile_kernel(exprs, coords, name: str = "kernel"):
     """Lower expressions into one straight-line function of the coordinates.
 
-    Returns ``f(*values) -> tuple | None``: ``values`` are bound to
-    ``coords`` in order, and the tuple holds one value per expression.
-    The function is generated as Python source and built once with
-    ``compile()``.  Each distinct non-leaf node (equal
-    :meth:`Expression.key`) becomes one local temporary, so a shared
-    subtree is computed once.  Sums and products fold left to right and
-    every node performs the operation the tree walker performs, so on
-    float arguments the values equal :meth:`Expression.evaluate` bit for
-    bit.
+    Returns ``f(*values) -> tuple``: ``values`` are bound to ``coords`` in
+    order, and the tuple holds one value per expression.  The function is
+    generated as Python source and built once with ``compile()``.  Each
+    distinct non-leaf node (equal :meth:`Expression.key`) becomes one
+    local temporary, so a shared subtree is computed once.  Sums and
+    products fold left to right and every node performs the operation the
+    tree walker performs, so on float arguments the values equal
+    :meth:`Expression.evaluate` bit for bit.
 
-    The body runs in one ``try``: where an operation raises
-    ``ArithmeticError``, ``ValueError`` or ``TypeError`` (a domain error
-    where the tree walker raises :class:`DomainEvalError`, or ``**``
-    overflowing on Python floats), the kernel returns None, and the
-    caller then evaluates with the tree walker.  A call with the wrong
-    number of values still raises ``TypeError``.  A variable outside
+    The straight-line body runs in one ``try``: where an operation raises
+    ``ArithmeticError``, ``ValueError`` or ``TypeError`` (a domain error,
+    or ``**`` overflowing on Python floats), the kernel instead returns
+    the tree walker's values of ``exprs`` with ``values`` bound as numpy
+    float64 scalars, so a ``**`` overflow gives inf and a domain error
+    raises the tree walker's first :class:`DomainEvalError`.  A value
+    that is not a real number (None, say) raises ``TypeError``, and so
+    does a call with the wrong number of values.  A variable outside
     ``coords`` raises :class:`UnboundVariableError` when the kernel is
     built.  Under debug logging one line reports ``name``, the expression
     and temporary counts and the build time.
     """
     start = time.perf_counter()
+    exprs, coords = tuple(exprs), tuple(coords)
     args = {ref: f"x{i}" for i, ref in enumerate(coords)}
-    namespace = {"_real_power": _real_power, **_SCALAR_FUNCS}
+
+    def walk(*values):
+        env = dict(zip(coords, np.array([float(v) for v in values])))
+        return tuple(e.evaluate(env) for e in exprs)
+
+    namespace = {"_real_power": _real_power, "_walk": walk, **_SCALAR_FUNCS}
     temps = {}          # node -> name of the local holding its value
     body = []
 
@@ -1196,7 +1204,7 @@ def compile_kernel(exprs, coords, name: str = "kernel"):
         *body,
         f"        return ({''.join(out + ', ' for out in outputs)})",
         "    except (ArithmeticError, ValueError, TypeError):",
-        "        return None",
+        f"        return _walk({', '.join(args.values())})",
     ])
     exec(compile(source, f"<kernel {name}>", "exec"), namespace)
     logger.debug("compiled kernel %s: %d expressions, %d temporaries, "

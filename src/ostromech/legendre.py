@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .systems import (
-    JetPoint, SystemModel, _bindings, _coordinates, jet_bindings)
+    JetPoint, SystemModel, _bindings, _coordinates)
 
 __all__ = [
     "DerivedSystem", "derive",
@@ -232,11 +232,11 @@ class DerivedSystem:
         """The compiled kernel of ``use``, built on first use by
         :func:`expressions.compile_kernel` from the expressions
         ``family()`` over ``coords`` and then cached on the system, so a
-        system compiles each kernel once.  A call returns the values of
-        the family, or None where the tree walker would raise or a power
-        overflows; the caller then tree-walks what it reads.  The debug
-        line of the build names the system, followed by ``use`` except
-        for the unified field's kernel."""
+        system compiles each kernel once.  A call returns the tree
+        walker's values of the whole family, or raises its first
+        :class:`DomainEvalError`.  The debug line of the build names the
+        system, followed by ``use`` except for the unified field's
+        kernel."""
         kernel = self._kernels.get(use)
         if kernel is None:
             name = self.model.name + ("" if use == "field" else f" {use}")
@@ -301,17 +301,23 @@ def derive(sys: SystemModel) -> DerivedSystem:
     return DerivedSystem(sys)
 
 
+def _kappa(w, inv):
+    """kappa_1(W) = |W|_1 |W^-1|_1 over the last two axes, so of one W or
+    of a stack of them."""
+    return (np.abs(w).sum(axis=-2).max(axis=-1)
+            * np.abs(inv).sum(axis=-2).max(axis=-1))
+
+
 def _regular_inverse(w: np.ndarray):
     """The one regularity test: W^-1, or None when W is singular, and
-    kappa_1(W) = |W|_1 |W^-1|_1 (inf where the inversion fails), from one
-    inversion.  W is singular when kappa_1(W) >= 1/rtol, but not when it is
-    NaN; scaling W leaves kappa_1(W) and so the verdict unchanged."""
+    kappa_1(W) (inf where the inversion fails), from one inversion.  W is
+    singular when kappa_1(W) >= 1/rtol, but not when it is NaN; scaling W
+    leaves kappa_1(W) and so the verdict unchanged."""
     try:
         inv = np.linalg.inv(w)
     except np.linalg.LinAlgError:
         return None, np.inf
-    condition = float(np.abs(w).sum(axis=0).max()
-                      * np.abs(inv).sum(axis=0).max())
+    condition = float(_kappa(w, inv))
     return (None if condition * _SINGULAR_RTOL >= 1.0 else inv), condition
 
 
@@ -389,19 +395,21 @@ def regularity_report(sys: SystemModel, domain=None, samples: int = 100,
                       seed: int = 0) -> RegularityReport:
     """Sample the Hessian over a box and report regularity.
 
-    The system is regular on the box when W passes :func:`_regular_inverse`
-    at every sample.  The worst point is the sample of largest kappa_1(W),
-    the first on ties, keyed by variable names as the system's n dofs
-    spell them; the |det W| range is descriptive only.  ``samples`` must be
-    at least 1.
+    The system is regular on the box when kappa_1(W) * rtol < 1 at every
+    sample, so a NaN kappa_1(W), which :func:`_regular_inverse` does not
+    call singular at a point, fails the box.  The worst point is the
+    sample of largest kappa_1(W), the first on ties, keyed by variable
+    names as the system's n dofs spell them; the |det W| range is
+    descriptive only.  ``samples`` must be at least 1.
 
     The samples are drawn in :func:`expressions.sample_point`'s order and
     swept in blocks of ``_SWEEP_BLOCK``: W comes from the system's
-    compiled Hessian kernel, tree-walked at a sample where the kernel
-    returns None, and a block then takes one stacked inverse and one
-    stacked determinant.  Where the stacked inverse raises, each W of the
-    block is judged by :func:`_regular_inverse` alone, so every verdict,
-    extreme and error is that of a sample-by-sample sweep.
+    compiled Hessian kernel (inf entries where a power overflows), and a
+    block then takes one stacked inverse and one stacked determinant,
+    with NumPy's overflow and invalid-value warnings off.  Where the
+    stacked inverse raises, kappa_1 of each W of the block comes from
+    :func:`_regular_inverse`, so every verdict, extreme and error is that
+    of a sample-by-sample sweep.
     """
     if samples < 1:
         raise ValidationError(f"samples must be at least 1, got {samples}")
@@ -423,26 +431,19 @@ def regularity_report(sys: SystemModel, domain=None, samples: int = 100,
     for start in range(0, samples, _SWEEP_BLOCK):
         size = min(_SWEEP_BLOCK, samples - start)
         points = rng.uniform(lo, hi, (size, len(order))).tolist()
-        entries = []
-        for point in points:
-            values = kernel(*point)
-            if values is None:
-                values = ds.hessian_value(dict(zip(order, point))).ravel()
-            entries.append(values)
-        ws = np.array(entries, dtype=float).reshape(size, n, n)
-        try:
-            invs = np.linalg.inv(ws)
-        except np.linalg.LinAlgError:
-            conditions = [_regular_inverse(w)[1] for w in ws]
-        else:
-            conditions = (np.abs(ws).sum(axis=1).max(axis=1)
-                          * np.abs(invs).sum(axis=1).max(axis=1)).tolist()
-        if any(condition * _SINGULAR_RTOL >= 1.0 for condition in conditions):
-            regular = False
+        with np.errstate(over="ignore", invalid="ignore"):
+            ws = np.array([kernel(*point) for point in points],
+                          dtype=float).reshape(size, n, n)
+            try:
+                conditions = _kappa(ws, np.linalg.inv(ws)).tolist()
+            except np.linalg.LinAlgError:
+                conditions = [_regular_inverse(w)[1] for w in ws]
+            dets = np.abs(np.linalg.det(ws))
+        regular = regular and all(
+            condition * _SINGULAR_RTOL < 1.0 for condition in conditions)
         for point, w, condition in zip(points, ws, conditions):
             if worst_w is None or condition > max_condition:
                 max_condition, worst_point, worst_w = condition, point, w
-        dets = np.abs(np.linalg.det(ws))
         min_det, max_det = min(min_det, *dets), max(max_det, *dets)
 
     return RegularityReport(
@@ -458,10 +459,9 @@ def legendre_map(ds: DerivedSystem, jp: JetPoint) -> np.ndarray:
     """Momenta of a jet point under the Legendre-Ostrogradsky map.
 
     Returns an array of shape (n, k); the jet point must carry orders up
-    to 2k-1, and any higher order is not read.  The values come from the
-    system's momenta kernel over (t, q_0 .. q_{2k-1}); where it returns
-    None, from the tree walker, whose values or :class:`DomainEvalError`
-    are then the answer.
+    to 2k-1, and any higher order is not read.  The values, or the tree
+    walker's :class:`DomainEvalError`, come from the system's momenta
+    kernel over (t, q_0 .. q_{2k-1}).
     """
     k, n = ds.k, ds.n
     if jp.n != n or jp.orders < 2 * k:
@@ -470,10 +470,8 @@ def legendre_map(ds: DerivedSystem, jp: JetPoint) -> np.ndarray:
     kernel = ds._kernel(
         "momenta", lambda: [p for per_dof in ds.momenta for p in per_dof],
         _coordinates(n, 2 * k, 0))
-    values = kernel(jp.t, *jp.q[:, :2 * k].reshape(-1).tolist())
-    if values is None:
-        return _values(ds.momenta, jet_bindings(jp))
-    return np.array(values).reshape(n, k)
+    return np.array(kernel(jp.t, *jp.q[:, :2 * k].reshape(-1).tolist())
+                    ).reshape(n, k)
 
 
 def legendre_inverse(ds: DerivedSystem, t: float, base_q, momenta,

@@ -47,8 +47,8 @@ from .errors import (
     ValidationError,
 )
 from .legendre import (
-    DerivedSystem, _regular_inverse, _top_jet_solver, _values)
-from .systems import UnifiedPoint, _coordinates, _index, unified_bindings
+    DerivedSystem, _regular_inverse, _top_jet_solver, legendre_map)
+from .systems import UnifiedPoint, _coordinates, _index
 
 __all__ = [
     "unified_coordinates", "TwoFormMatrix",
@@ -100,11 +100,9 @@ class _PointValues:
 
     The five families come from one call of the point kernel over
     :func:`unified_coordinates`, compiled once per system by
-    :meth:`DerivedSystem._kernel`.  Where the kernel returns None (a
-    domain error, or ``**`` overflowing on Python floats), each family is
-    tree-walked on first read instead, so a check reads only what it
-    needs, in its order, and reports the tree walker's values (inf, NaN)
-    or its first :class:`DomainEvalError`.
+    :meth:`DerivedSystem._kernel`, so a point where any expression of
+    :func:`_point_family` cannot be evaluated raises the tree walker's
+    first :class:`DomainEvalError` before any check reads a value.
     """
 
     def __init__(self, ds: DerivedSystem, up: UnifiedPoint):
@@ -114,8 +112,6 @@ class _PointValues:
         coords = _coordinates(n, 2 * k, k)
         kernel = ds._kernel("point", lambda: _point_family(ds), coords)
         out = kernel(up.t, *up.to_state().tolist())
-        if out is None:
-            return
         nk = n * k
         h = nk + 1 + len(coords)  # W starts here
         self.momenta = np.array(out[:nk]).reshape(n, k)
@@ -123,30 +119,6 @@ class _PointValues:
         self.partials = np.array(out[nk + 1:h])
         self.hessian = np.array(out[h:h + n * n]).reshape(n, n)
         self.reduced = np.array(out[h + n * n:])
-
-    @functools.cached_property
-    def env(self):
-        return unified_bindings(self.up)
-
-    @functools.cached_property
-    def momenta(self):
-        return _values(self.ds.momenta, self.env)
-
-    @functools.cached_property
-    def hamiltonian(self):
-        return self.ds.hamiltonian.evaluate(self.env)
-
-    @functools.cached_property
-    def partials(self):
-        return _values(_partials_family(self.ds), self.env)
-
-    @functools.cached_property
-    def hessian(self):
-        return self.ds.hessian_value(self.env)
-
-    @functools.cached_property
-    def reduced(self):
-        return _values(self.ds.el_reduced, self.env)
 
     @functools.cached_property
     def omega(self):
@@ -257,9 +229,10 @@ def constraint_residuals(ds: DerivedSystem, up: UnifiedPoint):
     Level 1 compares p^{k-1} with dL/dq_k; each deeper level compares the
     next lower momentum with its closed-form value on jets, down to level
     k which fixes p^0.  Returns a list of arrays, one per level, each of
-    length n.
+    length n.  Only the momenta of the Legendre map are evaluated.
     """
-    return _constraint_check(up, _PointValues(ds, up).momenta)[0]
+    _check_point(ds, up)
+    return _constraint_check(up, legendre_map(ds, up.jet))[0]
 
 
 def _constraint_check(up, momenta, require=None):
@@ -312,11 +285,9 @@ def _unified_field(ds: DerivedSystem):
     from the straight-line solve :func:`legendre._top_jet_solver` on the
     kernel's floats; it leaves every doubtful W, and above n = 3 every W,
     to :meth:`DerivedSystem._solve_top_jets` and its one regularity test.
-    Where the kernel returns None (a domain error, or ``**`` overflowing
-    on Python floats), the call solves with
-    :meth:`DerivedSystem.acceleration` and, for a unified state,
-    tree-walks the partials, and so returns the tree walker's values or
-    raises its exact :class:`DomainEvalError`.
+    The kernel answers with the tree walker's values, so a jet state too
+    raises the tree walker's first :class:`DomainEvalError` where any of
+    these expressions, the partials included, cannot be evaluated.
     """
     cached = getattr(ds, "_unified_field", None)
     if cached is not None:
@@ -335,10 +306,7 @@ def _unified_field(ds: DerivedSystem):
     def field(t, y):
         values = kernel(t, *y[:jets].tolist())
         try:
-            if values is None:
-                env = dict(zip(coords, (t, *y)))
-                accel = ds.acceleration(env)
-            elif not solve or (accel := solve(values, sign)) is None:
+            if not solve or (accel := solve(values, sign)) is None:
                 accel = ds._solve_top_jets(
                     np.array(values[:nn]).reshape(n, n), values[nn:nn + n], t)
         except SingularHessianError as err:
@@ -351,8 +319,7 @@ def _unified_field(ds: DerivedSystem):
         ydot[2 * k - 1:jets:2 * k] = accel
         if len(y) == jets:
             return ydot
-        partials = (values[nn + n:] if values is not None else
-                    [g.evaluate(env) for g in exprs[nn + n:]])
+        partials = values[nn + n:]
         for a in range(n):
             base, g = jets + a * k, a * k
             ydot[base] = partials[g]

@@ -376,22 +376,98 @@ def test_compiled_kernel_leaves_and_constants():
         ex.compile_kernel([om.parse("q2", ctx)], coords)
 
 
-def test_compiled_kernel_returns_none_where_tree_walker_raises():
+def _outcome(fn):
+    """The float.hex of each value fn() returns, so == is bit equality, or
+    the type and text of the DomainEvalError it raises."""
+    try:
+        return "ok", [float(value).hex() for value in fn()]
+    except om.DomainEvalError as err:
+        return type(err).__name__, str(err)
+
+
+def _walked(exprs, coords, values):
+    env = dict(zip(coords, values))
+    return lambda: [e.evaluate(env) for e in exprs]
+
+
+def test_compiled_kernel_answers_as_the_tree_walker_where_its_body_fails():
     ctx = om.SystemContext.for_lagrangian(1, 1)
     coords = [om.time_var(), om.jet(1, 0), om.jet(1, 1)]
     for text, q0 in (("log(q0)", -1.0), ("q1/q0", 0.0), ("q0^1.5", -2.0),
                      ("q0^-1", 0.0), ("sqrt(q0)", -4.0)):
-        expr = om.parse(text, ctx)
-        kernel = ex.compile_kernel([expr, om.parse("q1", ctx)], coords)
-        assert kernel(0.0, q0, 1.0) is None
-        with pytest.raises(om.DomainEvalError):
-            expr.evaluate(dict(zip(coords, (0.0, q0, 1.0))))
-    # Python floats overflow a power, numpy scalars give inf
-    kernel = ex.compile_kernel([om.parse("q0^3", ctx)], coords)
-    assert kernel(0.0, 1e200, 0.0) is None
-    assert kernel(0.0, 2.0, 0.0) == (8.0,)
-    # an operation's TypeError returns None; argument binding is outside
-    # the body, so a wrong arity still raises
-    assert kernel(0.0, None, 0.0) is None
+        exprs = [om.parse(text, ctx), om.parse("q1", ctx)]
+        kernel = ex.compile_kernel(exprs, coords)
+        got = _outcome(lambda: kernel(0.0, q0, 1.0))
+        assert got[0] == "DomainEvalError"
+        assert got == _outcome(_walked(exprs, coords, (0.0, q0, 1.0)))
+    # Python floats overflow a power; the kernel binds numpy scalars, on
+    # which the tree walker gives inf
+    exprs = [om.parse("q0^3", ctx), om.parse("q1", ctx)]
+    kernel = ex.compile_kernel(exprs, coords)
+    with np.errstate(over="ignore"):
+        got = kernel(0.0, 1e200, 0.5)
+        assert got == (np.inf, 0.5)
+        assert _outcome(lambda: got) == _outcome(_walked(
+            exprs, coords, np.array([0.0, 1e200, 0.5])))
+    assert kernel(0.0, 2.0, 0.5) == (8.0, 0.5)
+    # a value that is no real number, and a wrong arity, raise
+    with pytest.raises(TypeError):
+        kernel(0.0, None, 0.0)
     with pytest.raises(TypeError):
         kernel(0.0, 2.0)
+
+
+def test_kernels_of_every_family_answer_as_the_numpy_tree_walker(
+        monkeypatch):
+    # the field, point, momenta and Hessian kernels, each built by the
+    # function that reads it, at inputs where the straight-line body fails
+    built = {}
+    compile_kernel = ex.compile_kernel
+
+    def recording(exprs, coords, name="kernel"):
+        exprs, coords = list(exprs), list(coords)
+        built[name] = exprs, coords, compile_kernel(exprs, coords, name)
+        return built[name][2]
+
+    monkeypatch.setattr(ex, "compile_kernel", recording)
+    ds = om.derive(om.build_system(ALL_NODES_DOC))
+    size = 3 * ds.k * ds.n
+    up = om.UnifiedPoint.from_state(0.0, np.full(size, 0.5), ds.k, ds.n)
+    om.explicit_semispray(ds, up)
+    om.kernel_check(ds, up, np.zeros(size + 1))
+    om.legendre_map(ds, up.jet)
+    om.regularity_report(ds, samples=1)
+    assert sorted(built) == ["all-nodes", "all-nodes hessian",
+                             "all-nodes momenta", "all-nodes point"]
+    rng = np.random.default_rng(3)
+    kinds = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, (exprs, coords, kernel) in built.items():
+            failing = 0
+            for i in range(100):
+                values = rng.uniform(-2.0, 2.0, len(coords))
+                values[rng.choice(len(coords), 1 + i % 2, replace=False)] \
+                    *= 1e200
+                values = values.tolist()
+                # the body performs the tree walker's operations on floats
+                if _outcome(_walked(exprs, coords, values))[0] == "ok":
+                    continue
+                failing += 1
+                got = _outcome(lambda: kernel(*values))
+                assert got == _outcome(_walked(
+                    exprs, coords, np.array(values))), name
+                kinds.add(got[0])
+            assert failing >= 20, name
+    assert kinds == {"ok", "DomainEvalError"}
+
+
+def test_domain_errors_print_plain_numbers():
+    ctx = om.SystemContext.for_lagrangian(1, 1)
+    value = np.float64(-1.0)
+    for text, message in (
+            ("log(q0)", "log of non-positive value -1.0"),
+            ("sqrt(q0)", "sqrt of negative value -1.0"),
+            ("q0^0.5", "negative base -1.0 raised to non-integer power 0.5")):
+        with pytest.raises(om.DomainEvalError) as err:
+            om.parse(text, ctx).evaluate({om.jet(1, 0): value})
+        assert str(err.value) == message

@@ -3,6 +3,7 @@
 import itertools
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,10 @@ HUGE = {"name": "huge", "order": 1, "dofs": 1, "lagrangian": "1e300*q0*q1^2"}
 # inf - inf = NaN above, so some |det W| are NaN
 OVERFLOW = {"name": "overflow", "order": 1, "dofs": 1,
             "lagrangian": "1/2*(1e300*exp(q0) - 1e300*exp(2*q0))*q1^2"}
+# W = q0^400 overflows Python floats' ** where |q0| exceeds about 5.6; on
+# numpy scalars it is inf there
+POWER = {"name": "power", "order": 1, "dofs": 1,
+         "lagrangian": "1/2*q0^400*q1^2"}
 
 
 def _swept_one_by_one(ds, domain=None, samples=100, seed=0):
@@ -262,9 +267,10 @@ def _swept_one_by_one(ds, domain=None, samples=100, seed=0):
     max_condition, worst_point, worst_w = -np.inf, {}, None
     for _ in range(samples):
         point = ex.sample_point(variables, rng, domain)
-        w = ds.hessian_value(point)
-        inv, condition = legendre._regular_inverse(w)
-        if inv is None:
+        w = ds.hessian_value({ref: np.float64(value)
+                              for ref, value in point.items()})
+        condition = legendre._regular_inverse(w)[1]
+        if not condition * legendre._SINGULAR_RTOL < 1.0:
             regular = False
         if worst_w is None or condition > max_condition:
             max_condition, worst_point, worst_w = condition, point, w
@@ -298,12 +304,14 @@ def _sweep_cases():
     yield "huge-nan-first", HUGE, (-1e9, 1e9), 40, 0
     yield "huge-nan-later", HUGE, (-1e9, 1e9), 40, 1
     yield "overflow-nan-det", OVERFLOW, (-30.0, 30.0), 60, 1
+    yield "power-inf", POWER, (-10.0, 10.0), 60, 2
 
 
 SWEEP_CASES = list(_sweep_cases())
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("doc, domain, samples, seed",
                          [case[1:] for case in SWEEP_CASES],
                          ids=[case[0] for case in SWEEP_CASES])
@@ -322,6 +330,18 @@ def test_unified_families_are_derived_on_first_read(pu):
     for name in lazy:
         assert getattr(ds, name) == getattr(pu, name)
         assert getattr(ds, name) is getattr(ds, name)
+
+
+def test_sweep_judges_an_overflowing_w_without_warnings():
+    # q0^400 overflows at nearly every sample: W is inf there, kappa_1 is
+    # NaN, and a NaN kappa_1 fails the box
+    ds = om.derive(om.build_system(POWER))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = om.regularity_report(ds, domain=(-1e9, 1e9))
+    assert not report.regular
+    assert np.isnan(report.max_condition)
+    assert report.min_abs_det == report.max_abs_det == np.inf
 
 
 def test_stacked_sweep_raises_the_tree_walkers_error():
@@ -429,30 +449,35 @@ def test_legendre_map_cos_jet(pu):
 
 
 def test_legendre_map_tree_walks_only_where_the_kernel_fails(monkeypatch):
-    # p = q1^3 + log(q0): the momenta kernel overflows at q1 = 1e200 and
-    # meets a domain error at q0 = -1; only these two are tree-walked
+    # p = q1^3 + log(q0): the momenta kernel's straight-line code overflows
+    # at q1 = 1e200 and meets a domain error at q0 = -1; only these two
+    # are tree-walked, with the jets bound as numpy scalars
     ds = om.derive(om.build_system({
         "name": "quartic", "order": 1, "dofs": 1,
         "lagrangian": "1/4*q1^4 + log(q0)*q1"}))
     walks = []
-    values = legendre._values
+    evaluate = ex.Expression.evaluate
 
-    def counting(family, env, shape=()):
-        if family is ds.momenta:
+    def counting(expr, env):
+        if expr is ds.momenta[0][0]:
             walks.append([env[om.jet(1, 0)], env[om.jet(1, 1)]])
-        return values(family, env, shape)
+        return evaluate(expr, env)
 
-    monkeypatch.setattr(legendre, "_values", counting)
+    points = [om.JetPoint(0.5, [q])
+              for q in ([2.0, 0.7], [0.3, -1.9], [2.0, 1e200])]
     with np.errstate(over="ignore"):
-        for q in ([2.0, 0.7], [0.3, -1.9], [2.0, 1e200]):
-            jp = om.JetPoint(0.5, [q])
+        wants = [legendre._values(ds.momenta, om.jet_bindings(jp))
+                 for jp in points]
+        monkeypatch.setattr(ex.Expression, "evaluate", counting)
+        for jp, want in zip(points, wants):
             got = om.legendre_map(ds, jp)
-            want = values(ds.momenta, om.jet_bindings(jp))
             assert got.tobytes() == want.tobytes()
     assert got.tolist() == [[np.inf]]
-    with pytest.raises(om.DomainEvalError):
+    with pytest.raises(om.DomainEvalError) as err:
         om.legendre_map(ds, om.JetPoint(0.5, [[-1.0, 1.0]]))
+    assert str(err.value) == "log of non-positive value -1.0"
     assert walks == [[2.0, 1e200], [-1.0, 1.0]]
+    assert all(type(value) is np.float64 for walk in walks for value in walk)
 
 
 def test_legendre_map_reads_orders_up_to_2k_minus_1(pu, coupled_beam):

@@ -173,8 +173,8 @@ def _one_dof(lagrangian):
 
 def test_field_falls_back_to_tree_walker_errors():
     # log of a negative value, a zero denominator, a negative base to a
-    # fractional power: the kernel returns None, and the field reports
-    # the tree walker's DomainEvalError
+    # fractional power: the kernel's straight-line code fails, and the
+    # field reports the tree walker's DomainEvalError
     coords = om.unified_coordinates(1, 1)
     for lagrangian, q0 in (("1/2*q1^2 - q0*log(q0)", -1.0),
                            ("1/2*q1^2 - 1/q0", 0.0),
@@ -203,29 +203,54 @@ def test_field_overflow_returns_tree_walker_value():
     assert got.tobytes() == want.tobytes()
 
 
-def test_field_falls_back_through_acceleration(monkeypatch):
-    # the tree walker has one route to the top jets; the field takes it
-    # once per call where the kernel fails and never where it does not
-    calls = []
-    acceleration = om.DerivedSystem.acceleration
-
-    def counting(self, env):
-        calls.append(env)
-        return acceleration(self, env)
-
-    monkeypatch.setattr(om.DerivedSystem, "acceleration", counting)
+def test_field_overflow_at_a_unified_state_gives_the_tree_walked_partials():
+    # q0^3 overflows the field kernel's straight-line code on Python
+    # floats; the top jet and G^0 = dL/dq_0 = -q0^3 are then the tree
+    # walker's values on numpy scalars
     ds = _one_dof("1/2*q1^2 - q0^4/4")
-    field = unified._unified_field(ds)
-    field(0.0, np.array([0.5, 1.0]))
-    field(0.0, np.array([0.5, 1.0, 1.0]))
-    assert calls == []
+    state = np.array([1e200, 1.0, 1.0])
+    env = dict(zip(om.unified_coordinates(1, 1), np.array([0.0, *state])))
     with np.errstate(all="ignore"):
-        field(0.0, np.array([1e200, 1.0]))
-        assert len(calls) == 1
-        # a unified state also tree-walks G^0 = dL/dq_0 = -q0^3
-        ydot = field(0.0, np.array([1e200, 1.0, 1.0]))
-    assert len(calls) == 2
-    assert ydot[2] == -np.inf
+        got = unified._unified_field(ds)(0.0, state)
+        want = np.array([state[1], *ds.acceleration(env),
+                         ds.lagrangian_partials[0][0].evaluate(env)])
+    assert got.tobytes() == want.tobytes()
+    assert got[2] == -np.inf
+
+
+def test_jet_field_raises_where_a_first_partial_fails():
+    # W = 1 and el_reduced = 0 everywhere, but dL/dq_0 = q1/q0, read by
+    # the unified field only, is undefined at q0 = 0; L's derivative is
+    # undefined there, so the jet field raises too
+    ds = _one_dof("1/2*q1^2 + q1*log(q0)")
+    assert om.to_text(ds.el_reduced[0]) == "0"
+    for state in ([0.0, 0.5], [0.0, 0.5, 0.25]):
+        with pytest.raises(om.DomainEvalError) as err:
+            unified._unified_field(ds)(0.0, np.array(state))
+        assert str(err.value) == "division by zero"
+
+
+def test_point_checks_raise_the_first_failing_expression_of_the_point():
+    # H = q1*p0 - (q1^0.5 + 0.5*q1^2) is 0 at q1 = 0, where the momentum
+    # q1 + 0.5*q1^-0.5, the first expression of the point, is undefined
+    ds = _one_dof("1/2*q1^2 + q1^0.5")
+    up = om.UnifiedPoint.from_state(0.0, [1.0, 0.0, 2.0], 1, 1)
+    assert ds.hamiltonian.evaluate(om.unified_bindings(up)) == 0.0
+    for check in (om.hamiltonian_section_p, om.omega_r_matrix,
+                  om.solve_unified_vf, om.constraint_residuals,
+                  lambda ds, up: om.kernel_check(ds, up, np.zeros(4))):
+        with pytest.raises(om.DomainEvalError) as err:
+            check(ds, up)
+        assert str(err.value) == "zero raised to a negative power"
+    # the constraint residuals read only the momenta, here p = q1, and
+    # not H = q1*p0 - (0.5*q1^2 + log(q0))
+    ds = _one_dof("1/2*q1^2 + log(q0)")
+    up = om.UnifiedPoint.from_state(0.0, [-1.0, 0.5, 0.5], 1, 1)
+    assert [level.tolist() for level in om.constraint_residuals(ds, up)] \
+        == [[0.0]]
+    with pytest.raises(om.DomainEvalError) as err:
+        om.hamiltonian_section_p(ds, up)
+    assert str(err.value) == "log of non-positive value -1.0"
 
 
 # W = [[q0_1, q0_1 q0_2], [q0_1 q0_2, q0_2]], dense at q0 = (1 - d, 1),
@@ -513,7 +538,7 @@ def test_one_evaluation_gives_the_tree_walked_answer(name):
     ds = om.derive(om.build_system(_point_systems()[name]))
     points = _check_points(ds, seed=sum(map(ord, name)))
     if name == "harmonic":
-        # the point kernel overflows on Python floats and falls back
+        # the point kernel's straight-line code overflows on Python floats
         points.append(om.UnifiedPoint.from_state(0.0, [1e200, 0.0, 0.0], 1, 1))
     singular = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -544,4 +569,13 @@ def test_one_evaluation_gives_the_tree_walked_answer(name):
     # only off the sampled box
     assert singular == (21 if name == "degenerate" else 0)
     if name == "harmonic":
-        assert ds._kernels["point"](0.0, 1e200, 0.0, 0.0) is None
+        # where the point kernel's straight-line code overflows, it
+        # answers with the tree walker's values on numpy scalars
+        up = points[-1]
+        env = dict(zip(om.unified_coordinates(1, 1),
+                       np.array([up.t, *up.to_state()])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = ds._kernels["point"](up.t, *up.to_state().tolist())
+            want = [e.evaluate(env) for e in unified._point_family(ds)]
+        assert _bits(list(got)) == _bits(want)
+        assert np.isinf(got).any()

@@ -43,14 +43,27 @@ MALFORMED_PATHS = {
                         '"interval": [0, 1]}',
 }
 
-# system documents written inline for the regularity sweep of derive: W
-# crosses zero inside the default box, and W = 2*sqrt(q0) is a domain
-# error at every negative sample (a usage error)
+# system documents written inline, each with the subcommand and options
+# of its one run.  The regularity sweep of derive: W crosses zero inside
+# the default box; W = 2*sqrt(q0) is a domain error at every negative
+# sample (a usage error); W = 2e300*q0 overflows to inf, where kappa_1 is
+# NaN; W = q0^400 overflows a power.  unified-check at a point where the
+# momentum q1^3 + log(q0) is a domain error.
 INLINE_SYSTEMS = {
-    "crossing": '{"name": "crossing", "order": 1, "dofs": 1, '
-                '"lagrangian": "1/2*q0*q1^2"}',
-    "root": '{"name": "root", "order": 1, "dofs": 1, '
-            '"lagrangian": "sqrt(q0)*q1^2"}',
+    "crossing": ('{"name": "crossing", "order": 1, "dofs": 1, '
+                 '"lagrangian": "1/2*q0*q1^2"}', ["derive"]),
+    "root": ('{"name": "root", "order": 1, "dofs": 1, '
+             '"lagrangian": "sqrt(q0)*q1^2"}', ["derive"]),
+    "quartic": ('{"name": "quartic", "order": 1, "dofs": 1, '
+                '"lagrangian": "1/4*q1^4 + log(q0)*q1"}',
+                ["unified-check", "--point=0,-1,1,0"]),
+    "huge": ('{"name": "huge", "order": 1, "dofs": 1, '
+             '"lagrangian": "1e300*q0*q1^2"}',
+             ["derive", "--domain=-1e9,1e9", "--samples", "40", "--seed",
+              "0"]),
+    "power": ('{"name": "power", "order": 1, "dofs": 1, '
+              '"lagrangian": "1/2*q0^400*q1^2"}',
+              ["derive", "--domain=-1e9,1e9"]),
 }
 
 
@@ -156,9 +169,9 @@ def _runs(work: Path):
     yield ["derive", "coupled_mass.json", "--samples", "600", "--seed",
            "7"], None
     yield ["derive", "coupled_mass.json", "--domain=-40,40"], None
-    for what, text in INLINE_SYSTEMS.items():
+    for what, (text, (command, *options)) in INLINE_SYSTEMS.items():
         (work / f"{what}.json").write_text(text)
-        yield ["derive", f"{what}.json"], None
+        yield [command, f"{what}.json", *options], None
 
 
 def main() -> int:
