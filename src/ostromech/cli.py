@@ -84,27 +84,21 @@ def _configure_logging():
 
 
 def _jsonable(value):
-    """Plain-Python view of a report value, fit for json.dumps."""
+    """The report fit for json.dumps: every report is built from plain
+    Python values, and only a non-finite float, which JSON cannot hold,
+    is replaced, by its text ("nan", "inf" or "-inf")."""
     if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, list):
         return [_jsonable(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(item) for item in value.tolist()]
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        return value if math.isfinite(value) else repr(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
     return value
 
 
 def _rounded(value):
-    """A plain report, as _jsonable returns it, with its floats rounded to
-    15 significant digits, hiding last-ulp accumulation noise in
-    human-facing summaries."""
+    """A plain report with its floats rounded to 15 significant digits,
+    hiding last-ulp accumulation noise in human-facing summaries."""
     if isinstance(value, float):
         return float(f"{value:.15g}")
     if isinstance(value, dict):
@@ -253,14 +247,14 @@ def cmd_simulate(args):
         "smallest_step": meta["smallest_step"],
         "largest_step": meta["largest_step"],
         "final_time": float(traj.grid[-1]),
-        "final_state": list(traj.states[-1]),
+        "final_state": traj.states[-1].tolist(),
         "trajectory_file": args.out,
         "verification": verification.to_dict(),
     }
     if traj.layout == "unified":
         summary["max_constraint_residual"] = meta["max_constraint_residual"]
         summary["constraint_drift_warning"] = meta["constraint_drift_warning"]
-    _emit(args, _rounded(_jsonable(summary)), to_out=False)
+    _emit(args, _rounded(summary), to_out=False)
     return EXIT_OK
 
 
@@ -380,19 +374,19 @@ def _point_entry(ds, up):
     entry = {
         "t": up.t,
         "on_constraint": on_constraint,
-        "constraint_residuals": [list(level) for level in residuals],
+        "constraint_residuals": [level.tolist() for level in residuals],
         "constraint_tolerance": tolerance,
         "hamiltonian": -section_p,
         "section_p": section_p,
         "coupling": unified.coupling(lifted),
     }
     explicit = unified.explicit_semispray(ds, up)
-    entry["explicit_field"] = list(explicit.components)
+    entry["explicit_field"] = explicit.components.tolist()
     entry["solved_field"] = None
     field = explicit
     if on_constraint:
         field = unified._solve_unified_vf(values)
-        entry["solved_field"] = list(field.components)
+        entry["solved_field"] = field.components.tolist()
         entry["max_field_difference"] = float(
             np.max(np.abs(field.components - explicit.components)))
     kernel = unified._kernel_check(values, field)

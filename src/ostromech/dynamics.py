@@ -245,16 +245,21 @@ def _integrate(f, t0, y0, t_end, method, step, rtol, atol, max_step,
                               f"t0={float(t0)}, t_end={float(t_end)}")
     if t_end <= t0:
         raise ValidationError("t_end must lie after the initial time")
-    if method == "rk4":
-        if step is None or not step > 0:
-            raise ValidationError("rk4 integration needs a positive step")
-        return _run_rk4(f, t0, y0, t_end, step, max_steps)
-    if method == "rk45":
-        if not (atol > 0 and rtol >= 0 and max_step > 0):
-            raise ValidationError(
-                f"rk45 integration needs atol > 0, rtol >= 0 and max_step "
-                f"> 0, got atol={atol}, rtol={rtol}, max_step={max_step}")
-        return _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, max_steps)
+    # a stage may overflow to inf or NaN, which rk45 rejects and verification
+    # reports, so NumPy's warnings would only repeat it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "rk4":
+            if step is None or not step > 0:
+                raise ValidationError("rk4 integration needs a positive step")
+            return _run_rk4(f, t0, y0, t_end, step, max_steps)
+        if method == "rk45":
+            if not (atol > 0 and rtol >= 0 and max_step > 0):
+                raise ValidationError(
+                    f"rk45 integration needs atol > 0, rtol >= 0 and "
+                    f"max_step > 0, got atol={atol}, rtol={rtol}, "
+                    f"max_step={max_step}")
+            return _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step,
+                              max_steps)
     raise ValidationError(f"unknown integration method {method!r}")
 
 
@@ -550,12 +555,12 @@ def _column_names(k, n, layout):
 
 def save_trajectory_csv(traj: Trajectory, path):
     """Write a trajectory as CSV with 17-significant-digit floats."""
-    names = _column_names(traj.k, traj.n, traj.layout)
+    # a file object, so that a name ending in .gz is not compressed
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for t, row in zip(traj.grid, traj.states):
-            cells = [f"{t:.17g}"] + [f"{v:.17g}" for v in row]
-            fh.write(",".join(cells) + "\n")
+        np.savetxt(fh, np.column_stack([traj.grid, traj.states]),
+                   fmt="%.17g", delimiter=",", comments="",
+                   header=",".join(
+                       _column_names(traj.k, traj.n, traj.layout)))
 
 
 def load_trajectory_csv(path, k: int | None = None,

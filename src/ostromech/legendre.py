@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -373,22 +373,13 @@ class RegularityReport:
     min_abs_det: float
     max_abs_det: float
     max_condition: float
+    rank_at_worst_point: int | None = 0
     worst_point: dict = field(default_factory=dict)
-    rank_at_worst: int = 0
     samples: int = 0
     seed: int = 0
 
     def to_dict(self):
-        return {
-            "regular": self.regular,
-            "min_abs_det": self.min_abs_det,
-            "max_abs_det": self.max_abs_det,
-            "max_condition": self.max_condition,
-            "rank_at_worst_point": self.rank_at_worst,
-            "worst_point": self.worst_point,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def regularity_report(sys: SystemModel, domain=None, samples: int = 100,
@@ -398,9 +389,10 @@ def regularity_report(sys: SystemModel, domain=None, samples: int = 100,
     The system is regular on the box when kappa_1(W) * rtol < 1 at every
     sample, so a NaN kappa_1(W), which :func:`_regular_inverse` does not
     call singular at a point, fails the box.  The worst point is the
-    sample of largest kappa_1(W), the first on ties, keyed by variable
-    names as the system's n dofs spell them; the |det W| range is
-    descriptive only.  ``samples`` must be at least 1.
+    first sample of NaN kappa_1(W), if any, else the first of largest
+    kappa_1(W), keyed by variable names as the system's n dofs spell
+    them; the rank of W there is None where W is not finite.  The |det W|
+    range is descriptive only.  ``samples`` must be at least 1.
 
     The samples are drawn in :func:`expressions.sample_point`'s order and
     swept in blocks of ``_SWEEP_BLOCK``: W comes from the system's
@@ -441,9 +433,12 @@ def regularity_report(sys: SystemModel, domain=None, samples: int = 100,
             dets = np.abs(np.linalg.det(ws))
         regular = regular and all(
             condition * _SINGULAR_RTOL < 1.0 for condition in conditions)
-        for point, w, condition in zip(points, ws, conditions):
-            if worst_w is None or condition > max_condition:
-                max_condition, worst_point, worst_w = condition, point, w
+        # argmax finds the block's first NaN, else its first largest; an
+        # earlier block keeps its ties and its NaN
+        i = int(np.argmax(conditions))
+        if not (np.isnan(max_condition) or conditions[i] <= max_condition):
+            max_condition, worst_point, worst_w = (
+                conditions[i], points[i], ws[i])
         min_det, max_det = min(min_det, *dets), max(max_det, *dets)
 
     return RegularityReport(
@@ -451,7 +446,8 @@ def regularity_report(sys: SystemModel, domain=None, samples: int = 100,
         max_condition=max_condition,
         worst_point={ref.display(n): value
                      for ref, value in zip(order, worst_point)},
-        rank_at_worst=int(np.linalg.matrix_rank(worst_w)),
+        rank_at_worst_point=(int(np.linalg.matrix_rank(worst_w))
+                             if np.isfinite(worst_w).all() else None),
         samples=samples, seed=seed)
 
 

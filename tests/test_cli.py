@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import logging
+import math
 import re
 import subprocess
 import sys
@@ -581,6 +582,86 @@ def test_outputs_byte_identical_across_runs(tmp_path, capsys):
         assert first[0] in (0, 1) and first[1]
         assert run_cli(capsys, argv)[:2] == first, argv
         assert csv.read_bytes() == trajectory, argv
+
+
+def _plain(value):
+    """Whether a report holds only dict, list, str, bool, int, float and
+    None, exactly those types and no subclass of them."""
+    if type(value) is dict:
+        return all(type(key) is str and _plain(item)
+                   for key, item in value.items())
+    if type(value) is list:
+        return all(_plain(item) for item in value)
+    return value is None or type(value) in (str, bool, int, float)
+
+
+@pytest.mark.parametrize("spec", sorted(DEMOS.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_reports_hold_plain_python_values(tmp_path, capsys, monkeypatch,
+                                          spec):
+    reports = []
+    emit = cli._emit
+
+    def recording_emit(args, report, to_out=True):
+        reports.append((args.command, report))
+        emit(args, report, to_out)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    doc = json.loads(spec.read_text())
+    k, n = doc["order"], doc["dofs"]
+    jets = [0.3 + 0.1 * j for j in range(2 * k * n)]
+    momenta = om.legendre_map(om.derive(om.build_system(doc)),
+                              om.JetPoint.from_state(0.0, jets, k, n))
+    state = ",".join(map(repr, jets + momenta.reshape(-1).tolist()))
+    jet_csv, unified_csv = tmp_path / "jet.csv", tmp_path / "unified.csv"
+    for argv in (["derive", str(spec), "--samples", "20"],
+                 ["simulate", str(spec), "--init", ",".join(map(repr, jets)),
+                  "--t-end", "1", "--out", str(jet_csv)],
+                 ["simulate", str(spec), "--init", state, "--t-end", "1",
+                  "--unified", "--out", str(unified_csv)],
+                 ["unified-check", str(spec), "--random", "3"],
+                 ["unified-check", str(spec), "--point", "0," + state]):
+        run_cli(capsys, argv)
+    for csv in (jet_csv, unified_csv):
+        if csv.exists():
+            run_cli(capsys, ["verify", str(spec), "--traj", str(csv)])
+            run_cli(capsys, ["action-check", str(spec), "--traj", str(csv),
+                             "--variations", "2"])
+    commands = {command for command, _ in reports}
+    # a singular W stops every command on the degenerate system but derive
+    assert commands == ({"derive"} if spec.stem == "degenerate" else
+                        {"derive", "simulate", "verify", "action-check",
+                         "unified-check"})
+    for command, report in reports:
+        assert _plain(report), command
+
+
+def test_jsonable_prints_non_finite_floats_as_text():
+    non_finite = [math.nan, math.inf, -math.inf,
+                  np.float64("nan"), np.float64("inf"), np.float64("-inf")]
+    assert cli._jsonable({"values": non_finite}) == {
+        "values": ["nan", "inf", "-inf"] * 2}
+    kept = {"float": 0.1, "zero": -0.0, "tiny": 1e-300, "int": 3,
+            "true": True, "false": False, "none": None, "text": "nan",
+            "nested": [[2.5, None], {"x": 7}]}
+    assert repr(cli._jsonable(kept)) == repr(kept)
+
+
+def test_derive_worst_point_is_the_first_nan_condition(tmp_path, capsys):
+    # W = (q0+1)^400 - q0^400 is inf or NaN where a power overflows; the
+    # first NaN kappa_1 follows finite ones at seed 0, and the worst W is
+    # NaN at seed 3, where taking its rank raised
+    spec = tmp_path / "gap.json"
+    spec.write_text(json.dumps({
+        "name": "gap", "order": 1, "dofs": 1,
+        "lagrangian": "1/2*((q0+1)^400 - q0^400)*q1^2"}))
+    for seed in ("0", "3"):
+        regularity = run_json(capsys, [
+            "derive", str(spec), "--domain=-10,10", "--samples", "40",
+            "--seed", seed])["regularity"]
+        assert regularity["regular"] is False
+        assert regularity["max_condition"] == "nan"
+        assert regularity["rank_at_worst_point"] is None
 
 
 def test_jobs_flag_is_gone(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,20 @@ def test_rk45_rejects_a_step_with_a_non_finite_stage(stage):
     assert meta["rejected"] >= 1 and grid[1] == pytest.approx(0.002)
     assert np.all(np.isfinite(states))
     assert states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-8)
+
+
+def test_rejected_overflowing_stages_print_no_numpy_warning():
+    # q0^200 overflows in the stages of the steps that overshoot, where W
+    # is inf and kappa_1 is NaN; those steps are rejected, not warned of
+    steep = om.derive(om.build_system({"name": "steep", "order": 1,
+                                       "dofs": 1,
+                                       "lagrangian": "1/2*q0^200*q1^2"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = om.integrate(steep, om.JetPoint(0.0, np.array([[30.0, 200.0]])),
+                            1.0)
+    assert traj.meta["rejected"] >= 1
+    assert np.all(np.isfinite(traj.states))
 
 
 def test_coupled_mass_straight_line_solve_matches_the_inversion(monkeypatch):
@@ -436,6 +451,18 @@ def test_csv_round_trip(tmp_path, pu):
     np.testing.assert_array_equal(back.grid, traj.grid)
     np.testing.assert_array_equal(back.states, traj.states)
     assert back.layout == "unified"
+
+
+def test_csv_cells_are_17_digit_floats(tmp_path):
+    grid = np.array([0.0, 0.25, 1.0])
+    states = np.array([[-0.0, 1e-300], [np.nan, np.inf], [-np.inf, 1 / 3]])
+    path = tmp_path / "cells.csv"
+    om.save_trajectory_csv(om.Trajectory(grid, states, "jet", 1, 1), path)
+    rows = np.column_stack([grid, states])
+    assert path.read_bytes() == "".join(
+        ["t,q_0_1,q_1_1\n"]
+        + [",".join(f"{v:.17g}" for v in row) + "\n" for row in rows]
+    ).encode()
 
 
 def test_csv_jet_layout_header(tmp_path, harmonic):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import pathlib
 import warnings
 
@@ -255,6 +256,9 @@ OVERFLOW = {"name": "overflow", "order": 1, "dofs": 1,
 # numpy scalars it is inf there
 POWER = {"name": "power", "order": 1, "dofs": 1,
          "lagrangian": "1/2*q0^400*q1^2"}
+# W = (q0+1)^400 - q0^400 is inf - inf = NaN where both powers overflow
+GAP = {"name": "gap", "order": 1, "dofs": 1,
+       "lagrangian": "1/2*((q0+1)^400 - q0^400)*q1^2"}
 
 
 def _swept_one_by_one(ds, domain=None, samples=100, seed=0):
@@ -272,7 +276,8 @@ def _swept_one_by_one(ds, domain=None, samples=100, seed=0):
         condition = legendre._regular_inverse(w)[1]
         if not condition * legendre._SINGULAR_RTOL < 1.0:
             regular = False
-        if worst_w is None or condition > max_condition:
+        # the first NaN kappa_1 is worst, else the first largest
+        if not (math.isnan(max_condition) or condition <= max_condition):
             max_condition, worst_point, worst_w = condition, point, w
         detval = abs(np.linalg.det(w))
         min_det, max_det = min(min_det, detval), max(max_det, detval)
@@ -281,7 +286,8 @@ def _swept_one_by_one(ds, domain=None, samples=100, seed=0):
         max_abs_det=float(max_det), max_condition=max_condition,
         worst_point={ref.display(ds.n): value
                      for ref, value in worst_point.items()},
-        rank_at_worst=int(np.linalg.matrix_rank(worst_w)),
+        rank_at_worst_point=(int(np.linalg.matrix_rank(worst_w))
+                             if np.all(np.isfinite(worst_w)) else None),
         samples=samples, seed=seed).to_dict()
 
 
@@ -299,12 +305,18 @@ def _sweep_cases():
     degenerate = json.loads((DEMO_SYSTEMS / "degenerate.json").read_text())
     yield "degenerate-blocks", degenerate, None, legendre._SWEEP_BLOCK + 1, 3
     yield "kink", KINK, (-1.0, 1.0), 300, 0
-    # a NaN kappa_1 in the first sample stays worst (seed 0); after a
-    # finite one it is never worst (seed 1)
+    # a NaN kappa_1 is worst, whether it comes first (seed 0) or after a
+    # finite one (seed 1); GAP's W is NaN at seed 3, where it has no rank
     yield "huge-nan-first", HUGE, (-1e9, 1e9), 40, 0
     yield "huge-nan-later", HUGE, (-1e9, 1e9), 40, 1
     yield "overflow-nan-det", OVERFLOW, (-30.0, 30.0), 60, 1
     yield "power-inf", POWER, (-10.0, 10.0), 60, 2
+    yield "gap-nan-later", GAP, (-10.0, 10.0), 40, 0
+    yield "gap-nan-w", GAP, (-10.0, 10.0), 40, 3
+    # across blocks: the first NaN comes in the second block at seed 2,
+    # and every block has one over the wider box
+    yield "gap-nan-second-block", GAP, (-5.0, 4.95), blocks - 20, 2
+    yield "gap-nan-every-block", GAP, (-10.0, 10.0), blocks - 20, 4
 
 
 SWEEP_CASES = list(_sweep_cases())
@@ -342,6 +354,8 @@ def test_sweep_judges_an_overflowing_w_without_warnings():
     assert not report.regular
     assert np.isnan(report.max_condition)
     assert report.min_abs_det == report.max_abs_det == np.inf
+    # an all-inf W is not the zero matrix: it has no rank
+    assert report.rank_at_worst_point is None
 
 
 def test_stacked_sweep_raises_the_tree_walkers_error():
@@ -374,7 +388,7 @@ def test_regularity_test_is_scale_invariant():
         report = om.regularity_report(ds, samples=5, seed=0)
         assert report.regular
         assert report.max_condition == pytest.approx(1.0, rel=1e-15)
-        assert report.rank_at_worst == n
+        assert report.rank_at_worst_point == n
 
         init = om.JetPoint(0.0, np.tile([1.0, -0.5], (n, 1)))
         traj = om.integrate(ds, init, 1.0)

@@ -48,7 +48,11 @@ MALFORMED_PATHS = {
 # the default box; W = 2*sqrt(q0) is a domain error at every negative
 # sample (a usage error); W = 2e300*q0 overflows to inf, where kappa_1 is
 # NaN; W = q0^400 overflows a power.  unified-check at a point where the
-# momentum q1^3 + log(q0) is a domain error.
+# momentum q1^3 + log(q0) is a domain error.  W = (q0+1)^400 - q0^400 is
+# inf - inf = NaN where both powers overflow: at seed 0 a NaN kappa_1
+# follows finite ones and must be the worst point, at seed 3 the worst W
+# is NaN and has no rank.  simulate of W = q0^200, whose stages overflow
+# and are rejected, with no NumPy warning.
 INLINE_SYSTEMS = {
     "crossing": ('{"name": "crossing", "order": 1, "dofs": 1, '
                  '"lagrangian": "1/2*q0*q1^2"}', ["derive"]),
@@ -64,6 +68,16 @@ INLINE_SYSTEMS = {
     "power": ('{"name": "power", "order": 1, "dofs": 1, '
               '"lagrangian": "1/2*q0^400*q1^2"}',
               ["derive", "--domain=-1e9,1e9"]),
+    "gap": ('{"name": "gap", "order": 1, "dofs": 1, '
+            '"lagrangian": "1/2*((q0+1)^400 - q0^400)*q1^2"}',
+            ["derive", "--domain=-10,10", "--samples", "40", "--seed", "0"]),
+    "gap_nan": ('{"name": "gap", "order": 1, "dofs": 1, '
+                '"lagrangian": "1/2*((q0+1)^400 - q0^400)*q1^2"}',
+                ["derive", "--domain=-10,10", "--samples", "40", "--seed",
+                 "3"]),
+    "steep": ('{"name": "steep", "order": 1, "dofs": 1, '
+              '"lagrangian": "1/2*q0^200*q1^2"}',
+              ["simulate", "--init", "30,200", "--t-end", "1"]),
 }
 
 
