@@ -255,6 +255,11 @@ def cmd_simulate(args):
         summary["max_constraint_residual"] = meta["max_constraint_residual"]
         summary["constraint_drift_warning"] = meta["constraint_drift_warning"]
     _emit(args, _rounded(summary), to_out=False)
+    # rk45 rejects a non-finite step, but under rk4 a non-finite component
+    # stays non-finite, so the final state tells
+    if not np.all(np.isfinite(traj.states[-1])):
+        print("warning: non-finite final_state", file=sys.stderr)
+        return EXIT_CHECKS_FAILED
     return EXIT_OK
 
 

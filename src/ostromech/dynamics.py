@@ -32,8 +32,8 @@ from .errors import (
 )
 from .legendre import DerivedSystem, _values, legendre_map
 from .systems import (
-    JetPoint, UnifiedPoint, _bindings, _coordinates, _split_state,
-    jet_bindings)
+    JetPoint, UnifiedPoint, _bindings, _coordinates, _pairing,
+    _split_state, jet_bindings)
 from .unified import _check_point, _constraint_check, _unified_field
 
 __all__ = [
@@ -326,12 +326,8 @@ def integrate_unified(ds: DerivedSystem, init: UnifiedPoint, t_end: float,
 def _energy(ds, env, jets):
     """E = sum p_A^i q_{i+1}^A - L with the momenta of the Legendre map,
     at a point or over a grid."""
-    momenta = _values(ds.momenta, env, jets.shape[2:])
-    total = 0.0
-    for a in range(ds.n):
-        for i in range(ds.k):
-            total = total + momenta[a, i] * jets[a, i + 1]
-    return total - ds.lagrangian_value(env)
+    return (_pairing(_values(ds.momenta, env, jets.shape[2:]), jets)
+            - ds.lagrangian_value(env))
 
 
 def ostrogradsky_energy(ds: DerivedSystem, jp: JetPoint) -> float:

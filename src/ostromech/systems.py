@@ -7,7 +7,8 @@ all orders of dof 1, then all orders of dof 2, and so on, with momenta
 appended in the same pattern.  This module alone defines that layout:
 :func:`_coordinates` names the coordinates in order, :func:`_index` gives
 their positions, :func:`_split_state` views a state as jets[a, i] and
-momenta[a, i], :func:`_bindings` binds them.
+momenta[a, i], :func:`_bindings` binds them and :func:`_pairing` pairs
+them.
 """
 
 from __future__ import annotations
@@ -169,6 +170,17 @@ def _bindings(t, jets, momenta=None, p_ext=None) -> dict:
     if p_ext is not None:
         env[ex.ext_momentum()] = p_ext
     return env
+
+
+def _pairing(momenta, jets, start=0.0):
+    """``start`` plus sum p_A^i q_{i+1}^A, added dof by dof and level by
+    level; the terms are scalars at a point or arrays over a grid."""
+    total = start
+    n, levels = momenta.shape[:2]
+    for a in range(n):
+        for i in range(levels):
+            total = total + momenta[a, i] * jets[a, i + 1]
+    return total
 
 
 def jet_bindings(jp: JetPoint) -> dict:

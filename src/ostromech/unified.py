@@ -48,7 +48,7 @@ from .errors import (
 )
 from .legendre import (
     DerivedSystem, _regular_inverse, _top_jet_solver, legendre_map)
-from .systems import UnifiedPoint, _coordinates, _index
+from .systems import UnifiedPoint, _coordinates, _index, _pairing
 
 __all__ = [
     "unified_coordinates", "TwoFormMatrix",
@@ -192,14 +192,9 @@ def coupling(up: UnifiedPoint) -> float:
     """The pairing function p + sum p_A^i q_{i+1}^A at an extended point."""
     if up.p_ext is None:
         raise ValidationError("coupling needs the extended momentum coordinate")
-    n, k = up.momenta.shape
-    if up.jet.orders < k + 1:
+    if up.jet.orders < up.momenta.shape[1] + 1:
         raise ValidationError("jet point must carry orders up to k")
-    total = up.p_ext
-    for a in range(n):
-        for i in range(k):
-            total += up.momenta[a, i] * up.jet.q[a, i + 1]
-    return float(total)
+    return float(_pairing(up.momenta, up.jet.q, start=up.p_ext))
 
 
 def hamiltonian_section_p(ds: DerivedSystem, up: UnifiedPoint) -> float:

@@ -19,7 +19,6 @@ one quadrature grid and one set of path and bump derivatives on it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,7 @@ from numpy.polynomial import polynomial as npoly
 from .errors import DimensionError, ValidationError
 from .dynamics import Trajectory
 from .legendre import DerivedSystem, _values
-from .systems import _bindings, _split_state
+from .systems import _bindings, _pairing, _split_state
 
 __all__ = [
     "PathRepresentation", "Variation", "discrete_action",
@@ -36,17 +35,11 @@ __all__ = [
     "StationarityReport", "fit_path", "FitResult", "el_along_path",
 ]
 
-logger = logging.getLogger("ostromech.variational")
-
 _BASES = ("monomial", "fourier")
 _DEFAULT_QUAD_POINTS = 512
 
 # scale of the variation in the central differences of action_derivative
 _EPSILON = 1e-5
-
-# condition number of the normal equations above which fitting falls back
-# to an orthogonal factorization
-_FIT_CONDITION_LIMIT = 1e10
 
 
 def _basis_matrix(basis, interval, n_coeffs, ts, order=0):
@@ -219,13 +212,9 @@ def _lagrangian(ds, ts, jets):
 
 def _cartan(ds, ts, jets):
     momenta = _values(ds.momenta, _bindings(ts, jets), ts.shape)
-    total = np.zeros(ts.size)
-    for a in range(ds.n):
-        for i in range(ds.k):
-            total = total + momenta[a, i] * jets[a, i + 1]
     # p = -H on the Hamiltonian section
-    return total - _values(ds.hamiltonian, _bindings(ts, jets, momenta),
-                           ts.shape)
+    return _pairing(momenta, jets) - _values(
+        ds.hamiltonian, _bindings(ts, jets, momenta), ts.shape)
 
 
 def _integrand(ds, name):
@@ -410,15 +399,15 @@ class FitResult:
 
     ``max_residual`` covers the fitted positions; ``derivative_residuals``
     compares the analytic derivatives of the fit against the recorded
-    higher jets, orders 1 .. 2k-1.  ``used_orthogonal`` reports the
-    fallback from the normal equations to an orthogonal factorization.
+    higher jets, orders 1 .. 2k-1.  ``condition`` is the condition number
+    of the normal equations, the squared ratio of the extreme singular
+    values of the design matrix (inf where the smallest is 0).
     """
 
     path: PathRepresentation
     max_residual: float
     derivative_residuals: list
     condition: float
-    used_orthogonal: bool
 
     def to_dict(self):
         return {
@@ -427,7 +416,6 @@ class FitResult:
             "max_residual": self.max_residual,
             "derivative_residuals": list(self.derivative_residuals),
             "condition": self.condition,
-            "used_orthogonal": self.used_orthogonal,
         }
 
 
@@ -435,9 +423,9 @@ def fit_path(traj: Trajectory, basis: str, n_coeffs: int) -> FitResult:
     """Least-squares fit of the position samples of a trajectory.
 
     Only the order-0 jets are fitted; the fit's analytic derivatives are
-    then compared against the recorded higher jets and reported.  Normal
-    equations are used while well conditioned; otherwise the solve falls
-    back to an orthogonal factorization with a logged warning.
+    then compared against the recorded higher jets and reported.  The
+    normal equations are never formed: one orthogonal least-squares solve
+    gives the coefficients and the singular values for ``condition``.
     """
     if basis not in _BASES:
         raise ValidationError(f"unknown path basis {basis!r}")
@@ -450,20 +438,15 @@ def fit_path(traj: Trajectory, basis: str, n_coeffs: int) -> FitResult:
     jets = _split_state(traj.states.T, traj.k, traj.n)[0]
     targets = np.column_stack([jets[a, 0] for a in range(traj.n)])
 
-    gram = design.T @ design
-    condition = float(np.linalg.cond(gram))
-    used_orthogonal = condition > _FIT_CONDITION_LIMIT
-    if used_orthogonal:
-        logger.warning(
-            "normal equations are ill-conditioned (cond=%.3e); "
-            "falling back to an orthogonal factorization", condition)
-        coeffs, *_ = np.linalg.lstsq(design, targets, rcond=None)
-    else:
-        coeffs = np.linalg.solve(gram, design.T @ targets)
+    coeffs, _, _, singular = np.linalg.lstsq(design, targets, rcond=None)
+    # on Python floats an overflowing ratio is inf, not a NumPy warning
+    ratio = (float(singular[0]) / float(singular[-1]) if singular[-1]
+             else np.inf)
+    condition = ratio * ratio
     path = PathRepresentation(basis, coeffs.T, interval)
 
     residuals = np.max(np.abs(_path_jets(path, traj.grid, 2 * traj.k - 1)
                               - jets), axis=(0, 2))
     return FitResult(path=path, max_residual=float(residuals[0]),
                      derivative_residuals=residuals[1:].tolist(),
-                     condition=condition, used_orthogonal=used_orthogonal)
+                     condition=condition)

@@ -257,6 +257,28 @@ def test_simulate_blow_up_exits_singular(tmp_path, capsys):
     assert "underflow" in err
 
 
+STEEP = {"name": "steep", "order": 1, "dofs": 1,
+         "lagrangian": "1/2*q0^200*q1^2"}
+
+
+@pytest.mark.parametrize("method", [["--method", "rk4", "--step", "0.05"],
+                                    ["--method", "rk45"]], ids=["rk4", "rk45"])
+def test_simulate_non_finite_final_state_fails(tmp_path, capsys, method):
+    # rk4 steps through the overflow into NaN; rk45 rejects every such step
+    spec = tmp_path / "steep.json"
+    spec.write_text(json.dumps(STEEP))
+    code, out, err = run_cli(capsys, ["simulate", str(spec), "--init",
+                                      "30,200", "--t-end", "1", *method])
+    summary = json.loads(out)
+    if method[1] == "rk4":
+        assert code == 1
+        assert err == "warning: non-finite final_state\n"
+        assert summary["final_state"] == ["nan", "nan"]
+    else:
+        assert (code, err) == (0, "")
+        assert all(math.isfinite(x) for x in summary["final_state"])
+
+
 def test_simulate_usage_errors(tmp_path, capsys):
     spec = write_spec(tmp_path, "harmonic")
     code, _, _ = run_cli(capsys, [
@@ -403,8 +425,20 @@ def test_action_check_fitted_trajectory(tmp_path, capsys):
         "action-check", spec, "--traj", str(csv), "--basis", "fourier",
         "--coeffs", "9", "--variations", "10"])
     assert report["passed"] is True
-    assert report["source"]["fit"]["used_orthogonal"] is False
+    assert "used_orthogonal" not in report["source"]["fit"]
     assert report["source"]["fit"]["max_residual"] < 1e-8
+
+
+def test_action_check_default_fit_is_silent(tmp_path, capsys):
+    # the default 12-coefficient monomial fit has cond(D^T D) above 1e10
+    spec = write_spec(tmp_path, "harmonic")
+    csv = tmp_path / "traj.csv"
+    run_json(capsys, ["simulate", spec, "--init", "1,0",
+                      "--t-end", f"{2 * np.pi:.17g}", "--out", str(csv)])
+    _, out, err = run_cli(capsys, ["action-check", spec, "--traj", str(csv),
+                                   "--variations", "2"])
+    assert err == ""
+    assert json.loads(out)["source"]["fit"]["condition"] > 1e10
 
 
 def test_action_check_fails_a_non_finite_fit_residual(tmp_path, capsys):
@@ -739,20 +773,19 @@ def test_debug_log_reports_compiled_kernel(tmp_path, capsys, monkeypatch):
 
 def test_log_handler_follows_current_stderr(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("OSTRO_LOG", raising=False)
-    spec = write_spec(tmp_path, "harmonic")
-    csv = tmp_path / "traj.csv"
-    run_json(capsys, ["simulate", spec, "--init", "1,0",
-                      "--t-end", f"{2 * np.pi:.17g}", "--out", str(csv)])
-    # the default 12-coefficient monomial fit logs an ill-conditioning warning
-    argv = ["action-check", spec, "--traj", str(csv), "--variations", "2"]
+    spec = tmp_path / "diagonal9.json"
+    spec.write_text(json.dumps({
+        "name": "diagonal9", "order": 1, "dofs": 9,
+        "lagrangian": " + ".join(f"1/2*q1_{a}^2" for a in range(1, 10))}))
+    # nine dofs log that the determinant text is omitted
     for _ in range(2):
         stream = io.StringIO()
         with contextlib.redirect_stderr(stream):
-            cli.main(argv)
+            cli.main(["derive", str(spec)])
         err = stream.getvalue()
         stream.close()
-        assert "WARNING ostromech.variational: normal equations are " \
-            "ill-conditioned" in err
+        assert "WARNING ostromech.cli: hessian_det omitted: 9 dofs exceed " \
+            "the limit of 8" in err
         assert "Logging error" not in err
 
 

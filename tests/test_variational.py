@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ostromech as om
+from ostromech import variational
 
 from conftest import cos_jet
 
@@ -279,7 +280,6 @@ def test_fit_path_fourier_recovery(harmonic):
     traj = om.integrate(harmonic, om.JetPoint(0.0, np.array([[1.0, 0.0]])),
                         2.0 * np.pi)
     fit = om.fit_path(traj, "fourier", 9)
-    assert not fit.used_orthogonal
     assert fit.max_residual < 1e-8
     assert all(r < 1e-6 for r in fit.derivative_residuals)
     # the full-period cosine is the m = 2 mode of this basis
@@ -288,16 +288,38 @@ def test_fit_path_fourier_recovery(harmonic):
     assert np.max(np.abs(np.delete(coeffs, 3))) < 1e-7
 
 
-def test_fit_path_orthogonal_fallback(harmonic, caplog):
+def test_fit_path_ill_conditioned_fit_is_silent(harmonic, caplog):
     traj = om.integrate(harmonic, om.JetPoint(0.0, np.array([[1.0, 0.0]])),
                         2.0 * np.pi)
-    with caplog.at_level(logging.WARNING, logger="ostromech.variational"):
+    with caplog.at_level(logging.DEBUG, logger="ostromech"):
         fit = om.fit_path(traj, "monomial", 12)
-    assert fit.used_orthogonal
     assert fit.condition > 1e10
-    assert any("ill-conditioned" in rec.message for rec in caplog.records)
-    # the orthogonal route still recovers a usable fit at this conditioning
     assert fit.max_residual < 1e-4
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("basis", ["monomial", "fourier"])
+def test_fit_path_is_one_least_squares_solve(harmonic, basis):
+    traj = om.integrate(harmonic, om.JetPoint(0.0, np.array([[1.0, 0.0]])),
+                        2.0 * np.pi)
+    fit = om.fit_path(traj, basis, 9)
+    design = variational._basis_matrix(basis, (0.0, 2.0 * np.pi), 9,
+                                       traj.grid)
+    coeffs, _, _, singular = np.linalg.lstsq(design, traj.states[:, :1],
+                                             rcond=None)
+    assert fit.path.coefficients.tobytes() == coeffs.T.tobytes()
+    assert fit.condition == (singular[0] / singular[-1]) ** 2
+
+
+@pytest.mark.parametrize("n_coeffs", [2, 3])
+def test_fit_path_condition_is_inf_without_a_warning(n_coeffs):
+    # t^2 underflows to a zero column on this grid (smallest singular value
+    # 0), and with two columns the squared ratio overflows
+    traj = om.Trajectory(np.array([0.0, 1e-170, 2e-170]), np.zeros((3, 2)),
+                         "jet", 1, 1)
+    fit = om.fit_path(traj, "monomial", n_coeffs)
+    assert fit.condition == np.inf
+    assert fit.max_residual == 0.0
 
 
 def test_fit_path_validation(harmonic):

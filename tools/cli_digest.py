@@ -52,7 +52,8 @@ MALFORMED_PATHS = {
 # inf - inf = NaN where both powers overflow: at seed 0 a NaN kappa_1
 # follows finite ones and must be the worst point, at seed 3 the worst W
 # is NaN and has no rank.  simulate of W = q0^200, whose stages overflow
-# and are rejected, with no NumPy warning.
+# and are rejected by rk45, with no NumPy warning; under rk4 the same run
+# goes to NaN and exits 1.
 INLINE_SYSTEMS = {
     "crossing": ('{"name": "crossing", "order": 1, "dofs": 1, '
                  '"lagrangian": "1/2*q0*q1^2"}', ["derive"]),
@@ -78,6 +79,10 @@ INLINE_SYSTEMS = {
     "steep": ('{"name": "steep", "order": 1, "dofs": 1, '
               '"lagrangian": "1/2*q0^200*q1^2"}',
               ["simulate", "--init", "30,200", "--t-end", "1"]),
+    "steep_rk4": ('{"name": "steep", "order": 1, "dofs": 1, '
+                  '"lagrangian": "1/2*q0^200*q1^2"}',
+                  ["simulate", "--init", "30,200", "--t-end", "1",
+                   "--method", "rk4", "--step", "0.05"]),
 }
 
 
