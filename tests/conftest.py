@@ -1,5 +1,6 @@
 """Shared example systems and helpers for the test suite."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -53,6 +54,18 @@ SYSTEM_DOCS = {
         "lagrangian": "1/2*(q2_1^2 + q2_2^2) - 1/2*(q0_1 - q0_2)^2",
         "autonomous": True,
     },
+}
+
+# k = 3, n = 3: sixth-order oscillators with weak couplings, among them a
+# Hessian entry that depends on the state, a cube and two functions
+NL3_LIKE = {
+    "name": "nl3-like", "order": 3, "dofs": 3, "autonomous": True,
+    "lagrangian": "1/2*(q3_1^2 - 3*q2_1^2 + 2*q1_1^2 - q0_1^2)"
+                  " + 1/2*(q3_2^2 - 2*q2_2^2 + q1_2^2 - 1/2*q0_2^2)"
+                  " + 1/2*(q3_3^2 - q2_3^2 + 1/2*q1_3^2 - 1/4*q0_3^2)"
+                  " + 1/10*q0_1^2*q0_2^2 + 1/20*q1_2*q1_3*q0_1^3"
+                  " + 1/10*q0_3^2*q3_1^2 + 1/50*sin(q0_2)*q2_3^2"
+                  " + 1/100*exp(1/4*q1_1)*q3_2*q3_3",
 }
 
 # systems with an everywhere-regular Hessian
@@ -115,6 +128,14 @@ def on_constraint_points(ds, count, seed, box=(-2.0, 2.0)):
         momenta = om.legendre_map(ds, om.JetPoint(t, jets))
         points.append(om.UnifiedPoint(om.JetPoint(t, jets), momenta))
     return points
+
+
+def hex_digest(values):
+    """The first 16 hex digits of the sha256 of the values' float.hex
+    spellings, so two digests are equal exactly when the values are equal
+    bit for bit."""
+    text = " ".join(float(v).hex() for v in np.ravel(values))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def write_spec(tmp_path, key, **overrides):

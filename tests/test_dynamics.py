@@ -11,7 +11,7 @@ import pytest
 import ostromech as om
 from ostromech import dynamics, unified
 
-from conftest import cos_jet, derived
+from conftest import NL3_LIKE, cos_jet, derived, hex_digest
 
 
 def pu_unified_init(pu, t=0.0):
@@ -350,6 +350,85 @@ def test_fd_derivative_matches_vandermonde_weights():
 def test_fd_derivative_short_grid():
     with pytest.raises(om.ValidationError):
         om.fd_derivative([0.0], [1.0], order=1)
+
+
+def _nonuniform_grid(seed, npts):
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(0.02, 0.08, size=npts - 1)
+    return np.concatenate([[0.0], np.cumsum(steps)]) + rng.uniform(-1, 1)
+
+
+# fd_derivative at orders 1-4 on a 9-point non-uniform grid, one digest
+# of the float.hex spellings per order, as one weight set per call gave them
+_FD_PINS = {1: "d4d049dd63523b2d", 2: "ef759f5ed676faf9",
+            3: "53ff2f535748cfa7", 4: "0d09157e49f0245d"}
+
+
+def test_fd_derivative_values_pinned_bit_for_bit():
+    grid = _nonuniform_grid(5, 9)
+    values = np.sin(1.3 * grid) + 0.2 * grid ** 2
+    assert {order: hex_digest(om.fd_derivative(grid, values, order=order))
+            for order in _FD_PINS} == _FD_PINS
+
+
+def _k3_jet_trajectory():
+    """A seeded k = 3, n = 3 jet trajectory on a non-uniform grid of 40
+    points: each dof a sine, with its exact derivatives."""
+    rng = np.random.default_rng(31)
+    grid = _nonuniform_grid(31, 40)
+    amp, freq, phase = (rng.uniform(lo, hi, 3) for lo, hi in
+                        ((0.2, 0.6), (0.5, 1.5), (0.0, 2.0 * np.pi)))
+    columns = [amp[a] * freq[a] ** i
+               * np.sin(freq[a] * grid + phase[a] + i * np.pi / 2)
+               for a in range(3) for i in range(6)]
+    return om.Trajectory(grid, np.column_stack(columns), "jet", 3, 3)
+
+
+# the verify_trajectory reports as the per-series differencing gave them,
+# every float spelled by float.hex
+_VERIFY_PINS = {
+    "k3_jet": {
+        "el_residual": "0x1.18def34f496e4p-1",
+        "holonomy_defect": "0x1.1568e1a9c0000p-19",
+        "holonomy_tolerance": None, "holonomy_ok": None,
+        "energy_drift": "0x1.e2d4d4ed74928p-4", "momenta_residual": None,
+        "hamilton_q_residual": None, "hamilton_p_residual": None,
+        "layout": "jet", "n_points": 40},
+    "k3_jet_tol": {
+        "el_residual": "0x1.18def34f496e4p-1",
+        "holonomy_defect": "0x1.1568e1a9c0000p-19",
+        "holonomy_tolerance": "0x1.be5095b5ca740p-22", "holonomy_ok": True,
+        "energy_drift": "0x1.e2d4d4ed74928p-4", "momenta_residual": None,
+        "hamilton_q_residual": None, "hamilton_p_residual": None,
+        "layout": "jet", "n_points": 40},
+    "pu_unified": {
+        "el_residual": "0x1.bbce3ae000000p-20",
+        "holonomy_defect": "0x1.5c37389400000p-20",
+        "holonomy_tolerance": "0x1.205bab4020c4cp-14", "holonomy_ok": True,
+        "energy_drift": "0x1.bf40aa0000000p-27",
+        "momenta_residual": "0x1.5c37389400000p-18",
+        "hamilton_q_residual": "0x1.5c37389400000p-20",
+        "hamilton_p_residual": "0x1.5c37389400000p-18",
+        "layout": "unified", "n_points": 41},
+}
+
+
+def _verify_case(case, pu):
+    if case == "pu_unified":
+        traj = om.integrate_unified(pu, pu_unified_init(pu), 2.0,
+                                    method="rk4", step=0.05)
+        return om.verify_trajectory(pu, traj)
+    ds = om.derive(om.build_system(NL3_LIKE))
+    return om.verify_trajectory(ds, _k3_jet_trajectory(),
+                                tolerance=1e-9 if case.endswith("tol")
+                                else None)
+
+
+@pytest.mark.parametrize("case", sorted(_VERIFY_PINS))
+def test_verify_reports_pinned_bit_for_bit(pu, case):
+    report = _verify_case(case, pu).to_dict()
+    assert {key: value.hex() if isinstance(value, float) else value
+            for key, value in report.items()} == _VERIFY_PINS[case]
 
 
 def test_verify_clean_trajectory(pu):

@@ -12,7 +12,9 @@ import ostromech as om
 from ostromech import expressions as ex
 from ostromech import cli, unified
 
-from conftest import SYSTEM_DOCS, cos_jet, on_constraint_points, write_spec
+from conftest import (
+    NL3_LIKE, SYSTEM_DOCS, cos_jet, hex_digest, on_constraint_points,
+    write_spec)
 
 
 def pu_point(t=0.0):
@@ -393,18 +395,6 @@ def test_non_finite_momentum_is_off_constraint(harmonic, momentum):
 
 DEMO_SYSTEMS = Path(__file__).resolve().parent.parent / "demos" / "systems"
 
-# k = 3, n = 3: sixth-order oscillators with weak couplings, among them a
-# Hessian entry that depends on the state, a cube and two functions
-NL3_LIKE = {
-    "name": "nl3-like", "order": 3, "dofs": 3, "autonomous": True,
-    "lagrangian": "1/2*(q3_1^2 - 3*q2_1^2 + 2*q1_1^2 - q0_1^2)"
-                  " + 1/2*(q3_2^2 - 2*q2_2^2 + q1_2^2 - 1/2*q0_2^2)"
-                  " + 1/2*(q3_3^2 - q2_3^2 + 1/2*q1_3^2 - 1/4*q0_3^2)"
-                  " + 1/10*q0_1^2*q0_2^2 + 1/20*q1_2*q1_3*q0_1^3"
-                  " + 1/10*q0_3^2*q3_1^2 + 1/50*sin(q0_2)*q2_3^2"
-                  " + 1/100*exp(1/4*q1_1)*q3_2*q3_3",
-}
-
 
 def _point_systems():
     docs = {path.stem: json.loads(path.read_text())
@@ -579,3 +569,33 @@ def test_one_evaluation_gives_the_tree_walked_answer(name):
             want = [e.evaluate(env) for e in unified._point_family(ds)]
         assert _bits(list(got)) == _bits(want)
         assert np.isinf(got).any()
+
+
+# unified-check --random 4 at seed 5: per point the digest of the solved
+# field's float.hex spellings, its condition and the kernel residual, as
+# the point-by-point solve gave them
+_ENTRY_PINS = {
+    "coupled_beam": [
+        ["8aad7261f80d05e2", "0x1.0000000000000p+0", "0x1.66a315681cb0cp-51"],
+        ["8b2fb6b93d4dafdb", "0x1.0000000000000p+0", "0x1.424695dc71380p-56"],
+        ["0bf97cd9434ea52a", "0x1.0000000000000p+0", "0x1.caab41f875840p-55"],
+        ["48cd10b58095275a", "0x1.0000000000000p+0", "0x1.8bddb3d436f78p-52"]],
+    "nl3_like": [
+        ["a91ff4bc74d4b928", "0x1.bcb70c989f25ep+0", "0x1.0000000000000p-50"],
+        ["8021ad648f36da99", "0x1.041b49f3be0b3p+0", "0x0.0p+0"],
+        ["2d284e1ccc5fd628", "0x1.64da7cbbea593p+0", "0x0.0p+0"],
+        ["160f6746dd98ad8d", "0x1.0d085d28bab1bp+0", "0x1.0000000000000p-52"]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_PINS))
+def test_unified_check_entries_pinned_bit_for_bit(tmp_path, capsys, name):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(NL3_LIKE if name == "nl3_like"
+                               else SYSTEM_DOCS[name]))
+    argv = ["unified-check", str(spec), "--random", "4", "--seed", "5"]
+    assert cli.main(argv) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert [[hex_digest(point["solved_field"]), point["condition"].hex(),
+             point["kernel_residual"].hex()] for point in points] == \
+        _ENTRY_PINS[name]

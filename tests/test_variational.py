@@ -9,7 +9,7 @@ import pytest
 import ostromech as om
 from ostromech import variational
 
-from conftest import cos_jet
+from conftest import cos_jet, hex_digest
 
 
 def test_monomial_derivatives_match_polynomial():
@@ -161,6 +161,33 @@ def test_action_values_pinned_bit_for_bit(pu, coupled_beam):
         "-0x1.e17cb275990aep-1"
     assert om.first_variation(coupled_beam, _BEAM_PATH, _BEAM_BUMP).hex() \
         == "0x1.bce55445aa553p-10"
+
+
+# derivative values of orders 0 .. k + 1 of an exponent k + 1 bump (k = 2)
+# and of orders 0 .. 4 of the two paths above, at times inside and
+# outside the support, one digest of the float.hex spellings per order,
+# as the numpy.polynomial bump and the per-order basis matrices gave them
+_VARIATION_PINS = ["e1562cbb143dece0", "6230e572f8a0df15", "87420497a7ffe44b",
+                   "6b5ddfbca28542d2"]
+_PATH_PINS = {
+    "fourier": ["d1884362c93b2efb", "9fecf81ec8ebd925", "88958f7078a2e4c8",
+                "fa219f40bbd589ac", "dc7d1141a762bdbb"],
+    "monomial": ["c9bd0b94bea6d1ec", "9cb8f594732f0611", "e810e941014ea8c0",
+                 "741422a1b46be0ea", "0712ee934dd1bfb6"],
+}
+
+
+def test_variation_and_path_values_pinned_bit_for_bit():
+    bump = om.Variation(dof=1, center=0.37, half_width=0.21, exponent=3,
+                        amplitude=1.7)
+    ts = [0.1, bump.support[0], 0.2, 0.37, 0.45, 0.579, bump.support[1], 0.9]
+    assert [hex_digest(bump.derivative_values(ts, order))
+            for order in range(4)] == _VARIATION_PINS
+    ts = np.linspace(0.05, 0.95, 7)
+    for path in (_PU_OFF, _BEAM_PATH):
+        nodes = ts * path.interval[1]
+        assert [hex_digest(path.derivative_values(nodes, order))
+                for order in range(5)] == _PATH_PINS[path.basis]
 
 
 @pytest.mark.parametrize("integrand", ["lagrangian", "cartan"])
