@@ -366,40 +366,52 @@ def cmd_action_check(args):
 # ---------------------------------------------------------------------------
 
 
-def _point_entry(ds, up):
-    # one evaluation of the point serves every check below
-    values = unified._PointValues(ds, up)
-    residuals, tolerance, on_constraint = unified._constraint_check(
-        up, values.momenta)
+def _point_entries(ds, points):
+    """The unified-check entries of the points.  Point by point, in order,
+    one evaluation of the point serves the constraint check, H and the
+    coupling, and the field kernel gives the explicit field; the solved
+    field of the points on the constraint manifold and the contraction of
+    every point's field are then formed once over the points."""
+    values, entries, explicit = [], [], []
+    for up in points:
+        values.append(unified._PointValues(ds, up))
+        residuals, tolerance, on_constraint = unified._constraint_check(
+            up, values[-1].momenta)
 
-    section_p = float(-values.hamiltonian)
-    lifted = up if up.p_ext is not None else UnifiedPoint(
-        up.jet, up.momenta, p_ext=section_p)
+        section_p = float(-values[-1].hamiltonian)
+        lifted = up if up.p_ext is not None else UnifiedPoint(
+            up.jet, up.momenta, p_ext=section_p)
 
-    entry = {
-        "t": up.t,
-        "on_constraint": on_constraint,
-        "constraint_residuals": [level.tolist() for level in residuals],
-        "constraint_tolerance": tolerance,
-        "hamiltonian": -section_p,
-        "section_p": section_p,
-        "coupling": unified.coupling(lifted),
-    }
-    explicit = unified.explicit_semispray(ds, up)
-    entry["explicit_field"] = explicit.components.tolist()
-    entry["solved_field"] = None
-    field = explicit
-    if on_constraint:
-        field = unified._solve_unified_vf(values)
-        entry["solved_field"] = field.components.tolist()
-        entry["max_field_difference"] = float(
-            np.max(np.abs(field.components - explicit.components)))
-    kernel = unified._kernel_check(values, field)
-    entry["kernel_residual"] = kernel.residual
-    entry["transversality"] = kernel.transversality
-    if on_constraint:
-        entry["condition"] = field.condition
-    return entry
+        explicit.append(unified.explicit_semispray(ds, up))
+        entries.append({
+            "t": up.t,
+            "on_constraint": on_constraint,
+            "constraint_residuals": [level.tolist() for level in residuals],
+            "constraint_tolerance": tolerance,
+            "hamiltonian": -section_p,
+            "section_p": section_p,
+            "coupling": unified.coupling(lifted),
+            "explicit_field": explicit[-1].components.tolist(),
+            "solved_field": None,
+        })
+
+    omegas = unified._omegas(values)
+    on = [i for i, entry in enumerate(entries) if entry["on_constraint"]]
+    solved = dict(zip(on, unified._solved([values[i] for i in on],
+                                          omegas[on]) if on else []))
+    fields = [solved.get(i, field) for i, field in enumerate(explicit)]
+    kernels = unified._contracted(
+        omegas, np.array([field.components for field in fields]))
+    for i, (entry, kernel) in enumerate(zip(entries, kernels)):
+        if i in solved:
+            entry["solved_field"] = fields[i].components.tolist()
+            entry["max_field_difference"] = float(np.max(np.abs(
+                fields[i].components - explicit[i].components)))
+        entry["kernel_residual"] = kernel.residual
+        entry["transversality"] = kernel.transversality
+        if i in solved:
+            entry["condition"] = fields[i].condition
+    return entries
 
 
 def cmd_unified_check(args):
@@ -429,9 +441,12 @@ def cmd_unified_check(args):
             points.append(UnifiedPoint(JetPoint(t, jets), momenta))
 
     # a finite point may still overflow, and inf - inf is NaN; the
-    # non-finite fields are reported below, not as numpy warnings
+    # non-finite fields are reported below, not as numpy warnings.  Blocks
+    # of points bound the size of the stacked arrays
+    block = legendre._SWEEP_BLOCK
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = [_point_entry(ds, up) for up in points]
+        entries = [entry for start in range(0, len(points), block)
+                   for entry in _point_entries(ds, points[start:start + block])]
     non_finite = [(i, bad) for i, entry in enumerate(entries) if (bad := [
         name for name in ("hamiltonian", "section_p", "coupling",
                           "explicit_field", "solved_field")

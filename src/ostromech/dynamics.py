@@ -395,10 +395,12 @@ def _fornberg_weights(z, x, m):
 def fd_derivative(grid, values, order: int = 1) -> np.ndarray:
     """Differentiate sampled values on an arbitrary strictly increasing grid.
 
-    Uses sliding Fornberg stencils of order + 4 points, which gives
-    fourth-order accuracy at interior and boundary points alike (the
-    boundary stencils are one-sided but keep the same width).  The weights
-    of every grid point come from one vectorized recurrence.
+    ``values`` is one series over the grid or a stack of them, the grid
+    along the last axis.  Uses sliding Fornberg stencils of order + 4
+    points, which gives fourth-order accuracy at interior and boundary
+    points alike (the boundary stencils are one-sided but keep the same
+    width).  The weights of every grid point come from one vectorized
+    recurrence, once for the whole stack.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -410,9 +412,28 @@ def fd_derivative(grid, values, order: int = 1) -> np.ndarray:
     starts = np.clip(np.arange(npts) - width // 2, 0, npts - width)
     idx = starts[:, None] + np.arange(width)
     w = _fornberg_weights(grid, grid[idx], order)[:, :, order]
-    # one dot product per point: a sum over the stencil or a single matrix
-    # product for all points adds in another order and moves the last bits
-    return np.matmul(w[:, None, :], values[idx][:, :, None])[:, 0, 0]
+    # one dot product per point of each series: a sum over the stencil or a
+    # single matrix product for all points adds in another order and moves
+    # the last bits, and a row of a stack gets the bits of its single call
+    return np.matmul(w[:, None, :], values[..., idx, None])[..., 0, 0]
+
+
+def _differenced(grid, requests):
+    """:func:`fd_derivative` of each ``(order, series)`` request, one call
+    per distinct order, in ascending order, on the stack of that order's
+    series; each result has the shape of its series."""
+    out = [None] * len(requests)
+    for order in sorted({order for order, _ in requests}):
+        picked = [r for r, (o, _) in enumerate(requests) if o == order]
+        stack = fd_derivative(grid, np.concatenate(
+            [requests[r][1].reshape(-1, grid.size) for r in picked]), order)
+        start = 0
+        for r in picked:
+            shape = requests[r][1].shape
+            rows = int(np.prod(shape[:-1]))
+            out[r] = stack[start:start + rows].reshape(shape)
+            start += rows
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -467,36 +488,47 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
         raise DimensionError("trajectory dimensions do not match the system")
     grid = traj.grid
     jets, momenta, env = _grid_bindings(traj)
-
-    # Euler-Lagrange defect: alternating finite-difference derivatives of
-    # the recorded dL/dq_i series
     partials = _values(ds.lagrangian_partials, env, grid.shape)
-    residuals = np.zeros((n, grid.size))
-    for a in range(n):
-        for i, series in enumerate(partials[a]):
-            term = series if i == 0 else fd_derivative(grid, series, order=i)
-            residuals[a] = residuals[a] + (-1.0) ** i * term
-    # one maximum over every dof, so a NaN residual is not dropped
-    el_max = float(np.max(np.abs(residuals)))
-
-    # holonomy: differentiated q_i must reproduce q_{i+1}
-    qdots = np.array([[fd_derivative(grid, jets[a, i])
-                       for i in range(2 * k - 1)] for a in range(n)])
-    defects = np.max(np.abs(qdots - jets[:, 1:]), axis=-1)
-    holo_max = float(np.max(defects))
+    top = 2 * k - 1
     tol = tolerance if tolerance is not None else traj.meta.get("tolerance")
-    holo_tol = holo_ok = None
     # column q_i cannot be judged sharper than the truncation floor
     # h^4 max|q_{i+5}| of its differencing, which is fourth order only on
     # five points or more; above the recorded orders q_{i+5} is
     # differenced from the top one
-    if tol is not None and grid.size >= 5:
-        top = 2 * k - 1
+    judged = tol is not None and grid.size >= 5
+    above = [order for order in range(1, 5) if judged and top + order >= 5]
+    unified = traj.layout == "unified"
+
+    # every series differenced, one fd_derivative call per order: the
+    # dL/dq_i (i >= 1) of the Euler-Lagrange defect, the jets below the
+    # top for holonomy, the top jets for the floors and the momenta
+    terms = _differenced(grid, [
+        *((i, partials[:, i]) for i in range(1, k + 1)),
+        (1, jets[:, :top]),
+        *((order, jets[:, top]) for order in above),
+        *([(1, momenta)] if unified else [])])
+
+    # Euler-Lagrange defect: alternating finite-difference derivatives of
+    # the recorded dL/dq_i series
+    residuals = np.zeros((n, grid.size))
+    for i in range(k + 1):
+        residuals = residuals + (-1.0) ** i * (
+            partials[:, i] if i == 0 else terms[i - 1])
+    # one maximum over every dof, so a NaN residual is not dropped
+    el_max = float(np.max(np.abs(residuals)))
+
+    # holonomy: differenced q_i must reproduce q_{i+1}
+    qdots = terms[k]
+    defects = np.max(np.abs(qdots - jets[:, 1:]), axis=-1)
+    holo_max = float(np.max(defects))
+    holo_tol = holo_ok = None
+    if judged:
         h4 = float(np.max(np.diff(grid))) ** 4
-        tols = 10.0 * float(tol) + h4 * np.array([[np.max(np.abs(
-            jets[a, i + 5] if i + 5 <= top
-            else fd_derivative(grid, jets[a, top], order=i + 5 - top)))
-            for i in range(top)] for a in range(n)])
+        # q_5 .. q_{top+4}: recorded up to the top order, differenced above
+        higher = ([jets[:, i] for i in range(5, top + 1)]
+                  + terms[k + 1:k + 1 + len(above)])
+        tols = 10.0 * float(tol) + h4 * np.stack(
+            [np.max(np.abs(q), axis=-1) for q in higher], axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             holo_tol = float(tols.flat[np.argmax(defects / tols)])
         holo_ok = bool(np.all(defects <= tols))
@@ -507,9 +539,8 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
         energy_drift = float(np.max(np.abs(energies - energies[0])))
 
     momenta_residual = hq_residual = hp_residual = None
-    if traj.layout == "unified":
-        pdots = np.array([[fd_derivative(grid, momenta[a, i])
-                           for i in range(k)] for a in range(n)])
+    if unified:
+        pdots = terms[-1]
         # dp^0/dt = dL/dq_0 and dp^i/dt = dL/dq_i - p^{i-1}
         lower = np.concatenate([np.zeros_like(momenta[:, :1]),
                                 momenta[:, :-1]], axis=1)
@@ -564,19 +595,26 @@ def load_trajectory_csv(path, k: int | None = None,
     """Read a trajectory CSV written by :func:`save_trajectory_csv`.
 
     The layout and dimensions are recovered from the header and, when
-    ``k``/``n`` are given, validated against them.  Any malformed header,
-    ragged row, or non-numeric cell raises
-    :class:`TrajectoryFormatError`, and so does a file that cannot be read.
+    ``k``/``n`` are given, validated against them.  Blank lines are
+    skipped.  The rows are parsed by one :func:`numpy.loadtxt` call, so a
+    cell is a number when NumPy reads it as one (Python's ``float`` also
+    takes ``1_0`` and non-ASCII digits, NumPy does not).  Any malformed
+    header, ragged row, or non-numeric cell raises
+    :class:`TrajectoryFormatError`, whose message names the first bad line
+    by its line number in the file, and so does a file that cannot be
+    read.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise TrajectoryFormatError(
             f"{path}: cannot read trajectory file: {err}") from err
+    lines = [(lineno, line) for lineno, line
+             in enumerate(text.split("\n"), start=1) if line.strip()]
     if not lines:
         raise TrajectoryFormatError(f"{path}: empty trajectory file")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     jet_cols = [c for c in header if c.startswith("q_")]
     mom_cols = [c for c in header if c.startswith("p_")]
     layout = "unified" if mom_cols else "jet"
@@ -597,19 +635,30 @@ def load_trajectory_csv(path, k: int | None = None,
         raise TrajectoryFormatError(
             f"{path}: header does not match the expected column layout")
     width = len(header)
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise TrajectoryFormatError(
-                f"{path}:{lineno}: expected {width} columns, got {len(cells)}")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            raise TrajectoryFormatError(
-                f"{path}:{lineno}: non-numeric cell") from None
-    data = np.array(rows)
-    if data.shape[0] < 2:
+    rows = lines[1:]
+    data = _parsed([line for _, line in rows]) if rows else None
+    if rows and (data is None or data.shape[1] != width):
+        # a line scan, only to name the first bad line
+        for lineno, line in rows:
+            cells = line.split(",")
+            if len(cells) != width:
+                raise TrajectoryFormatError(
+                    f"{path}:{lineno}: expected {width} columns, got "
+                    f"{len(cells)}")
+            if _parsed([line]) is None:
+                raise TrajectoryFormatError(
+                    f"{path}:{lineno}: non-numeric cell")
+    if len(rows) < 2:
         raise TrajectoryFormatError(f"{path}: a trajectory needs at least two rows")
     return Trajectory(data[:, 0], data[:, 1:], layout, file_k, file_n,
                       meta={"source": str(path), "tolerance": None})
+
+
+def _parsed(lines):
+    """The rows of comma-separated numbers ``lines`` as a 2-d float array,
+    or None where :func:`numpy.loadtxt` cannot read a cell or the rows are
+    ragged."""
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None

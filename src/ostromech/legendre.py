@@ -321,6 +321,16 @@ def _regular_inverse(w: np.ndarray):
     return (None if condition * _SINGULAR_RTOL >= 1.0 else inv), condition
 
 
+def _conditions(ws):
+    """kappa_1 of each W of a stack, from one stacked inverse; where that
+    raises, each W's from :func:`_regular_inverse`, inf where its own
+    inversion fails."""
+    try:
+        return _kappa(ws, np.linalg.inv(ws)).tolist()
+    except np.linalg.LinAlgError:
+        return [_regular_inverse(w)[1] for w in ws]
+
+
 @functools.cache
 def _top_jet_solver(n: int):
     """The top-jet solve of n <= 3 dofs, straight-line code generated once
@@ -426,10 +436,7 @@ def regularity_report(sys: SystemModel, domain=None, samples: int = 100,
         with np.errstate(over="ignore", invalid="ignore"):
             ws = np.array([kernel(*point) for point in points],
                           dtype=float).reshape(size, n, n)
-            try:
-                conditions = _kappa(ws, np.linalg.inv(ws)).tolist()
-            except np.linalg.LinAlgError:
-                conditions = [_regular_inverse(w)[1] for w in ws]
+            conditions = _conditions(ws)
             dets = np.abs(np.linalg.det(ws))
         regular = regular and all(
             condition * _SINGULAR_RTOL < 1.0 for condition in conditions)

@@ -47,7 +47,8 @@ from .errors import (
     ValidationError,
 )
 from .legendre import (
-    DerivedSystem, _regular_inverse, _top_jet_solver, legendre_map)
+    _SINGULAR_RTOL, DerivedSystem, _conditions, _top_jet_solver,
+    legendre_map)
 from .systems import UnifiedPoint, _coordinates, _index, _pairing
 
 __all__ = [
@@ -120,20 +121,22 @@ class _PointValues:
         self.hessian = np.array(out[h:h + n * n]).reshape(n, n)
         self.reduced = np.array(out[h + n * n:])
 
-    @functools.cached_property
-    def omega(self):
-        """The entries of the two-form matrix: the +1/-1 pairing blocks
-        and the partials of H in the dt column and, negated, the dt row
-        (whose dt entry is dH/dt - dH/dt, so NaN where dH/dt is not
-        finite)."""
-        k, n = self.ds.k, self.ds.n
-        levels, momenta, _, _ = _positions(k, n)
-        m = np.zeros((3 * k * n + 1,) * 2)
-        m[levels, momenta] = 1.0
-        m[momenta, levels] = -1.0
-        m[:, 0] += self.partials
-        m[0, :] -= self.partials
-        return m
+
+def _omegas(values):
+    """The two-form matrices at the points of a list of
+    :class:`_PointValues`, stacked: the +1/-1 pairing blocks and the
+    partials of H in the dt column and, negated, the dt row (whose dt entry
+    is dH/dt - dH/dt, so NaN where dH/dt is not finite)."""
+    ds = values[0].ds
+    k, n = ds.k, ds.n
+    levels, momenta, _, _ = _positions(k, n)
+    partials = np.array([v.partials for v in values])
+    m = np.zeros((len(values),) + (3 * k * n + 1,) * 2)
+    m[:, levels, momenta] = 1.0
+    m[:, momenta, levels] = -1.0
+    m[:, :, 0] += partials
+    m[:, 0, :] -= partials
+    return m
 
 
 @dataclass(frozen=True)
@@ -208,7 +211,7 @@ def hamiltonian_section_p(ds: DerivedSystem, up: UnifiedPoint) -> float:
 
 def omega_r_matrix(ds: DerivedSystem, up: UnifiedPoint) -> TwoFormMatrix:
     """Numeric two-form matrix at a point."""
-    return TwoFormMatrix(_PointValues(ds, up).omega,
+    return TwoFormMatrix(_omegas([_PointValues(ds, up)])[0],
                          _coordinates(ds.n, 2 * ds.k, ds.k))
 
 
@@ -342,9 +345,9 @@ def solve_unified_vf(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
     :class:`SingularHessianError` when the Hessian is singular at the
     point, in which case no numeric answer is produced.
     """
-    values = _PointValues(ds, up)
-    _constraint_check(up, values.momenta, require="point")
-    return _solve_unified_vf(values)
+    values = [_PointValues(ds, up)]
+    _constraint_check(up, values[0].momenta, require="point")
+    return _solved(values, _omegas(values))[0]
 
 
 @functools.cache
@@ -365,42 +368,63 @@ def _positions(k: int, n: int):
             at(ex.jet(a, 2 * k - 1) for a in dofs))
 
 
-def _solve_unified_vf(values) -> SemisprayVector:
-    """:func:`solve_unified_vf` on the :class:`_PointValues` of a point
-    already found on the constraint manifold."""
-    ds, up = values.ds, values.up
+def _solved(values, omegas):
+    """:func:`solve_unified_vf` at the points of a list of
+    :class:`_PointValues` already found on the constraint manifold, whose
+    two-form matrices are ``omegas``.  W^-1 and kappa_1, the linear
+    systems, their solve and their condition are each formed once over the
+    stacked points.  Where that finds a singular W or a stacked call
+    raises, the points are solved one by one, so the first point that
+    fails raises its own error."""
+    ds = values[0].ds
     k, n = ds.k, ds.n
-    w = values.hessian
-    if _regular_inverse(w)[0] is None:
+
+    def one_by_one():
+        return [_solved([v], omegas[i:i + 1])[0]
+                for i, v in enumerate(values)]
+
+    singular = [condition * _SINGULAR_RTOL >= 1.0 for condition
+                in _conditions(np.array([v.hessian for v in values]))]
+    if any(singular) and len(values) > 1:
+        return one_by_one()
+    if singular[0]:
         raise SingularHessianError(
             "Hessian is singular, the unified vector field is not "
-            "determined", time=up.t)
+            "determined", time=values[0].up.t)
 
     levels, _, low, top = _positions(k, n)
-    omega = values.omega
     size = 3 * k * n
-    a = np.zeros((size, size))
-    b = np.zeros(size)
+    a = np.zeros((len(values), size, size))
+    b = np.zeros((len(values), size))
     # semispray rows: jet components below the top order shift upward
     semi = len(low)
-    a[np.arange(semi), low - 1] = 1.0
-    b[:semi] = up.jet.q[:, 1:].reshape(-1)
+    a[:, np.arange(semi), low - 1] = 1.0
+    b[:, :semi] = [v.up.jet.q[:, 1:].reshape(-1) for v in values]
     # tangency rows determine the top jet components
     sign = -1.0 if k % 2 else 1.0
-    a[semi:semi + n, top - 1] = sign * w
-    b[semi:semi + n] = -values.reduced
+    a[:, semi:semi + n, top - 1] = [sign * v.hessian for v in values]
+    b[:, semi:semi + n] = [-v.reduced for v in values]
     # momentum rows of the two-form matrix (time column moves to the rhs)
-    a[semi + n:] = omega[levels, 1:]
-    b[semi + n:] = -omega[levels, 0]
+    a[:, semi + n:] = omegas[:, levels, 1:]
+    b[:, semi + n:] = -omegas[:, levels, 0]
 
-    solution = np.linalg.solve(a, b)
-    condition = float(np.linalg.cond(a))
-    if condition > _CONDITION_WARN:
-        logger.warning(
-            "unified vector-field system is ill-conditioned (cond=%.3e)",
-            condition)
-    x = np.concatenate([[1.0], solution])
-    return SemisprayVector(x, _coordinates(n, 2 * k, k), condition=condition)
+    try:
+        solutions = np.linalg.solve(a, b[..., None])[..., 0]
+        conditions = np.linalg.cond(a).tolist()
+    except np.linalg.LinAlgError:
+        if len(values) == 1:
+            raise
+        return one_by_one()
+    coords = _coordinates(n, 2 * k, k)
+    out = []
+    for solution, condition in zip(solutions, conditions):
+        if condition > _CONDITION_WARN:
+            logger.warning(
+                "unified vector-field system is ill-conditioned (cond=%.3e)",
+                condition)
+        out.append(SemisprayVector(np.concatenate([[1.0], solution]), coords,
+                                   condition=condition))
+    return out
 
 
 @dataclass(frozen=True)
@@ -421,21 +445,21 @@ class KernelReport:
 
 def kernel_check(ds: DerivedSystem, up: UnifiedPoint, field) -> KernelReport:
     """Contract the two-form with a vector and report the residual."""
-    return _kernel_check(_PointValues(ds, up), field)
-
-
-def _kernel_check(values, field) -> KernelReport:
-    """:func:`kernel_check` with the two-form matrix of a
-    :class:`_PointValues`."""
+    omegas = _omegas([_PointValues(ds, up)])
     x = field.components if isinstance(field, SemisprayVector) else \
         np.asarray(field, dtype=float)
-    omega = values.omega
-    if x.shape != (omega.shape[0],):
+    if x.shape != omegas.shape[-1:]:
         raise ValidationError(
             f"vector length {x.shape} does not match the unified dimension "
-            f"{omega.shape[0]}")
-    contraction = omega @ x
-    return KernelReport(
-        residual=float(np.max(np.abs(contraction))),
-        transversality=float(x[0]),
-        contraction=contraction)
+            f"{omegas.shape[-1]}")
+    return _contracted(omegas, x[None])[0]
+
+
+def _contracted(omegas, xs) -> list:
+    """:func:`kernel_check` of each vector xs[i] against the two-form
+    matrix omegas[i], with one stacked product."""
+    contractions = (omegas @ xs[..., None])[..., 0]
+    residuals = np.max(np.abs(contractions), axis=-1).tolist()
+    return [KernelReport(residual=residual, transversality=float(x[0]),
+                         contraction=contraction)
+            for residual, x, contraction in zip(residuals, xs, contractions)]

@@ -42,34 +42,38 @@ _DEFAULT_QUAD_POINTS = 512
 _EPSILON = 1e-5
 
 
-def _basis_matrix(basis, interval, n_coeffs, ts, order=0):
-    """Columns are order-th derivatives of the basis functions at ts."""
+def _basis_matrices(basis, interval, n_coeffs, ts, orders):
+    """One matrix per order of ``orders``, whose columns are the order-th
+    derivatives of the basis functions at ts.  The orders share one power
+    table of ts (monomial) or one cos and one sin per frequency (fourier)."""
     ts = np.asarray(ts, dtype=float)
     a, b = interval
-    out = np.zeros((ts.size, n_coeffs))
+    out = [np.zeros((ts.size, n_coeffs)) for _ in orders]
     if basis == "monomial":
-        for j in range(n_coeffs):
-            if j < order:
-                continue
-            coeff = 1.0
-            for i in range(order):
-                coeff *= j - i
-            out[:, j] = coeff * ts ** (j - order)
+        powers = [ts ** p for p in range(n_coeffs)]
+        for matrix, order in zip(out, orders):
+            for j in range(order, n_coeffs):
+                coeff = 1.0
+                for i in range(order):
+                    coeff *= j - i
+                matrix[:, j] = coeff * powers[j - order]
         return out
     # fourier: 1, cos(w1 tau), sin(w1 tau), cos(w2 tau), ... with
     # w_m = m*pi/(b-a) and tau = t - a
     tau = ts - a
     base = np.pi / (b - a)
-    if order == 0:
-        out[:, 0] = 1.0
-    cos_cycle = (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin)
-    sin_cycle = (np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
-    for j in range(1, n_coeffs):
-        m = (j + 1) // 2
+    for matrix, order in zip(out, orders):
+        if order == 0:
+            matrix[:, 0] = 1.0
+    for m in range(1, n_coeffs // 2 + 1):
         w = m * base
         phase = w * tau
-        cycle = cos_cycle if j % 2 else sin_cycle
-        out[:, j] = w ** order * cycle[order % 4](phase)
+        cos, sin = np.cos(phase), np.sin(phase)
+        for j, cycle in ((2 * m - 1, (cos, -sin, -cos, sin)),
+                         (2 * m, (sin, cos, -sin, -cos))):
+            if j < n_coeffs:
+                for matrix, order in zip(out, orders):
+                    matrix[:, j] = w ** order * cycle[order % 4]
     return out
 
 
@@ -111,11 +115,17 @@ class PathRepresentation:
     def n(self) -> int:
         return self.coefficients.shape[0]
 
+    def jets(self, ts, max_order: int) -> np.ndarray:
+        """jets[a, i]: the order-i time derivative of dof a at the given
+        times, orders 0 .. max_order, from one evaluation of the basis."""
+        return np.stack([self.coefficients @ matrix.T for matrix in
+                         _basis_matrices(self.basis, self.interval,
+                                         self.coefficients.shape[1], ts,
+                                         range(max_order + 1))], axis=1)
+
     def derivative_values(self, ts, order: int = 0) -> np.ndarray:
         """Order-th time derivative of every dof at the given times."""
-        matrix = _basis_matrix(self.basis, self.interval,
-                               self.coefficients.shape[1], ts, order)
-        return self.coefficients @ matrix.T
+        return self.jets(ts, order)[:, order]
 
 
 @dataclass(frozen=True)
@@ -134,6 +144,7 @@ class Variation:
     half_width: float
     exponent: int
     amplitude: float = 1.0
+    _coefficients: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dof < 1:
@@ -142,27 +153,35 @@ class Variation:
             raise ValidationError("variation half_width must be positive")
         if self.exponent < 1:
             raise ValidationError("variation exponent must be at least 1")
+        left, right = self.support
+        bump = npoly.polypow(npoly.polymul([-left, 1.0], [right, -1.0]),
+                             self.exponent) * (
+            self.amplitude / self.half_width ** (2 * self.exponent))
+        # the coefficients of the bump and of its derivatives, up to the
+        # first that is zero
+        object.__setattr__(self, "_coefficients", tuple(
+            npoly.polyder(bump, order) for order in range(bump.size + 1)))
 
     @property
     def support(self) -> tuple:
         return (self.center - self.half_width, self.center + self.half_width)
 
-    def _poly(self):
-        left, right = self.support
-        rising = npoly.Polynomial([-left, 1.0])
-        falling = npoly.Polynomial([right, -1.0])
-        bump = (rising * falling) ** self.exponent
-        return bump * (self.amplitude / self.half_width ** (2 * self.exponent))
-
-    def derivative_values(self, ts, order: int = 0) -> np.ndarray:
+    def jets(self, ts, max_order: int) -> np.ndarray:
+        """jets[i]: the order-i derivative of the bump at the given times,
+        orders 0 .. max_order."""
         ts = np.asarray(ts, dtype=float)
         left, right = self.support
         inside = (ts > left) & (ts < right)
-        out = np.zeros(ts.size)
+        out = np.zeros((max_order + 1, ts.size))
         if np.any(inside):
-            poly = self._poly().deriv(order) if order else self._poly()
-            out[inside] = poly(ts[inside])
+            last = len(self._coefficients) - 1
+            for order in range(max_order + 1):
+                out[order, inside] = npoly.polyval(
+                    ts[inside], self._coefficients[min(order, last)])
         return out
+
+    def derivative_values(self, ts, order: int = 0) -> np.ndarray:
+        return self.jets(ts, order)[order]
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +213,9 @@ def _simpson(values, h):
     return (h / 3.0) * float(weights @ values)
 
 
-def _path_jets(pathlike, ts, max_order):
-    """The path's jets[a, i] at the times ts, orders 0 .. max_order."""
-    return np.stack([pathlike.derivative_values(ts, order)
-                     for order in range(max_order + 1)], axis=1)
-
-
-def _path_env(pathlike, ts, max_order):
+def _path_env(path, ts, max_order):
     """Bindings of the path's jets, orders 0 .. max_order, at the times ts."""
-    return _bindings(np.asarray(ts, dtype=float),
-                     _path_jets(pathlike, ts, max_order))
+    return _bindings(np.asarray(ts, dtype=float), path.jets(ts, max_order))
 
 
 def _lagrangian(ds, ts, jets):
@@ -245,7 +257,7 @@ def discrete_action(ds: DerivedSystem, path, integrand: str = "lagrangian",
     _check_path(ds, path)
     f, top = _integrand(ds, integrand)
     (ts, h), = _segments(path.interval, (), quad_points)
-    return _simpson(f(ds, ts, _path_jets(path, ts, top)), h)
+    return _simpson(f(ds, ts, path.jets(ts, top)), h)
 
 
 def _variation_inside(path, variation):
@@ -277,19 +289,23 @@ def action_derivative(ds: DerivedSystem, path, variation: Variation,
     _variation_inside(path, variation)
     f, top = _integrand(ds, integrand)
     row = variation.dof - 1
-    pieces = [(ts, h, _path_jets(path, ts, top),
-               np.array([variation.derivative_values(ts, order)
-                         for order in range(top + 1)]))
-              for ts, h in _segments(path.interval, variation.support,
-                                     quad_points)]
+    # the support lies strictly inside the interval, so the segments are
+    # the one before it, the support and the one after it; the bump
+    # vanishes on the outer two, whose sums then serve every action
+    before, (ts, h), after = _segments(path.interval, variation.support,
+                                       quad_points)
+    outer = [_simpson(f(ds, nodes, path.jets(nodes, top)), step)
+             for nodes, step in (before, after)]
+    jets, bump = path.jets(ts, top), variation.jets(ts, top)
 
     def action(scale):
+        varied = jets
+        if scale:
+            varied = jets.copy()
+            varied[row] += scale * bump
         total = 0.0
-        for ts, h, jets, bump in pieces:
-            if scale:
-                jets = jets.copy()
-                jets[row] += scale * bump
-            total += _simpson(f(ds, ts, jets), h)
+        for value in (outer[0], _simpson(f(ds, ts, varied), h), outer[1]):
+            total += value
         return total
 
     s_plus = action(_EPSILON)
@@ -434,7 +450,7 @@ def fit_path(traj: Trajectory, basis: str, n_coeffs: int) -> FitResult:
         raise ValidationError(
             f"n_coeffs must lie in 1..{npts} (grid points), got {n_coeffs}")
     interval = (float(traj.grid[0]), float(traj.grid[-1]))
-    design = _basis_matrix(basis, interval, n_coeffs, traj.grid)
+    design, = _basis_matrices(basis, interval, n_coeffs, traj.grid, (0,))
     jets = _split_state(traj.states.T, traj.k, traj.n)[0]
     targets = np.column_stack([jets[a, 0] for a in range(traj.n)])
 
@@ -445,7 +461,7 @@ def fit_path(traj: Trajectory, basis: str, n_coeffs: int) -> FitResult:
     condition = ratio * ratio
     path = PathRepresentation(basis, coeffs.T, interval)
 
-    residuals = np.max(np.abs(_path_jets(path, traj.grid, 2 * traj.k - 1)
+    residuals = np.max(np.abs(path.jets(traj.grid, 2 * traj.k - 1)
                               - jets), axis=(0, 2))
     return FitResult(path=path, max_residual=float(residuals[0]),
                      derivative_residuals=residuals[1:].tolist(),

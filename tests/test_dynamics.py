@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ostromech as om
-from ostromech import dynamics, unified
+from ostromech import cli, dynamics, unified
 
 from conftest import NL3_LIKE, cos_jet, derived, hex_digest
 
@@ -431,6 +431,47 @@ def test_verify_reports_pinned_bit_for_bit(pu, case):
             for key, value in report.items()} == _VERIFY_PINS[case]
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_fd_derivative_stack_rows_equal_single_calls(order):
+    grid = _nonuniform_grid(7, 60)
+    stack = np.random.default_rng(order).standard_normal((2, 3, grid.size))
+    got = om.fd_derivative(grid, stack, order=order)
+    assert got.shape == stack.shape
+    for index in np.ndindex(stack.shape[:-1]):
+        single = om.fd_derivative(grid, stack[index], order=order)
+        assert got[index].tobytes() == single.tobytes()
+
+
+def test_verify_computes_one_weight_set_per_order(tmp_path, capsys,
+                                                  monkeypatch, pu):
+    orders = []
+    weights = dynamics._fornberg_weights
+
+    def counted(z, x, m):
+        orders.append(m)
+        return weights(z, x, m)
+    monkeypatch.setattr(dynamics, "_fornberg_weights", counted)
+    spec, csv = tmp_path / "k3.json", tmp_path / "k3.csv"
+    spec.write_text(json.dumps(NL3_LIKE))
+    om.save_trajectory_csv(_k3_jet_trajectory(), csv)
+    argv = ["verify", str(spec), "--traj", str(csv)]
+    # k = 3: the dL/dq_i differenced at orders 1-3, the holonomy columns
+    # at order 1, and with --tol the floors of q_1 .. q_4 at orders 1-4
+    for extra, want in (([], [1, 2, 3]), (["--tol", "1e-9"], [1, 2, 3, 4]),
+                        (["--tol", "1e-9"], [1, 2, 3, 4])):
+        orders.clear()
+        cli.main(argv + extra)
+        assert orders == want
+    capsys.readouterr()
+    orders.clear()
+    # a unified PU trajectory without a tolerance, as read from a CSV: the
+    # dL/dq_i at orders 1-2, the jets and the momenta at order 1
+    traj = om.integrate_unified(pu, pu_unified_init(pu), 1.0)
+    om.verify_trajectory(pu, om.Trajectory(traj.grid, traj.states,
+                                           "unified", 2, 1))
+    assert orders == [1, 2]
+
+
 def test_verify_clean_trajectory(pu):
     traj = om.integrate(pu, cos_jet(), 10.0)
     report = om.verify_trajectory(pu, traj)
@@ -573,6 +614,54 @@ def test_csv_errors(tmp_path):
     good = malformed("t,q_0_1,q_1_1\n0,1,0\n1,1,0\n")
     with pytest.raises(om.TrajectoryFormatError):
         om.load_trajectory_csv(good, k=2, n=1)  # dimension mismatch
+
+
+def test_csv_error_names_the_physical_line_after_a_blank_line(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("t,q_0_1,q_1_1\n0,1,0\n\n0.1,1,0\n0.2,1\n")
+    with pytest.raises(om.TrajectoryFormatError) as err:
+        om.load_trajectory_csv(path)
+    assert str(err.value) == f"{path}:5: expected 3 columns, got 2"
+
+
+_H = "t,q_0_1,q_1_1\n"
+
+# each file's text and the rows it reads as, or the error text with {} for
+# the path; every outcome but the last two is also that of a cell-by-cell
+# float() parse, which reads 1_0 as 10 and \u0661 as 1
+_PARSER_TABLE = [
+    (_H + "0,nan,0\n1,1,0\n", [[0, math.nan, 0], [1, 1, 0]]),
+    (_H + "0,inf,0\n1,1,0\n", [[0, math.inf, 0], [1, 1, 0]]),
+    (_H + "0,-inf,0\n1,1,0\n", [[0, -math.inf, 0], [1, 1, 0]]),
+    (_H + "0,1e400,0\n1,1,0\n", [[0, math.inf, 0], [1, 1, 0]]),
+    (_H + "0, 2 ,0\n1,1,0\n", [[0, 2, 0], [1, 1, 0]]),
+    (_H + "0,+1,0\n1,.5,0\n", [[0, 1, 0], [1, 0.5, 0]]),
+    (_H + "0,,0\n1,1,0\n", "{}:2: non-numeric cell"),
+    (_H + "0,1,0,\n1,1,0\n", "{}:2: expected 3 columns, got 4"),
+    ("t,q_0_1,q_1_1\r\n0,1,0\r\n1,1,0\r\n", [[0, 1, 0], [1, 1, 0]]),
+    (_H + "0,1,0\n# a comment\n1,1,0\n", "{}:3: expected 3 columns, got 1"),
+    (_H + "0,1,0\n#,#,#\n1,1,0\n", "{}:3: non-numeric cell"),
+    (_H + "", "{}: a trajectory needs at least two rows"),
+    (_H + "0,1,0\n", "{}: a trajectory needs at least two rows"),
+    (_H + "0,1,0\n1,1\n", "{}:3: expected 3 columns, got 2"),
+    (_H + "0,1,0\n1,x,0\n", "{}:3: non-numeric cell"),
+    (_H + "0,1_0,0\n1,1,0\n", "{}:2: non-numeric cell"),
+    (_H + "0,1,0\n1,\u0661,0\n", "{}:3: non-numeric cell"),
+]
+
+
+@pytest.mark.parametrize("text, outcome", _PARSER_TABLE)
+def test_csv_parser_equivalence_table(tmp_path, text, outcome):
+    path = tmp_path / "cells.csv"
+    path.write_bytes(text.encode())
+    if isinstance(outcome, str):
+        with pytest.raises(om.TrajectoryFormatError) as err:
+            om.load_trajectory_csv(path)
+        assert str(err.value) == outcome.format(path)
+        return
+    traj = om.load_trajectory_csv(path)
+    rows = np.column_stack([traj.grid, traj.states])
+    assert rows.tobytes() == np.array(outcome, dtype=float).tobytes()
 
 
 def test_trajectory_validation():

@@ -195,20 +195,23 @@ def test_variation_and_path_values_pinned_bit_for_bit():
 def test_action_derivative_evaluates_each_jet_once(pu, coupled_beam,
                                                    monkeypatch, integrand,
                                                    case, actions):
-    # 3 segments (split at the support ends), orders 0 .. top, however
-    # many actions the difference takes: 3 for a central difference, 5
-    # when it is Richardson-extrapolated
+    # 3 segments (split at the support ends): the path's jets of orders
+    # 0 .. top once on each, the bump's once on the support, the two outer
+    # segments summed once, and the support once per action, however many
+    # actions the difference takes: 3 for a central difference, 5 when it
+    # is Richardson-extrapolated
     ds, path, bump = ((pu, _PU_OFF, _PU_BUMP) if case == "pu"
                       else (coupled_beam, _BEAM_PATH, _BEAM_BUMP))
     top = ds.k if integrand == "lagrangian" else 2 * ds.k - 1
     counts = {}
     for cls in (om.PathRepresentation, om.Variation):
-        method = cls.derivative_values
+        method = cls.jets
 
-        def counted(self, ts, order=0, method=method, name=cls.__name__):
+        def counted(self, ts, max_order, method=method, name=cls.__name__):
+            assert max_order == top
             counts[name] = counts.get(name, 0) + 1
-            return method(self, ts, order)
-        monkeypatch.setattr(cls, "derivative_values", counted)
+            return method(self, ts, max_order)
+        monkeypatch.setattr(cls, "jets", counted)
     simpson = om.variational._simpson
 
     def counted_simpson(*args):
@@ -216,9 +219,8 @@ def test_action_derivative_evaluates_each_jet_once(pu, coupled_beam,
         return simpson(*args)
     monkeypatch.setattr(om.variational, "_simpson", counted_simpson)
     om.action_derivative(ds, path, bump, integrand=integrand)
-    assert counts == {"PathRepresentation": (top + 1) * 3,
-                      "Variation": (top + 1) * 3,
-                      "_simpson": actions * 3}
+    assert counts == {"PathRepresentation": 3, "Variation": 1,
+                      "_simpson": 2 + actions}
 
 
 def test_action_derivative_validation(free_particle):
@@ -330,8 +332,8 @@ def test_fit_path_is_one_least_squares_solve(harmonic, basis):
     traj = om.integrate(harmonic, om.JetPoint(0.0, np.array([[1.0, 0.0]])),
                         2.0 * np.pi)
     fit = om.fit_path(traj, basis, 9)
-    design = variational._basis_matrix(basis, (0.0, 2.0 * np.pi), 9,
-                                       traj.grid)
+    design, = variational._basis_matrices(basis, (0.0, 2.0 * np.pi), 9,
+                                          traj.grid, (0,))
     coeffs, _, _, singular = np.linalg.lstsq(design, traj.states[:, :1],
                                              rcond=None)
     assert fit.path.coefficients.tobytes() == coeffs.T.tobytes()
