@@ -52,14 +52,12 @@ from .systems import (
     UnifiedPoint,
     build_system,
     jet_bindings,
-    jet_of_polynomial,
     unified_bindings,
 )
 from .legendre import (
     DerivedSystem,
     RegularityReport,
     derive,
-    euler_lagrange_exprs,
     hessian_det_expr,
     hessian_exprs,
     legendre_inverse,

@@ -398,19 +398,19 @@ def _point_entries(ds, points):
     omegas = unified._omegas(values)
     on = [i for i, entry in enumerate(entries) if entry["on_constraint"]]
     solved = dict(zip(on, unified._solved([values[i] for i in on],
-                                          omegas[on]) if on else []))
-    fields = [solved.get(i, field) for i, field in enumerate(explicit)]
-    kernels = unified._contracted(
-        omegas, np.array([field.components for field in fields]))
+                                          omegas[on])))
+    kernels = unified._contracted(omegas, np.array(
+        [solved.get(i, field).components for i, field in enumerate(explicit)]))
     for i, (entry, kernel) in enumerate(zip(entries, kernels)):
-        if i in solved:
-            entry["solved_field"] = fields[i].components.tolist()
+        field = solved.get(i)
+        if field is not None:
+            entry["solved_field"] = field.components.tolist()
             entry["max_field_difference"] = float(np.max(np.abs(
-                fields[i].components - explicit[i].components)))
+                field.components - explicit[i].components)))
         entry["kernel_residual"] = kernel.residual
         entry["transversality"] = kernel.transversality
-        if i in solved:
-            entry["condition"] = fields[i].condition
+        if field is not None:
+            entry["condition"] = field.condition
     return entries
 
 

@@ -41,7 +41,7 @@ from .systems import (
 __all__ = [
     "DerivedSystem", "derive",
     "momentum_exprs", "momentum_exprs_recursive",
-    "euler_lagrange_exprs", "hessian_exprs", "hessian_det_expr",
+    "hessian_exprs", "hessian_det_expr",
     "regularity_report", "RegularityReport",
     "legendre_map", "legendre_inverse",
 ]
@@ -123,11 +123,6 @@ def momentum_exprs_recursive(sys: SystemModel):
                         ex.Neg(_dt(levels[i], 2 * k - 1))))
         out.append(levels)
     return out
-
-
-def euler_lagrange_exprs(sys: SystemModel):
-    """Euler-Lagrange expressions, one per dof, on jets of order <= 2k."""
-    return _euler_lagrange(_partial_chains(sys))
 
 
 def hessian_exprs(sys: SystemModel):

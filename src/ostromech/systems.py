@@ -23,7 +23,7 @@ from .errors import DimensionError, ValidationError
 
 __all__ = [
     "SystemModel", "JetPoint", "UnifiedPoint", "build_system",
-    "jet_of_polynomial", "jet_bindings", "unified_bindings",
+    "jet_bindings", "unified_bindings",
 ]
 
 
@@ -250,26 +250,3 @@ def build_system(doc: dict) -> SystemModel:
                        parameters=parameters, autonomous=bool(autonomous),
                        lagrangian_text=text)
 
-
-def jet_of_polynomial(coefficients, t: float, max_order: int) -> JetPoint:
-    """Exact jet of polynomial curves at time t.
-
-    ``coefficients`` is one ascending coefficient sequence per dof (a
-    single sequence is accepted for n = 1).  Entry (a, i) of the result is
-    the exact i-th derivative of the a-th polynomial at t, for orders
-    0 .. max_order.
-    """
-    if max_order < 0:
-        raise ValidationError("max_order must be non-negative")
-    coeffs = np.asarray(coefficients, dtype=float)
-    if coeffs.ndim == 1:
-        coeffs = coeffs[None, :]
-    if coeffs.ndim != 2:
-        raise DimensionError("coefficients must be one sequence per dof")
-    n = coeffs.shape[0]
-    q = np.zeros((n, max_order + 1))
-    for a in range(n):
-        poly = np.polynomial.polynomial.Polynomial(coeffs[a])
-        for i in range(max_order + 1):
-            q[a, i] = poly.deriv(i)(t) if i else poly(t)
-    return JetPoint(t, q)

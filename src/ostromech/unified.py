@@ -97,7 +97,7 @@ def _point_family(ds: DerivedSystem):
 class _PointValues:
     """What the checks of this module read at one matching point, each
     computed once: the momenta family (n, k), H, the values of
-    :func:`_partials_family`, W, ``el_reduced`` and the two-form matrix.
+    :func:`_partials_family`, W and ``el_reduced``.
 
     The five families come from one call of the point kernel over
     :func:`unified_coordinates`, compiled once per system by
@@ -376,6 +376,8 @@ def _solved(values, omegas):
     stacked points.  Where that finds a singular W or a stacked call
     raises, the points are solved one by one, so the first point that
     fails raises its own error."""
+    if not values:
+        return []
     ds = values[0].ds
     k, n = ds.k, ds.n
 

@@ -154,13 +154,20 @@ class Variation:
         if self.exponent < 1:
             raise ValidationError("variation exponent must be at least 1")
         left, right = self.support
-        bump = npoly.polypow(npoly.polymul([-left, 1.0], [right, -1.0]),
-                             self.exponent) * (
-            self.amplitude / self.half_width ** (2 * self.exponent))
-        # the coefficients of the bump and of its derivatives, up to the
-        # first that is zero
-        object.__setattr__(self, "_coefficients", tuple(
-            npoly.polyder(bump, order) for order in range(bump.size + 1)))
+        # (t - l)(r - t) has the coefficients (-l r, l + r, -1); each
+        # derivative multiplies coefficient j by j and drops the constant
+        factor = np.convolve([-left, 1.0], [right, -1.0])
+        bump = factor
+        for _ in range(1, self.exponent):
+            bump = np.convolve(bump, factor)
+        coefficients = [bump * (self.amplitude
+                                / self.half_width ** (2 * self.exponent))]
+        while coefficients[-1].size > 1:
+            c = coefficients[-1]
+            coefficients.append(np.arange(1, c.size) * c[1:])
+        # past the degree every derivative is zero
+        coefficients.append(coefficients[0][:1] * 0)
+        object.__setattr__(self, "_coefficients", tuple(coefficients))
 
     @property
     def support(self) -> tuple:

@@ -167,13 +167,16 @@ def test_total_derivative_chains_along_prolonged_curve():
     ctx = om.SystemContext.for_lagrangian(2, 1)
     e = om.parse("q0*q1^2 + sin(q0)", ctx)
     dt = om.total_derivative(e, 4)
-    coeffs = [0.3, -1.2, 0.7, 0.25]
+    path = om.PathRepresentation("monomial", [0.3, -1.2, 0.7, 0.25],
+                                 (-1.0, 2.0))
+
+    def jet(t, max_order):
+        return om.jet_bindings(
+            om.JetPoint(t, path.jets([t], max_order)[:, :, 0]))
     eps = 1e-6
     for t in (0.0, 0.4, 1.3):
-        jet_hi = om.jet_of_polynomial(coeffs, t, 4)
-        env = om.jet_bindings(jet_hi)
-        plus = om.jet_bindings(om.jet_of_polynomial(coeffs, t + eps, 2))
-        minus = om.jet_bindings(om.jet_of_polynomial(coeffs, t - eps, 2))
+        env = jet(t, 4)
+        plus, minus = jet(t + eps, 2), jet(t - eps, 2)
         fd = (e.evaluate(plus) - e.evaluate(minus)) / (2 * eps)
         assert abs(dt.evaluate(env) - fd) <= 1e-6 * (1 + abs(fd))
 

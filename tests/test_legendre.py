@@ -174,7 +174,6 @@ def test_derive_takes_each_total_derivative_once(k, monkeypatch):
     assert len(calls) == n * k * (k + 1) // 2
     monkeypatch.undo()
     assert ds.momenta == legendre.momentum_exprs(model)
-    assert ds.el == legendre.euler_lagrange_exprs(model)
     assert ds.hessian == legendre.hessian_exprs(model)
 
 

@@ -140,30 +140,3 @@ def test_one_coordinate_layout():
     coords.append(ex.ext_momentum())
     coords[0] = ex.jet(9, 9)
     assert om.unified_coordinates(k, n) == expected
-
-
-def test_jet_of_polynomial_oracles():
-    # t^2 at t=1: value 1, slope 2, curvature 2, third derivative 0
-    jp = om.jet_of_polynomial([0.0, 0.0, 1.0], 1.0, 3)
-    np.testing.assert_allclose(jp.q, [[1.0, 2.0, 2.0, 0.0]], atol=1e-14)
-    # t^3 at t=2: (8, 12, 12, 6)
-    jp = om.jet_of_polynomial([0.0, 0.0, 0.0, 1.0], 2.0, 3)
-    np.testing.assert_allclose(jp.q, [[8.0, 12.0, 12.0, 6.0]], atol=1e-14)
-
-
-def test_jet_of_polynomial_matches_numeric_derivatives():
-    rng = np.random.default_rng(21)
-    coeffs = rng.uniform(-1, 1, size=5)
-    eps = 1e-5
-    for t in (-0.5, 0.0, 1.2):
-        jp = om.jet_of_polynomial(coeffs, t, 3)
-        up = om.jet_of_polynomial(coeffs, t + eps, 2)
-        dn = om.jet_of_polynomial(coeffs, t - eps, 2)
-        fd = (up.q[0] - dn.q[0]) / (2 * eps)
-        np.testing.assert_allclose(jp.q[0, 1:], fd, rtol=0, atol=1e-8)
-
-
-def test_jet_of_polynomial_multi_dof():
-    jp = om.jet_of_polynomial([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]], 2.0, 2)
-    np.testing.assert_allclose(jp.q, [[2.0, 1.0, 0.0], [5.0, 4.0, 2.0]],
-                               atol=1e-14)

@@ -168,6 +168,52 @@ def test_condition_warning_logged(pu, monkeypatch, caplog):
     assert any("ill-conditioned" in rec.message for rec in caplog.records)
 
 
+def test_unified_check_raises_the_first_failing_points_error():
+    # W = q0 - 1 is singular at q0 = 1, and log(q0) fails at q0 = -1
+    ds = _one_dof("1/2*(q0 - 1)*q1^2 + log(q0)")
+
+    def point(t, q0):
+        jet = om.JetPoint(t, [[q0, 0.5]])
+        return om.UnifiedPoint(jet, om.legendre_map(ds, jet))
+    regular, singular, domain = point(0.0, 2.0), point(0.5, 1.0), point(
+        1.0, -1.0)
+    with pytest.raises(om.SingularHessianError, match="accelerations"):
+        cli._point_entries(ds, [regular, singular, domain])
+    with pytest.raises(om.DomainEvalError):
+        cli._point_entries(ds, [domain, singular, regular])
+    # the stacked solve finds the singular W and solves point by point, so
+    # the singular point raises with its own time
+    values = [unified._PointValues(ds, up) for up in (regular, singular)]
+    with pytest.raises(om.SingularHessianError,
+                       match="vector field") as err:
+        unified._solved(values, unified._omegas(values))
+    assert err.value.time == 0.5
+
+
+def test_unified_check_warnings_keep_the_point_order(tmp_path, capsys,
+                                                     monkeypatch, caplog):
+    spec = tmp_path / "nl3.json"
+    spec.write_text(json.dumps(NL3_LIKE))
+    argv = ["unified-check", str(spec), "--random", "20", "--seed", "3"]
+    assert cli.main(argv) == 0
+    conditions = [point["condition"]
+                  for point in json.loads(capsys.readouterr().out)["points"]]
+    threshold = sorted(conditions)[10]
+    monkeypatch.setattr(unified, "_CONDITION_WARN", threshold)
+    with caplog.at_level(logging.WARNING, logger="ostromech.unified"):
+        assert cli.main(argv) == 0
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"unified vector-field system is ill-conditioned (cond={c:.3e})"
+        for c in conditions if c > threshold]
+    # points whose values overflow: one warning line per point, in order
+    code = cli.main(["unified-check", write_spec(tmp_path, "pais_uhlenbeck"),
+                     "--random", "4", "--box=-1e170,1e170"])
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("warning")]
+    assert code == 1 and len(lines) > 1 and lines == sorted(
+        lines, key=lambda line: int(line.split()[2]))
+
+
 def _one_dof(lagrangian):
     return om.derive(om.build_system(
         {"name": "probe", "order": 1, "dofs": 1, "lagrangian": lagrangian}))
@@ -558,6 +604,12 @@ def test_one_evaluation_gives_the_tree_walked_answer(name):
     # the degenerate system has a singular W everywhere, every other one
     # only off the sampled box
     assert singular == (21 if name == "degenerate" else 0)
+    if not singular:
+        # the entries of all points at once, solved and contracted over
+        # the stacked points, are those of the points one by one
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _bits(cli._point_entries(ds, points)) == [
+                _bits(_public_entry(ds, up)) for up in points]
     if name == "harmonic":
         # where the point kernel's straight-line code overflows, it
         # answers with the tree walker's values on numpy scalars

@@ -86,6 +86,21 @@ INLINE_SYSTEMS = {
 }
 
 
+# a k = 3, n = 3 system shaped like the benchmark's nl3 (bench/roster.py,
+# seed 1) and its initial jets: unified-check solves 27 x 27 systems over
+# the stacked points, and verify --tol differences up to order 4
+NL3 = ('{"name": "nl3", "order": 3, "dofs": 3, "autonomous": true, '
+       '"lagrangian": "1/2*(q3_1^2 - 2.331885*q2_1^2 + 1.460129*q1_1^2 '
+       '- 0.252253*q0_1^2) + 1/2*(q3_2^2 - 4.712432*q2_2^2 '
+       '+ 6.858214*q1_2^2 - 2.916970*q0_2^2) + 1/2*(q3_3^2 '
+       '- 2.658922*q2_3^2 + 2.207715*q1_3^2 - 0.545250*q0_3^2) '
+       '+ 0.010576*q0_3^2*q3_1^2 + 0.010107*q0_1^2*q0_2^2 '
+       '+ 0.025607*q0_2*q0_3*q1_1^2"}')
+NL3_INIT = "-0.051585,-0.069118,-0.080001,-0.222977,0.321913,-0.45025," \
+    "-0.407026,0.374922,0.161235,-0.29401,0.020116,0.48792," \
+    "0.387476,-0.167326,-0.315129,-0.333997,-0.077513,0.408727"
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
@@ -156,6 +171,21 @@ def _runs(work: Path):
     # ... and action-check, whose fit then has a NaN derivative residual
     yield ["action-check", "harmonic.json", "--traj", "harmonic_nan.csv",
            "--variations", "5"], None
+
+    # an error names the line of the file: the ragged row is on line 5
+    (work / "harmonic_blank.csv").write_text(
+        "t,q_0_1,q_1_1\n0,1,0\n\n0.1,1,0\n0.2,1\n")
+    yield ["verify", "harmonic.json", "--traj", "harmonic_blank.csv"], None
+
+    (work / "nl3.json").write_text(NL3)
+    yield ["simulate", "nl3.json", f"--init={NL3_INIT}", "--t-end", "1",
+           "--max-step", "0.01", "--out", "nl3_rk45.csv"], "nl3_rk45.csv"
+    yield ["verify", "nl3.json", "--traj", "nl3_rk45.csv"], None
+    yield ["verify", "nl3.json", "--traj", "nl3_rk45.csv", "--tol",
+           "1e-9"], None
+    yield ["action-check", "nl3.json", "--traj", "nl3_rk45.csv",
+           "--variations", "5"], None
+    yield ["unified-check", "nl3.json", "--random", "20"], None
 
     # sampling boxes must be finite with lo < hi
     yield ["unified-check", "harmonic.json", "--random", "2",
