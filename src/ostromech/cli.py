@@ -42,6 +42,10 @@ EXIT_SINGULAR = 3
 # default coefficient count of the action-check --traj fit
 _FIT_COEFFS = 12
 
+# unified-check solves and contracts the fields of this many points at a
+# time; larger blocks gain no time and raise the peak memory
+_POINT_BLOCK = 16
+
 # derive prints hessian_det up to this many dofs; the text of the nested
 # row expansion grows like n!: about 2.3 MB at 8 dofs, some 20 MB at 9
 _DET_TEXT_MAX_DOFS = 8
@@ -441,12 +445,11 @@ def cmd_unified_check(args):
             points.append(UnifiedPoint(JetPoint(t, jets), momenta))
 
     # a finite point may still overflow, and inf - inf is NaN; the
-    # non-finite fields are reported below, not as numpy warnings.  Blocks
-    # of points bound the size of the stacked arrays
-    block = legendre._SWEEP_BLOCK
+    # non-finite fields are reported below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = [entry for start in range(0, len(points), block)
-                   for entry in _point_entries(ds, points[start:start + block])]
+        entries = [entry for start in range(0, len(points), _POINT_BLOCK)
+                   for entry in _point_entries(
+                       ds, points[start:start + _POINT_BLOCK])]
     non_finite = [(i, bad) for i, entry in enumerate(entries) if (bad := [
         name for name in ("hamiltonian", "section_p", "coupling",
                           "explicit_field", "solved_field")

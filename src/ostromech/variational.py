@@ -42,16 +42,16 @@ _DEFAULT_QUAD_POINTS = 512
 _EPSILON = 1e-5
 
 
-def _basis_matrices(basis, interval, n_coeffs, ts, orders):
-    """One matrix per order of ``orders``, whose columns are the order-th
+def _basis_matrices(basis, interval, n_coeffs, ts, max_order):
+    """One matrix per order 0 .. max_order, whose columns are the order-th
     derivatives of the basis functions at ts.  The orders share one power
     table of ts (monomial) or one cos and one sin per frequency (fourier)."""
     ts = np.asarray(ts, dtype=float)
     a, b = interval
-    out = [np.zeros((ts.size, n_coeffs)) for _ in orders]
+    out = [np.zeros((ts.size, n_coeffs)) for _ in range(max_order + 1)]
     if basis == "monomial":
         powers = [ts ** p for p in range(n_coeffs)]
-        for matrix, order in zip(out, orders):
+        for order, matrix in enumerate(out):
             for j in range(order, n_coeffs):
                 coeff = 1.0
                 for i in range(order):
@@ -62,9 +62,7 @@ def _basis_matrices(basis, interval, n_coeffs, ts, orders):
     # w_m = m*pi/(b-a) and tau = t - a
     tau = ts - a
     base = np.pi / (b - a)
-    for matrix, order in zip(out, orders):
-        if order == 0:
-            matrix[:, 0] = 1.0
+    out[0][:, 0] = 1.0
     for m in range(1, n_coeffs // 2 + 1):
         w = m * base
         phase = w * tau
@@ -72,7 +70,7 @@ def _basis_matrices(basis, interval, n_coeffs, ts, orders):
         for j, cycle in ((2 * m - 1, (cos, -sin, -cos, sin)),
                          (2 * m, (sin, cos, -sin, -cos))):
             if j < n_coeffs:
-                for matrix, order in zip(out, orders):
+                for order, matrix in enumerate(out):
                     matrix[:, j] = w ** order * cycle[order % 4]
     return out
 
@@ -121,7 +119,7 @@ class PathRepresentation:
         return np.stack([self.coefficients @ matrix.T for matrix in
                          _basis_matrices(self.basis, self.interval,
                                          self.coefficients.shape[1], ts,
-                                         range(max_order + 1))], axis=1)
+                                         max_order)], axis=1)
 
     def derivative_values(self, ts, order: int = 0) -> np.ndarray:
         """Order-th time derivative of every dof at the given times."""
@@ -290,7 +288,8 @@ def action_derivative(ds: DerivedSystem, path, variation: Variation,
     at the variation's support ends), so quadrature error cancels in the
     differences, and one set of path and bump derivatives on it: each
     action adds its scaled bump jets to the path jets of the variation's
-    dof.
+    dof.  The segments outside the support, where the bump vanishes, are
+    summed once for all the actions.
     """
     _check_path(ds, path)
     _variation_inside(path, variation)
@@ -457,7 +456,7 @@ def fit_path(traj: Trajectory, basis: str, n_coeffs: int) -> FitResult:
         raise ValidationError(
             f"n_coeffs must lie in 1..{npts} (grid points), got {n_coeffs}")
     interval = (float(traj.grid[0]), float(traj.grid[-1]))
-    design, = _basis_matrices(basis, interval, n_coeffs, traj.grid, (0,))
+    design, = _basis_matrices(basis, interval, n_coeffs, traj.grid, 0)
     jets = _split_state(traj.states.T, traj.k, traj.n)[0]
     targets = np.column_stack([jets[a, 0] for a in range(traj.n)])
 

@@ -333,7 +333,7 @@ def test_fit_path_is_one_least_squares_solve(harmonic, basis):
                         2.0 * np.pi)
     fit = om.fit_path(traj, basis, 9)
     design, = variational._basis_matrices(basis, (0.0, 2.0 * np.pi), 9,
-                                          traj.grid, (0,))
+                                          traj.grid, 0)
     coeffs, _, _, singular = np.linalg.lstsq(design, traj.states[:, :1],
                                              rcond=None)
     assert fit.path.coefficients.tobytes() == coeffs.T.tobytes()
