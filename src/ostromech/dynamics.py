@@ -409,13 +409,19 @@ def fd_derivative(grid, values, order: int = 1) -> np.ndarray:
     if width <= order:
         raise ValidationError(
             f"grid of {npts} points is too short for derivative order {order}")
+    if values.shape[-1:] != (npts,):
+        raise DimensionError(
+            f"values of shape {values.shape} are not series over a grid of "
+            f"{npts} points")
     starts = np.clip(np.arange(npts) - width // 2, 0, npts - width)
     idx = starts[:, None] + np.arange(width)
-    w = _fornberg_weights(grid, grid[idx], order)[:, :, order]
-    # one dot product per point of each series: a sum over the stencil or a
-    # single matrix product for all points adds in another order and moves
-    # the last bits, and a row of a stack gets the bits of its single call
-    return np.matmul(w[:, None, :], values[..., idx, None])[..., 0, 0]
+    w = _fornberg_weights(grid, grid[idx], order)[:, None, :, order]
+    # one dot product per point, series by series: a sum over the stencil
+    # or a single matrix product for all points adds in another order and
+    # moves the last bits
+    rows = values.reshape(-1, npts)
+    return np.array([np.matmul(w, row[idx][:, :, None])[:, 0, 0]
+                     for row in rows]).reshape(values.shape)
 
 
 def _differenced(grid, requests):
@@ -606,12 +612,13 @@ def load_trajectory_csv(path, k: int | None = None,
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            # the non-blank lines, with their line numbers in the file
+            lines = [(lineno, line.rstrip("\n"))
+                     for lineno, line in enumerate(fh, start=1)
+                     if line.strip()]
     except (OSError, UnicodeDecodeError) as err:
         raise TrajectoryFormatError(
             f"{path}: cannot read trajectory file: {err}") from err
-    lines = [(lineno, line) for lineno, line
-             in enumerate(text.split("\n"), start=1) if line.strip()]
     if not lines:
         raise TrajectoryFormatError(f"{path}: empty trajectory file")
     header = lines[0][1].split(",")

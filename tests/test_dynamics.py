@@ -350,6 +350,10 @@ def test_fd_derivative_matches_vandermonde_weights():
 def test_fd_derivative_short_grid():
     with pytest.raises(om.ValidationError):
         om.fd_derivative([0.0], [1.0], order=1)
+    grid = np.linspace(0.0, 1.0, 10)
+    for values in (np.zeros(9), np.zeros(20), np.zeros((10, 2)), 1.0):
+        with pytest.raises(om.DimensionError):
+            om.fd_derivative(grid, values)
 
 
 def _nonuniform_grid(seed, npts):
