@@ -523,7 +523,7 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
     # one maximum over every dof, so a NaN residual is not dropped
     el_max = float(np.max(np.abs(residuals)))
 
-    # holonomy: differenced q_i must reproduce q_{i+1}
+    # holonomy: differentiated q_i must reproduce q_{i+1}
     qdots = terms[k]
     defects = np.max(np.abs(qdots - jets[:, 1:]), axis=-1)
     holo_max = float(np.max(defects))

@@ -542,6 +542,11 @@ def _public_entry(ds, up):
     return entry
 
 
+def _cli_entry(ds, up):
+    """The unified-check entry of one point."""
+    return cli._point_entries(ds, [up])[0]
+
+
 def _bits(value):
     """A value with every float spelled by float.hex, so == is bit equality
     (every NaN compares equal)."""
@@ -579,7 +584,7 @@ def test_one_evaluation_gives_the_tree_walked_answer(name):
     singular = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for up in points:
-            entry = _outcome(lambda *args: cli._point_entries(*args)[0], ds, [up])
+            entry = _outcome(_cli_entry, ds, up)
             assert entry == _outcome(_public_entry, ds, up)
             singular += entry[0] == "SingularHessianError"
             assert _bits(om.constraint_residuals(ds, up)) == _bits(
