@@ -42,10 +42,6 @@ EXIT_SINGULAR = 3
 # default coefficient count of the action-check --traj fit
 _FIT_COEFFS = 12
 
-# unified-check solves and contracts the fields of this many points at a
-# time; larger blocks gain no time and raise the peak memory
-_POINT_BLOCK = 16
-
 # derive prints hessian_det up to this many dofs; the text of the nested
 # row expansion grows like n!: about 2.3 MB at 8 dofs, some 20 MB at 9
 _DET_TEXT_MAX_DOFS = 8
@@ -370,54 +366,6 @@ def cmd_action_check(args):
 # ---------------------------------------------------------------------------
 
 
-def _point_entries(ds, points):
-    """The unified-check entries of the points.  Point by point, in order,
-    one evaluation of the point serves the constraint check, H and the
-    coupling, and the field kernel gives the explicit field; the solved
-    field of the points on the constraint manifold and the contraction of
-    every point's field are then formed once over the points."""
-    values, entries, explicit = [], [], []
-    for up in points:
-        values.append(unified._PointValues(ds, up))
-        residuals, tolerance, on_constraint = unified._constraint_check(
-            up, values[-1].momenta)
-
-        section_p = float(-values[-1].hamiltonian)
-        lifted = up if up.p_ext is not None else UnifiedPoint(
-            up.jet, up.momenta, p_ext=section_p)
-
-        explicit.append(unified.explicit_semispray(ds, up))
-        entries.append({
-            "t": up.t,
-            "on_constraint": on_constraint,
-            "constraint_residuals": [level.tolist() for level in residuals],
-            "constraint_tolerance": tolerance,
-            "hamiltonian": -section_p,
-            "section_p": section_p,
-            "coupling": unified.coupling(lifted),
-            "explicit_field": explicit[-1].components.tolist(),
-            "solved_field": None,
-        })
-
-    omegas = unified._omegas(values)
-    on = [i for i, entry in enumerate(entries) if entry["on_constraint"]]
-    solved = dict(zip(on, unified._solved([values[i] for i in on],
-                                          omegas[on])))
-    kernels = unified._contracted(omegas, np.array(
-        [solved.get(i, field).components for i, field in enumerate(explicit)]))
-    for i, (entry, kernel) in enumerate(zip(entries, kernels)):
-        field = solved.get(i)
-        if field is not None:
-            entry["solved_field"] = field.components.tolist()
-            entry["max_field_difference"] = float(np.max(np.abs(
-                field.components - explicit[i].components)))
-        entry["kernel_residual"] = kernel.residual
-        entry["transversality"] = kernel.transversality
-        if field is not None:
-            entry["condition"] = field.condition
-    return entries
-
-
 def cmd_unified_check(args):
     if args.random is not None and args.random < 1:
         raise ValidationError("--random must be at least 1")
@@ -431,25 +379,21 @@ def cmd_unified_check(args):
             args.point, "--point", 1 + 3 * k * n + (1 if args.extended else 0),
             f" (t, {2 * k * n} jets, {k * n} momenta"
             + (", p)" if args.extended else ")"))
-        t = values[0]
-        state = np.asarray(values[1:1 + 3 * k * n])
-        p_ext = values[-1] if args.extended else None
-        points.append(UnifiedPoint.from_state(t, state, k, n, p_ext))
+        points.append(UnifiedPoint.from_state(
+            values[0], values[1:1 + 3 * k * n], k, n,
+            values[-1] if args.extended else None))
     else:
         box = _parse_domain(args.box) or ex.DEFAULT_SAMPLE_RANGE
         rng = np.random.default_rng(args.seed)
         for _ in range(args.random):
             t = float(rng.uniform(*box))
-            jets = rng.uniform(box[0], box[1], size=(n, 2 * k))
-            momenta = legendre.legendre_map(ds, JetPoint(t, jets))
-            points.append(UnifiedPoint(JetPoint(t, jets), momenta))
+            jet = JetPoint(t, rng.uniform(box[0], box[1], size=(n, 2 * k)))
+            points.append(UnifiedPoint(jet, legendre.legendre_map(ds, jet)))
 
     # a finite point may still overflow, and inf - inf is NaN; the
     # non-finite fields are reported below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = [entry for start in range(0, len(points), _POINT_BLOCK)
-                   for entry in _point_entries(
-                       ds, points[start:start + _POINT_BLOCK])]
+        entries = unified.check_points(ds, points)
     non_finite = [(i, bad) for i, entry in enumerate(entries) if (bad := [
         name for name in ("hamiltonian", "section_p", "coupling",
                           "explicit_field", "solved_field")

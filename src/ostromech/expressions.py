@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     DomainEvalError,
+    ExpressionError,
     JetOrderError,
     OrderOverflowError,
     ParseError,
@@ -168,7 +169,10 @@ class Expression:
         return h
 
     def __repr__(self):
-        return f"<{type(self).__name__} {to_text(self)}>"
+        try:
+            return f"<{type(self).__name__} {to_text(self)}>"
+        except ExpressionError:
+            return f"<{type(self).__name__} with a non-finite constant>"
 
     def _init_common(self, free):
         object.__setattr__(self, "_free", free)
@@ -874,18 +878,27 @@ class _Parser:
         if kind != "number":
             raise ParseError("power exponents must be numeric literals", pos)
         self.advance()
-        result = sign * float(value)
+        result = sign * self.number(value, pos)
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            result = result ** self.exponent()
+            try:
+                result = result ** self.exponent()
+            except OverflowError:
+                raise ParseError("power exponent overflows", pos) from None
         return result
+
+    def number(self, value, pos):
+        # the grammar spells finite numbers only, so to_text prints them all
+        if not math.isfinite(float(value)):
+            raise ParseError(f"number {value} is not finite", pos)
+        return float(value)
 
     def atom(self):
         kind, value, pos = self.peek()
         if kind == "number":
             self.advance()
-            return Const(float(value))
+            return Const(self.number(value, pos))
         if kind == "ident":
             self.advance()
             nkind, nvalue, _ = self.peek()
@@ -964,6 +977,9 @@ _PREC_SUM, _PREC_TERM, _PREC_UNARY, _PREC_POWER, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _format_number(x: float) -> str:
+    if not math.isfinite(x):
+        raise ExpressionError(
+            f"the constant {x!r} has no literal in the expression grammar")
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
@@ -1034,7 +1050,8 @@ def to_text(expr: Expression, n_dofs: int = 1) -> str:
     """Print an expression in the input grammar.
 
     Re-parsing the output in a sufficiently wide context yields a
-    numerically equivalent tree.
+    numerically equivalent tree.  A constant that is not finite, made by
+    folding or deriving, has no literal and raises :class:`ExpressionError`.
     """
     text, _ = _render(expr, n_dofs)
     return text

@@ -14,6 +14,7 @@ them.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,11 +199,12 @@ def build_system(doc: dict) -> SystemModel:
 
     The document is a mapping with keys ``name``, ``order`` (k >= 1),
     ``dofs`` (n >= 1), ``lagrangian`` (expression text), optional
-    ``parameters`` (name to value) and optional ``autonomous``.  Validation
-    enforces that the Lagrangian uses jet orders at most k, that every
-    identifier is a declared parameter or coordinate, and that a system
-    declared autonomous has no explicit time dependence.  When the
-    ``autonomous`` flag is omitted it is inferred from the Lagrangian.
+    ``parameters`` (name to finite number; no boolean is a number here)
+    and optional boolean ``autonomous``.  Validation enforces that the
+    Lagrangian uses jet orders at most k, that every identifier is a
+    declared parameter or coordinate, and that a system declared
+    autonomous has no explicit time dependence.  When the ``autonomous``
+    flag is omitted or null it is inferred from the Lagrangian.
     """
     if not isinstance(doc, dict):
         raise ValidationError("system description must be a mapping")
@@ -213,16 +215,22 @@ def build_system(doc: dict) -> SystemModel:
 
     name = str(doc["name"])
     k, n = doc["order"], doc["dofs"]
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValidationError(f"order must be an integer >= 1, got {k!r}")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidationError(f"dofs must be an integer >= 1, got {n!r}")
 
-    parameters = dict(doc.get("parameters") or {})
+    parameters = doc.get("parameters")
+    if not isinstance(parameters, (dict, type(None))):
+        raise ValidationError(
+            f"parameters must map names to numbers, got {parameters!r}")
+    parameters = dict(parameters or {})
     for pname, value in parameters.items():
-        if not isinstance(value, (int, float)):
+        # abs(value) <= max is False for NaN and inf, and exact for ints
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max):
             raise ValidationError(
-                f"parameter {pname!r} must be numeric, got {value!r}")
+                f"parameter {pname!r} must be a finite number, got {value!r}")
         parameters[pname] = float(value)
 
     text = doc["lagrangian"]
@@ -235,6 +243,9 @@ def build_system(doc: dict) -> SystemModel:
     autonomous = doc.get("autonomous")
     if autonomous is None:
         autonomous = not time_free
+    elif not isinstance(autonomous, bool):
+        raise ValidationError(
+            f"autonomous must be true, false or null, got {autonomous!r}")
     elif autonomous and time_free:
         raise ValidationError(
             "system is declared autonomous but the Lagrangian depends on t")
@@ -247,6 +258,6 @@ def build_system(doc: dict) -> SystemModel:
     lagrangian = ex.simplify(lagrangian)
 
     return SystemModel(name=name, k=k, n=n, lagrangian=lagrangian,
-                       parameters=parameters, autonomous=bool(autonomous),
+                       parameters=parameters, autonomous=autonomous,
                        lagrangian_text=text)
 

@@ -47,8 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .legendre import (
-    _SINGULAR_RTOL, DerivedSystem, _conditions, _top_jet_solver,
-    legendre_map)
+    DerivedSystem, _regular_inverse, _top_jet_solver, legendre_map)
 from .systems import UnifiedPoint, _coordinates, _index, _pairing
 
 __all__ = [
@@ -56,12 +55,17 @@ __all__ = [
     "SemisprayVector", "coupling", "hamiltonian_section_p",
     "omega_r_matrix", "constraint_residuals", "constraint_tolerance",
     "explicit_semispray", "solve_unified_vf", "kernel_check", "KernelReport",
+    "check_points",
 ]
 
 logger = logging.getLogger("ostromech.unified")
 
 # condition number above which the vector-field solve logs a warning
 _CONDITION_WARN = 1e12
+
+# check_points solves and contracts the fields of this many points at a
+# time; larger blocks gain no time and raise the peak memory
+_POINT_BLOCK = 16
 
 
 def unified_coordinates(k: int, n: int):
@@ -78,60 +82,50 @@ def _check_point(ds: DerivedSystem, up: UnifiedPoint):
             f"{up.momenta.shape}")
 
 
-def _partials_family(ds: DerivedSystem):
-    """The partials of H along every coordinate of
-    :func:`unified_coordinates`, zero where H does not depend on it."""
-    return [ds.hamiltonian_partials.get(ref, ex._ZERO)
-            for ref in _coordinates(ds.n, 2 * ds.k, ds.k)]
-
-
 def _point_family(ds: DerivedSystem):
     """The expressions of the point kernel in the order of its outputs:
-    the momenta dof-major, H, :func:`_partials_family`, W row by row and
-    ``el_reduced``."""
+    the momenta dof-major, H, the partials of H along every coordinate of
+    :func:`unified_coordinates` (zero where H does not depend on it), W
+    row by row and ``el_reduced``."""
     return [*(p for per_dof in ds.momenta for p in per_dof), ds.hamiltonian,
-            *_partials_family(ds), *(w for row in ds.hessian for w in row),
-            *ds.el_reduced]
+            *(ds.hamiltonian_partials.get(ref, ex._ZERO)
+              for ref in _coordinates(ds.n, 2 * ds.k, ds.k)),
+            *(w for row in ds.hessian for w in row), *ds.el_reduced]
 
 
-class _PointValues:
-    """What the checks of this module read at one matching point, each
-    computed once: the momenta family (n, k), H, the values of
-    :func:`_partials_family`, W and ``el_reduced``.
-
-    The five families come from one call of the point kernel over
-    :func:`unified_coordinates`, compiled once per system by
-    :meth:`DerivedSystem._kernel`, so a point where any expression of
-    :func:`_point_family` cannot be evaluated raises the tree walker's
-    first :class:`DomainEvalError` before any check reads a value.
-    """
-
-    def __init__(self, ds: DerivedSystem, up: UnifiedPoint):
-        _check_point(ds, up)
-        self.ds, self.up = ds, up
-        k, n = ds.k, ds.n
-        coords = _coordinates(n, 2 * k, k)
-        kernel = ds._kernel("point", lambda: _point_family(ds), coords)
-        out = kernel(up.t, *up.to_state().tolist())
-        nk = n * k
-        h = nk + 1 + len(coords)  # W starts here
-        self.momenta = np.array(out[:nk]).reshape(n, k)
-        self.hamiltonian = out[nk]
-        self.partials = np.array(out[nk + 1:h])
-        self.hessian = np.array(out[h:h + n * n]).reshape(n, n)
-        self.reduced = np.array(out[h + n * n:])
-
-
-def _omegas(values):
-    """The two-form matrices at the points of a list of
-    :class:`_PointValues`, stacked: the +1/-1 pairing blocks and the
-    partials of H in the dt column and, negated, the dt row (whose dt entry
-    is dH/dt - dH/dt, so NaN where dH/dt is not finite)."""
-    ds = values[0].ds
+def _point_values(ds: DerivedSystem, points, explicit=False):
+    """The values of :func:`_point_family` at matching points, stacked
+    and sliced: the momenta (m, n, k), H (m,), the partials of H
+    (m, 3kn + 1), W (m, n, n) and ``el_reduced`` (m, n), then, with
+    ``explicit``, the explicit fields (m, 3kn + 1), else None.  Point by
+    point, in order, each point is checked, flattened once and evaluated
+    once by the point kernel, which is built before the field kernel, and
+    with ``explicit`` by the field, so the first point that fails raises
+    its error."""
     k, n = ds.k, ds.n
+    kernel = ds._kernel("point", lambda: _point_family(ds),
+                        _coordinates(n, 2 * k, k))
+    rows, fields = [], []
+    for up in points:
+        _check_point(ds, up)
+        state = up.to_state()
+        rows.append(kernel(up.t, *state.tolist()))
+        if explicit:
+            fields.append([1.0, *_unified_field(ds)(up.t, state)])
+    rows, m, nk = np.array(rows, dtype=float), len(points), n * k
+    h = nk + 2 + 3 * k * n  # W starts here
+    return (rows[:, :nk].reshape(m, n, k), rows[:, nk], rows[:, nk + 1:h],
+            rows[:, h:h + n * n].reshape(m, n, n), rows[:, h + n * n:],
+            np.array(fields) if explicit else None)
+
+
+def _omegas(k: int, n: int, partials):
+    """The two-form matrices of the stacked partials of H ``partials``:
+    the +1/-1 pairing blocks and the partials in the dt column and,
+    negated, the dt row (whose dt entry is dH/dt - dH/dt, so NaN where
+    dH/dt is not finite)."""
     levels, momenta, _, _ = _positions(k, n)
-    partials = np.array([v.partials for v in values])
-    m = np.zeros((len(values),) + (3 * k * n + 1,) * 2)
+    m = np.zeros((len(partials),) + (3 * k * n + 1,) * 2)
     m[:, levels, momenta] = 1.0
     m[:, momenta, levels] = -1.0
     m[:, :, 0] += partials
@@ -206,12 +200,12 @@ def hamiltonian_section_p(ds: DerivedSystem, up: UnifiedPoint) -> float:
     Substituting this value makes :func:`coupling` equal the Lagrangian at
     the point, which is the defining property of the section.
     """
-    return -_PointValues(ds, up).hamiltonian
+    return float(-_point_values(ds, [up])[1][0])
 
 
 def omega_r_matrix(ds: DerivedSystem, up: UnifiedPoint) -> TwoFormMatrix:
     """Numeric two-form matrix at a point."""
-    return TwoFormMatrix(_omegas([_PointValues(ds, up)])[0],
+    return TwoFormMatrix(_omegas(ds.k, ds.n, _point_values(ds, [up])[2])[0],
                          _coordinates(ds.n, 2 * ds.k, ds.k))
 
 
@@ -345,9 +339,14 @@ def solve_unified_vf(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
     :class:`SingularHessianError` when the Hessian is singular at the
     point, in which case no numeric answer is produced.
     """
-    values = [_PointValues(ds, up)]
-    _constraint_check(up, values[0].momenta, require="point")
-    return _solved(values, _omegas(values))[0]
+    momenta, _, partials, hessians, reduced, _ = _point_values(ds, [up])
+    _constraint_check(up, momenta[0], require="point")
+    if _regular_inverse(hessians[0])[0] is None:
+        raise SingularHessianError(
+            "Hessian is singular, the unified vector field is not "
+            "determined", time=up.t)
+    return _solved(ds.k, ds.n, [up], hessians, reduced,
+                   _omegas(ds.k, ds.n, partials))[0]
 
 
 @functools.cache
@@ -368,58 +367,32 @@ def _positions(k: int, n: int):
             at(ex.jet(a, 2 * k - 1) for a in dofs))
 
 
-def _solved(values, omegas):
-    """:func:`solve_unified_vf` at the points of a list of
-    :class:`_PointValues` already found on the constraint manifold, whose
-    two-form matrices are ``omegas``.  W^-1 and kappa_1, the linear
-    systems, their solve and their condition are each formed once over the
-    stacked points.  Where that finds a singular W or a stacked call
-    raises, the points are solved one by one, so the first point that
-    fails raises its own error."""
-    if not values:
-        return []
-    ds = values[0].ds
-    k, n = ds.k, ds.n
-
-    def one_by_one():
-        return [_solved([v], omegas[i:i + 1])[0]
-                for i, v in enumerate(values)]
-
-    singular = [condition * _SINGULAR_RTOL >= 1.0 for condition
-                in _conditions(np.array([v.hessian for v in values]))]
-    if any(singular) and len(values) > 1:
-        return one_by_one()
-    if singular[0]:
-        raise SingularHessianError(
-            "Hessian is singular, the unified vector field is not "
-            "determined", time=values[0].up.t)
-
+def _solved(k: int, n: int, points, hessians, reduced, omegas):
+    """:func:`solve_unified_vf` at points on the constraint manifold whose
+    W passed the regularity test, given their stacked W, ``el_reduced``
+    values and two-form matrices.  The linear systems, their solve and
+    their condition are each formed once over the stacked points, and the
+    ill-conditioning warnings keep the point order."""
     levels, _, low, top = _positions(k, n)
-    size = 3 * k * n
-    a = np.zeros((len(values), size, size))
-    b = np.zeros((len(values), size))
+    size, m = 3 * k * n, len(points)
+    a = np.zeros((m, size, size))
+    b = np.zeros((m, size))
     # semispray rows: jet components below the top order shift upward
     semi = len(low)
     a[:, np.arange(semi), low - 1] = 1.0
-    b[:, :semi] = [v.up.jet.q[:, 1:].reshape(-1) for v in values]
+    b[:, :semi] = np.reshape([up.jet.q[:, 1:] for up in points], (m, semi))
     # tangency rows determine the top jet components
     sign = -1.0 if k % 2 else 1.0
-    a[:, semi:semi + n, top - 1] = [sign * v.hessian for v in values]
-    b[:, semi:semi + n] = [-v.reduced for v in values]
+    a[:, semi:semi + n, top - 1] = sign * hessians
+    b[:, semi:semi + n] = -reduced
     # momentum rows of the two-form matrix (time column moves to the rhs)
     a[:, semi + n:] = omegas[:, levels, 1:]
     b[:, semi + n:] = -omegas[:, levels, 0]
 
-    try:
-        solutions = np.linalg.solve(a, b[..., None])[..., 0]
-        conditions = np.linalg.cond(a).tolist()
-    except np.linalg.LinAlgError:
-        if len(values) == 1:
-            raise
-        return one_by_one()
+    solutions = np.linalg.solve(a, b[..., None])[..., 0]
     coords = _coordinates(n, 2 * k, k)
     out = []
-    for solution, condition in zip(solutions, conditions):
+    for solution, condition in zip(solutions, np.linalg.cond(a).tolist()):
         if condition > _CONDITION_WARN:
             logger.warning(
                 "unified vector-field system is ill-conditioned (cond=%.3e)",
@@ -447,7 +420,7 @@ class KernelReport:
 
 def kernel_check(ds: DerivedSystem, up: UnifiedPoint, field) -> KernelReport:
     """Contract the two-form with a vector and report the residual."""
-    omegas = _omegas([_PointValues(ds, up)])
+    omegas = _omegas(ds.k, ds.n, _point_values(ds, [up])[2])
     x = field.components if isinstance(field, SemisprayVector) else \
         np.asarray(field, dtype=float)
     if x.shape != omegas.shape[-1:]:
@@ -465,3 +438,56 @@ def _contracted(omegas, xs) -> list:
     return [KernelReport(residual=residual, transversality=float(x[0]),
                          contraction=contraction)
             for residual, x, contraction in zip(residuals, xs, contractions)]
+
+
+def check_points(ds: DerivedSystem, points) -> list:
+    """The unified-check entry of each point, a dict of plain values.
+
+    :func:`_point_values` evaluates the points one by one, and a singular
+    W raises the explicit field's :class:`SingularHessianError`, so every
+    point solved here has passed the one regularity test.  The rest is
+    formed once per block of ``_POINT_BLOCK`` points: the two-form
+    matrices, the solved field of the points on the constraint manifold
+    and the contraction of each point's field, solved or else explicit.
+    """
+    return [entry for start in range(0, len(points), _POINT_BLOCK)
+            for entry in _check_block(ds, points[start:start + _POINT_BLOCK])]
+
+
+def _check_block(ds: DerivedSystem, points) -> list:
+    momenta, hamiltonians, partials, hessians, reduced, explicit = \
+        _point_values(ds, points, explicit=True)
+    checks = [_constraint_check(up, p) for up, p in zip(points, momenta)]
+    on = [i for i, check in enumerate(checks) if check[2]]
+    omegas = _omegas(ds.k, ds.n, partials)
+    solved = dict(zip(on, _solved(ds.k, ds.n, [points[i] for i in on],
+                                  hessians[on], reduced[on], omegas[on])))
+    kernels = _contracted(omegas, np.array(
+        [solved[i].components if i in solved else field
+         for i, field in enumerate(explicit)]))
+    entries = []
+    for i, (up, (residuals, tolerance, on_constraint), kernel) in enumerate(
+            zip(points, checks, kernels)):
+        section_p, field = float(-hamiltonians[i]), solved.get(i)
+        entry = {
+            "t": up.t,
+            "on_constraint": on_constraint,
+            "constraint_residuals": [level.tolist() for level in residuals],
+            "constraint_tolerance": tolerance,
+            "hamiltonian": -section_p,
+            "section_p": section_p,
+            "coupling": float(_pairing(up.momenta, up.jet.q, start=(
+                section_p if up.p_ext is None else up.p_ext))),
+            "explicit_field": explicit[i].tolist(),
+            "solved_field": None,
+        }
+        if field is not None:
+            entry["solved_field"] = field.components.tolist()
+            entry["max_field_difference"] = float(np.max(np.abs(
+                field.components - explicit[i])))
+        entry["kernel_residual"] = kernel.residual
+        entry["transversality"] = kernel.transversality
+        if field is not None:
+            entry["condition"] = field.condition
+        entries.append(entry)
+    return entries

@@ -98,6 +98,52 @@ def test_derive_bad_inputs(tmp_path, capsys):
     assert code == 2
 
 
+# a spec field of the wrong type, written over a valid document, and the
+# start of the one error line that names it
+MALFORMED_FIELDS = [
+    ('"dofs": true', "dofs must be an integer >= 1, got True"),
+    ('"order": true', "order must be an integer >= 1, got True"),
+    ('"parameters": [1, 2]', "parameters must map names to numbers"),
+    ('"parameters": "m"', "parameters must map names to numbers"),
+    ('"parameters": {"m": true}', "parameter 'm' must be a finite number"),
+    ('"parameters": {"m": 1e400}', "parameter 'm' must be a finite number"),
+    ('"parameters": {"m": NaN}', "parameter 'm' must be a finite number"),
+    ('"autonomous": "false"', "autonomous must be true, false or null"),
+]
+
+
+@pytest.mark.parametrize("field, message", MALFORMED_FIELDS)
+@pytest.mark.parametrize("command", [
+    ["derive"], ["simulate", "--init", "1,0", "--t-end", "1"]])
+def test_malformed_spec_field_is_a_usage_error(tmp_path, capsys, command,
+                                               field, message):
+    # no boolean is a number, parameters is a mapping of finite numbers
+    # and autonomous a boolean or null, else one error line names the field
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"name": "x", "order": 1, "dofs": 1, "lagrangian": '
+                    f'"1/2*q1^2", {field}}}')
+    code, out, err = run_cli(capsys, [command[0], str(spec), *command[1:]])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lagrangian", [
+    "1e400*q1^2", "0*1e400*q1^2 + q1^2", "q1^1e400", "1e308*10*q1^2",
+    "1e308*q1^2"])
+def test_non_finite_constant_is_a_usage_error(tmp_path, capsys, lagrangian):
+    # the grammar has no literal for inf or NaN: a literal that is not
+    # finite does not parse, and a constant that folding (1e308*10) or
+    # deriving (W = 2e308) makes infinite does not print
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "x", "order": 1, "dofs": 1,
+                                "lagrangian": lagrangian}))
+    code, out, err = run_cli(capsys, ["derive", str(spec)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("is not finite" in err if "e400" in lagrangian
+            else "the constant inf has no literal" in err)
+
+
 @pytest.mark.parametrize("count", ["-3", "0"])
 def test_derive_sample_count_must_be_positive(tmp_path, capsys, count):
     spec = write_spec(tmp_path, "harmonic")

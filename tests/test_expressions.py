@@ -273,6 +273,21 @@ def test_equivalent_numeric_seeded_determinism():
     assert r1.max_deviation == r2.max_deviation
 
 
+def test_non_finite_numbers_have_no_text():
+    ctx = ex.SystemContext.for_lagrangian(1, 1)
+    for text in ("1e400*q1^2", "-1e400", "q1^1e400", "q1^10^400"):
+        with pytest.raises(om.ParseError):
+            ex.parse(text, ctx)
+    # folding can still make a constant infinite or NaN; to_text refuses
+    # it by name, and the repr of the expression does not raise
+    for value in (np.inf, -np.inf, np.nan):
+        expr = ex.Product(ex.Const(value), ex.Variable(ex.jet(1, 1)))
+        with pytest.raises(om.ExpressionError, match="has no literal"):
+            ex.to_text(expr)
+        assert repr(expr) == "<Product with a non-finite constant>"
+    assert ex.to_text(ex.parse("1e308*q1^2", ctx)) == "1e+308*q1^2"
+
+
 def test_cannot_parse_empty_or_trailing():
     with pytest.raises(om.ParseError):
         om.parse("", CTX)

@@ -43,6 +43,12 @@ def test_autonomy_inferred():
     assert auto.autonomous
     driven = om.build_system(SYSTEM_DOCS["driven"])
     assert not driven.autonomous
+    # null is inferred as an absent flag is
+    for lagrangian, autonomous in (("1/2*q1^2", True), ("q0*t", False)):
+        model = om.build_system({"name": "a", "order": 1, "dofs": 1,
+                                 "lagrangian": lagrangian,
+                                 "autonomous": None, "parameters": None})
+        assert model.autonomous is autonomous and model.parameters == {}
 
 
 def test_unknown_parameter_in_lagrangian():

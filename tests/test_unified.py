@@ -178,16 +178,9 @@ def test_unified_check_raises_the_first_failing_points_error():
     regular, singular, domain = point(0.0, 2.0), point(0.5, 1.0), point(
         1.0, -1.0)
     with pytest.raises(om.SingularHessianError, match="accelerations"):
-        cli._point_entries(ds, [regular, singular, domain])
+        unified.check_points(ds, [regular, singular, domain])
     with pytest.raises(om.DomainEvalError):
-        cli._point_entries(ds, [domain, singular, regular])
-    # the stacked solve finds the singular W and solves point by point, so
-    # the singular point raises with its own time
-    values = [unified._PointValues(ds, up) for up in (regular, singular)]
-    with pytest.raises(om.SingularHessianError,
-                       match="vector field") as err:
-        unified._solved(values, unified._omegas(values))
-    assert err.value.time == 0.5
+        unified.check_points(ds, [domain, singular, regular])
 
 
 def test_unified_check_warnings_keep_the_point_order(tmp_path, capsys,
@@ -344,8 +337,31 @@ def test_straight_line_solve_leaves_doubtful_w_to_the_one_test(
     (x, z), y = q0, [q0[0], 0.5, q0[1], -0.5]
     w = [x, x * z, x * z, z]
     assert om.legendre._top_jet_solver(2)([*w, 1.0, 1.0], 1.0) is None
+    ds = om.derive(om.build_system(PINCHED))
+    jet = om.JetPoint(0.0, np.reshape(y, (2, 2)))
+    singular = om.legendre._regular_inverse(np.reshape(w, (2, 2)))[0] is None
+    assert singular == (verdict == "singular")
     with np.errstate(all="ignore"):
-        fast = _field_outcome(om.derive(om.build_system(PINCHED)), y)
+        fast = _field_outcome(ds, y)
+        # the solve judges its W by the one test; unified-check leaves W
+        # to the explicit field, which raises first at the same points
+        up = om.UnifiedPoint(jet, om.legendre_map(ds, jet))
+        if singular:
+            with pytest.raises(om.SingularHessianError, match="vector field"):
+                om.solve_unified_vf(ds, up)
+            with pytest.raises(om.SingularHessianError,
+                               match="accelerations"):
+                unified.check_points(ds, [up])
+        else:
+            entry, = unified.check_points(ds, [up])
+            if verdict == "regular":
+                solved = om.solve_unified_vf(ds, up).components
+                assert entry["solved_field"] == solved.tolist()
+            else:
+                # NaN momenta are off the constraint manifold
+                with pytest.raises(om.OffConstraintError):
+                    om.solve_unified_vf(ds, up)
+                assert entry["solved_field"] is None
         monkeypatch.setattr(unified, "_top_jet_solver", lambda n: None)
         forced = _field_outcome(om.derive(om.build_system(PINCHED)), y)
     assert fast == forced
@@ -428,7 +444,7 @@ def test_non_finite_momentum_is_off_constraint(harmonic, momentum):
     with pytest.raises(om.OffConstraintError):
         om.integrate_unified(harmonic, bad, 1.0, method="rk4", step=0.1)
     with np.errstate(invalid="ignore"):
-        entry, = cli._point_entries(harmonic, [bad])
+        entry, = unified.check_points(harmonic, [bad])
     assert entry["on_constraint"] is False and entry["solved_field"] is None
 
 
@@ -544,7 +560,7 @@ def _public_entry(ds, up):
 
 def _cli_entry(ds, up):
     """The unified-check entry of one point."""
-    return cli._point_entries(ds, [up])[0]
+    return unified.check_points(ds, [up])[0]
 
 
 def _bits(value):
@@ -613,7 +629,7 @@ def test_one_evaluation_gives_the_tree_walked_answer(name):
         # the entries of all points at once, solved and contracted over
         # the stacked points, are those of the points one by one
         with np.errstate(over="ignore", invalid="ignore"):
-            assert _bits(cli._point_entries(ds, points)) == [
+            assert _bits(unified.check_points(ds, points)) == [
                 _bits(_public_entry(ds, up)) for up in points]
     if name == "harmonic":
         # where the point kernel's straight-line code overflows, it

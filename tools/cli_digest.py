@@ -53,7 +53,9 @@ MALFORMED_PATHS = {
 # follows finite ones and must be the worst point, at seed 3 the worst W
 # is NaN and has no rank.  simulate of W = q0^200, whose stages overflow
 # and are rejected by rk45, with no NumPy warning; under rk4 the same run
-# goes to NaN and exits 1.
+# goes to NaN and exits 1.  Malformed documents are usage errors: a
+# boolean dof count, a parameter list in place of a mapping, and a
+# Lagrangian whose W = 2e308 overflows to inf, which no literal spells.
 INLINE_SYSTEMS = {
     "crossing": ('{"name": "crossing", "order": 1, "dofs": 1, '
                  '"lagrangian": "1/2*q0*q1^2"}', ["derive"]),
@@ -83,6 +85,13 @@ INLINE_SYSTEMS = {
                   '"lagrangian": "1/2*q0^200*q1^2"}',
                   ["simulate", "--init", "30,200", "--t-end", "1",
                    "--method", "rk4", "--step", "0.05"]),
+    "dofs_bool": ('{"name": "dofs_bool", "order": 1, "dofs": true, '
+                  '"lagrangian": "1/2*q1^2"}', ["derive"]),
+    "parameters_list": ('{"name": "parameters_list", "order": 1, '
+                        '"dofs": 1, "parameters": [1, 2], '
+                        '"lagrangian": "1/2*q1^2"}', ["derive"]),
+    "overflow": ('{"name": "overflow", "order": 1, "dofs": 1, '
+                 '"lagrangian": "1e308*q1^2"}', ["derive"]),
 }
 
 
@@ -195,6 +204,13 @@ def _runs(work: Path):
     # option values hold exactly their count of finite numbers
     yield ["derive", "harmonic.json", "--domain=1,2,3"], None
     yield ["unified-check", "harmonic.json", "--point", "nan,1,0,0"], None
+    # the coupling of an extended point uses its own p; points off the
+    # constraint manifold are not solved, and fail
+    yield ["unified-check", "harmonic.json", "--point=0,1,0,0,-0.5",
+           "--extended"], None
+    yield ["unified-check", "harmonic.json", "--point=0,1,0,5"], None
+    yield ["unified-check", "pais_uhlenbeck.json",
+           "--point=0,1,0,-1,0,0,0"], None
     # a finite point whose evaluation overflows fails, with no numpy warning
     yield ["unified-check", "harmonic.json", "--point", "0,1e200,0,0"], None
     # the compiled point kernel overflows on Python floats at these points,
