@@ -135,10 +135,6 @@ def _load_json(path, what):
     return doc
 
 
-def _load_model(path):
-    return build_system(_load_json(path, "spec"))
-
-
 def _parse_floats(text, what, count=None, layout=""):
     """The numbers of the comma-separated value ``text`` of option
     ``what``, every one finite and, with ``count``, exactly that many;
@@ -174,18 +170,16 @@ def _parse_domain(text):
 # ---------------------------------------------------------------------------
 
 
-def cmd_derive(args):
-    model = _load_model(args.spec)
-    ds = legendre.derive(model)
+def cmd_derive(args, ds):
     regularity = legendre.regularity_report(
         ds, domain=_parse_domain(args.domain), samples=args.samples,
         seed=args.seed)
-    n = model.n
+    n = ds.n
     report = {
-        "system": model.name,
-        "order": model.k,
+        "system": ds.model.name,
+        "order": ds.k,
         "dofs": n,
-        "lagrangian": ex.to_text(model.lagrangian, n),
+        "lagrangian": ex.to_text(ds.model.lagrangian, n),
         "momenta": [[ex.to_text(p, n) for p in per_dof]
                     for per_dof in ds.momenta],
         "euler_lagrange": [ex.to_text(e, n) for e in ds.el],
@@ -215,10 +209,8 @@ def _hessian_det_text(ds):
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args):
-    model = _load_model(args.spec)
-    ds = legendre.derive(model)
-    k, n = model.k, model.n
+def cmd_simulate(args, ds):
+    k, n = ds.k, ds.n
     values = _parse_floats(args.init, "--init")
     kwargs = dict(method=args.method, step=args.step, rtol=args.tol,
                   atol=args.tol,
@@ -235,7 +227,7 @@ def cmd_simulate(args):
 
     meta = traj.meta
     summary = {
-        "system": model.name,
+        "system": ds.model.name,
         "layout": traj.layout,
         "method": meta["method"],
         "tolerance": meta["tolerance"],
@@ -268,10 +260,8 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(args):
-    model = _load_model(args.spec)
-    ds = legendre.derive(model)
-    traj = dynamics.load_trajectory_csv(args.traj, k=model.k, n=model.n)
+def cmd_verify(args, ds):
+    traj = dynamics.load_trajectory_csv(args.traj, k=ds.k, n=ds.n)
     report = dynamics.verify_trajectory(ds, traj, tolerance=args.tol)
 
     thresholds = {field: getattr(args, f"{name}_tol")
@@ -281,7 +271,7 @@ def cmd_verify(args):
     failed = [name for name, limit in thresholds.items()
               if values.get(name) is not None and not values[name] <= limit]
     out = {
-        "system": model.name,
+        "system": ds.model.name,
         "trajectory_file": args.traj,
         "layout": traj.layout,
         "n_points": int(traj.grid.size),
@@ -317,11 +307,9 @@ def _load_path(path_file):
                                           interval)
 
 
-def cmd_action_check(args):
+def cmd_action_check(args, ds):
     if args.variations < 1:
         raise ValidationError("--variations must be at least 1")
-    model = _load_model(args.spec)
-    ds = legendre.derive(model)
 
     source = {}
     fit_finite = True
@@ -329,7 +317,7 @@ def cmd_action_check(args):
         path = _load_path(args.path)
         source["path_file"] = args.path
     else:
-        traj = dynamics.load_trajectory_csv(args.traj, k=model.k, n=model.n)
+        traj = dynamics.load_trajectory_csv(args.traj, k=ds.k, n=ds.n)
         coeffs = args.coeffs
         if coeffs is None:
             coeffs = min(_FIT_COEFFS, traj.grid.size)
@@ -348,7 +336,7 @@ def cmd_action_check(args):
     s_cartan = variational.discrete_action(ds, path, "cartan",
                                            args.quad_points)
     report = {
-        "system": model.name,
+        "system": ds.model.name,
         "source": source,
         "interval": list(path.interval),
         "action_lagrangian": s_lagrangian,
@@ -366,12 +354,10 @@ def cmd_action_check(args):
 # ---------------------------------------------------------------------------
 
 
-def cmd_unified_check(args):
+def cmd_unified_check(args, ds):
     if args.random is not None and args.random < 1:
         raise ValidationError("--random must be at least 1")
-    model = _load_model(args.spec)
-    ds = legendre.derive(model)
-    k, n = model.k, model.n
+    k, n = ds.k, ds.n
 
     points = []
     if args.point is not None:
@@ -407,7 +393,7 @@ def cmd_unified_check(args):
              if entry.get("max_field_difference") is not None]
     kernels = [entry["kernel_residual"] for entry in entries]
     report = {
-        "system": model.name,
+        "system": ds.model.name,
         "n_points": len(entries),
         "all_on_constraint": on_constraint,
         "max_field_difference": max(diffs) if diffs else None,
@@ -436,6 +422,8 @@ def _build_parser():
     common.add_argument("--out", metavar="FILE",
                         help="write the primary output here (the report "
                              "JSON; for simulate, the trajectory CSV)")
+    # every subcommand reads the system of one spec, which main derives
+    common.add_argument("spec", help="system spec (JSON)")
 
     parser = argparse.ArgumentParser(
         prog="ostromech",
@@ -447,7 +435,6 @@ def _build_parser():
     p = sub.add_parser("derive", parents=[common],
                        help="derive momenta, equations of motion, Hessian "
                             "and Hamiltonian from a system spec")
-    p.add_argument("spec", help="system spec (JSON)")
     p.add_argument("--samples", type=int, default=100,
                    help="sample count for the regularity report (default 100)")
     p.add_argument("--domain", metavar="LO,HI",
@@ -458,7 +445,6 @@ def _build_parser():
     p = sub.add_parser("simulate", parents=[common],
                        help="integrate the dynamics and report a verified "
                             "summary")
-    p.add_argument("spec", help="system spec (JSON)")
     p.add_argument("--init", required=True, metavar="V1,V2,...",
                    help="initial state: 2kn jet values, or 3kn with "
                         "--unified (dof-major, ascending order)")
@@ -482,7 +468,6 @@ def _build_parser():
     p = sub.add_parser("verify", parents=[common],
                        help="check a recorded trajectory against the "
                             "equations it should satisfy")
-    p.add_argument("spec", help="system spec (JSON)")
     p.add_argument("--traj", required=True, metavar="FILE",
                    help="trajectory CSV")
     p.add_argument("--tol", type=float,
@@ -496,7 +481,6 @@ def _build_parser():
 
     p = sub.add_parser("action-check", parents=[common],
                        help="probe stationarity of the action along a path")
-    p.add_argument("spec", help="system spec (JSON)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--path", metavar="FILE",
                        help="path document (JSON: basis, coefficients, "
@@ -521,7 +505,6 @@ def _build_parser():
     p = sub.add_parser("unified-check", parents=[common],
                        help="verify the unified field equation at points of "
                             "the jet-momentum space")
-    p.add_argument("spec", help="system spec (JSON)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--point", metavar="T,JETS...,MOMENTA...",
                        help="one point: t, the 2kn jets, the kn momenta "
@@ -549,7 +532,8 @@ def main(argv=None) -> int:
                     and math.isnan(value)):
                 raise ValidationError(
                     f"--{name.replace('_', '-')} must be a number, got nan")
-        return args.func(args)
+        ds = legendre.derive(build_system(_load_json(args.spec, "spec")))
+        return args.func(args, ds)
     except SingularHessianError as err:
         last = getattr(err, "last_good_time", None)
         if last is not None:

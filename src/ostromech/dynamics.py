@@ -418,10 +418,11 @@ def fd_derivative(grid, values, order: int = 1) -> np.ndarray:
     w = _fornberg_weights(grid, grid[idx], order)[:, None, :, order]
     # one dot product per point, series by series: a sum over the stencil
     # or a single matrix product for all points adds in another order and
-    # moves the last bits
+    # moves the last bits; an overflow is reported as inf or NaN, not warned
     rows = values.reshape(-1, npts)
-    return np.array([np.matmul(w, row[idx][:, :, None])[:, 0, 0]
-                     for row in rows]).reshape(values.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([np.matmul(w, row[idx][:, :, None])[:, 0, 0]
+                         for row in rows]).reshape(values.shape)
 
 
 def _differenced(grid, requests):

@@ -94,3 +94,6 @@ class OffConstraintError(OstromechError):
 
 class TrajectoryFormatError(OstromechError):
     """A trajectory file is malformed or inconsistent with the system."""
+
+
+__all__ = [name for name in dir() if name.endswith("Error")]

@@ -2,11 +2,12 @@
 
 Immutable expression trees over a fixed variable alphabet: the time
 coordinate ``t``, jet coordinates ``q_i^A`` (dof ``A``, derivative order
-``i``), conjugate momenta ``p_A^i``, one optional extended momentum, and
-named scalar parameters.  The kernel provides exact partial derivatives,
-total time derivatives along holonomic prolongations, a terminating
-simplifier, numeric evaluation over scalars or numpy arrays, parsing and
-printing of a small infix grammar, and seeded numeric equivalence checks.
+``i``), conjugate momenta ``p_A^i`` and one optional extended momentum;
+the parser reads a declared parameter as its value.  The kernel provides
+exact partial derivatives, total time derivatives along holonomic
+prolongations, a terminating simplifier, numeric evaluation over scalars
+or numpy arrays, parsing and printing of a small infix grammar, and
+seeded numeric equivalence checks.
 
 Evaluation walks the tree (:meth:`Expression.evaluate`).  For a hot loop,
 :func:`compile_kernel` lowers a list of expressions into one generated
@@ -27,7 +28,7 @@ import logging
 import math
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,13 +44,10 @@ from .errors import (
 )
 
 __all__ = [
-    "VarRef", "time_var", "jet", "momentum", "ext_momentum", "parameter",
-    "Expression", "Const", "Variable", "Sum", "Product", "Power", "Neg",
-    "Quotient", "Call",
-    "SystemContext", "parse", "to_text",
+    "VarRef", "time_var", "jet", "momentum", "ext_momentum",
+    "Expression", "SystemContext", "parse", "to_text",
     "diff", "total_derivative", "simplify", "substitute",
-    "equivalent_numeric", "EquivalenceResult", "sample_point",
-    "DEFAULT_SAMPLE_RANGE", "compile_kernel",
+    "equivalent_numeric", "EquivalenceResult",
 ]
 
 logger = logging.getLogger("ostromech.expressions")
@@ -62,22 +60,21 @@ DEFAULT_SAMPLE_RANGE = (-2.0, 2.0)
 # variable references
 # ---------------------------------------------------------------------------
 
-_KIND_RANK = {"time": 0, "jet": 1, "momentum": 2, "ext": 3, "param": 4}
+_KIND_RANK = {"time": 0, "jet": 1, "momentum": 2, "ext": 3}
 
 
 @dataclass(frozen=True)
 class VarRef:
     """Reference to one coordinate of the extended jet-momentum space.
 
-    ``kind`` is one of ``time``, ``jet``, ``momentum``, ``ext`` (the single
-    extended momentum coordinate), or ``param``.  ``dof`` is 1-based,
-    ``order`` is the jet order for jets and the momentum level for momenta.
+    ``kind`` is one of ``time``, ``jet``, ``momentum`` or ``ext`` (the
+    single extended momentum coordinate).  ``dof`` is 1-based, ``order`` is
+    the jet order for jets and the momentum level for momenta.
     """
 
     kind: str
     dof: int = 0
     order: int = 0
-    name: str = ""
 
     def display(self, n_dofs: int = 1) -> str:
         """Grammar-conformant identifier for this variable."""
@@ -87,16 +84,12 @@ class VarRef:
             return f"q{self.order}" if n_dofs == 1 else f"q{self.order}_{self.dof}"
         if self.kind == "momentum":
             return f"p{self.order}" if n_dofs == 1 else f"p{self.order}_{self.dof}"
-        if self.kind == "ext":
-            return "p"
-        return self.name
+        return "p"
 
     def _key(self):
-        return (_KIND_RANK[self.kind], self.dof, self.order, self.name)
+        return (_KIND_RANK[self.kind], self.dof, self.order)
 
     def __repr__(self):
-        if self.kind == "param":
-            return f"VarRef(param {self.name!r})"
         if self.kind in ("jet", "momentum"):
             return f"VarRef({self.kind} dof={self.dof} order={self.order})"
         return f"VarRef({self.kind})"
@@ -122,10 +115,6 @@ def momentum(dof: int, level: int) -> VarRef:
 
 def ext_momentum() -> VarRef:
     return VarRef("ext")
-
-
-def parameter(name: str) -> VarRef:
-    return VarRef("param", name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +506,7 @@ def total_derivative(expr: Expression, max_order: int) -> Expression:
 
     Applies d/dt = d/dt|explicit + sum over jets of q_{i+1} d/dq_i, so each
     jet coordinate of order i contributes a term through its successor of
-    order i+1.  Momenta and parameters are treated as constants.
+    order i+1.  Momenta are treated as constants.
     ``max_order`` caps the highest jet order the result may contain; the
     call raises :class:`OrderOverflowError` rather than exceed it.
     """
@@ -658,11 +647,19 @@ def simplify(expr: Expression) -> Expression:
     if isinstance(expr, (Const, Variable)):
         return expr
 
-    if isinstance(expr, Sum):
-        return _normal_sum([simplify(term) for term in expr.terms])
-
-    if isinstance(expr, Product):
-        return _normal_product([simplify(factor) for factor in expr.factors])
+    if isinstance(expr, (Sum, Product)):
+        # (a + b) + c, as the parser reads a + b + c, is normalized
+        # innermost first in a loop: a long chain costs no recursion
+        kind, chain = type(expr), []
+        attr, normal = (("terms", _normal_sum) if kind is Sum
+                        else ("factors", _normal_product))
+        while type(expr) is kind:
+            chain.append(expr)
+            expr = getattr(expr, attr)[0]
+        result = simplify(expr)
+        for node in reversed(chain):
+            result = normal([result, *map(simplify, getattr(node, attr)[1:])])
+        return result
 
     if isinstance(expr, Neg):
         child = simplify(expr.child)
@@ -732,15 +729,17 @@ _IDENT_PATTERN = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 class SystemContext:
     """Parsing context fixing the coordinate alphabet.
 
-    ``max_jet_order`` bounds the admissible jet orders; ``momentum_levels``
-    is the number of momentum levels visible (0 disables momenta, as in a
-    Lagrangian context); ``allow_extended`` admits the bare identifier ``p``
-    for the extended momentum.
+    ``parameters`` maps each declared parameter name to its value, and the
+    parser reads the name as that constant.  ``max_jet_order`` bounds the
+    admissible jet orders; ``momentum_levels`` is the number of momentum
+    levels visible (0 disables momenta, as in a Lagrangian context);
+    ``allow_extended`` admits the bare identifier ``p`` for the extended
+    momentum.
     """
 
     n_dofs: int
     max_jet_order: int
-    parameters: frozenset
+    parameters: dict = field(hash=False)
     momentum_levels: int = 0
     allow_extended: bool = False
 
@@ -749,7 +748,7 @@ class SystemContext:
             raise ValidationError("a system needs at least one degree of freedom")
         if self.max_jet_order < 0:
             raise ValidationError("max_jet_order must be non-negative")
-        object.__setattr__(self, "parameters", frozenset(self.parameters))
+        object.__setattr__(self, "parameters", dict(self.parameters))
         for name in self.parameters:
             if not _IDENT_PATTERN.match(name):
                 raise ValidationError(f"invalid parameter name {name!r}")
@@ -758,15 +757,16 @@ class SystemContext:
                     f"parameter name {name!r} shadows a reserved identifier")
 
     @classmethod
-    def for_lagrangian(cls, k: int, n: int, parameters=()) -> "SystemContext":
+    def for_lagrangian(cls, k: int, n: int, parameters=None) -> "SystemContext":
         """Context for Lagrangian input: jets up to order k, no momenta."""
-        return cls(n_dofs=n, max_jet_order=k, parameters=frozenset(parameters))
+        return cls(n_dofs=n, max_jet_order=k, parameters=parameters or {})
 
     @classmethod
-    def for_reports(cls, k: int, n: int, parameters=()) -> "SystemContext":
+    def for_reports(cls, k: int, n: int) -> "SystemContext":
         """Context wide enough to re-read any printed derived expression:
-        jets up to order 2k, momenta up to level k-1, extended momentum."""
-        return cls(n_dofs=n, max_jet_order=2 * k, parameters=frozenset(parameters),
+        jets up to order 2k, momenta up to level k-1, extended momentum.
+        A report prints numbers only, so it names no parameter."""
+        return cls(n_dofs=n, max_jet_order=2 * k, parameters={},
                    momentum_levels=k, allow_extended=True)
 
 
@@ -792,6 +792,12 @@ def _tokenize(text):
     return tokens
 
 
+# the nesting levels the parser admits: each parenthesis, function call,
+# unary minus, '/' and chained '^' opens one; at 17 frames per level, the
+# deepest derivation seen stays inside Python's recursion limit of 1000
+_MAX_NESTING = 50
+
+
 class _Parser:
     """Recursive-descent parser for the expression grammar.
 
@@ -808,6 +814,21 @@ class _Parser:
         self.context = context
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+
+    def enter(self, pos):
+        """Open one nesting level, refusing more than _MAX_NESTING."""
+        if self.depth == _MAX_NESTING:
+            raise ParseError(
+                f"expression nests deeper than {_MAX_NESTING} levels", pos)
+        self.depth += 1
+
+    def nested(self, parse, pos):
+        """``parse()`` one nesting level deeper."""
+        self.enter(pos)
+        result = parse()
+        self.depth -= 1
+        return result
 
     def peek(self):
         return self.tokens[self.pos]
@@ -843,20 +864,24 @@ class _Parser:
 
     def term(self):
         expr = self.unary()
+        depth = self.depth
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
+                if value == "/":  # a quotient nests the ones before it
+                    self.enter(pos)
                 rhs = self.unary()
                 expr = Product(expr, rhs) if value == "*" else Quotient(expr, rhs)
             else:
+                self.depth = depth
                 return expr
 
     def unary(self):
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary, pos))
         return self.power()
 
     def power(self):
@@ -883,7 +908,7 @@ class _Parser:
         if kind == "op" and value == "^":
             self.advance()
             try:
-                result = result ** self.exponent()
+                result = result ** self.nested(self.exponent, pos)
             except OverflowError:
                 raise ParseError("power exponent overflows", pos) from None
         return result
@@ -906,21 +931,22 @@ class _Parser:
                 if value not in _SCALAR_FUNCS:
                     raise UnknownIdentifierError(f"unknown function {value!r}", pos)
                 self.advance()
-                arg = self.additive()
+                arg = self.nested(self.additive, pos)
                 self.expect_op(")")
                 return Call(value, arg)
-            return Variable(self.resolve(value, pos))
+            return self.resolve(value, pos)
         if kind == "op" and value == "(":
             self.advance()
-            expr = self.additive()
+            expr = self.nested(self.additive, pos)
             self.expect_op(")")
             return expr
         raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
 
     def resolve(self, name, pos):
+        """The coordinate named ``name`` or the value of a parameter."""
         ctx = self.context
         if name == "t":
-            return time_var()
+            return Variable(time_var())
         m = _JET_PATTERN.match(name)
         if m:
             order = int(m.group(1))
@@ -929,7 +955,7 @@ class _Parser:
                 raise JetOrderError(
                     f"jet order {order} exceeds the maximum {ctx.max_jet_order} "
                     "allowed in this context", pos)
-            return jet(dof, order)
+            return Variable(jet(dof, order))
         m = _MOMENTUM_PATTERN.match(name)
         if m:
             if ctx.momentum_levels <= 0:
@@ -941,11 +967,11 @@ class _Parser:
                 raise ParseError(
                     f"momentum level {level} exceeds the maximum "
                     f"{ctx.momentum_levels - 1}", pos)
-            return momentum(dof, level)
+            return Variable(momentum(dof, level))
         if name == "p" and ctx.allow_extended:
-            return ext_momentum()
+            return Variable(ext_momentum())
         if name in ctx.parameters:
-            return parameter(name)
+            return Const(ctx.parameters[name])
         raise UnknownIdentifierError(f"unknown identifier {name!r}", pos)
 
     def coord_dof(self, suffix, name, pos):

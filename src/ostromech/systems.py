@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,19 +38,15 @@ def _readonly(a):
 class SystemModel:
     """A validated k-th order Lagrangian system.
 
-    ``lagrangian`` has parameter values already substituted, so downstream
-    derivations work with purely numeric coefficients; the declared values
-    stay available in ``parameters`` and the original text in
-    ``lagrangian_text``.
+    ``lagrangian`` was parsed with the parameter values in place, so every
+    derivation works with numeric coefficients only.
     """
 
     name: str
     k: int
     n: int
     lagrangian: ex.Expression
-    parameters: dict = field(default_factory=dict)
     autonomous: bool = True
-    lagrangian_text: str = ""
 
 
 @dataclass(frozen=True)
@@ -197,14 +193,15 @@ def unified_bindings(up: UnifiedPoint) -> dict:
 def build_system(doc: dict) -> SystemModel:
     """Build and validate a system model from a spec document.
 
-    The document is a mapping with keys ``name``, ``order`` (k >= 1),
-    ``dofs`` (n >= 1), ``lagrangian`` (expression text), optional
+    The document is a mapping with keys ``name`` (text), ``order``
+    (k >= 1), ``dofs`` (n >= 1), ``lagrangian`` (expression text), optional
     ``parameters`` (name to finite number; no boolean is a number here)
-    and optional boolean ``autonomous``.  Validation enforces that the
-    Lagrangian uses jet orders at most k, that every identifier is a
-    declared parameter or coordinate, and that a system declared
-    autonomous has no explicit time dependence.  When the ``autonomous``
-    flag is omitted or null it is inferred from the Lagrangian.
+    and optional boolean ``autonomous``.  The parser reads each parameter
+    name as its value.  Validation enforces that the Lagrangian uses jet
+    orders at most k, that every identifier is a declared parameter or
+    coordinate, and that a system declared autonomous has no explicit time
+    dependence.  When the ``autonomous`` flag is omitted or null it is
+    inferred from the Lagrangian.
     """
     if not isinstance(doc, dict):
         raise ValidationError("system description must be a mapping")
@@ -213,7 +210,9 @@ def build_system(doc: dict) -> SystemModel:
     if missing:
         raise ValidationError(f"system description lacks fields: {missing}")
 
-    name = str(doc["name"])
+    name = doc["name"]
+    if not isinstance(name, str):
+        raise ValidationError(f"name must be text, got {name!r}")
     k, n = doc["order"], doc["dofs"]
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValidationError(f"order must be an integer >= 1, got {k!r}")
@@ -236,8 +235,7 @@ def build_system(doc: dict) -> SystemModel:
     text = doc["lagrangian"]
     if not isinstance(text, str):
         raise ValidationError("lagrangian must be expression text")
-    context = ex.SystemContext.for_lagrangian(k, n, parameters)
-    lagrangian = ex.parse(text, context)
+    lagrangian = ex.parse(text, ex.SystemContext.for_lagrangian(k, n, parameters))
 
     time_free = ex.time_var() in lagrangian.free_vars()
     autonomous = doc.get("autonomous")
@@ -250,14 +248,6 @@ def build_system(doc: dict) -> SystemModel:
         raise ValidationError(
             "system is declared autonomous but the Lagrangian depends on t")
 
-    # bind parameter values now; every later derivation sees numbers only
-    if parameters:
-        bound = {ex.parameter(pname): value
-                 for pname, value in parameters.items()}
-        lagrangian = ex.substitute(lagrangian, bound)
-    lagrangian = ex.simplify(lagrangian)
-
-    return SystemModel(name=name, k=k, n=n, lagrangian=lagrangian,
-                       parameters=parameters, autonomous=autonomous,
-                       lagrangian_text=text)
+    return SystemModel(name=name, k=k, n=n, lagrangian=ex.simplify(lagrangian),
+                       autonomous=autonomous)
 

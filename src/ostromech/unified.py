@@ -55,7 +55,6 @@ __all__ = [
     "SemisprayVector", "coupling", "hamiltonian_section_p",
     "omega_r_matrix", "constraint_residuals", "constraint_tolerance",
     "explicit_semispray", "solve_unified_vf", "kernel_check", "KernelReport",
-    "check_points",
 ]
 
 logger = logging.getLogger("ostromech.unified")

@@ -101,6 +101,8 @@ def test_derive_bad_inputs(tmp_path, capsys):
 # a spec field of the wrong type, written over a valid document, and the
 # start of the one error line that names it
 MALFORMED_FIELDS = [
+    ('"name": null', "name must be text, got None"),
+    ('"name": ["a"]', "name must be text, got ['a']"),
     ('"dofs": true', "dofs must be an integer >= 1, got True"),
     ('"order": true', "order must be an integer >= 1, got True"),
     ('"parameters": [1, 2]', "parameters must map names to numbers"),
@@ -142,6 +144,48 @@ def test_non_finite_constant_is_a_usage_error(tmp_path, capsys, lagrangian):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ("is not finite" in err if "e400" in lagrangian
             else "the constant inf has no literal" in err)
+
+
+def _lagrangian_spec(tmp_path, lagrangian):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "x", "order": 1, "dofs": 1,
+                                "lagrangian": lagrangian}))
+    return str(spec)
+
+
+@pytest.mark.parametrize("lagrangian, text", [
+    (" + ".join(f"{i}*q1^2" for i in range(1, 501)), "125250*q1^2"),
+    ("*".join(["q1"] * 500), "q1^500"),
+    ("(" * 50 + "q1" + ")" * 50 + "^2", "q1^2")],
+    ids=["sum", "product", "parentheses"])
+def test_long_or_nested_input_derives(tmp_path, capsys, lagrangian, text):
+    # a + b + c parses as (a + b) + c; simplify walks such a chain in a
+    # loop, so its length costs no recursion; 50 parentheses are the limit
+    report = run_json(capsys, ["derive", _lagrangian_spec(tmp_path, lagrangian),
+                               "--samples", "1"])
+    assert report["lagrangian"] == text
+
+
+@pytest.mark.parametrize("opening, base, closing", [
+    ("(", "q1", ")"), ("sin(", "q1", ")"), ("-", "q1", ""),
+    ("", "q1", "/2"), ("", "q1^1", "^1")],
+    ids=["parentheses", "calls", "minus", "quotients", "powers"])
+def test_nesting_past_the_limit_is_a_usage_error(tmp_path, capsys, opening,
+                                                 base, closing):
+    # 50 levels of parentheses, calls, minus signs, quotients or chained
+    # powers parse; one more is a ParseError, never a RecursionError
+    def nested(depth):
+        return opening * depth + base + closing * depth
+
+    context = om.SystemContext.for_lagrangian(1, 1)
+    om.parse(nested(50), context)
+    with pytest.raises(om.ParseError, match="nests deeper than 50 levels"):
+        om.parse(nested(51), context)
+    code, out, err = run_cli(capsys, [
+        "derive", _lagrangian_spec(tmp_path, nested(200) + "*q1^2")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: expression nests deeper than 50 levels")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("count", ["-3", "0"])
@@ -207,6 +251,16 @@ def test_simulate_free_particle_prints_exact_state(tmp_path, capsys):
     report = json.loads(out)
     assert report["method"] == "rk4"
     assert report["verification"]["holonomy_ok"] is True
+
+
+def test_simulate_overflowing_differences_warn_nothing(tmp_path, capsys):
+    # verify_trajectory differences dL/dq1 = 2e307*q1, which overflows: the
+    # residual reports it as NaN, and no NumPy warning repeats it
+    spec = _lagrangian_spec(tmp_path, "1e307*q1^2")
+    code, out, err = run_cli(capsys, ["simulate", spec, "--init", "1,1",
+                                      "--t-end", "0.1"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verification"]["el_residual"] == "nan"
 
 
 def test_simulate_writes_csv_and_verify_accepts(tmp_path, capsys):

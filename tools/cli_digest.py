@@ -56,6 +56,9 @@ MALFORMED_PATHS = {
 # goes to NaN and exits 1.  Malformed documents are usage errors: a
 # boolean dof count, a parameter list in place of a mapping, and a
 # Lagrangian whose W = 2e308 overflows to inf, which no literal spells.
+# A sum of 500 terms derives; q1 inside 200 parentheses nests past the
+# parser's limit and a null name is no text, both usage errors.  simulate
+# of 1e307*q1^2 differences an overflowing dL/dq1, with no NumPy warning.
 INLINE_SYSTEMS = {
     "crossing": ('{"name": "crossing", "order": 1, "dofs": 1, '
                  '"lagrangian": "1/2*q0*q1^2"}', ["derive"]),
@@ -92,6 +95,17 @@ INLINE_SYSTEMS = {
                         '"lagrangian": "1/2*q1^2"}', ["derive"]),
     "overflow": ('{"name": "overflow", "order": 1, "dofs": 1, '
                  '"lagrangian": "1e308*q1^2"}', ["derive"]),
+    "long_sum": ('{"name": "long_sum", "order": 1, "dofs": 1, '
+                 '"lagrangian": "'
+                 + " + ".join(f"{i}*q1^2" for i in range(1, 501)) + '"}',
+                 ["derive"]),
+    "deep": ('{"name": "deep", "order": 1, "dofs": 1, "lagrangian": "'
+             + "(" * 200 + "q1" + ")" * 200 + '^2"}', ["derive"]),
+    "name_null": ('{"name": null, "order": 1, "dofs": 1, '
+                  '"lagrangian": "1/2*q1^2"}', ["derive"]),
+    "huge_differences": ('{"name": "huge_differences", "order": 1, '
+                         '"dofs": 1, "lagrangian": "1e307*q1^2"}',
+                         ["simulate", "--init", "1,1", "--t-end", "0.1"]),
 }
 
 
