@@ -34,7 +34,7 @@ from .legendre import DerivedSystem, _values, legendre_map
 from .systems import (
     JetPoint, UnifiedPoint, _bindings, _coordinates, _pairing,
     _split_state, jet_bindings)
-from .unified import _check_point, _constraint_check, _unified_field
+from .unified import _check_point, _constraint_check
 
 __all__ = [
     "Trajectory", "integrate", "integrate_unified", "lagrangian_rhs",
@@ -116,7 +116,7 @@ def lagrangian_rhs(ds: DerivedSystem, t: float, state) -> np.ndarray:
     if y.shape != (2 * ds.k * ds.n,):
         raise DimensionError(
             f"jet state must have length {2 * ds.k * ds.n}, got {y.shape}")
-    return _unified_field(ds)(float(t), y)
+    return ds._field(float(t), y)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def integrate(ds: DerivedSystem, init: JetPoint, t_end: float,
             f"initial jet point must have shape {(n, 2 * k)}, got "
             f"{init.q.shape}")
     grid, states, meta = _integrate(
-        _unified_field(ds), init.t, init.to_state(), t_end, method, step,
+        ds._field, init.t, init.to_state(), t_end, method, step,
         rtol, atol, max_step, max_steps)
     return Trajectory(grid, states, "jet", k, n, meta)
 
@@ -303,7 +303,7 @@ def integrate_unified(ds: DerivedSystem, init: UnifiedPoint, t_end: float,
     _constraint_check(init, legendre_map(ds, init.jet),
                       require="initial point")
     grid, states, meta = _integrate(
-        _unified_field(ds), init.t, init.to_state(), t_end, method, step,
+        ds._field, init.t, init.to_state(), t_end, method, step,
         rtol, atol, max_step, max_steps)
     traj = Trajectory(grid, states, "unified", k, n, meta)
 
@@ -325,9 +325,11 @@ def integrate_unified(ds: DerivedSystem, init: UnifiedPoint, t_end: float,
 
 def _energy(ds, env, jets):
     """E = sum p_A^i q_{i+1}^A - L with the momenta of the Legendre map,
-    at a point or over a grid."""
-    return (_pairing(_values(ds.momenta, env, jets.shape[2:]), jets)
-            - ds.lagrangian_value(env))
+    at a point or over a grid; an overflow is reported as inf or NaN, not
+    warned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (_pairing(_values(ds.momenta, env, jets.shape[2:]), jets)
+                - ds.lagrangian_value(env))
 
 
 def ostrogradsky_energy(ds: DerivedSystem, jp: JetPoint) -> float:
@@ -543,7 +545,8 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
     energy_drift = None
     if ds.model.autonomous:
         energies = energy_series(ds, traj)
-        energy_drift = float(np.max(np.abs(energies - energies[0])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy_drift = float(np.max(np.abs(energies - energies[0])))
 
     momenta_residual = hq_residual = hp_residual = None
     if unified:

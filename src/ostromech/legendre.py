@@ -40,8 +40,7 @@ from .systems import (
 
 __all__ = [
     "DerivedSystem", "derive",
-    "momentum_exprs", "momentum_exprs_recursive",
-    "hessian_exprs", "hessian_det_expr",
+    "momentum_exprs", "momentum_exprs_recursive", "hessian_det_expr",
     "regularity_report", "RegularityReport",
     "legendre_map", "legendre_inverse",
 ]
@@ -106,7 +105,7 @@ def momentum_exprs(sys: SystemModel):
     Returns nested lists indexed [dof][level]; the level r-1 momentum
     involves jets of order at most 2k-r.
     """
-    return _momenta(_partial_chains(sys), sys.k)
+    return DerivedSystem(sys).momenta
 
 
 def momentum_exprs_recursive(sys: SystemModel):
@@ -125,15 +124,9 @@ def momentum_exprs_recursive(sys: SystemModel):
     return out
 
 
-def hessian_exprs(sys: SystemModel):
-    """Symmetric Hessian of L in the highest jet order, as expressions."""
-    return _hessian([ex.diff(sys.lagrangian, ex.jet(a, sys.k))
-                     for a in range(1, sys.n + 1)], sys.k)
-
-
 def hessian_det_expr(sys: SystemModel | DerivedSystem) -> ex.Expression:
-    """Symbolic determinant of the Hessian of a model, or of a
-    :class:`DerivedSystem`, whose Hessian is reused.
+    """Symbolic determinant of the Hessian of a :class:`DerivedSystem`,
+    or of the one a model derives.
 
     Laplace expansion along the rows with each minor built once: the minor
     of the last m rows on the sorted columns ``cols`` is
@@ -143,8 +136,8 @@ def hessian_det_expr(sys: SystemModel | DerivedSystem) -> ex.Expression:
     are skipped.  Every product and sum is normalized from already
     simplified parts, so no shared minor is walked twice.
     """
-    w = sys.hessian if isinstance(sys, DerivedSystem) else hessian_exprs(sys)
-    n = sys.n
+    ds = sys if isinstance(sys, DerivedSystem) else DerivedSystem(sys)
+    w, n = ds.hessian, ds.n
     minors = {(): ex._ONE}
     for m in range(1, n + 1):
         row = w[n - m]
@@ -171,6 +164,8 @@ class DerivedSystem:
     orders 0 .. k; ``hamiltonian_partials``, the partials of H; and
     ``el_reduced``, the Euler-Lagrange expressions with the q_{2k} terms
     deleted (the affine remainder used when solving for accelerations).
+    So is ``_field``, the unified vector field.  No other code derives
+    from L or keeps what it derives.
     """
 
     def __init__(self, model: SystemModel):
@@ -272,6 +267,65 @@ class DerivedSystem:
                 time=time)
         sign = -1.0 if self.k % 2 else 1.0
         return sign * (inv @ np.array([-value for value in reduced]))
+
+    @functools.cached_property
+    def _field(self):
+        """The unified vector field as a map (t, flat state) -> d(state)/dt.
+
+        The state layout is :func:`unified.unified_coordinates` without
+        time, and the state binds those coordinates in order, so a 2kn jet
+        state gets the jet components only and a 3kn unified state also
+        gets the momentum components G^0 = dL/dq_0 and
+        G^i = dL/dq_i - p^{i-1}.  A singular Hessian raises
+        :class:`SingularHessianError` with the state attached.
+
+        The Hessian, the reduced Euler-Lagrange values and the partials
+        dL/dq_i (i < k) come from one kernel over (t, jets) built by
+        :meth:`_kernel` on first use, so a system compiles it once.  For
+        n <= 3 the top jets come from the straight-line solve
+        :func:`_top_jet_solver` on the kernel's floats; it leaves every
+        doubtful W, and above n = 3 every W, to :meth:`_solve_top_jets`
+        and its one regularity test.  The kernel answers with the tree
+        walker's values, so a jet state too raises the tree walker's first
+        :class:`DomainEvalError` where any of these expressions, the
+        partials included, cannot be evaluated.
+        """
+        k, n = self.k, self.n
+        jets, nn = 2 * k * n, n * n
+        exprs = ([w for row in self.hessian for w in row] + self.el_reduced
+                 + [g for row in self.lagrangian_partials for g in row[:k]])
+        kernel = self._kernel("field", lambda: exprs,
+                              _coordinates(n, 2 * k, 0))
+
+        solve = _top_jet_solver(n) if n <= 3 else None
+        sign = -1.0 if k % 2 else 1.0
+
+        def field(t, y):
+            values = kernel(t, *y[:jets].tolist())
+            try:
+                if not solve or (accel := solve(values, sign)) is None:
+                    accel = self._solve_top_jets(
+                        np.array(values[:nn]).reshape(n, n),
+                        values[nn:nn + n], t)
+            except SingularHessianError as err:
+                err.state = np.array(y)
+                raise
+            ydot = np.empty(len(y))
+            # each jet order moves to the next one; the top order of every
+            # dof is then overwritten by its solved value
+            ydot[:jets - 1] = y[1:jets]
+            ydot[2 * k - 1:jets:2 * k] = accel
+            if len(y) == jets:
+                return ydot
+            partials = values[nn + n:]
+            for a in range(n):
+                base, g = jets + a * k, a * k
+                ydot[base] = partials[g]
+                for i in range(1, k):
+                    ydot[base + i] = partials[g + i] - y[base + i - 1]
+            return ydot
+
+        return field
 
 
 def _values(family, env, shape=()) -> np.ndarray:

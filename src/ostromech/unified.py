@@ -27,9 +27,9 @@ assembles and solves the linear system built from the numeric two-form
 matrix plus the tangency rows, while :func:`explicit_semispray` evaluates
 the closed-form components.  They must agree at regular on-constraint
 points; the solver route is the one that would reveal a sign or ordering
-defect in the matrix assembly.  The closed form is written once, in
-:func:`_unified_field`, which is also the right-hand side of both
-integrators.
+defect in the matrix assembly.  The closed form is written once, as the
+field ``_field`` of :class:`legendre.DerivedSystem`, which is also the
+right-hand side of both integrators.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ from .errors import (
     SingularHessianError,
     ValidationError,
 )
-from .legendre import (
-    DerivedSystem, _regular_inverse, _top_jet_solver, legendre_map)
+from .legendre import DerivedSystem, _regular_inverse, legendre_map
 from .systems import UnifiedPoint, _coordinates, _index, _pairing
 
 __all__ = [
@@ -110,7 +109,7 @@ def _point_values(ds: DerivedSystem, points, explicit=False):
         state = up.to_state()
         rows.append(kernel(up.t, *state.tolist()))
         if explicit:
-            fields.append([1.0, *_unified_field(ds)(up.t, state)])
+            fields.append([1.0, *ds._field(up.t, state)])
     rows, m, nk = np.array(rows, dtype=float), len(points), n * k
     h = nk + 2 + 3 * k * n  # W starts here
     return (rows[:, :nk].reshape(m, n, k), rows[:, nk], rows[:, nk + 1:h],
@@ -256,70 +255,8 @@ def explicit_semispray(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
     equation.
     """
     _check_point(ds, up)
-    return SemisprayVector([1.0, *_unified_field(ds)(up.t, up.to_state())],
+    return SemisprayVector([1.0, *ds._field(up.t, up.to_state())],
                            _coordinates(ds.n, 2 * ds.k, ds.k))
-
-
-def _unified_field(ds: DerivedSystem):
-    """The unified vector field as a map (t, flat state) -> d(state)/dt.
-
-    The state layout is :func:`unified_coordinates` without time, and the
-    state binds those coordinates in order, so a 2kn jet state gets the
-    jet components only and a 3kn unified state also gets the momentum
-    components G^0 = dL/dq_0 and G^i = dL/dq_i - p^{i-1}.  A singular
-    Hessian raises :class:`SingularHessianError` with the state attached.
-
-    The Hessian, the reduced Euler-Lagrange values and the partials
-    dL/dq_i (i < k) come from one kernel over (t, jets) built by
-    :func:`DerivedSystem._kernel` on first use; the field is cached on
-    ``ds``, so a system compiles it once.  For n <= 3 the top jets come
-    from the straight-line solve :func:`legendre._top_jet_solver` on the
-    kernel's floats; it leaves every doubtful W, and above n = 3 every W,
-    to :meth:`DerivedSystem._solve_top_jets` and its one regularity test.
-    The kernel answers with the tree walker's values, so a jet state too
-    raises the tree walker's first :class:`DomainEvalError` where any of
-    these expressions, the partials included, cannot be evaluated.
-    """
-    cached = getattr(ds, "_unified_field", None)
-    if cached is not None:
-        return cached
-    k, n = ds.k, ds.n
-    coords = unified_coordinates(k, n)
-    jets = 2 * k * n
-    nn = n * n
-    exprs = ([w for row in ds.hessian for w in row] + ds.el_reduced
-             + [g for row in ds.lagrangian_partials for g in row[:k]])
-    kernel = ds._kernel("field", lambda: exprs, coords[:jets + 1])
-
-    solve = _top_jet_solver(n) if n <= 3 else None
-    sign = -1.0 if k % 2 else 1.0
-
-    def field(t, y):
-        values = kernel(t, *y[:jets].tolist())
-        try:
-            if not solve or (accel := solve(values, sign)) is None:
-                accel = ds._solve_top_jets(
-                    np.array(values[:nn]).reshape(n, n), values[nn:nn + n], t)
-        except SingularHessianError as err:
-            err.state = np.array(y)
-            raise
-        ydot = np.empty(len(y))
-        # each jet order moves to the next one; the top order of every dof
-        # is then overwritten by its solved value
-        ydot[:jets - 1] = y[1:jets]
-        ydot[2 * k - 1:jets:2 * k] = accel
-        if len(y) == jets:
-            return ydot
-        partials = values[nn + n:]
-        for a in range(n):
-            base, g = jets + a * k, a * k
-            ydot[base] = partials[g]
-            for i in range(1, k):
-                ydot[base + i] = partials[g + i] - y[base + i - 1]
-        return ydot
-
-    ds._unified_field = field
-    return field
 
 
 def solve_unified_vf(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:

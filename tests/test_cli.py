@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -17,7 +18,7 @@ import pytest
 import ostromech as om
 from ostromech import cli
 
-from conftest import SYSTEM_DOCS, chain_doc, write_spec
+from conftest import NL3_LIKE, SYSTEM_DOCS, chain_doc, write_spec
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "systems"
 
@@ -66,6 +67,38 @@ def test_derive_is_deterministic(tmp_path, capsys):
     first = run_cli(capsys, ["derive", spec, "--pretty"])
     second = run_cli(capsys, ["derive", spec, "--pretty"])
     assert first == second
+
+
+# the first 16 hex digits of the sha256 of the derived texts, as JSON,
+# of each demo spec and of two larger systems
+DERIVED_TEXT_SHA = {
+    "coupled_beam": "abc4d4b81b317124",
+    "coupled_mass": "54c2483d75de22c5",
+    "degenerate": "c45fe4f4850fe2b7",
+    "driven_oscillator": "e47b2e4dcca82fa8",
+    "free_particle": "eefd284d67da2806",
+    "harmonic": "3bb5b9e6fd943ec4",
+    "pais_uhlenbeck": "4db1ad9a4c8caf20",
+    "nl3_like": "bf3e06592f95da1b",
+    "chain6": "560eede834033c47",
+}
+
+
+@pytest.mark.parametrize("name", DERIVED_TEXT_SHA)
+def test_derive_prints_the_pinned_texts(tmp_path, capsys, name):
+    # the symbolic text is pure Python, so its bytes do not depend on the
+    # numpy build; the regularity sweep is left out
+    doc = {"nl3_like": NL3_LIKE, "chain6": chain_doc(6)}.get(name)
+    spec = DEMOS / f"{name}.json"
+    if doc is not None:
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps(doc))
+    report = run_json(capsys, ["derive", str(spec), "--samples", "1"])
+    text = json.dumps([report[field] for field in (
+        "lagrangian", "momenta", "euler_lagrange", "hessian", "hessian_det",
+        "hamiltonian")])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] \
+        == DERIVED_TEXT_SHA[name]
 
 
 def test_derive_degenerate_warns_but_succeeds(tmp_path, capsys):
@@ -261,6 +294,23 @@ def test_simulate_overflowing_differences_warn_nothing(tmp_path, capsys):
                                       "--t-end", "0.1"])
     assert (code, err) == (0, "")
     assert json.loads(out)["verification"]["el_residual"] == "nan"
+
+
+@pytest.mark.parametrize("lagrangian, init", [
+    ("1/2*q4^2 + (1e200*1e307)^3", "0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1"),
+    ("1/2*q4^2 + (1e200*q1 + (log(q2))^3)",
+     "0.1,0.2,1e150,0.1,0.1,0.1,0.1,0.1")], ids=["constant", "state"])
+def test_simulate_overflowing_energy_warns_nothing(tmp_path, capsys,
+                                                  lagrangian, init):
+    # the energy overflows, as a constant or at the state: the drift
+    # reports it as NaN, and no NumPy warning repeats it
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "x", "order": 4, "dofs": 1,
+                                "lagrangian": lagrangian}))
+    code, out, err = run_cli(capsys, ["simulate", str(spec), "--init", init,
+                                      "--t-end", "0.5"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verification"]["energy_drift"] == "nan"
 
 
 def test_simulate_writes_csv_and_verify_accepts(tmp_path, capsys):
@@ -606,6 +656,21 @@ def test_malformed_path_document_is_a_usage_error(tmp_path, capsys, text):
     code, out, err = run_cli(capsys, ["action-check", spec, "--path", str(pf)])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_action_check_overflowing_action_warns_nothing(tmp_path, capsys):
+    # the Simpson sums of L = 1e307*q1^2 overflow: the action is reported
+    # as inf and fails the run, and no NumPy warning repeats it
+    spec = _lagrangian_spec(tmp_path, "1e307*q1^2")
+    csv = str(tmp_path / "big.csv")
+    run_json(capsys, ["simulate", spec, "--init", "1,1", "--t-end", "0.1",
+                      "--out", csv])
+    code, out, err = run_cli(capsys, ["action-check", spec, "--traj", csv,
+                                      "--variations", "3"])
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["action_lagrangian"] == report["action_cartan"] == "inf"
+    assert report["stationarity"]["action"] == "inf"
 
 
 # -- unified-check ----------------------------------------------------------

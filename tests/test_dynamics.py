@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ostromech as om
-from ostromech import cli, dynamics, unified
+from ostromech import cli, dynamics, legendre
 
 from conftest import NL3_LIKE, cos_jet, derived, hex_digest
 
@@ -62,7 +62,7 @@ def test_rk45_final_step_respects_max_step(harmonic):
 @pytest.mark.parametrize("method, step", [("rk45", None), ("rk4", 0.1)])
 def test_integrator_counters(harmonic, method, step):
     # on [0, 1.45] rk45 rejects its stretched final step
-    field = unified._unified_field(harmonic)
+    field = harmonic._field
     calls = []
 
     def counting(t, y):
@@ -145,7 +145,7 @@ def test_coupled_mass_straight_line_solve_matches_the_inversion(monkeypatch):
 
     fast = runs()
     assert solved == []
-    monkeypatch.setattr(unified, "_top_jet_solver", lambda n: None)
+    monkeypatch.setattr(legendre, "_top_jet_solver", lambda n: None)
     forced = runs()
     assert len(solved) == sum(t.meta["rhs_calls"] for t in forced)
     for got, want in zip(fast, forced):

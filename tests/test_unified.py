@@ -252,7 +252,7 @@ def test_field_overflow_at_a_unified_state_gives_the_tree_walked_partials():
     state = np.array([1e200, 1.0, 1.0])
     env = dict(zip(om.unified_coordinates(1, 1), np.array([0.0, *state])))
     with np.errstate(all="ignore"):
-        got = unified._unified_field(ds)(0.0, state)
+        got = ds._field(0.0, state)
         want = np.array([state[1], *ds.acceleration(env),
                          ds.lagrangian_partials[0][0].evaluate(env)])
     assert got.tobytes() == want.tobytes()
@@ -267,7 +267,7 @@ def test_jet_field_raises_where_a_first_partial_fails():
     assert om.to_text(ds.el_reduced[0]) == "0"
     for state in ([0.0, 0.5], [0.0, 0.5, 0.25]):
         with pytest.raises(om.DomainEvalError) as err:
-            unified._unified_field(ds)(0.0, np.array(state))
+            ds._field(0.0, np.array(state))
         assert str(err.value) == "division by zero"
 
 
@@ -318,7 +318,7 @@ def test_pinched_hessian_has_the_asked_condition():
 
 def _field_outcome(ds, y):
     try:
-        return unified._unified_field(ds)(0.0, np.array(y)).tobytes()
+        return ds._field(0.0, np.array(y)).tobytes()
     except om.SingularHessianError as err:
         return "singular", err.state.tobytes()
 
@@ -362,7 +362,7 @@ def test_straight_line_solve_leaves_doubtful_w_to_the_one_test(
                 with pytest.raises(om.OffConstraintError):
                     om.solve_unified_vf(ds, up)
                 assert entry["solved_field"] is None
-        monkeypatch.setattr(unified, "_top_jet_solver", lambda n: None)
+        monkeypatch.setattr(om.legendre, "_top_jet_solver", lambda n: None)
         forced = _field_outcome(om.derive(om.build_system(PINCHED)), y)
     assert fast == forced
     if verdict == "singular":
@@ -413,7 +413,7 @@ def test_field_compiles_once_per_system(tmp_path, capsys, monkeypatch):
     om.explicit_semispray(ds, pu_point())
     om.explicit_semispray(ds, pu_point(0.5))
     assert names == ["pais-uhlenbeck"]
-    assert unified._unified_field(ds) is unified._unified_field(ds)
+    assert ds._field is ds._field
 
     # the integrators run through the field kernel, and the constraint
     # check of a unified start through the momenta kernel

@@ -58,7 +58,9 @@ MALFORMED_PATHS = {
 # Lagrangian whose W = 2e308 overflows to inf, which no literal spells.
 # A sum of 500 terms derives; q1 inside 200 parentheses nests past the
 # parser's limit and a null name is no text, both usage errors.  simulate
-# of 1e307*q1^2 differences an overflowing dL/dq1, with no NumPy warning.
+# of 1e307*q1^2 differences an overflowing dL/dq1, with no NumPy warning;
+# so do two order-4 simulate runs whose energy overflows, as a constant or
+# at the state.
 INLINE_SYSTEMS = {
     "crossing": ('{"name": "crossing", "order": 1, "dofs": 1, '
                  '"lagrangian": "1/2*q0*q1^2"}', ["derive"]),
@@ -106,6 +108,16 @@ INLINE_SYSTEMS = {
     "huge_differences": ('{"name": "huge_differences", "order": 1, '
                          '"dofs": 1, "lagrangian": "1e307*q1^2"}',
                          ["simulate", "--init", "1,1", "--t-end", "0.1"]),
+    "energy_constant": ('{"name": "c", "order": 4, "dofs": 1, '
+                        '"lagrangian": "1/2*q4^2 + (1e200*1e307)^3"}',
+                        ["simulate", "--init",
+                         "0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1", "--t-end",
+                         "0.5"]),
+    "energy_state": ('{"name": "d", "order": 4, "dofs": 1, "lagrangian": '
+                     '"1/2*q4^2 + (1e200*q1 + (log(q2))^3)"}',
+                     ["simulate", "--init",
+                      "0.1,0.2,1e150,0.1,0.1,0.1,0.1,0.1", "--t-end",
+                      "0.5"]),
 }
 
 
@@ -251,6 +263,12 @@ def _runs(work: Path):
     for what, (text, (command, *options)) in INLINE_SYSTEMS.items():
         (work / f"{what}.json").write_text(text)
         yield [command, f"{what}.json", *options], None
+    # the action of 1e307*q1^2 overflows its Simpson sums, with no NumPy
+    # warning
+    yield ["simulate", "huge_differences.json", "--init", "1,1", "--t-end",
+           "0.1", "--out", "big.csv"], "big.csv"
+    yield ["action-check", "huge_differences.json", "--traj", "big.csv",
+           "--variations", "3"], None
 
 
 def main() -> int:
