@@ -548,6 +548,10 @@ def main(argv=None) -> int:
     except OstromechError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as err:
+        # every read raises a ValidationError, so this is an --out write
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .legendre import DerivedSystem, _values, legendre_map
 from .systems import (
-    JetPoint, UnifiedPoint, _bindings, _coordinates, _pairing,
+    JetPoint, UnifiedPoint, _bindings, _coordinates, _pairing, _readonly,
     _split_state, jet_bindings)
 from .unified import _check_point, _constraint_check
 
@@ -69,8 +69,8 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        states = np.asarray(self.states, dtype=float)
+        grid = _readonly(self.grid)
+        states = _readonly(self.states)
         if grid.ndim != 1 or states.ndim != 2 or states.shape[0] != grid.size:
             raise DimensionError("trajectory needs matching grid and state rows")
         if grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -83,8 +83,6 @@ class Trajectory:
             raise DimensionError(
                 f"{self.layout} states must have width {expected}, got "
                 f"{states.shape[1]}")
-        grid.flags.writeable = False
-        states.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "states", states)
 
@@ -141,7 +139,9 @@ _RKF_B4 = np.array((25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0,
 
 def _run_rk4(f, t0, y0, t_end, step, max_steps):
     span = t_end - t0
-    nsteps = max(1, round(span / step))
+    # a step count that overflows to inf cannot be rounded, and is refused
+    count = span / step
+    nsteps = max(1, round(count)) if count < np.inf else count
     if nsteps > max_steps:
         raise ValidationError(
             f"fixed step {step} needs {nsteps} steps, above the limit "
@@ -240,7 +240,8 @@ def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, max_steps):
 
 def _integrate(f, t0, y0, t_end, method, step, rtol, atol, max_step,
                max_steps):
-    if not (np.isfinite(t0) and np.isfinite(t_end)):
+    # non-finite when t0 or t_end is, or when the difference overflows
+    if not np.isfinite(float(t_end) - float(t0)):
         raise ValidationError(f"the time span must be finite, got "
                               f"t0={float(t0)}, t_end={float(t_end)}")
     if t_end <= t0:

@@ -74,11 +74,6 @@ class SingularHessianError(OstromechError):
         super().__init__(message)
 
 
-class SingularJacobianError(OstromechError):
-    """The Hessian W, the Jacobian of the Legendre-Ostrogradsky map in
-    each level's top jet, is singular where the map is being inverted."""
-
-
 class ConvergenceError(OstromechError):
     """An iterative solve failed to reach the requested residual."""
 

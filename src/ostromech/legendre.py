@@ -28,21 +28,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from .errors import (
-    ConvergenceError,
-    DimensionError,
-    SingularHessianError,
-    SingularJacobianError,
-    ValidationError,
-)
-from .systems import (
-    JetPoint, SystemModel, _bindings, _coordinates)
+from .errors import DimensionError, SingularHessianError, ValidationError
+from .systems import JetPoint, SystemModel, _coordinates
 
 __all__ = [
     "DerivedSystem", "derive",
     "momentum_exprs", "momentum_exprs_recursive", "hessian_det_expr",
     "regularity_report", "RegularityReport",
-    "legendre_map", "legendre_inverse",
+    "legendre_map",
 ]
 
 # W counts as singular when its 1-norm condition number reaches 1/rtol
@@ -524,70 +517,3 @@ def legendre_map(ds: DerivedSystem, jp: JetPoint) -> np.ndarray:
         _coordinates(n, 2 * k, 0))
     return np.array(kernel(jp.t, *jp.q[:, :2 * k].reshape(-1).tolist())
                     ).reshape(n, k)
-
-
-def legendre_inverse(ds: DerivedSystem, t: float, base_q, momenta,
-                     guess=None, tol: float = 1e-10,
-                     max_iterations: int = 50) -> np.ndarray:
-    """Recover the high jets q_k .. q_{2k-1} from base jets and momenta.
-
-    The level r-1 momentum is affine in its top jet q_{2k-r} with
-    coefficient (-1)^(k-r) W, so W is the only Jacobian the inversion
-    needs, and the solve runs level by level.  A damped Newton iteration
-    with step halving solves p^{k-1} = dL/dq_k for q_k, seeded by
-    ``guess[:, 0]`` (zero without a guess; the rest of ``guess`` is not
-    used).  Each lower level r = k-1 .. 1 is then one linear solve,
-        q_{2k-r} = (-1)^(k-r) W^-1 (p^{r-1} - p^{r-1}|_{q_{2k-r}=0}).
-    W is tested by :func:`_regular_inverse` at every Newton iterate and
-    raises :class:`SingularJacobianError` where it is singular.  The
-    returned jets, of shape (n, k), reproduce ``momenta`` within ``tol``
-    at every level; otherwise, and when Newton has not reached ``tol``
-    after ``max_iterations`` steps, :class:`ConvergenceError` is raised.
-    """
-    k, n = ds.k, ds.n
-    base_q = np.asarray(base_q, dtype=float)
-    target = np.asarray(momenta, dtype=float)
-    if base_q.shape != (n, k):
-        raise DimensionError(f"base jets must have shape {(n, k)}")
-    if target.shape != (n, k):
-        raise DimensionError(f"momenta must have shape {(n, k)}")
-    jets = np.hstack([base_q, np.zeros((n, k))])
-    if guess is not None:
-        jets[:, k] = np.array(guess, dtype=float).reshape(n, k)[:, 0]
-
-    def residual(r):
-        # the level r-1 momenta at the current jets less their targets
-        return (_values([per_dof[r - 1] for per_dof in ds.momenta],
-                        _bindings(t, jets)) - target[:, r - 1])
-
-    res = residual(k)
-    for iteration in range(max_iterations + 1):
-        inv = _regular_inverse(ds.hessian_value(_bindings(t, jets)))[0]
-        if inv is None:
-            raise SingularJacobianError(
-                "Hessian is singular, the momenta do not determine the jets")
-        worst = np.max(np.abs(res))
-        if worst <= tol or iteration == max_iterations:
-            break
-        # damped update: halve the step until the residual improves
-        q_k, step = jets[:, k].copy(), inv @ res
-        for halving in range(30):
-            jets[:, k] = q_k - 0.5 ** halving * step
-            trial = residual(k)
-            if np.max(np.abs(trial)) < worst:
-                res = trial
-                break
-        else:
-            raise ConvergenceError(
-                "Newton step failed to reduce the momentum residual")
-
-    # W involves jets up to order k only, so inv serves every lower level,
-    # whose top jet is still zero when its residual is taken
-    for r in range(k - 1, 0, -1):
-        jets[:, 2 * k - r] = (-1) ** (k - r) * inv @ -residual(r)
-    worst = np.max(np.abs(_values(ds.momenta, _bindings(t, jets)) - target))
-    if not worst <= tol:
-        raise ConvergenceError(
-            f"momentum inversion did not reach residual {tol} in "
-            f"{max_iterations} iterations (final residual {worst:.3e})")
-    return jets[:, k:].copy()

@@ -47,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .legendre import DerivedSystem, _regular_inverse, legendre_map
-from .systems import UnifiedPoint, _coordinates, _index, _pairing
+from .systems import UnifiedPoint, _coordinates, _index, _pairing, _readonly
 
 __all__ = [
     "unified_coordinates", "TwoFormMatrix",
@@ -143,9 +143,7 @@ class TwoFormMatrix:
     coords: tuple
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _readonly(self.entries))
 
     @property
     def dim(self) -> int:
@@ -171,9 +169,7 @@ class SemisprayVector:
     condition: float = 0.0
 
     def __post_init__(self):
-        components = np.asarray(self.components, dtype=float)
-        components.flags.writeable = False
-        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "components", _readonly(self.components))
 
     @property
     def time_component(self) -> float:

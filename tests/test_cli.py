@@ -118,6 +118,21 @@ def test_derive_out_file(tmp_path, capsys):
     assert json.loads(out.read_text())["system"] == "harmonic"
 
 
+@pytest.mark.parametrize("argv", [
+    ["derive", "--samples", "3", "--out", "x.json"],
+    ["simulate", "--init", "1,0", "--t-end", "1", "--out", "x.csv"]],
+    ids=["report", "csv"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    # the write raised FileNotFoundError, a traceback and exit 1
+    command, *options, name = argv
+    spec = write_spec(tmp_path, "harmonic")
+    out = tmp_path / "absent" / name
+    code, stdout, err = run_cli(capsys, [command, spec, *options, str(out)])
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: cannot write output: ")
+    assert err.count("\n") == 1 and str(out) in err
+
+
 def test_derive_bad_inputs(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["derive", str(tmp_path / "absent.json")])
     assert code == 2 and "cannot read" in err
@@ -461,16 +476,29 @@ def test_simulate_rejects_bad_integrator_inputs(tmp_path, capsys, flag):
 @pytest.mark.parametrize("layout", [["--init", "1,0"],
                                     ["--unified", "--init", "1,0,0"]])
 @pytest.mark.parametrize("span", [["--t-end", "inf"], ["--t-end", "nan"],
-                                  ["--t0=-inf", "--t-end", "1"]])
+                                  ["--t0=-inf", "--t-end", "1"],
+                                  ["--t0=-1e308", "--t-end", "1e308"]])
 def test_simulate_rejects_non_finite_span(tmp_path, capsys, method, layout,
                                           span):
     # rk4 died with an OverflowError (inf) or ValueError (nan) traceback
-    # and exit 1; rk45 ran to max_steps
+    # and exit 1; rk45 ran to max_steps.  The last span is finite at both
+    # ends, but t_end - t0 overflows to inf
     spec = write_spec(tmp_path, "harmonic")
     code, out, err = run_cli(capsys, ["simulate", spec, *layout, *span,
                                       *method])
     assert code == 2 and out == ""
     assert err.startswith("error: the time span must be finite, got t0=")
+
+
+def test_simulate_rejects_an_overflowing_step_count(tmp_path, capsys):
+    # span / step is inf, which round() refused with an OverflowError
+    spec = write_spec(tmp_path, "harmonic")
+    code, out, err = run_cli(capsys, ["simulate", spec, "--init", "1,0",
+                                      "--t-end", "1e10", "--method", "rk4",
+                                      "--step", "1e-310"])
+    assert code == 2 and out == ""
+    assert err == ("error: fixed step 1e-310 needs inf steps, above the "
+                   "limit 1000000\n")
 
 
 # -- verify -----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Mechanical derivation: momenta, Euler-Lagrange, Hessian, inverse map."""
+"""Mechanical derivation: momenta, Euler-Lagrange, Hessian, Legendre map."""
 
 import itertools
 import json
@@ -13,7 +13,7 @@ import ostromech as om
 from ostromech import expressions as ex
 from ostromech import legendre
 
-from conftest import chain_doc, cos_jet, derived
+from conftest import SYSTEM_DOCS, chain_doc, cos_jet, derived
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "pais_uhlenbeck_derivation.json"
 
@@ -507,60 +507,22 @@ def test_legendre_map_reads_orders_up_to_2k_minus_1(pu, coupled_beam):
         assert got.tobytes() == want.tobytes()
 
 
-def test_legendre_inverse_round_trip(pu, coupled_beam):
-    rng = np.random.default_rng(11)
-    for ds in (pu, coupled_beam):
-        n, k = ds.n, ds.k
-        for _ in range(5):
-            base = rng.uniform(-1, 1, size=(n, k))
-            high = rng.uniform(-1, 1, size=(n, k))
-            jp = om.JetPoint(0.0, np.hstack([base, high]))
-            p = om.legendre_map(ds, jp)
-            got = om.legendre_inverse(ds, 0.0, base, p)
-            assert isinstance(got, np.ndarray) and got.shape == (n, k)
-            np.testing.assert_allclose(got, high, atol=1e-9)
-
-
-def test_legendre_inverse_nonlinear():
-    # p = q1 + q1^3/3 is monotone, so Newton must land on the unique root
-    ds = om.derive(om.build_system({"name": "quartic", "order": 1, "dofs": 1,
-                                    "lagrangian": "1/2*q1^2 + 1/12*q1^4"}))
-    q1 = 0.8
-    p = q1 + q1 ** 3 / 3
-    got = om.legendre_inverse(ds, 0.0, [[0.2]], [[p]])
-    np.testing.assert_allclose(got, [[q1]], atol=1e-10)
-
-
-def test_legendre_inverse_errors(degenerate, pu):
-    with pytest.raises(om.SingularJacobianError):
-        om.legendre_inverse(degenerate, 0.0, [[1.0, 0.0]], [[5.0, 3.0]])
-    with pytest.raises(om.ConvergenceError):
-        om.legendre_inverse(pu, 0.0, [[0.0, 0.0]], [[1.0, 1.0]],
-                            max_iterations=0)
-    # an exact guess satisfies the residual test before any iteration
-    got = om.legendre_inverse(pu, 0.0, [[0.0, 0.0]], [[0.0, 1.0]],
-                              guess=[[1.0, 0.0]], max_iterations=0)
-    np.testing.assert_allclose(got, [[1.0, 0.0]])
-    with pytest.raises(om.DimensionError):
-        om.legendre_inverse(pu, 0.0, [[0.0]], [[0.0, 1.0]])
-
-
-# W = diag(1, 1e-12): kappa_1(W) = 1e12 is past the one regularity test
+# W = diag(1, 1e-12): kappa_1(W) = 1e12 is past the one regularity test,
+# though det W is nonzero and both entries are positive
 STIFF_PAIR = {"name": "stiff-pair", "order": 1, "dofs": 2,
               "lagrangian": "1/2*q1_1^2 + 1/2*0.000000000001*q1_2^2"
                             " - 1/2*q0_1^2 - 1/2*q0_2^2"}
 
 
-def test_legendre_inverse_shares_the_regularity_test():
+def test_lagrangian_rhs_refuses_an_ill_conditioned_hessian():
     ds = om.derive(om.build_system(STIFF_PAIR))
     jp = om.JetPoint(0.0, [[0.1, 0.2], [0.3, 0.4]])
     with pytest.raises(om.SingularHessianError):
         om.lagrangian_rhs(ds, 0.0, jp.to_state())
-    with pytest.raises(om.SingularJacobianError):
-        om.legendre_inverse(ds, 0.0, jp.q[:, :1], om.legendre_map(ds, jp))
 
 
-INVERSE_DOCS = [
+# nonlinear systems of orders 2 to 4, one of them time-dependent
+LEVEL_DOCS = [
     {"name": "nl3", "order": 3, "dofs": 3,
      "lagrangian": "1/2*(1 + q0_2^2)*q3_1^2 + 1/2*q3_2^2"
                    " + 1/2*q3_3^2*(1 + 1/10*q1_1^2) + 1/5*q3_1*q3_2"
@@ -570,20 +532,29 @@ INVERSE_DOCS = [
                    " + 1/3*q4_1*q3_2 - q1_1^2*q2_2 - 1/2*q0_1^2 - 1/2*q0_2^2"},
     {"name": "driven-beam", "order": 2, "dofs": 1, "autonomous": False,
      "lagrangian": "1/2*(1 + 1/4*t^2)*q2^2 + sin(t)*q1*q2 - 1/2*q0^2"},
+    SYSTEM_DOCS["pais_uhlenbeck"],
+    SYSTEM_DOCS["coupled_beam"],
 ]
 
 
-@pytest.mark.parametrize("doc", INVERSE_DOCS, ids=lambda doc: doc["name"])
-def test_legendre_inverse_round_trip_levels(doc):
+@pytest.mark.parametrize("doc", LEVEL_DOCS, ids=lambda doc: doc["name"])
+def test_momentum_level_enters_its_top_jet_through_the_hessian(doc):
+    # p^{r-1} reads jets of order at most 2k-r, and
+    # dp^{r-1}_A/dq^B_{2k-r} = (-1)^(k-r) W_AB, so W alone relates each
+    # level's momenta to its top jets
     ds = om.derive(om.build_system(doc))
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        t = float(rng.uniform(-1, 1))
-        base = rng.uniform(-1, 1, size=(ds.n, ds.k))
-        high = rng.uniform(-1, 1, size=(ds.n, ds.k))
-        p = om.legendre_map(ds, om.JetPoint(t, np.hstack([base, high])))
-        np.testing.assert_allclose(om.legendre_inverse(ds, t, base, p), high,
-                                   atol=1e-9)
+    k, n = ds.k, ds.n
+    for r in range(1, k + 1):
+        top = 2 * k - r
+        for a in range(n):
+            p = ds.momenta[a][r - 1]
+            assert all(ref.order <= top for ref in p.free_vars()
+                       if ref.kind == "jet")
+            for b in range(n):
+                w = ds.hessian[a][b]
+                want = w if (k - r) % 2 == 0 else ex.Neg(w)
+                assert om.equivalent_numeric(
+                    om.diff(p, ex.jet(b + 1, top)), want, tol=1e-12)
 
 
 def test_worst_point_named_with_the_system_dofs(tmp_path):

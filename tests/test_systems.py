@@ -94,6 +94,23 @@ def test_point_shape_errors():
         om.UnifiedPoint(jp, np.array([[1.0], [2.0]]))  # dof mismatch
 
 
+def test_value_objects_copy_the_arrays_they_make_read_only():
+    # Trajectory, SemisprayVector and TwoFormMatrix froze the caller's own
+    # arrays in place
+    grid, states, q, momenta, components, entries = callers = [
+        np.array([0.0, 1.0]), np.zeros((2, 2)), np.zeros((1, 2)),
+        np.zeros((1, 1)), np.zeros(3), np.zeros((3, 3))]
+    traj = om.Trajectory(grid, states, "jet", 1, 1)
+    up = om.UnifiedPoint(om.JetPoint(0.0, q), momenta)
+    stored = [traj.grid, traj.states, up.jet.q, up.momenta,
+              om.SemisprayVector(components, ()).components,
+              om.TwoFormMatrix(entries, ()).entries]
+    for caller, kept in zip(callers, stored):
+        assert caller.flags.writeable and not kept.flags.writeable
+        caller[...] = 7.0
+        assert not np.any(kept == 7.0)
+
+
 def test_bindings():
     jp = om.JetPoint(0.25, np.array([[1.0, 2.0], [3.0, 4.0]]))
     env = om.jet_bindings(jp)

@@ -269,6 +269,17 @@ def _runs(work: Path):
            "0.1", "--out", "big.csv"], "big.csv"
     yield ["action-check", "huge_differences.json", "--traj", "big.csv",
            "--variations", "3"], None
+    # an --out file that cannot be written, and a time span or an rk4 step
+    # count that overflows, are usage errors
+    yield ["derive", "harmonic.json", "--samples", "3", "--out",
+           "absent/x.json"], None
+    yield ["simulate", "harmonic.json", "--init", "1,0", "--t-end", "1",
+           "--out", "absent/x.csv"], None
+    yield ["simulate", "harmonic.json", "--init", "1,0", "--t-end", "1e10",
+           "--method", "rk4", "--step", "1e-310"], None
+    for method in (["--method", "rk4", "--step", "1"], ["--method", "rk45"]):
+        yield ["simulate", "harmonic.json", "--init", "1,0", "--t0=-1e308",
+               "--t-end", "1e308", *method], None
 
 
 def main() -> int:
