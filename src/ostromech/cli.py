@@ -376,10 +376,7 @@ def cmd_unified_check(args, ds):
             jet = JetPoint(t, rng.uniform(box[0], box[1], size=(n, 2 * k)))
             points.append(UnifiedPoint(jet, legendre.legendre_map(ds, jet)))
 
-    # a finite point may still overflow, and inf - inf is NaN; the
-    # non-finite fields are reported below, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        entries = unified.check_points(ds, points)
+    entries = unified.check_points(ds, points)
     non_finite = [(i, bad) for i, entry in enumerate(entries) if (bad := [
         name for name in ("hamiltonian", "section_p", "coupling",
                           "explicit_field", "solved_field")
@@ -523,35 +520,41 @@ def _build_parser():
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        # a NaN bound fails every comparison; inf stays "no bound"
-        for name, value in vars(args).items():
-            if (name.endswith("tol") and value is not None
-                    and math.isnan(value)):
+    args = _build_parser().parse_args(argv)
+    # an overflow or an invalid value is reported as inf or NaN, which the
+    # checks judge and the reports print, so a NumPy warning on stderr
+    # would only repeat it; the caller's NumPy error state is restored
+    with np.errstate(all="ignore"):
+        try:
+            if args.seed < 0:
                 raise ValidationError(
-                    f"--{name.replace('_', '-')} must be a number, got nan")
-        ds = legendre.derive(build_system(_load_json(args.spec, "spec")))
-        return args.func(args, ds)
-    except SingularHessianError as err:
-        last = getattr(err, "last_good_time", None)
-        if last is not None:
-            print(f"error: {err} (last good time t={last!r})",
-                  file=sys.stderr)
-        else:
+                    f"--seed must be non-negative, got {args.seed}")
+            # a NaN bound fails every comparison; inf stays "no bound"
+            for name, value in vars(args).items():
+                if (name.endswith("tol") and value is not None
+                        and math.isnan(value)):
+                    raise ValidationError(f"--{name.replace('_', '-')} "
+                                          "must be a number, got nan")
+            ds = legendre.derive(build_system(_load_json(args.spec, "spec")))
+            return args.func(args, ds)
+        except SingularHessianError as err:
+            last = getattr(err, "last_good_time", None)
+            if last is not None:
+                print(f"error: {err} (last good time t={last!r})",
+                      file=sys.stderr)
+            else:
+                print(f"error: {err}", file=sys.stderr)
+            return EXIT_SINGULAR
+        except ConvergenceError as err:
             print(f"error: {err}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except ConvergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except OstromechError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as err:
-        # every read raises a ValidationError, so this is an --out write
-        print(f"error: cannot write output: {err}", file=sys.stderr)
-        return EXIT_USAGE
+            return EXIT_SINGULAR
+        except OstromechError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_USAGE
+        except OSError as err:
+            # every read raises a ValidationError, so this is an --out write
+            print(f"error: cannot write output: {err}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

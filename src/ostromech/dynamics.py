@@ -246,8 +246,9 @@ def _integrate(f, t0, y0, t_end, method, step, rtol, atol, max_step,
                               f"t0={float(t0)}, t_end={float(t_end)}")
     if t_end <= t0:
         raise ValidationError("t_end must lie after the initial time")
-    # a stage may overflow to inf or NaN, which rk45 rejects and verification
-    # reports, so NumPy's warnings would only repeat it on stderr
+    # a stage may overflow to inf or NaN, which rk45 rejects as it rejects
+    # any too-large error, so a library caller that turns RuntimeWarning
+    # into an error must still get the rejection and not an exception
     with np.errstate(over="ignore", invalid="ignore"):
         if method == "rk4":
             if step is None or not step > 0:
@@ -326,11 +327,9 @@ def integrate_unified(ds: DerivedSystem, init: UnifiedPoint, t_end: float,
 
 def _energy(ds, env, jets):
     """E = sum p_A^i q_{i+1}^A - L with the momenta of the Legendre map,
-    at a point or over a grid; an overflow is reported as inf or NaN, not
-    warned."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (_pairing(_values(ds.momenta, env, jets.shape[2:]), jets)
-                - ds.lagrangian_value(env))
+    at a point or over a grid."""
+    return (_pairing(_values(ds.momenta, env, jets.shape[2:]), jets)
+            - ds.lagrangian_value(env))
 
 
 def ostrogradsky_energy(ds: DerivedSystem, jp: JetPoint) -> float:
@@ -421,11 +420,10 @@ def fd_derivative(grid, values, order: int = 1) -> np.ndarray:
     w = _fornberg_weights(grid, grid[idx], order)[:, None, :, order]
     # one dot product per point, series by series: a sum over the stencil
     # or a single matrix product for all points adds in another order and
-    # moves the last bits; an overflow is reported as inf or NaN, not warned
+    # moves the last bits
     rows = values.reshape(-1, npts)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.array([np.matmul(w, row[idx][:, :, None])[:, 0, 0]
-                         for row in rows]).reshape(values.shape)
+    return np.array([np.matmul(w, row[idx][:, :, None])[:, 0, 0]
+                     for row in rows]).reshape(values.shape)
 
 
 def _differenced(grid, requests):
@@ -539,6 +537,7 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
                   + terms[k + 1:k + 1 + len(above)])
         tols = 10.0 * float(tol) + h4 * np.stack(
             [np.max(np.abs(q), axis=-1) for q in higher], axis=1)
+        # a bound of zero gives a ratio of inf or NaN, not an exception
         with np.errstate(divide="ignore", invalid="ignore"):
             holo_tol = float(tols.flat[np.argmax(defects / tols)])
         holo_ok = bool(np.all(defects <= tols))
@@ -546,8 +545,7 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
     energy_drift = None
     if ds.model.autonomous:
         energies = energy_series(ds, traj)
-        with np.errstate(over="ignore", invalid="ignore"):
-            energy_drift = float(np.max(np.abs(energies - energies[0])))
+        energy_drift = float(np.max(np.abs(energies - energies[0])))
 
     momenta_residual = hq_residual = hp_residual = None
     if unified:

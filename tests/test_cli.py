@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import logging
@@ -20,7 +21,8 @@ from ostromech import cli
 
 from conftest import NL3_LIKE, SYSTEM_DOCS, chain_doc, write_spec
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos" / "systems"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos" / "systems"
 
 
 def run_cli(capsys, argv):
@@ -1036,3 +1038,82 @@ def test_infinite_tolerance_is_no_bound(tmp_path, capsys):
     report = run_json(capsys, ["action-check", spec, "--traj", csv,
                                "--variations", "3", "--tol", "inf"])
     assert report["stationarity"]["tolerance"] == "inf"
+
+
+@pytest.mark.parametrize("command, options", [
+    ("derive", []),
+    ("unified-check", ["--random", "2"]),
+    ("action-check", ["--path", "PATH"])])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command, options):
+    # default_rng raised ValueError: a traceback and exit 1
+    spec = write_spec(tmp_path, "harmonic")
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"basis": "monomial",
+                                "coefficients": [[0.3, 0.2, -0.1]],
+                                "interval": [0.0, 1.0]}))
+    options = [str(path) if option == "PATH" else option
+               for option in options]
+    code, out, err = run_cli(capsys, [command, spec, *options, "--seed", "-1"])
+    assert (code, out, err) == (2, "", "error: --seed must be non-negative, "
+                                       "got -1\n")
+
+
+def _digest_tool():
+    spec = importlib.util.spec_from_file_location(
+        "cli_digest", ROOT / "tools" / "cli_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_DIGEST = _digest_tool()
+# the digest's specs whose values overflow somewhere, with the options of
+# its one run of each
+EXTREME_SPECS = {name: _DIGEST.INLINE_SYSTEMS[name] for name in (
+    "steep", "huge", "power", "gap", "huge_differences", "energy_constant",
+    "energy_state")}
+EXTREME_SPECS["quartic"] = (_DIGEST.QUARTIC, ["derive"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", EXTREME_SPECS)
+def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys, name):
+    # every subcommand, on a spec and at points where values overflow: each
+    # run ends in a documented exit code, and an exception, a raw NumPy
+    # warning among them, fails the test
+    text, (command, *options) = EXTREME_SPECS[name]
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    doc = json.loads(text)
+    size = 2 * doc["order"] * doc["dofs"]
+    if command != "simulate":
+        options = ["--init", ",".join(["0.5"] * (size - 1) + ["1e150"]),
+                   "--t-end", "0.1"]
+    csv = tmp_path / "traj.csv"
+    runs = [["derive"], ["simulate", *options, "--out", str(csv)],
+            ["unified-check", "--random", "3", "--box=-1e200,1e200"],
+            ["verify", "--traj", str(csv)],
+            ["action-check", "--traj", str(csv), "--variations", "3"]]
+    for command, *rest in runs:
+        if "--traj" in rest and not csv.exists():
+            continue
+        code, _, err = run_cli(capsys, [command, str(spec), *rest])
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["derive", "harmonic", "--samples", "3"], 0),
+    (["unified-check", "harmonic", "--point=0,1,0,5"], 1),
+    (["derive", "harmonic", "--samples", "0"], 2),
+    (["simulate", "degenerate", "--init", "1,0,0,0", "--t-end", "1"], 3)],
+    ids=["passed", "failed", "usage", "singular"])
+def test_main_restores_the_numpy_error_state(tmp_path, capsys, argv, expect):
+    # main ignores every floating-point error while it runs, and only then
+    command, key, *options = argv
+    spec = write_spec(tmp_path, key)
+    with np.errstate(divide="raise", over="warn", under="ignore",
+                     invalid="print"):
+        before = np.geterr()
+        code, _, _ = run_cli(capsys, [command, spec, *options])
+        assert np.geterr() == before
+    assert code == expect

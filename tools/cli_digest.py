@@ -1,12 +1,13 @@
-"""Digest the command-line output over the demo systems.
+"""Digest the command-line output over the demo systems, and the demos.
 
 Runs every subcommand of ``ostromech`` on each spec of ``demos/systems``
 and prints one line per run: the argv, the exit code and the first 16
 hex digits of the sha256 of stdout, of stderr and of the CSV the run
-wrote, if any.  The runs take
-place in a temporary directory with relative file names, so no line
-depends on where the repository lives.  Two checkouts print the same
-lines exactly when their command-line output is byte-identical:
+wrote, if any.  Then it runs each ``demos/0*.py`` under
+``-W error::RuntimeWarning`` and prints the same fields, the CSV always
+``-``.  The runs take place in a temporary directory with relative file
+names, so no line depends on where the repository lives.  Two checkouts
+print the same lines exactly when their output is byte-identical:
 
     python3 tools/cli_digest.py > digest.txt
 
@@ -119,6 +120,13 @@ INLINE_SYSTEMS = {
                       "0.1,0.2,1e150,0.1,0.1,0.1,0.1,0.1", "--t-end",
                       "0.5"]),
 }
+
+
+# W = 3*q1^2, finite wherever q1 is below about 1e154, while the momentum
+# q1^3 overflows from about 1e103: the Legendre map of a point of a wide
+# --random box, or of a unified initial state, prints no NumPy warning
+QUARTIC = ('{"name": "quartic", "order": 1, "dofs": 1, '
+           '"lagrangian": "1/4*q1^4"}')
 
 
 # a k = 3, n = 3 system shaped like the benchmark's nl3 (bench/roster.py,
@@ -280,6 +288,24 @@ def _runs(work: Path):
     for method in (["--method", "rk4", "--step", "1"], ["--method", "rk45"]):
         yield ["simulate", "harmonic.json", "--init", "1,0", "--t0=-1e308",
                "--t-end", "1e308", *method], None
+    # a negative seed is a usage error
+    yield ["derive", "harmonic.json", "--seed", "-1"], None
+    (work / "quartic_power.json").write_text(QUARTIC)
+    yield ["unified-check", "quartic_power.json", "--random", "2",
+           "--box=-1e200,1e200"], None
+    yield ["simulate", "quartic_power.json", "--unified", "--init",
+           "0,1e150,1", "--t-end", "1"], None
+
+
+def _line(label, command, work, env, csv=None):
+    """Run ``command`` in ``work`` and print its digest line."""
+    done = subprocess.run(command, cwd=work, env=env, capture_output=True,
+                          check=False)
+    written = work / csv if csv else None
+    csv_sha = (_sha(written.read_bytes())
+               if written and written.exists() else "-")
+    print(label, f"exit={done.returncode}", f"stdout={_sha(done.stdout)}",
+          f"stderr={_sha(done.stderr)}", f"csv={csv_sha}", flush=True)
 
 
 def main() -> int:
@@ -289,15 +315,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for argv, csv in _runs(work):
-            done = subprocess.run(
-                [sys.executable, "-m", "ostromech.cli", *argv], cwd=work,
-                env=env, capture_output=True, check=False)
-            written = work / csv if csv else None
-            csv_sha = (_sha(written.read_bytes())
-                       if written and written.exists() else "-")
-            print(" ".join(argv), f"exit={done.returncode}",
-                  f"stdout={_sha(done.stdout)}", f"stderr={_sha(done.stderr)}",
-                  f"csv={csv_sha}", flush=True)
+            _line(" ".join(argv), [sys.executable, "-m", "ostromech.cli",
+                                   *argv], work, env, csv)
+        for demo in sorted((ROOT / "demos").glob("0*.py")):
+            _line(f"-W error::RuntimeWarning demos/{demo.name}",
+                  [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                  work, env)
     return 0
 
 
