@@ -2,12 +2,11 @@
 
 Immutable expression trees over a fixed variable alphabet: the time
 coordinate ``t``, jet coordinates ``q_i^A`` (dof ``A``, derivative order
-``i``), conjugate momenta ``p_A^i`` and one optional extended momentum;
-the parser reads a declared parameter as its value.  The kernel provides
-exact partial derivatives, total time derivatives along holonomic
-prolongations, a terminating simplifier, numeric evaluation over scalars
-or numpy arrays, parsing and printing of a small infix grammar, and
-seeded numeric equivalence checks.
+``i``) and conjugate momenta ``p_A^i``; the parser reads a declared
+parameter as its value.  The kernel provides exact partial derivatives,
+total time derivatives along holonomic prolongations, a terminating
+simplifier, numeric evaluation over scalars or numpy arrays, parsing and
+printing of a small infix grammar, and seeded numeric equivalence checks.
 
 Evaluation walks the tree (:meth:`Expression.evaluate`).  For a hot loop,
 :func:`compile_kernel` lowers a list of expressions into one generated
@@ -26,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import re
 import time
 from dataclasses import dataclass, field
@@ -44,7 +44,7 @@ from .errors import (
 )
 
 __all__ = [
-    "VarRef", "time_var", "jet", "momentum", "ext_momentum",
+    "VarRef", "time_var", "jet", "momentum",
     "Expression", "SystemContext", "parse", "to_text",
     "diff", "total_derivative", "simplify", "substitute",
     "equivalent_numeric", "EquivalenceResult",
@@ -60,16 +60,16 @@ DEFAULT_SAMPLE_RANGE = (-2.0, 2.0)
 # variable references
 # ---------------------------------------------------------------------------
 
-_KIND_RANK = {"time": 0, "jet": 1, "momentum": 2, "ext": 3}
+_KIND_RANK = {"time": 0, "jet": 1, "momentum": 2}
 
 
 @dataclass(frozen=True)
 class VarRef:
-    """Reference to one coordinate of the extended jet-momentum space.
+    """Reference to one coordinate of the jet-momentum space.
 
-    ``kind`` is one of ``time``, ``jet``, ``momentum`` or ``ext`` (the
-    single extended momentum coordinate).  ``dof`` is 1-based, ``order`` is
-    the jet order for jets and the momentum level for momenta.
+    ``kind`` is one of ``time``, ``jet`` or ``momentum``.  ``dof`` is
+    1-based, ``order`` is the jet order for jets and the momentum level for
+    momenta.
     """
 
     kind: str
@@ -82,9 +82,7 @@ class VarRef:
             return "t"
         if self.kind == "jet":
             return f"q{self.order}" if n_dofs == 1 else f"q{self.order}_{self.dof}"
-        if self.kind == "momentum":
-            return f"p{self.order}" if n_dofs == 1 else f"p{self.order}_{self.dof}"
-        return "p"
+        return f"p{self.order}" if n_dofs == 1 else f"p{self.order}_{self.dof}"
 
     def _key(self):
         return (_KIND_RANK[self.kind], self.dof, self.order)
@@ -111,10 +109,6 @@ def momentum(dof: int, level: int) -> VarRef:
     if dof < 1 or level < 0:
         raise ValidationError(f"invalid momentum coordinate: dof={dof}, level={level}")
     return VarRef("momentum", dof=dof, order=level)
-
-
-def ext_momentum() -> VarRef:
-    return VarRef("ext")
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +271,7 @@ class Power(Expression):
                         f"negative base raised to non-integer power {e}")
             if e < 0 and np.any(b == 0.0):
                 raise DomainEvalError("zero raised to a negative power")
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                try:
-                    return np.power(b, e)
-                except FloatingPointError as exc:
-                    raise DomainEvalError(f"power evaluation failed: {exc}") from None
+            return np.power(b, e)
         if b < 0 and not e.is_integer():
             raise DomainEvalError(
                 f"negative base {float(b)!r} raised to non-integer power {e}")
@@ -290,7 +280,7 @@ class Power(Expression):
         try:
             return b ** e
         except OverflowError:
-            raise DomainEvalError("overflow in power evaluation") from None
+            return np.power(b, e)
 
 
 class Neg(Expression):
@@ -363,19 +353,16 @@ class Call(Expression):
                 raise DomainEvalError("log of a non-positive value")
             if name == "sqrt" and np.any(x < 0.0):
                 raise DomainEvalError("sqrt of a negative value")
-            with np.errstate(over="raise", invalid="raise"):
-                try:
-                    return _ARRAY_FUNCS[name](x)
-                except FloatingPointError as exc:
-                    raise DomainEvalError(f"{name} evaluation failed: {exc}") from None
+            return _ARRAY_FUNCS[name](x)
         if name == "log" and x <= 0.0:
             raise DomainEvalError(f"log of non-positive value {float(x)!r}")
         if name == "sqrt" and x < 0.0:
             raise DomainEvalError(f"sqrt of negative value {float(x)!r}")
         try:
             return _SCALAR_FUNCS[name](x)
-        except (ValueError, OverflowError) as exc:
-            raise DomainEvalError(f"{name} evaluation failed: {exc}") from None
+        except (ValueError, OverflowError):
+            # past the domain checks: an overflow, or sin or cos of +-inf
+            return _ARRAY_FUNCS[name](x)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +622,18 @@ def _normal_product(factors):
     return _rebuild_term(coeff, tuple(out))
 
 
+def _fold(node, op, *operands):
+    """``node``, an operation on constants, folded to ``op(*operands)`` on
+    Python floats, or ``node`` itself where ``op`` raises.  Python raises
+    where a finite operand would give a value that is not finite and where
+    an operand that is not NaN would give NaN, so a domain error, an
+    overflow and sin(inf) stay symbolic, while inf^3 folds."""
+    try:
+        return Const(op(*operands))
+    except (ArithmeticError, ValueError):
+        return node
+
+
 def simplify(expr: Expression) -> Expression:
     """One bottom-up normalization pass.
 
@@ -678,11 +677,9 @@ def simplify(expr: Expression) -> Expression:
         if e == 1.0:
             return base
         if isinstance(base, Const):
-            probe = Power(base, e)
-            try:
-                return Const(probe._eval({}))
-            except DomainEvalError:
-                return probe
+            return _fold(Power(base, e),
+                         operator.pow if e.is_integer() else _real_power,
+                         base.value, e)
         if isinstance(base, Power) and base.exponent.is_integer() and e.is_integer():
             return Power(base.base, base.exponent * e)
         return Power(base, e)
@@ -703,11 +700,8 @@ def simplify(expr: Expression) -> Expression:
     if isinstance(expr, Call):
         arg = simplify(expr.arg)
         if isinstance(arg, Const):
-            probe = Call(expr.fname, arg)
-            try:
-                return Const(probe._eval({}))
-            except DomainEvalError:
-                return probe
+            return _fold(Call(expr.fname, arg), _SCALAR_FUNCS[expr.fname],
+                         arg.value)
         return Call(expr.fname, arg)
 
     raise TypeError(f"cannot simplify node {type(expr).__name__}")
@@ -732,16 +726,13 @@ class SystemContext:
     ``parameters`` maps each declared parameter name to its value, and the
     parser reads the name as that constant.  ``max_jet_order`` bounds the
     admissible jet orders; ``momentum_levels`` is the number of momentum
-    levels visible (0 disables momenta, as in a Lagrangian context);
-    ``allow_extended`` admits the bare identifier ``p`` for the extended
-    momentum.
+    levels visible (0 disables momenta, as in a Lagrangian context).
     """
 
     n_dofs: int
     max_jet_order: int
     parameters: dict = field(hash=False)
     momentum_levels: int = 0
-    allow_extended: bool = False
 
     def __post_init__(self):
         if self.n_dofs < 1:
@@ -764,10 +755,10 @@ class SystemContext:
     @classmethod
     def for_reports(cls, k: int, n: int) -> "SystemContext":
         """Context wide enough to re-read any printed derived expression:
-        jets up to order 2k, momenta up to level k-1, extended momentum.
-        A report prints numbers only, so it names no parameter."""
+        jets up to order 2k and momenta up to level k-1.  A report prints
+        numbers only, so it names no parameter."""
         return cls(n_dofs=n, max_jet_order=2 * k, parameters={},
-                   momentum_levels=k, allow_extended=True)
+                   momentum_levels=k)
 
 
 _TOKEN_RE = re.compile(r"""
@@ -968,8 +959,6 @@ class _Parser:
                     f"momentum level {level} exceeds the maximum "
                     f"{ctx.momentum_levels - 1}", pos)
             return Variable(momentum(dof, level))
-        if name == "p" and ctx.allow_extended:
-            return Variable(ext_momentum())
         if name in ctx.parameters:
             return Const(ctx.parameters[name])
         raise UnknownIdentifierError(f"unknown identifier {name!r}", pos)
@@ -1176,15 +1165,16 @@ def compile_kernel(exprs, coords, name: str = "kernel"):
 
     The straight-line body runs in one ``try``: where an operation raises
     ``ArithmeticError``, ``ValueError`` or ``TypeError`` (a domain error,
-    or ``**`` overflowing on Python floats), the kernel instead returns
-    the tree walker's values of ``exprs`` with ``values`` bound as numpy
-    float64 scalars, so a ``**`` overflow gives inf and a domain error
-    raises the tree walker's first :class:`DomainEvalError`.  A value
-    that is not a real number (None, say) raises ``TypeError``, and so
-    does a call with the wrong number of values.  A variable outside
-    ``coords`` raises :class:`UnboundVariableError` when the kernel is
-    built.  Under debug logging one line reports ``name``, the expression
-    and temporary counts and the build time.
+    an overflow on Python floats, or sin or cos of +-inf), the kernel
+    instead returns the tree walker's values of ``exprs`` with ``values``
+    bound as numpy float64 scalars, so an overflow gives inf or NaN as in
+    NumPy, and only a domain error raises, the tree walker's first
+    :class:`DomainEvalError`.  A value that is not a real number (None,
+    say) raises ``TypeError``, and so does a call with the wrong number of
+    values.  A variable outside ``coords`` raises
+    :class:`UnboundVariableError` when the kernel is built.  Under debug
+    logging one line reports ``name``, the expression and temporary counts
+    and the build time.
     """
     start = time.perf_counter()
     exprs, coords = tuple(exprs), tuple(coords)

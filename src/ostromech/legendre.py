@@ -448,12 +448,12 @@ def regularity_report(sys: SystemModel, domain=None, samples: int = 100,
 
     The samples are drawn in :func:`expressions.sample_point`'s order and
     swept in blocks of ``_SWEEP_BLOCK``: W comes from the system's
-    compiled Hessian kernel (inf entries where a power overflows), and a
-    block then takes one stacked inverse and one stacked determinant,
-    with NumPy's overflow and invalid-value warnings off.  Where the
-    stacked inverse raises, kappa_1 of each W of the block comes from
-    :func:`_regular_inverse`, so every verdict, extreme and error is that
-    of a sample-by-sample sweep.
+    compiled Hessian kernel (inf entries where a power or an exp
+    overflows), and a block then takes one stacked inverse and one
+    stacked determinant, with NumPy's overflow and invalid-value warnings
+    off.  Where the stacked inverse raises, kappa_1 of each W of the
+    block comes from :func:`_regular_inverse`, so every verdict, extreme
+    and error is that of a sample-by-sample sweep.
     """
     if samples < 1:
         raise ValidationError(f"samples must be at least 1, got {samples}")

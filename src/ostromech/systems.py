@@ -155,18 +155,15 @@ def _split_state(y, k: int, n: int):
             y[2 * k * n:].reshape(n, -1, *rest))
 
 
-def _bindings(t, jets, momenta=None, p_ext=None) -> dict:
+def _bindings(t, jets, momenta=None) -> dict:
     """Evaluation bindings {VarRef: value} with jets[a, i] bound to
     q_i^(a+1) and momenta[a, i] to p_(a+1)^i; the values are scalars at a
     point or arrays over a grid."""
     n, orders, *rest = jets.shape
     levels = 0 if momenta is None else momenta.shape[1]
-    env = dict(zip(_coordinates(n, orders, levels),
-                   (t, *jets.reshape(-1, *rest),
-                    *(momenta.reshape(-1, *rest) if levels else ()))))
-    if p_ext is not None:
-        env[ex.ext_momentum()] = p_ext
-    return env
+    return dict(zip(_coordinates(n, orders, levels),
+                    (t, *jets.reshape(-1, *rest),
+                     *(momenta.reshape(-1, *rest) if levels else ()))))
 
 
 def _pairing(momenta, jets, start=0.0):
@@ -186,8 +183,8 @@ def jet_bindings(jp: JetPoint) -> dict:
 
 
 def unified_bindings(up: UnifiedPoint) -> dict:
-    """Evaluation bindings for a unified point (jets, momenta, optional p)."""
-    return _bindings(up.t, up.jet.q, up.momenta, up.p_ext)
+    """Evaluation bindings for a unified point (jets and momenta)."""
+    return _bindings(up.t, up.jet.q, up.momenta)
 
 
 def build_system(doc: dict) -> SystemModel:

@@ -243,7 +243,7 @@ def test_derive_sample_count_must_be_positive(tmp_path, capsys, count):
     spec = write_spec(tmp_path, "harmonic")
     code, out, err = run_cli(capsys, ["derive", spec, "--samples", count])
     assert code == 2 and out == ""
-    assert err == f"error: samples must be at least 1, got {count}\n"
+    assert err == f"error: --samples must be at least 1, got {count}\n"
 
 
 def test_derive_omits_determinant_text_above_eight_dofs(tmp_path, capsys,
@@ -745,7 +745,7 @@ def test_unified_check_random_count_must_be_positive(tmp_path, capsys, count):
     code, out, err = run_cli(capsys, [
         "unified-check", spec, f"--random={count}"])
     assert code == 2 and out == ""
-    assert err == "error: --random must be at least 1\n"
+    assert err == f"error: --random must be at least 1, got {count}\n"
 
 
 def test_unified_check_off_constraint_point(tmp_path, capsys):
@@ -1099,6 +1099,77 @@ def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys, name):
             continue
         code, _, err = run_cli(capsys, [command, str(spec), *rest])
         assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("derive", "--samples", "100000000000000000000000",
+     "--samples must be at most 10000000"),
+    ("action-check", "--quad-points", "100000000000000000000000000000",
+     "--quad-points must be at most 100000"),
+    ("action-check", "--quad-points", "1", "--quad-points must be at least 2"),
+    ("action-check", "--variations", "50001",
+     "--variations must be at most 50000"),
+    ("action-check", "--variations", "0", "--variations must be at least 1"),
+    ("unified-check", "--random", "100001",
+     "--random must be at most 100000")])
+def test_count_options_have_one_range(tmp_path, capsys, command, option,
+                                      value, message):
+    # a count past its bound ran for minutes or ended in a traceback from
+    # np.linspace; now each is a usage error before any work
+    spec = write_spec(tmp_path, "harmonic")
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"basis": "monomial",
+                                "coefficients": [[0.3, 0.2, -0.1]],
+                                "interval": [0.0, 1.0]}))
+    where = ["--path", str(path)] if command == "action-check" else []
+    code, out, err = run_cli(capsys, [command, spec, *where, option, value])
+    assert (code, out, err) == (2, "", f"error: {message}, got {value}\n")
+
+
+def test_a_large_seed_is_a_seed(tmp_path, capsys):
+    spec = write_spec(tmp_path, "harmonic")
+    seed = str(10**40)
+    code, out, _ = run_cli(capsys, ["unified-check", spec, "--random", "2",
+                                    "--seed", seed])
+    assert code == 0 and json.loads(out)["seed"] == 10**40
+
+
+# 1/4*q1^4 from q1 = 1e150: the momentum q1^3 overflows on the recorded
+# grid; exp(q0) overflows at q0 = 800 and across the box of derive
+OVERFLOW_RUNS = [
+    ("1/4*q1^4", ["simulate", "--init", "0.5,1e150", "--t-end", "0.1",
+                  "--out", "q.csv"], 0),
+    ("1/4*q1^4", ["verify", "--traj", "q.csv"], 1),
+    ("1/4*q1^4", ["action-check", "--traj", "q.csv"], 1),
+    ("exp(q0)*q1^2/2 + q1^2", ["unified-check", "--point=0,800,1,0"], 1),
+    ("exp(q0)*q1^2/2", ["derive", "--domain=-1000,1000", "--samples", "20"],
+     0)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflow_is_a_value_on_the_command_line(tmp_path, capsys,
+                                                    monkeypatch):
+    # each run exited 2, a usage error, on the tree walker's overflow
+    monkeypatch.chdir(tmp_path)
+    reports, errs = [], []
+    for lagrangian, (command, *options), expect in OVERFLOW_RUNS:
+        spec = _lagrangian_spec(tmp_path, lagrangian)
+        code, out, err = run_cli(capsys, [command, spec, *options])
+        assert code == expect and "Traceback" not in err, (command, err)
+        reports.append(json.loads(out))
+        errs.append(err)
+    _, verify, action, point, derive = reports
+    assert verify["failed_checks"] == [
+        "el_residual", "holonomy_defect", "energy_drift"]
+    assert verify["report"]["el_residual"] == "nan"
+    assert verify["report"]["energy_drift"] == "nan"
+    assert action["stationarity"]["action"] == "inf"
+    assert action["passed"] is False
+    assert point["points"][0]["hamiltonian"] == "-inf"
+    assert errs[3] == ("warning: point 0 has non-finite hamiltonian, "
+                       "section_p, coupling, explicit_field\n")
+    assert derive["regularity"]["max_condition"] == "nan"
+    assert derive["regularity"]["regular"] is False
 
 
 @pytest.mark.parametrize("argv, expect", [

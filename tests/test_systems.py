@@ -120,7 +120,8 @@ def test_bindings():
     up = om.UnifiedPoint(jp, np.array([[5.0], [6.0]]), p_ext=7.0)
     uenv = om.unified_bindings(up)
     assert uenv[ex.momentum(2, 0)] == 6.0
-    assert uenv[ex.ext_momentum()] == 7.0
+    # p_ext enters only the coupling, never an expression
+    assert list(uenv) == om.unified_coordinates(1, 2)
 
 
 def test_one_coordinate_layout():
@@ -159,6 +160,6 @@ def test_one_coordinate_layout():
 
     # the coordinates are cached; a caller's list is its own
     expected = list(coords)
-    coords.append(ex.ext_momentum())
+    coords.append(ex.time_var())
     coords[0] = ex.jet(9, 9)
     assert om.unified_coordinates(k, n) == expected

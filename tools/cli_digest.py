@@ -129,6 +129,18 @@ QUARTIC = ('{"name": "quartic", "order": 1, "dofs": 1, '
            '"lagrangian": "1/4*q1^4"}')
 
 
+# exp(q0) overflows at q0 = 800 and across the box -1000,1000; each run
+# reports inf or NaN, with no usage error
+EXP_POINT = ('{"name": "exp_point", "order": 1, "dofs": 1, '
+             '"lagrangian": "exp(q0)*q1^2/2 + q1^2"}')
+EXP_BOX = ('{"name": "exp_box", "order": 1, "dofs": 1, '
+           '"lagrangian": "exp(q0)*q1^2/2"}')
+# the order-5 member of the family u_k; the action of its trajectory
+# overflows inside exp(q4_2)
+U5 = ('{"name": "u5", "order": 5, "dofs": 2, "lagrangian": '
+      '"1/2*q5_1^2 + 1/2*q5_2^2 + sin(q4_1*q5_2)*exp(q4_2)"}')
+
+
 # a k = 3, n = 3 system shaped like the benchmark's nl3 (bench/roster.py,
 # seed 1) and its initial jets: unified-check solves 27 x 27 systems over
 # the stacked points, and verify --tol differences up to order 4
@@ -295,6 +307,30 @@ def _runs(work: Path):
            "--box=-1e200,1e200"], None
     yield ["simulate", "quartic_power.json", "--unified", "--init",
            "0,1e150,1", "--t-end", "1"], None
+    # an overflow on the recorded grid is a value: the momentum q1^3 of
+    # the CSV from q1 = 1e150 overflows in verify and action-check
+    yield ["simulate", "quartic_power.json", "--init", "0.5,1e150",
+           "--t-end", "0.1", "--out", "quartic.csv"], "quartic.csv"
+    yield ["verify", "quartic_power.json", "--traj", "quartic.csv"], None
+    yield ["action-check", "quartic_power.json", "--traj", "quartic.csv"], None
+    (work / "exp_point.json").write_text(EXP_POINT)
+    yield ["unified-check", "exp_point.json", "--point=0,800,1,0"], None
+    (work / "exp_box.json").write_text(EXP_BOX)
+    yield ["derive", "exp_box.json", "--domain=-1000,1000", "--samples",
+           "20"], None
+    (work / "u5.json").write_text(U5)
+    yield ["simulate", "u5.json", "--init", ",".join(["0.1"] * 20),
+           "--t-end", "0.5", "--out", "u5.csv"], "u5.csv"
+    yield ["action-check", "u5.json", "--traj", "u5.csv"], None
+    # a count outside its range is a usage error before any work
+    yield ["derive", "harmonic.json", "--samples", "0"], None
+    yield ["derive", "harmonic.json", "--samples",
+           "100000000000000000000000"], None
+    yield ["action-check", "harmonic.json", "--path", "harmonic_path.json",
+           "--quad-points", "100000000000000000000000000000"], None
+    yield ["action-check", "harmonic.json", "--path", "harmonic_path.json",
+           "--variations", "50001"], None
+    yield ["unified-check", "harmonic.json", "--random", "100001"], None
 
 
 def _line(label, command, work, env, csv=None):
@@ -310,7 +346,7 @@ def _line(label, command, work, env, csv=None):
 
 def main() -> int:
     sys.path.insert(0, str(SRC))
-    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("OSTRO_LOG", None)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
