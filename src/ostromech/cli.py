@@ -67,12 +67,14 @@ _VERIFY_CHECKS = (
 )
 
 
-# the range of each count option; the largest run of one option on
-# demos/systems/harmonic.json, the others at their defaults, ends within
-# about a minute, and a seed costs nothing whatever its size
+# the range of each count option, and the bound of the cost of action-check,
+# --variations x --quad-points; the largest run of one option or of the
+# product on demos/systems/harmonic.json, the others at their defaults,
+# ends within about a minute, and a seed costs nothing whatever its size
 _COUNTS = {"seed": (0, math.inf), "samples": (1, 10**7),
            "variations": (1, 5 * 10**4), "random": (1, 10**5),
            "quad_points": (2, 10**5)}
+_ACTION_WORK = 2 * 10**7
 
 
 def _configure_logging():
@@ -536,6 +538,11 @@ def main(argv=None) -> int:
                              "non-negative" if lo == 0 else f"at least {lo}")
                     raise ValidationError(f"--{name.replace('_', '-')} must "
                                           f"be {limit}, got {value}")
+            work = (getattr(args, "variations", 0)
+                    * getattr(args, "quad_points", 0))
+            if work > _ACTION_WORK:
+                raise ValidationError("--variations x --quad-points must be "
+                                      f"at most {_ACTION_WORK}, got {work}")
             # a NaN bound fails every comparison; inf stays "no bound"
             for name, value in vars(args).items():
                 if (name.endswith("tol") and value is not None

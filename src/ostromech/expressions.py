@@ -242,15 +242,18 @@ class Product(Expression):
         return total
 
 
+def _first(values, bad):
+    """The first of ``values`` (a float or an array) where ``bad`` holds."""
+    return float(np.extract(bad, values)[0])
+
+
 class Power(Expression):
     """Power with a literal numeric exponent (the grammar admits no other)."""
 
     __slots__ = ("base", "exponent")
 
     def __init__(self, base, exponent):
-        if isinstance(exponent, Expression):
-            if not isinstance(exponent, Const):
-                raise ValidationError("power exponents must be numeric literals")
+        if isinstance(exponent, Const):
             exponent = exponent.value
         if not isinstance(exponent, (int, float, np.integer, np.floating)):
             raise ValidationError("power exponents must be numeric literals")
@@ -264,19 +267,13 @@ class Power(Expression):
     def _eval(self, env):
         b = self.base._eval(env)
         e = self.exponent
-        if isinstance(b, np.ndarray):
-            if not e.is_integer():
-                if np.any(b < 0):
-                    raise DomainEvalError(
-                        f"negative base raised to non-integer power {e}")
-            if e < 0 and np.any(b == 0.0):
-                raise DomainEvalError("zero raised to a negative power")
-            return np.power(b, e)
-        if b < 0 and not e.is_integer():
-            raise DomainEvalError(
-                f"negative base {float(b)!r} raised to non-integer power {e}")
-        if b == 0.0 and e < 0:
+        if not e.is_integer() and np.any(b < 0):
+            raise DomainEvalError(f"negative base {_first(b, b < 0)!r} "
+                                  f"raised to non-integer power {e}")
+        if e < 0 and np.any(b == 0.0):
             raise DomainEvalError("zero raised to a negative power")
+        if isinstance(b, np.ndarray):
+            return np.power(b, e)
         try:
             return b ** e
         except OverflowError:
@@ -311,10 +308,7 @@ class Quotient(Expression):
     def _eval(self, env):
         num = self.numerator._eval(env)
         den = self.denominator._eval(env)
-        if isinstance(den, np.ndarray):
-            if np.any(den == 0.0):
-                raise DomainEvalError("division by zero")
-        elif den == 0.0:
+        if np.any(den == 0.0):
             raise DomainEvalError("division by zero")
         return num / den
 
@@ -348,16 +342,14 @@ class Call(Expression):
     def _eval(self, env):
         x = self.arg._eval(env)
         name = self.fname
+        if name == "log" and np.any(x <= 0.0):
+            raise DomainEvalError(
+                f"log of non-positive value {_first(x, x <= 0.0)!r}")
+        if name == "sqrt" and np.any(x < 0.0):
+            raise DomainEvalError(
+                f"sqrt of negative value {_first(x, x < 0.0)!r}")
         if isinstance(x, np.ndarray):
-            if name == "log" and np.any(x <= 0.0):
-                raise DomainEvalError("log of a non-positive value")
-            if name == "sqrt" and np.any(x < 0.0):
-                raise DomainEvalError("sqrt of a negative value")
             return _ARRAY_FUNCS[name](x)
-        if name == "log" and x <= 0.0:
-            raise DomainEvalError(f"log of non-positive value {float(x)!r}")
-        if name == "sqrt" and x < 0.0:
-            raise DomainEvalError(f"sqrt of negative value {float(x)!r}")
         try:
             return _SCALAR_FUNCS[name](x)
         except (ValueError, OverflowError):
@@ -559,7 +551,6 @@ def _normal_sum(terms):
             flat.extend(term.terms)
         elif not _is_zero(term):
             flat.append(term)
-    order = []          # insertion-free deterministic ordering of keys
     collected = {}      # factors-key -> [coeff, factors]
     for t in flat:
         coeff, factors = _term_parts(t)
@@ -568,9 +559,8 @@ def _normal_sum(terms):
             collected[k][0] += coeff
         else:
             collected[k] = [coeff, factors]
-            order.append(k)
     out = []
-    for k in sorted(order):
+    for k in sorted(collected):
         coeff, factors = collected[k]
         if coeff == 0.0:
             continue
@@ -592,7 +582,6 @@ def _normal_product(factors):
         else:
             flat.append(factor)
     coeff = 1.0
-    bases = []          # ordered list of base expressions
     exponents = {}      # key -> [base, exponent]
     for f in flat:
         if isinstance(f, Const):
@@ -610,11 +599,10 @@ def _normal_product(factors):
             exponents[k][1] += exp
         else:
             exponents[k] = [base, exp]
-            bases.append(k)
     if coeff == 0.0:
         return _ZERO
     out = []
-    for k in sorted(bases):
+    for k in sorted(exponents):
         base, exp = exponents[k]
         if exp == 0.0:
             continue
@@ -713,7 +701,6 @@ def simplify(expr: Expression) -> Expression:
 
 
 _RESERVED = frozenset(("t", "p") + FUNCTION_NAMES)
-_COORD_PATTERN = re.compile(r"^[qp]\d+(_\d+)?$")
 _JET_PATTERN = re.compile(r"^q(\d+)(?:_(\d+))?$")
 _MOMENTUM_PATTERN = re.compile(r"^p(\d+)(?:_(\d+))?$")
 _IDENT_PATTERN = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -743,7 +730,8 @@ class SystemContext:
         for name in self.parameters:
             if not _IDENT_PATTERN.match(name):
                 raise ValidationError(f"invalid parameter name {name!r}")
-            if name in _RESERVED or _COORD_PATTERN.match(name):
+            if (name in _RESERVED or _JET_PATTERN.match(name)
+                    or _MOMENTUM_PATTERN.match(name)):
                 raise ValidationError(
                     f"parameter name {name!r} shadows a reserved identifier")
 

@@ -190,15 +190,15 @@ def unified_bindings(up: UnifiedPoint) -> dict:
 def build_system(doc: dict) -> SystemModel:
     """Build and validate a system model from a spec document.
 
-    The document is a mapping with keys ``name`` (text), ``order``
-    (k >= 1), ``dofs`` (n >= 1), ``lagrangian`` (expression text), optional
-    ``parameters`` (name to finite number; no boolean is a number here)
-    and optional boolean ``autonomous``.  The parser reads each parameter
-    name as its value.  Validation enforces that the Lagrangian uses jet
-    orders at most k, that every identifier is a declared parameter or
-    coordinate, and that a system declared autonomous has no explicit time
-    dependence.  When the ``autonomous`` flag is omitted or null it is
-    inferred from the Lagrangian.
+    The document is a mapping with keys ``name`` (text), ``order`` (k from
+    1 to 100), ``dofs`` (n from 1 to 500), ``lagrangian`` (expression
+    text), optional ``parameters`` (name to finite number; no boolean is a
+    number here) and optional boolean ``autonomous``.  The parser reads
+    each parameter name as its value.  Validation enforces that the
+    Lagrangian uses jet orders at most k, that every identifier is a
+    declared parameter or coordinate, and that a system declared autonomous
+    has no explicit time dependence.  When the ``autonomous`` flag is
+    omitted or null it is inferred from the Lagrangian.
     """
     if not isinstance(doc, dict):
         raise ValidationError("system description must be a mapping")
@@ -211,10 +211,14 @@ def build_system(doc: dict) -> SystemModel:
     if not isinstance(name, str):
         raise ValidationError(f"name must be text, got {name!r}")
     k, n = doc["order"], doc["dofs"]
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValidationError(f"order must be an integer >= 1, got {k!r}")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValidationError(f"dofs must be an integer >= 1, got {n!r}")
+    # the work of derive grows as the square of the order and of the dofs:
+    # at both bounds it ends within about half a minute (2 shared cores)
+    for key, value, most in (("order", k, 100), ("dofs", n, 500)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValidationError(
+                f"{key} must be an integer >= 1, got {value!r}")
+        if value > most:
+            raise ValidationError(f"{key} must be at most {most}, got {value}")
 
     parameters = doc.get("parameters")
     if not isinstance(parameters, (dict, type(None))):

@@ -1126,6 +1126,44 @@ def test_count_options_have_one_range(tmp_path, capsys, command, option,
     assert (code, out, err) == (2, "", f"error: {message}, got {value}\n")
 
 
+@pytest.mark.parametrize("variations, quad_points", [
+    ("50000", "100000"), ("201", "100000")])
+def test_action_check_cost_has_one_bound(tmp_path, capsys, variations,
+                                         quad_points):
+    # each count inside its range, their product past the bound: a run of
+    # hours before; now a usage error before the path file is read
+    spec = write_spec(tmp_path, "harmonic")
+    path = tmp_path / "path.json"
+    path.write_text("3")
+    code, out, err = run_cli(capsys, [
+        "action-check", spec, "--path", str(path), "--variations", variations,
+        "--quad-points", quad_points])
+    work = int(variations) * int(quad_points)
+    assert (code, out, err) == (
+        2, "", "error: --variations x --quad-points must be at most "
+        f"20000000, got {work}\n")
+
+
+def test_domain_error_names_its_value_on_a_grid(tmp_path, capsys,
+                                               monkeypatch):
+    # log(q0) on a harmonic trajectory that crosses q0 = 0: the message of
+    # the array evaluation named no value
+    monkeypatch.chdir(tmp_path)
+    run_json(capsys, ["simulate", write_spec(tmp_path, "harmonic"), "--init",
+                      "1,0", "--t-end", "3", "--out", "h.csv"])
+    spec = tmp_path / "logpot.json"
+    spec.write_text(json.dumps({"name": "logpot", "order": 1, "dofs": 1,
+                                "lagrangian": "1/2*q1^2 + log(q0)"}))
+    # verify evaluates on the recorded grid, action-check on the quadrature
+    # nodes of the path fitted to it
+    for command, value in (("verify", "-0.028701311694491957"),
+                           ("action-check", "-0.17385753510152202")):
+        code, out, err = run_cli(capsys, [command, str(spec), "--traj",
+                                          "h.csv"])
+        assert (code, out, err) == (
+            2, "", f"error: log of non-positive value {value}\n")
+
+
 def test_a_large_seed_is_a_seed(tmp_path, capsys):
     spec = write_spec(tmp_path, "harmonic")
     seed = str(10**40)

@@ -36,6 +36,18 @@ def test_build_system_validation():
                          "lagrangian": "q0*t", "autonomous": True})
 
 
+@pytest.mark.parametrize("field, attr, most", [("order", "k", 100),
+                                               ("dofs", "n", 500)])
+def test_spec_sizes_have_upper_bounds(field, attr, most):
+    # the size fields alone commanded unbounded derivation work; building
+    # derives nothing, so the bound and one past it cost no time
+    doc = {"name": "x", "order": 1, "dofs": 1, "lagrangian": "1/2*q1_1^2"}
+    assert getattr(om.build_system(dict(doc, **{field: most})), attr) == most
+    with pytest.raises(om.ValidationError) as err:
+        om.build_system(dict(doc, **{field: most + 1}))
+    assert str(err.value) == f"{field} must be at most {most}, got {most + 1}"
+
+
 def test_autonomy_inferred():
     auto = om.build_system({"name": "a", "order": 1, "dofs": 1,
                             "lagrangian": "1/2*q1^2"})

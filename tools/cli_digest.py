@@ -5,9 +5,10 @@ and prints one line per run: the argv, the exit code and the first 16
 hex digits of the sha256 of stdout, of stderr and of the CSV the run
 wrote, if any.  Then it runs each ``demos/0*.py`` under
 ``-W error::RuntimeWarning`` and prints the same fields, the CSV always
-``-``.  The runs take place in a temporary directory with relative file
-names, so no line depends on where the repository lives.  Two checkouts
-print the same lines exactly when their output is byte-identical:
+``-``, and last a few more command-line runs.  The runs take place in a
+temporary directory with relative file names, so no line depends on
+where the repository lives.  Two checkouts print the same lines exactly
+when their output is byte-identical:
 
     python3 tools/cli_digest.py > digest.txt
 
@@ -333,6 +334,30 @@ def _runs(work: Path):
     yield ["unified-check", "harmonic.json", "--random", "100001"], None
 
 
+# log(q0) crosses out of its domain on a harmonic trajectory through q0 = 0
+LOGPOT = ('{"name": "logpot", "order": 1, "dofs": 1, '
+          '"lagrangian": "1/2*q1^2 + log(q0)"}')
+
+
+def _later_runs(work: Path):
+    """Runs printed after the demos, so that the lines before them keep
+    their place."""
+    # a domain error on a grid names its first offending value
+    yield ["simulate", "harmonic.json", "--init", "1,0", "--t-end", "3",
+           "--out", "h.csv"], "h.csv"
+    (work / "logpot.json").write_text(LOGPOT)
+    yield ["verify", "logpot.json", "--traj", "h.csv"], None
+    yield ["action-check", "logpot.json", "--traj", "h.csv"], None
+    # a spec's size fields, and the cost of action-check, are bounded
+    for what, order, dofs in (("wide", 1, 10**5), ("tall", 10**6, 1)):
+        (work / f"{what}.json").write_text(json.dumps(
+            {"name": what, "order": order, "dofs": dofs,
+             "lagrangian": "1/2*q1_1^2"}))
+        yield ["derive", f"{what}.json"], None
+    yield ["action-check", "harmonic.json", "--path", "harmonic_path.json",
+           "--variations", "50000", "--quad-points", "100000"], None
+
+
 def _line(label, command, work, env, csv=None):
     """Run ``command`` in ``work`` and print its digest line."""
     done = subprocess.run(command, cwd=work, env=env, capture_output=True,
@@ -350,13 +375,18 @@ def main() -> int:
     env.pop("OSTRO_LOG", None)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for argv, csv in _runs(work):
-            _line(" ".join(argv), [sys.executable, "-m", "ostromech.cli",
-                                   *argv], work, env, csv)
+
+        def cli(runs):
+            for argv, csv in runs:
+                _line(" ".join(argv), [sys.executable, "-m", "ostromech.cli",
+                                       *argv], work, env, csv)
+
+        cli(_runs(work))
         for demo in sorted((ROOT / "demos").glob("0*.py")):
             _line(f"-W error::RuntimeWarning demos/{demo.name}",
                   [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
                   work, env)
+        cli(_later_runs(work))
     return 0
 
 
