@@ -426,24 +426,6 @@ def fd_derivative(grid, values, order: int = 1) -> np.ndarray:
                      for row in rows]).reshape(values.shape)
 
 
-def _differenced(grid, requests):
-    """:func:`fd_derivative` of each ``(order, series)`` request, one call
-    per distinct order, in ascending order, on the stack of that order's
-    series; each result has the shape of its series."""
-    out = [None] * len(requests)
-    for order in sorted({order for order, _ in requests}):
-        picked = [r for r, (o, _) in enumerate(requests) if o == order]
-        stack = fd_derivative(grid, np.concatenate(
-            [requests[r][1].reshape(-1, grid.size) for r in picked]), order)
-        start = 0
-        for r in picked:
-            shape = requests[r][1].shape
-            rows = int(np.prod(shape[:-1]))
-            out[r] = stack[start:start + rows].reshape(shape)
-            start += rows
-    return out
-
-
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -454,8 +436,11 @@ class VerificationReport:
     """Direct numerical checks of a recorded trajectory.
 
     All residuals are maxima over the grid.  ``el_residual`` measures the
-    Euler-Lagrange defect, with the outer total derivatives realized as
-    finite differences of the recorded partial-derivative series.
+    Euler-Lagrange defect in the paper's form dp^0/dt = dL/dq_0: the
+    closed-form momentum p^0 on the recorded jets, differenced once.  On
+    holonomic jets, which the holonomy check judges, that is the
+    Euler-Lagrange expression; and it reads no vector field, since the
+    closed-form momenta are checked against the backward recursion.
     ``hamilton_q_residual`` and ``hamilton_p_residual`` are the residuals
     of dq_i/dt = dH/dp^i and dp^i/dt = -dH/dq_i (unified trajectories
     only, None otherwise), ``momenta_residual`` the momentum equations in
@@ -465,7 +450,8 @@ class VerificationReport:
     floor h^4 max|q_{i+5}^A| of its differencing, h the largest step;
     ``holonomy_tolerance`` is the bound of the column whose defect is the
     largest fraction of its bound.  A grid of fewer than five points gets
-    no verdict.
+    no verdict, and its differences are accurate only to order
+    points - 1.
     """
 
     el_residual: float
@@ -499,42 +485,32 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
     partials = _values(ds.lagrangian_partials, env, grid.shape)
     top = 2 * k - 1
     tol = tolerance if tolerance is not None else traj.meta.get("tolerance")
-    # column q_i cannot be judged sharper than the truncation floor
-    # h^4 max|q_{i+5}| of its differencing, which is fourth order only on
-    # five points or more; above the recorded orders q_{i+5} is
-    # differenced from the top one
-    judged = tol is not None and grid.size >= 5
-    above = [order for order in range(1, 5) if judged and top + order >= 5]
-    unified = traj.layout == "unified"
 
-    # every series differenced, one fd_derivative call per order: the
-    # dL/dq_i (i >= 1) of the Euler-Lagrange defect, the jets below the
-    # top for holonomy, the top jets for the floors and the momenta
-    terms = _differenced(grid, [
-        *((i, partials[:, i]) for i in range(1, k + 1)),
-        (1, jets[:, :top]),
-        *((order, jets[:, top]) for order in above),
-        *([(1, momenta)] if unified else [])])
+    # one first-order difference of the closed-form p^0, of every jet and
+    # of the recorded momenta (none in the jet layout)
+    p0 = _values([per_dof[0] for per_dof in ds.momenta], env, grid.shape)
+    rates = fd_derivative(grid, np.concatenate(
+        [p0[:, None], jets, momenta], axis=1))
 
-    # Euler-Lagrange defect: alternating finite-difference derivatives of
-    # the recorded dL/dq_i series
-    residuals = np.zeros((n, grid.size))
-    for i in range(k + 1):
-        residuals = residuals + (-1.0) ** i * (
-            partials[:, i] if i == 0 else terms[i - 1])
-    # one maximum over every dof, so a NaN residual is not dropped
-    el_max = float(np.max(np.abs(residuals)))
+    # Euler-Lagrange defect in the form dp^0/dt = dL/dq_0; one maximum
+    # over every dof, so a NaN residual is not dropped
+    el_max = float(np.max(np.abs(partials[:, 0] - rates[:, 0])))
 
     # holonomy: differentiated q_i must reproduce q_{i+1}
-    qdots = terms[k]
+    qdots = rates[:, 1:top + 1]
     defects = np.max(np.abs(qdots - jets[:, 1:]), axis=-1)
     holo_max = float(np.max(defects))
     holo_tol = holo_ok = None
-    if judged:
+    # column q_i cannot be judged sharper than the truncation floor
+    # h^4 max|q_{i+5}| of its differencing, which is fourth order only on
+    # five points or more
+    if tol is not None and grid.size >= 5:
         h4 = float(np.max(np.diff(grid))) ** 4
         # q_5 .. q_{top+4}: recorded up to the top order, differenced above
-        higher = ([jets[:, i] for i in range(5, top + 1)]
-                  + terms[k + 1:k + 1 + len(above)])
+        higher = [jets[:, i] for i in range(5, top + 1)] + [
+            rates[:, top + 1] if order == 1
+            else fd_derivative(grid, jets[:, top], order)
+            for order in range(max(1, 5 - top), 5)]
         tols = 10.0 * float(tol) + h4 * np.stack(
             [np.max(np.abs(q), axis=-1) for q in higher], axis=1)
         # a bound of zero gives a ratio of inf or NaN, not an exception
@@ -548,8 +524,8 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
         energy_drift = float(np.max(np.abs(energies - energies[0])))
 
     momenta_residual = hq_residual = hp_residual = None
-    if unified:
-        pdots = terms[-1]
+    if traj.layout == "unified":
+        pdots = rates[:, top + 2:]
         # dp^0/dt = dL/dq_0 and dp^i/dt = dL/dq_i - p^{i-1}
         lower = np.concatenate([np.zeros_like(momenta[:, :1]),
                                 momenta[:, :-1]], axis=1)

@@ -371,6 +371,48 @@ def test_simulate_summary_prints_the_counters(tmp_path, capsys, method):
     assert 0 < report["smallest_step"] <= report["largest_step"]
 
 
+def _order_spec(tmp_path, k):
+    """L = 1/2*q_k^2 - 1/2*q_0^2 of order k, and an --init of 0.1s."""
+    spec = tmp_path / f"order{k}.json"
+    spec.write_text(json.dumps({"name": f"order{k}", "order": k, "dofs": 1,
+                                "lagrangian": f"1/2*q{k}^2 - 1/2*q0^2"}))
+    return str(spec), ",".join(["0.1"] * (2 * k))
+
+
+@pytest.mark.parametrize("k, method, el_max, perturb", [
+    (20, [], 1e-3, False), (8, [], 1e-5, False),
+    (100, ["--method", "rk4", "--step", "0.02"], 1e-3, False),
+    (20, ["--method", "rk4", "--step", "1"], math.inf, False),
+    (3, [], 1e-3, True), (8, [], 1e-5, True)],
+    ids=["order20", "order8", "order100_51_points", "order20_2_points",
+         "order3_perturbed", "order8_perturbed"])
+def test_el_defect_is_checked_at_every_order(tmp_path, capsys, k, method,
+                                             el_max, perturb):
+    # the defect dL/dq_0 - D p^0 takes one first-order difference D, so
+    # neither the grid it needs nor its error grows with the order; a
+    # grid of two points is differenced to first order
+    spec, init = _order_spec(tmp_path, k)
+    csv = tmp_path / "traj.csv"
+    report = run_json(capsys, ["simulate", spec, "--init", init, "--t-end",
+                               "1", *method, "--out", str(csv)])
+    assert report["verification"]["el_residual"] <= el_max
+    if not perturb:
+        return
+    # dof 1 moved by 0.2*sin(0.3 t) and its exact derivatives, as the
+    # benchmark's perturbed trajectories are: the jets stay holonomic and
+    # only the Euler-Lagrange check can see it
+    traj = om.load_trajectory_csv(csv, k)
+    states = np.array(traj.states)
+    for i in range(2 * k):
+        states[:, i] += 0.2 * 0.3 ** i * np.sin(0.3 * traj.grid
+                                                 + i * np.pi / 2)
+    om.save_trajectory_csv(om.Trajectory(traj.grid, states, "jet", k, 1),
+                           csv)
+    verdict = run_json(capsys, ["verify", spec, "--traj", str(csv)],
+                       expect=1)
+    assert "el_residual" in verdict["failed_checks"]
+
+
 def test_simulate_unified_rejects_off_constraint(tmp_path, capsys):
     spec = write_spec(tmp_path, "pais_uhlenbeck")
     code, _, err = run_cli(capsys, [

@@ -388,25 +388,25 @@ def _k3_jet_trajectory():
     return om.Trajectory(grid, np.column_stack(columns), "jet", 3, 3)
 
 
-# the verify_trajectory reports as the per-series differencing gave them,
-# every float spelled by float.hex
+# the verify_trajectory reports, every float spelled by float.hex; the
+# el_residual is dL/dq_0 - D p^0 with one first-order difference D
 _VERIFY_PINS = {
     "k3_jet": {
-        "el_residual": "0x1.18def34f496e4p-1",
+        "el_residual": "0x1.18dee7ef80394p-1",
         "holonomy_defect": "0x1.1568e1a9c0000p-19",
         "holonomy_tolerance": None, "holonomy_ok": None,
         "energy_drift": "0x1.e2d4d4ed74928p-4", "momenta_residual": None,
         "hamilton_q_residual": None, "hamilton_p_residual": None,
         "layout": "jet", "n_points": 40},
     "k3_jet_tol": {
-        "el_residual": "0x1.18def34f496e4p-1",
+        "el_residual": "0x1.18dee7ef80394p-1",
         "holonomy_defect": "0x1.1568e1a9c0000p-19",
         "holonomy_tolerance": "0x1.be5095b5ca740p-22", "holonomy_ok": True,
         "energy_drift": "0x1.e2d4d4ed74928p-4", "momenta_residual": None,
         "hamilton_q_residual": None, "hamilton_p_residual": None,
         "layout": "jet", "n_points": 40},
     "pu_unified": {
-        "el_residual": "0x1.bbce3ae000000p-20",
+        "el_residual": "0x1.5c37389400000p-18",
         "holonomy_defect": "0x1.5c37389400000p-20",
         "holonomy_tolerance": "0x1.205bab4020c4cp-14", "holonomy_ok": True,
         "energy_drift": "0x1.bf40aa0000000p-27",
@@ -459,21 +459,29 @@ def test_verify_computes_one_weight_set_per_order(tmp_path, capsys,
     spec.write_text(json.dumps(NL3_LIKE))
     om.save_trajectory_csv(_k3_jet_trajectory(), csv)
     argv = ["verify", str(spec), "--traj", str(csv)]
-    # k = 3: the dL/dq_i differenced at orders 1-3, the holonomy columns
-    # at order 1, and with --tol the floors of q_1 .. q_4 at orders 1-4
-    for extra, want in (([], [1, 2, 3]), (["--tol", "1e-9"], [1, 2, 3, 4]),
+    # k = 3: p^0 and every jet at order 1, and with --tol the floors of
+    # q_2 .. q_4 at orders 2-4; no order grows with k
+    for extra, want in (([], [1]), (["--tol", "1e-9"], [1, 2, 3, 4]),
                         (["--tol", "1e-9"], [1, 2, 3, 4])):
         orders.clear()
         cli.main(argv + extra)
         assert orders == want
+    # k = 20, rk45 with its tolerance recorded: the same four orders
+    spec20 = tmp_path / "k20.json"
+    spec20.write_text(json.dumps({"name": "k20", "order": 20, "dofs": 1,
+                                  "lagrangian": "1/2*q20^2 - 1/2*q0^2"}))
+    orders.clear()
+    cli.main(["simulate", str(spec20), "--init", ",".join(["0.1"] * 40),
+              "--t-end", "1"])
+    assert orders == [1, 2, 3, 4]
     capsys.readouterr()
     orders.clear()
-    # a unified PU trajectory without a tolerance, as read from a CSV: the
-    # dL/dq_i at orders 1-2, the jets and the momenta at order 1
+    # a unified PU trajectory without a tolerance, as read from a CSV: p^0,
+    # the jets and the momenta at order 1
     traj = om.integrate_unified(pu, pu_unified_init(pu), 1.0)
     om.verify_trajectory(pu, om.Trajectory(traj.grid, traj.states,
                                            "unified", 2, 1))
-    assert orders == [1, 2]
+    assert orders == [1]
 
 
 def test_verify_clean_trajectory(pu):

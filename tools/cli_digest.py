@@ -356,6 +356,18 @@ def _later_runs(work: Path):
         yield ["derive", f"{what}.json"], None
     yield ["action-check", "harmonic.json", "--path", "harmonic_path.json",
            "--variations", "50000", "--quad-points", "100000"], None
+    # the Euler-Lagrange check takes one first-order difference at any
+    # order: a short rk45 grid at order 20, a fine rk4 grid at order 100,
+    # and the u5 trajectory written above
+    for order, method in ((20, []), (100, ["--method", "rk4", "--step",
+                                           "0.001"])):
+        (work / f"order{order}.json").write_text(json.dumps(
+            {"name": f"order{order}", "order": order, "dofs": 1,
+             "lagrangian": f"1/2*q{order}^2 - 1/2*q0^2"}))
+        yield ["simulate", f"order{order}.json", "--init",
+               ",".join(["0.1"] * (2 * order)), "--t-end", "1",
+               *method], None
+    yield ["verify", "u5.json", "--traj", "u5.csv"], None
 
 
 def _line(label, command, work, env, csv=None):
