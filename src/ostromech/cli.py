@@ -96,7 +96,9 @@ def _configure_logging():
 def _jsonable(value):
     """The report fit for json.dumps: every report is built from plain
     Python values, and only a non-finite float, which JSON cannot hold,
-    is replaced, by its text ("nan", "inf" or "-inf")."""
+    is replaced, by its text ("nan", "inf" or "-inf").  It copies the
+    whole report, so :func:`_emit` calls it only for a report that holds
+    such a float."""
     if isinstance(value, dict):
         return {key: _jsonable(item) for key, item in value.items()}
     if isinstance(value, list):
@@ -120,13 +122,20 @@ def _rounded(value):
 
 def _emit(args, report, to_out=True):
     """Print the report as JSON, to --out when given and applicable."""
-    text = json.dumps(_jsonable(report), indent=2 if args.pretty else None)
+    indent = 2 if args.pretty else None
+    try:
+        text = json.dumps(report, indent=indent, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_jsonable(report), indent=indent)
     destination = getattr(args, "out", None) if to_out else None
+    # two writes, not one of text + "\n", which would copy the text
     if destination:
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+        sys.stdout.write("\n")
 
 
 def _load_json(path, what):

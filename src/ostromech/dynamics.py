@@ -121,20 +121,23 @@ def lagrangian_rhs(ds: DerivedSystem, t: float, state) -> np.ndarray:
 # integrators
 # ---------------------------------------------------------------------------
 
-# Runge-Kutta-Fehlberg 4(5) tableau, the rows of A and the b as arrays
+# Runge-Kutta-Fehlberg 4(5) tableau: the stage times c as floats, the
+# lower-triangular A as one array, the fifth-order weights b5 and the
+# error weights b5 - b4 of the embedded fourth-order solution
 _RKF_C = (0.0, 0.25, 3.0 / 8.0, 12.0 / 13.0, 1.0, 0.5)
-_RKF_A = tuple(np.array(row) for row in (
-    (),
-    (0.25,),
-    (3.0 / 32.0, 9.0 / 32.0),
-    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
-    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
-    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
+_RKF_A = np.array((
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.25, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (3.0 / 32.0, 9.0 / 32.0, 0.0, 0.0, 0.0, 0.0),
+    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0, 0.0, 0.0, 0.0),
+    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0, 0.0, 0.0),
+    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0, 0.0),
 ))
 _RKF_B5 = np.array((16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0,
                     -9.0 / 50.0, 2.0 / 55.0))
 _RKF_B4 = np.array((25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0,
                     -0.2, 0.0))
+_RKF_E = _RKF_B5 - _RKF_B4
 
 
 def _run_rk4(f, t0, y0, t_end, step, max_steps):
@@ -172,17 +175,26 @@ def _run_rk4(f, t0, y0, t_end, step, max_steps):
 
 def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, max_steps):
     """Adaptive RKF 4(5) steps from (t0, y0) to t_end.  The stages of a
-    step fill the rows of one array, and each stage input and both
-    solutions are one coefficient row times them (``row @ stages[:s]``),
-    zero coefficients included, so a non-finite stage rejects the step."""
+    step fill the rows of one array, and each stage input, the solution
+    and the error estimate are one coefficient row times them
+    (``hA[s, :s] @ stages[:s]``), zero coefficients included, so a
+    non-finite stage rejects the step.  The error estimate is
+    h (b5 - b4) @ stages, one product, so it carries no cancellation
+    between two O(1) solutions."""
     t = t0
     y = np.array(y0, dtype=float)
     grid = [t]
-    states = [y.copy()]
+    states = [y]
     h = min((t_end - t0) / 100.0, max_step)
     accepted = rejected = 0
     smallest, largest = np.inf, 0.0
     stages = np.empty((6, y.size))
+    scale = np.empty(y.size)
+    # h A is formed in one buffer per step; the views of its rows and of
+    # the stages they weigh are taken once
+    ha = np.empty_like(_RKF_A)
+    weighted = [(ha[s, :s], stages[:s], _RKF_C[s]) for s in range(1, 6)]
+    abs_y = np.abs(y)
     stretch = 1.3
     while t < t_end:
         h = min(h, max_step)
@@ -199,24 +211,34 @@ def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, max_steps):
         if h < 1e-14 * max(1.0, abs(t)):
             raise ConvergenceError(
                 f"adaptive step size underflow at t={t!r}")
+        np.multiply(_RKF_A, h, out=ha)
         try:
             stages[0] = f(t, y)
-            for s in range(1, 6):
-                stages[s] = f(t + _RKF_C[s] * h,
-                              y + h * (_RKF_A[s] @ stages[:s]))
+            for s, (row, prior, c) in enumerate(weighted, start=1):
+                stage_input = row @ prior
+                stage_input += y
+                stages[s] = f(t + c * h, stage_input)
         except SingularHessianError as err:
             err.last_good_time = t
             raise
-        y5 = y + h * (_RKF_B5 @ stages)
-        y4 = y + h * (_RKF_B4 @ stages)
-        err = np.abs(y5 - y4)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        ratio = float(np.max(err / scale))
+        y5 = _RKF_B5 @ stages
+        y5 *= h
+        y5 += y
+        # max |err| / (atol + rtol max(|y|, |y5|)), in place
+        err = _RKF_E @ stages
+        err *= h
+        np.abs(err, out=err)
+        abs_y5 = np.abs(y5)
+        np.maximum(abs_y, abs_y5, out=scale)
+        scale *= rtol
+        scale += atol
+        err /= scale
+        ratio = float(err.max())
         if ratio <= 1.0:
             t = t_end if last else t + h
-            y = y5
+            y, abs_y = y5, abs_y5
             grid.append(t)
-            states.append(y.copy())
+            states.append(y)
             accepted += 1
             smallest, largest = min(smallest, h), max(largest, h)
             stretch = 1.3

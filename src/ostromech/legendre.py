@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -292,9 +293,11 @@ class DerivedSystem:
 
         solve = _top_jet_solver(n) if n <= 3 else None
         sign = -1.0 if k % 2 else 1.0
+        zeros = [0.0] * n
 
         def field(t, y):
-            values = kernel(t, *y[:jets].tolist())
+            ys = y.tolist()
+            values = kernel(t, *ys[:jets])
             try:
                 if not solve or (accel := solve(values, sign)) is None:
                     accel = self._solve_top_jets(
@@ -303,20 +306,17 @@ class DerivedSystem:
             except SingularHessianError as err:
                 err.state = np.array(y)
                 raise
-            ydot = np.empty(len(y))
             # each jet order moves to the next one; the top order of every
-            # dof is then overwritten by its solved value
-            ydot[:jets - 1] = y[1:jets]
-            ydot[2 * k - 1:jets:2 * k] = accel
-            if len(y) == jets:
-                return ydot
-            partials = values[nn + n:]
-            for a in range(n):
-                base, g = jets + a * k, a * k
-                ydot[base] = partials[g]
-                for i in range(1, k):
-                    ydot[base + i] = partials[g + i] - y[base + i - 1]
-            return ydot
+            # dof is then its solved value
+            ydot = ys[1:jets]
+            ydot.append(0.0)
+            ydot[2 * k - 1::2 * k] = accel
+            if len(ys) > jets:
+                # G^i = dL/dq_i - p^{i-1}, with p^{-1} = 0 for every dof
+                lower = ys[jets - 1:-1]
+                lower[::k] = zeros
+                ydot += map(operator.sub, values[nn + n:], lower)
+            return np.array(ydot)
 
         return field
 

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -918,6 +919,35 @@ def test_jsonable_prints_non_finite_floats_as_text():
     assert repr(cli._jsonable(kept)) == repr(kept)
 
 
+@pytest.mark.parametrize("pretty", [False, True])
+def test_emit_copies_only_a_report_with_a_non_finite_float(capsys,
+                                                           monkeypatch,
+                                                           pretty):
+    finite = {"float": 0.1, "zero": -0.0, "int": 3, "none": None,
+              "rows": [[2.5, 1e-300], {"x": 7, "ok": True}], "text": "nan"}
+    non_finite = {"a": [1.0, [math.nan, {"b": math.inf}]],
+                  "c": {"d": [-math.inf, 2.0]}, "e": np.float64("nan")}
+    args = argparse.Namespace(pretty=pretty, out=None)
+    indent = 2 if pretty else None
+    # what _emit printed when it walked every report
+    cases = [(report, json.dumps(cli._jsonable(report), indent=indent) + "\n")
+             for report in (finite, non_finite)]
+    jsonable = cli._jsonable
+    copied = []
+
+    def recording_jsonable(value):
+        copied.append(value)
+        return jsonable(value)
+
+    monkeypatch.setattr(cli, "_jsonable", recording_jsonable)
+    for report, expected in cases:
+        cli._emit(args, report)
+        assert capsys.readouterr().out == expected
+    assert '"nan"' in expected
+    # the finite report, emitted first, was never walked
+    assert copied and copied[0] is non_finite
+
+
 def test_derive_worst_point_is_the_first_nan_condition(tmp_path, capsys):
     # W = (q0+1)^400 - q0^400 is inf or NaN where a power overflows; the
     # first NaN kappa_1 follows finite ones at seed 0, and the worst W is
@@ -1198,8 +1228,8 @@ def test_domain_error_names_its_value_on_a_grid(tmp_path, capsys,
                                 "lagrangian": "1/2*q1^2 + log(q0)"}))
     # verify evaluates on the recorded grid, action-check on the quadrature
     # nodes of the path fitted to it
-    for command, value in (("verify", "-0.028701311694491957"),
-                           ("action-check", "-0.17385753510152202")):
+    for command, value in (("verify", "-0.02870131354713589"),
+                           ("action-check", "-0.17385753510149665")):
         code, out, err = run_cli(capsys, [command, str(spec), "--traj",
                                           "h.csv"])
         assert (code, out, err) == (

@@ -135,8 +135,8 @@ def test_coupled_mass_straight_line_solve_matches_the_inversion(monkeypatch):
     monkeypatch.setattr(om.DerivedSystem, "_solve_top_jets", counting)
 
     # the step cap holds every step at 0.02, so both runs share one grid;
-    # uncapped, the controller turns the last-bit changes of the error
-    # estimate into grid shifts of some 1e-9, and the states follow
+    # uncapped, the last-bit changes of the error estimate still shift the
+    # grid by some 1e-10, and the states follow
     def runs():
         ds = om.derive(om.build_system(doc))
         start = om.UnifiedPoint(init, om.legendre_map(ds, init))
@@ -152,6 +152,41 @@ def test_coupled_mass_straight_line_solve_matches_the_inversion(monkeypatch):
         assert got.grid.tobytes() == want.grid.tobytes()
         assert (np.max(np.abs(got.states - want.states))
                 <= 1e-12 * np.max(np.abs(want.states)))
+
+
+def test_rk45_grid_does_not_follow_the_last_bits(monkeypatch):
+    # uncapped, the step controller reads the error estimate; taken as
+    # |y5 - y4| it carried rounding noise of some 1e-7 relative, and the
+    # two solves of W gave grids 4.1e-9 apart
+    path = Path(__file__).resolve().parent.parent / "demos" / "systems"
+    doc = json.loads((path / "coupled_mass.json").read_text())
+    init = om.JetPoint(0.0, [[0.3, 0.4], [0.5, 0.6], [0.7, 0.8]])
+
+    def runs():
+        ds = om.derive(om.build_system(doc))
+        start = om.UnifiedPoint(init, om.legendre_map(ds, init))
+        return [om.integrate(ds, init, 2.0),
+                om.integrate_unified(ds, start, 2.0)]
+
+    fast = runs()
+    monkeypatch.setattr(legendre, "_top_jet_solver", lambda n: None)
+    for got, want in zip(fast, runs()):
+        assert got.grid.size == want.grid.size
+        assert np.max(np.abs(got.grid - want.grid)) <= 1e-9
+
+
+def test_rkf45_tableau_conditions():
+    # in the stored layout: the rows of A sum to c, both weight vectors
+    # meet the order conditions sum b c^(q-1) = 1/q of their order, and
+    # the error weights b5 - b4 sum to zero
+    a, c = dynamics._RKF_A, np.array(dynamics._RKF_C)
+    b5, b4, e = dynamics._RKF_B5, dynamics._RKF_B4, dynamics._RKF_E
+    assert a.shape == (6, 6) and not np.any(np.triu(a))
+    np.testing.assert_allclose(a.sum(axis=1), c, rtol=0, atol=1e-15)
+    for b, order in ((b4, 4), (b5, 5)):
+        for q in range(1, order + 1):
+            assert b @ c ** (q - 1) == pytest.approx(1.0 / q, rel=1e-14)
+    assert abs(e.sum()) <= 1e-16
 
 
 def test_driven_tracks_exact_solution(driven):
