@@ -384,17 +384,21 @@ def cmd_unified_check(args, ds):
             values[-1] if args.extended else None))
     else:
         box = _parse_domain(args.box) or ex.DEFAULT_SAMPLE_RANGE
-        rng = np.random.default_rng(args.seed)
-        for _ in range(args.random):
-            t = float(rng.uniform(*box))
-            jet = JetPoint(t, rng.uniform(box[0], box[1], size=(n, 2 * k)))
+        # one draw of every point's time and jets, in the order of the
+        # stream that a scalar and an array draw per point would take
+        draws = np.random.default_rng(args.seed).uniform(
+            box[0], box[1], (args.random, 1 + 2 * k * n))
+        for t, row in zip(draws[:, 0].tolist(), draws[:, 1:]):
+            jet = JetPoint(t, row.reshape(n, 2 * k))
             points.append(UnifiedPoint(jet, legendre.legendre_map(ds, jet)))
 
     entries = unified.check_points(ds, points)
+    # the entries hold plain floats, and lists of them or None for fields
     non_finite = [(i, bad) for i, entry in enumerate(entries) if (bad := [
-        name for name in ("hamiltonian", "section_p", "coupling",
-                          "explicit_field", "solved_field")
-        if entry[name] is not None and not np.all(np.isfinite(entry[name]))])]
+        name for name in ("hamiltonian", "section_p", "coupling")
+        if not math.isfinite(entry[name])] + [
+        name for name in ("explicit_field", "solved_field")
+        if not all(map(math.isfinite, entry[name] or ()))])]
     for i, bad in non_finite:
         print(f"warning: point {i} has non-finite {', '.join(bad)}",
               file=sys.stderr)

@@ -324,7 +324,7 @@ def integrate_unified(ds: DerivedSystem, init: UnifiedPoint, t_end: float,
     """
     k, n = ds.k, ds.n
     _check_point(ds, init)
-    _constraint_check(init, legendre_map(ds, init.jet),
+    _constraint_check([init], legendre_map(ds, init.jet)[None],
                       require="initial point")
     grid, states, meta = _integrate(
         ds._field, init.t, init.to_state(), t_end, method, step,

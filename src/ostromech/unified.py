@@ -205,8 +205,7 @@ def omega_r_matrix(ds: DerivedSystem, up: UnifiedPoint) -> TwoFormMatrix:
 
 def constraint_tolerance(up: UnifiedPoint) -> float:
     """Scale-aware tolerance for membership in the constraint manifold."""
-    scale = float(np.max(np.abs(up.momenta))) if up.momenta.size else 0.0
-    return 1e-8 * (1.0 + scale)
+    return float(_constraint_check([up], up.momenta[None])[1][0])
 
 
 def constraint_residuals(ds: DerivedSystem, up: UnifiedPoint):
@@ -218,26 +217,30 @@ def constraint_residuals(ds: DerivedSystem, up: UnifiedPoint):
     length n.  Only the momenta of the Legendre map are evaluated.
     """
     _check_point(ds, up)
-    return _constraint_check(up, legendre_map(ds, up.jet))[0]
+    return list(_constraint_check([up], legendre_map(ds, up.jet)[None])[0][0])
 
 
-def _constraint_check(up, momenta, require=None):
-    """The one membership test of the constraint manifold: the constraint
-    residuals of ``up``, whose jets the Legendre map takes to ``momenta``,
-    the tolerance their worst absolute value is held to and the verdict,
-    on the manifold only when ``worst <= tolerance`` and both are finite.
-    With ``require``, the name of the point in the message, a point off
-    the manifold raises :class:`OffConstraintError`."""
-    levels = up.momenta - momenta
-    residuals = [levels[:, i] for i in range(up.momenta.shape[1] - 1, -1, -1)]
-    worst = float(np.max(np.abs(residuals)))
-    tolerance = constraint_tolerance(up)
-    on = bool(np.isfinite(tolerance) and worst <= tolerance)
-    if require and not on:
+def _constraint_check(points, momenta, require=None):
+    """The one membership test of the constraint manifold, over a stack of
+    points whose jets the Legendre map takes to ``momenta`` (m, n, k): the
+    constraint residuals (m, k, n), level by level, the tolerances
+    1e-8 * (1 + max |p|) their worst absolute values are held to and the
+    verdicts, each point on the manifold only when ``worst <= tolerance``
+    and both are finite, as a list.  With ``require``, the name of the
+    point in the message, a point off the manifold raises
+    :class:`OffConstraintError`."""
+    own = np.array([up.momenta for up in points])
+    residuals = (own - momenta)[:, :, ::-1].transpose(0, 2, 1)
+    worst = np.max(np.abs(residuals), axis=(1, 2), initial=0.0)
+    tolerances = 1e-8 * (1.0 + np.max(np.abs(own), axis=(1, 2), initial=0.0))
+    on = (np.isfinite(tolerances) & (worst <= tolerances)).tolist()
+    if require and not all(on):
+        i = on.index(False)
         raise OffConstraintError(
             f"{require} violates the momentum constraints (residual "
-            f"{worst:.3e} > tolerance {tolerance:.3e})", residuals=residuals)
-    return residuals, tolerance, on
+            f"{worst[i]:.3e} > tolerance {tolerances[i]:.3e})",
+            residuals=list(residuals[i]))
+    return residuals, tolerances, on
 
 
 def explicit_semispray(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
@@ -272,7 +275,7 @@ def solve_unified_vf(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
     point, in which case no numeric answer is produced.
     """
     momenta, _, partials, hessians, reduced, _ = _point_values(ds, [up])
-    _constraint_check(up, momenta[0], require="point")
+    _constraint_check([up], momenta, require="point")
     if _regular_inverse(hessians[0])[0] is None:
         raise SingularHessianError(
             "Hessian is singular, the unified vector field is not "
@@ -378,9 +381,11 @@ def check_points(ds: DerivedSystem, points) -> list:
     :func:`_point_values` evaluates the points one by one, and a singular
     W raises the explicit field's :class:`SingularHessianError`, so every
     point solved here has passed the one regularity test.  The rest is
-    formed once per block of ``_POINT_BLOCK`` points: the two-form
-    matrices, the solved field of the points on the constraint manifold
-    and the contraction of each point's field, solved or else explicit.
+    formed once per block of ``_POINT_BLOCK`` points: the constraint test,
+    the two-form matrices, the solved field of the points on the
+    constraint manifold, the contraction of each point's field, solved or
+    else explicit, the field differences and the couplings; each array
+    becomes plain values with one ``tolist``.
     """
     return [entry for start in range(0, len(points), _POINT_BLOCK)
             for entry in _check_block(ds, points[start:start + _POINT_BLOCK])]
@@ -389,36 +394,45 @@ def check_points(ds: DerivedSystem, points) -> list:
 def _check_block(ds: DerivedSystem, points) -> list:
     momenta, hamiltonians, partials, hessians, reduced, explicit = \
         _point_values(ds, points, explicit=True)
-    checks = [_constraint_check(up, p) for up, p in zip(points, momenta)]
-    on = [i for i, check in enumerate(checks) if check[2]]
+    residuals, tolerances, verdicts = _constraint_check(points, momenta)
+    on = [i for i, verdict in enumerate(verdicts) if verdict]
     omegas = _omegas(ds.k, ds.n, partials)
     solved = dict(zip(on, _solved(ds.k, ds.n, [points[i] for i in on],
                                   hessians[on], reduced[on], omegas[on])))
-    kernels = _contracted(omegas, np.array(
-        [solved[i].components if i in solved else field
-         for i, field in enumerate(explicit)]))
+    fields = explicit.copy()
+    for i, field in solved.items():
+        fields[i] = field.components
+    kernels = _contracted(omegas, fields)
+    differences = dict(zip(on, np.max(np.abs(fields[on] - explicit[on]),
+                                      axis=1).tolist()))
+    hamiltonians = hamiltonians.tolist()
+    # the coupling of each point's own momenta, the points along the last axis
+    own, jets = (np.moveaxis(np.array(stack), 0, -1) for stack in (
+        [up.momenta for up in points], [up.jet.q for up in points]))
+    starts = [-h if up.p_ext is None else up.p_ext
+              for up, h in zip(points, hamiltonians)]
+    couplings = _pairing(own, jets, start=np.array(starts)).tolist()
     entries = []
-    for i, (up, (residuals, tolerance, on_constraint), kernel) in enumerate(
-            zip(points, checks, kernels)):
-        section_p, field = float(-hamiltonians[i]), solved.get(i)
+    for i, (up, levels, tolerance, explicit_field, field_values) in \
+            enumerate(zip(points, residuals.tolist(), tolerances.tolist(),
+                          explicit.tolist(), fields.tolist())):
+        field = solved.get(i)
         entry = {
             "t": up.t,
-            "on_constraint": on_constraint,
-            "constraint_residuals": [level.tolist() for level in residuals],
+            "on_constraint": verdicts[i],
+            "constraint_residuals": levels,
             "constraint_tolerance": tolerance,
-            "hamiltonian": -section_p,
-            "section_p": section_p,
-            "coupling": float(_pairing(up.momenta, up.jet.q, start=(
-                section_p if up.p_ext is None else up.p_ext))),
-            "explicit_field": explicit[i].tolist(),
+            "hamiltonian": hamiltonians[i],
+            "section_p": -hamiltonians[i],
+            "coupling": couplings[i],
+            "explicit_field": explicit_field,
             "solved_field": None,
         }
         if field is not None:
-            entry["solved_field"] = field.components.tolist()
-            entry["max_field_difference"] = float(np.max(np.abs(
-                field.components - explicit[i])))
-        entry["kernel_residual"] = kernel.residual
-        entry["transversality"] = kernel.transversality
+            entry["solved_field"] = field_values
+            entry["max_field_difference"] = differences[i]
+        entry["kernel_residual"] = kernels[i].residual
+        entry["transversality"] = kernels[i].transversality
         if field is not None:
             entry["condition"] = field.condition
         entries.append(entry)

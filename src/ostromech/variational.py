@@ -13,12 +13,14 @@ this agreement can be measured.
 Compactly supported polynomial bumps provide admissible variations whose
 derivatives vanish at the support ends to high order, so boundary terms
 drop from the first variation and stationarity can be probed by finite
-differences of the action alone.  The actions of one such difference share
-one quadrature grid and one set of path and bump derivatives on it.
+differences of the action over the bump's support alone.  The actions of
+one such difference share one quadrature grid and one set of path and bump
+derivatives on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,28 +192,26 @@ class Variation:
 
 
 # ---------------------------------------------------------------------------
-# quadrature: segment nodes -> path jets -> integrand -> Simpson sum
+# quadrature: nodes -> path jets -> integrand -> Simpson sum
 # ---------------------------------------------------------------------------
 
 
-def _segments(interval, cuts, panels):
-    """Simpson nodes and step of each smooth segment of the interval,
-    split at the cuts that lie inside it.
+def _nodes(interval, panels):
+    """Simpson nodes and step of the interval at the panel count.
 
-    Every segment receives the full panel count: variation bumps have
-    derivatives growing like width^-6, so short support segments need
-    the resolution far more than their share of the interval suggests.
+    A bump's support receives the full panel count, as a whole path
+    interval does: variation bumps have derivatives growing like
+    width^-6, so the short support needs the resolution far more than its
+    share of the path's interval suggests.
     """
     if panels < 2:
         raise ValidationError("quad_points must be at least 2")
-    a, b = interval
-    edges = [a] + sorted(p for p in cuts if a < p < b) + [b]
-    return [(np.linspace(lo, hi, 2 * panels + 1), (hi - lo) / (2 * panels))
-            for lo, hi in zip(edges[:-1], edges[1:])]
+    lo, hi = interval
+    return np.linspace(lo, hi, 2 * panels + 1), (hi - lo) / (2 * panels)
 
 
 def _simpson(values, h):
-    """Composite Simpson sum of one segment's node values at step h."""
+    """Composite Simpson sum of node values at step h."""
     weights = np.ones(values.size)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
@@ -261,7 +261,7 @@ def discrete_action(ds: DerivedSystem, path, integrand: str = "lagrangian",
     """
     _check_path(ds, path)
     f, top = _integrand(ds, integrand)
-    (ts, h), = _segments(path.interval, (), quad_points)
+    ts, h = _nodes(path.interval, quad_points)
     return _simpson(f(ds, ts, path.jets(ts, top)), h)
 
 
@@ -284,24 +284,18 @@ def action_derivative(ds: DerivedSystem, path, variation: Variation,
     Central finite difference in the variation scale, 1e-5.  When the two
     one-sided differences disagree by more than 10 percent the result is
     Richardson-extrapolated from a second central difference at half the
-    scale.  All actions of one derivative share one quadrature grid (split
-    at the variation's support ends), so quadrature error cancels in the
-    differences, and one set of path and bump derivatives on it: each
-    action adds its scaled bump jets to the path jets of the variation's
-    dof.  The segments outside the support, where the bump vanishes, are
-    summed once for all the actions.
+    scale.  The bump vanishes outside its support, where the actions of
+    the difference agree exactly, so each action sums the support alone:
+    all of them share one quadrature grid on it, so quadrature error
+    cancels in the differences, and one set of path and bump derivatives
+    on it, each action adding its scaled bump jets to the path jets of
+    the variation's dof.
     """
     _check_path(ds, path)
     _variation_inside(path, variation)
     f, top = _integrand(ds, integrand)
     row = variation.dof - 1
-    # the support lies strictly inside the interval, so the segments are
-    # the one before it, the support and the one after it; the bump
-    # vanishes on the outer two, whose sums then serve every action
-    before, (ts, h), after = _segments(path.interval, variation.support,
-                                       quad_points)
-    outer = [_simpson(f(ds, nodes, path.jets(nodes, top)), step)
-             for nodes, step in (before, after)]
+    ts, h = _nodes(variation.support, quad_points)
     jets, bump = path.jets(ts, top), variation.jets(ts, top)
 
     def action(scale):
@@ -309,10 +303,7 @@ def action_derivative(ds: DerivedSystem, path, variation: Variation,
         if scale:
             varied = jets.copy()
             varied[row] += scale * bump
-        total = 0.0
-        for value in (outer[0], _simpson(f(ds, ts, varied), h), outer[1]):
-            total += value
-        return total
+        return _simpson(f(ds, ts, varied), h)
 
     s_plus = action(_EPSILON)
     s_minus = action(-_EPSILON)
@@ -337,7 +328,7 @@ def first_variation(ds: DerivedSystem, path, variation: Variation,
     """
     _check_path(ds, path)
     _variation_inside(path, variation)
-    (ts, h), = _segments(variation.support, (), quad_points)
+    ts, h = _nodes(variation.support, quad_points)
     el = _values(ds.el[variation.dof - 1], _path_env(path, ts, 2 * ds.k),
                  ts.shape)
     return _simpson(el * variation.derivative_values(ts), h)
@@ -373,9 +364,11 @@ def stationarity_check(ds: DerivedSystem, path, n_variations: int = 20,
                        ) -> StationarityReport:
     """Probe stationarity of the action with seeded random bump variations.
 
-    The path passes when max |dS| <= tol * (1 + |S|) over all drawn
-    variations.  Bump exponents are k + 1 so every variation is admissible
-    for the order of the problem.
+    The path passes when its action S is finite and max |dS| <=
+    tol * (1 + |S|) over all drawn variations; each dS differences the
+    action over its bump's support only, so an overflow outside every
+    support leaves it finite.  Bump exponents are k + 1 so every variation
+    is admissible for the order of the problem.
     """
     _check_path(ds, path)
     if n_variations < 1:
@@ -399,7 +392,8 @@ def stationarity_check(ds: DerivedSystem, path, n_variations: int = 20,
     action = discrete_action(ds, path, "lagrangian", quad_points)
     max_abs = max(abs(d) for d in derivatives)
     return StationarityReport(
-        stationary=max_abs <= tol * (1.0 + abs(action)),
+        stationary=math.isfinite(action)
+        and max_abs <= tol * (1.0 + abs(action)),
         action=action, max_abs_derivative=max_abs, tolerance=tol,
         derivatives=derivatives, variations=variations, seed=seed)
 

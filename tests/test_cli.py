@@ -746,6 +746,26 @@ def test_action_check_overflowing_action_warns_nothing(tmp_path, capsys):
     assert report["stationarity"]["action"] == "inf"
 
 
+def test_action_check_fails_an_action_that_overflows_outside_the_bumps(
+        tmp_path, capsys):
+    # exp(1000 - 1e7*t) overflows only for t below about 2.9e-5, where no
+    # bump of seed 42 reaches: the derivatives, differenced over the
+    # supports, stay finite and small, and the infinite action fails the run
+    spec = _lagrangian_spec(tmp_path, "1/2*q1^2 + exp(1000 - 10000000*t)")
+    pf = tmp_path / "path.json"
+    pf.write_text(json.dumps({"basis": "monomial",
+                              "coefficients": [[0.0, 1.0]],
+                              "interval": [0.0, 1.0]}))
+    code, out, err = run_cli(capsys, ["action-check", spec, "--path", str(pf),
+                                      "--variations", "5"])
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    stationarity = report["stationarity"]
+    assert stationarity["action"] == "inf"
+    assert 0.0 < stationarity["max_abs_derivative"] <= 1e-10
+    assert stationarity["stationary"] is False and report["passed"] is False
+
+
 # -- unified-check ----------------------------------------------------------
 
 
@@ -1227,9 +1247,9 @@ def test_domain_error_names_its_value_on_a_grid(tmp_path, capsys,
     spec.write_text(json.dumps({"name": "logpot", "order": 1, "dofs": 1,
                                 "lagrangian": "1/2*q1^2 + log(q0)"}))
     # verify evaluates on the recorded grid, action-check on the quadrature
-    # nodes of the path fitted to it
+    # nodes of the first bump's support, along the path fitted to the grid
     for command, value in (("verify", "-0.02870131354713589"),
-                           ("action-check", "-0.17385753510149665")):
+                           ("action-check", "-6.922574613577254e-05")):
         code, out, err = run_cli(capsys, [command, str(spec), "--traj",
                                           "h.csv"])
         assert (code, out, err) == (

@@ -672,3 +672,57 @@ def test_unified_check_entries_pinned_bit_for_bit(tmp_path, capsys, name):
     assert [[hex_digest(point["solved_field"]), point["condition"].hex(),
              point["kernel_residual"].hex()] for point in points] == \
         _ENTRY_PINS[name]
+
+
+@pytest.mark.parametrize("name", ["harmonic", "pais_uhlenbeck",
+                                  "coupled_beam"])
+def test_check_points_in_blocks_equal_the_points_one_by_one(name):
+    # 20 points span two blocks of 16; the second holds points on and off
+    # the constraint manifold, one with the extended momentum and one
+    # whose H overflows
+    ds = om.derive(om.build_system(SYSTEM_DOCS[name]))
+    points = on_constraint_points(ds, 17, seed=23)
+    k, n = ds.k, ds.n
+    for i in (2, 16):
+        points[i] = om.UnifiedPoint(points[i].jet, points[i].momenta + 0.5)
+    points.append(om.UnifiedPoint(points[4].jet, points[4].momenta, 0.25))
+    points.append(om.UnifiedPoint.from_state(
+        0.0, [1e200] * (2 * k * n) + [0.0] * (k * n), k, n))
+    points.append(om.UnifiedPoint(points[7].jet, points[7].momenta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        together = unified.check_points(ds, points)
+        alone = [entry for up in points
+                 for entry in unified.check_points(ds, [up])]
+    assert json.dumps(together) == json.dumps(alone)
+    assert [entry["on_constraint"] for entry in together].count(False) >= 2
+    assert not np.isfinite(together[18]["hamiltonian"])
+    assert together[17]["coupling"] != together[4]["coupling"]
+
+
+def test_random_points_are_one_draw_of_the_scalar_and_array_stream(
+        tmp_path, capsys, monkeypatch):
+    # the points of unified-check --random, each once drawn as a scalar
+    # time and an (n, 2k) array of jets
+    ds = om.derive(om.build_system(SYSTEM_DOCS["coupled_beam"]))
+    drawn = []
+    check_points = unified.check_points
+
+    def recording(ds, points):
+        drawn.extend(points)
+        return check_points(ds, points)
+    monkeypatch.setattr(unified, "check_points", recording)
+    for seed, box in ((0, None), (7, "-3,0.5")):
+        drawn.clear()
+        argv = ["unified-check", write_spec(tmp_path, "coupled_beam"),
+                "--random", "5", "--seed", str(seed)]
+        assert cli.main(argv + ([f"--box={box}"] if box else [])) == 0
+        capsys.readouterr()
+        lo, hi = (-2.0, 2.0) if box is None else (-3.0, 0.5)
+        rng = np.random.default_rng(seed)
+        for up in drawn:
+            t = float(rng.uniform(lo, hi))
+            jets = rng.uniform(lo, hi, size=(ds.n, 2 * ds.k))
+            assert up.t == t and up.jet.q.tobytes() == jets.tobytes()
+            assert up.momenta.tobytes() == om.legendre_map(
+                ds, om.JetPoint(t, jets)).tobytes()
+        assert len(drawn) == 5

@@ -146,8 +146,9 @@ _BEAM_BUMP = om.Variation(dof=2, center=0.6, half_width=0.15, exponent=3)
 
 
 def test_action_values_pinned_bit_for_bit(pu, coupled_beam):
-    # values of the quadrature as it was before the path and bump jets were
-    # shared between the actions of one derivative
+    # the quadrature's values; the derivatives difference the actions over
+    # the bump's support alone, where the beam's differs from the sum over
+    # the whole interval (0x1.bce5415605fffp-10) in rounding only
     for integrand in ("lagrangian", "cartan"):
         assert om.discrete_action(pu, _PU_OFF, integrand).hex() == \
             "0x1.41b2f769cf0dap-2"
@@ -156,7 +157,7 @@ def test_action_values_pinned_bit_for_bit(pu, coupled_beam):
             "-0x1.e17cb27473e1fp-1"
         assert om.action_derivative(coupled_beam, _BEAM_PATH, _BEAM_BUMP,
                                     integrand=integrand).hex() == \
-            "0x1.bce5415605fffp-10"
+            "0x1.bce54199297ffp-10"
     assert om.first_variation(pu, _PU_OFF, _PU_BUMP).hex() == \
         "-0x1.e17cb275990aep-1"
     assert om.first_variation(coupled_beam, _BEAM_PATH, _BEAM_BUMP).hex() \
@@ -195,11 +196,10 @@ def test_variation_and_path_values_pinned_bit_for_bit():
 def test_action_derivative_evaluates_each_jet_once(pu, coupled_beam,
                                                    monkeypatch, integrand,
                                                    case, actions):
-    # 3 segments (split at the support ends): the path's jets of orders
-    # 0 .. top once on each, the bump's once on the support, the two outer
-    # segments summed once, and the support once per action, however many
-    # actions the difference takes: 3 for a central difference, 5 when it
-    # is Richardson-extrapolated
+    # the support alone: the path's jets of orders 0 .. top once on it, the
+    # bump's once, and one sum per action, however many actions the
+    # difference takes: 3 for a central difference, 5 when it is
+    # Richardson-extrapolated
     ds, path, bump = ((pu, _PU_OFF, _PU_BUMP) if case == "pu"
                       else (coupled_beam, _BEAM_PATH, _BEAM_BUMP))
     top = ds.k if integrand == "lagrangian" else 2 * ds.k - 1
@@ -219,8 +219,52 @@ def test_action_derivative_evaluates_each_jet_once(pu, coupled_beam,
         return simpson(*args)
     monkeypatch.setattr(om.variational, "_simpson", counted_simpson)
     om.action_derivative(ds, path, bump, integrand=integrand)
-    assert counts == {"PathRepresentation": 3, "Variation": 1,
-                      "_simpson": 2 + actions}
+    assert counts == {"PathRepresentation": 1, "Variation": 1,
+                      "_simpson": actions}
+
+
+def _whole_interval_derivative(ds, path, variation, integrand):
+    """The derivative with each action summed over the whole interval: the
+    segment before the support, the support and the segment after it."""
+    f, top = variational._integrand(ds, integrand)
+    edges = [path.interval[0], *variation.support, path.interval[1]]
+    segments = [variational._nodes(ends, 512)
+                for ends in zip(edges[:-1], edges[1:])]
+    jets = [path.jets(ts, top) for ts, _ in segments]
+    bump = variation.jets(segments[1][0], top)
+
+    def action(scale):
+        varied = jets[1].copy()
+        varied[variation.dof - 1] += scale * bump
+        total = 0.0
+        for (ts, h), values in zip(segments, (jets[0], varied, jets[2])):
+            total += variational._simpson(f(ds, ts, values), h)
+        return total
+
+    eps = variational._EPSILON
+    s_plus, s_minus, s_zero = action(eps), action(-eps), action(0.0)
+    central = (s_plus - s_minus) / (2.0 * eps)
+    d_plus, d_minus = (s_plus - s_zero) / eps, (s_zero - s_minus) / eps
+    if abs(d_plus - d_minus) > 0.1 * max(abs(d_plus), abs(d_minus)):
+        half = (action(0.5 * eps) - action(-0.5 * eps)) / eps
+        return (4.0 * half - central) / 3.0
+    return central
+
+
+@pytest.mark.parametrize("integrand", ["lagrangian", "cartan"])
+@pytest.mark.parametrize("case", ["pu", "beam"])
+def test_support_derivative_matches_the_whole_interval(pu, coupled_beam,
+                                                       integrand, case):
+    # the PU case takes the central difference, the beam case Richardson's
+    ds, path, bump = ((pu, _PU_OFF, _PU_BUMP) if case == "pu"
+                      else (coupled_beam, _BEAM_PATH, _BEAM_BUMP))
+    action = om.discrete_action(ds, path, integrand)
+    got = om.action_derivative(ds, path, bump, integrand=integrand)
+    want = _whole_interval_derivative(ds, path, bump, integrand)
+    assert abs(got - want) <= 1e-9 * (1.0 + abs(action))
+    # the bits the whole-interval sums gave before the re-pin above
+    assert want.hex() == ("-0x1.e17cb27473e1fp-1" if case == "pu"
+                          else "0x1.bce5415605fffp-10")
 
 
 def test_action_derivative_validation(free_particle):
