@@ -51,7 +51,7 @@ _DEFAULT_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states on a strictly increasing time grid.
+    """Sampled states on a finite, strictly increasing time grid.
 
     ``layout`` is ``"jet"`` (states are flattened jets) or ``"unified"``
     (momenta appended).  ``meta`` records the integrator, its tolerances
@@ -73,8 +73,10 @@ class Trajectory:
         states = _readonly(self.states)
         if grid.ndim != 1 or states.ndim != 2 or states.shape[0] != grid.size:
             raise DimensionError("trajectory needs matching grid and state rows")
-        if grid.size < 2 or np.any(np.diff(grid) <= 0):
-            raise ValidationError("trajectory grid must be strictly increasing")
+        if (grid.size < 2 or not np.isfinite(grid).all()
+                or np.any(np.diff(grid) <= 0)):
+            raise ValidationError(
+                "trajectory grid must be finite and strictly increasing")
         expected = {"jet": 2 * self.k * self.n,
                     "unified": 3 * self.k * self.n}.get(self.layout)
         if expected is None:
@@ -552,7 +554,7 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
         lower = np.concatenate([np.zeros_like(momenta[:, :1]),
                                 momenta[:, :-1]], axis=1)
         momenta_residual = float(np.max(np.abs(
-            pdots - (partials[:, :k] - lower))))
+            pdots - (partials - lower))))
         # Hamilton form: dp^i/dt + dH/dq_i = 0 and dq_i/dt - dH/dp^i = 0
         zero = ex.Const(0.0)
         dh_dq, dh_dp = _values(

@@ -75,7 +75,8 @@ class SingularHessianError(OstromechError):
 
 
 class ConvergenceError(OstromechError):
-    """An iterative solve failed to reach the requested residual."""
+    """The adaptive integrator cannot go on: its step size underflows, or
+    it exceeds its step limit."""
 
 
 class OffConstraintError(OstromechError):

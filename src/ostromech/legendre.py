@@ -50,47 +50,10 @@ def _dt(expr, max_order):
     return ex.simplify(ex.total_derivative(expr, max_order))
 
 
-def _partial_chains(sys: SystemModel):
-    """Each partial of L and its total derivatives, derived once: the
-    table ``chains[a][j] = [dL/dq_j, D dL/dq_j, ..., D^j dL/dq_j]`` of dof
-    a+1, j = 0 .. k, with entry 0 the unsimplified partial."""
-    k = sys.k
-    chains = []
-    for a in range(1, sys.n + 1):
-        per_dof = []
-        for j in range(k + 1):
-            chain = [ex.diff(sys.lagrangian, ex.jet(a, j))]
-            for _ in range(j):
-                chain.append(_dt(chain[-1], 2 * k))
-            per_dof.append(chain)
-        chains.append(per_dof)
-    return chains
-
-
 def _alternating_sum(terms):
     """simplify(t_0 - t_1 + t_2 - ...)."""
     return ex.simplify(ex._add(*(ex.Neg(term) if i % 2 else term
                                  for i, term in enumerate(terms))))
-
-
-def _momenta(chains, k):
-    # level r-1 of dof a: sum_i (-1)^i D^i dL/dq_{r+i}
-    return [[_alternating_sum([per_dof[r + i][i] for i in range(k - r + 1)])
-             for r in range(1, k + 1)]
-            for per_dof in chains]
-
-
-def _euler_lagrange(chains):
-    # el of dof a: sum_i (-1)^i D^i dL/dq_i
-    return [_alternating_sum([chain[-1] for chain in per_dof])
-            for per_dof in chains]
-
-
-def _hessian(firsts, k):
-    # W_ab from the unsimplified firsts[a] = dL/dq_k^(a+1)
-    return [[ex.simplify(ex.diff(first, ex.jet(b, k)))
-             for b in range(1, len(firsts) + 1)]
-            for first in firsts]
 
 
 def momentum_exprs(sys: SystemModel):
@@ -150,41 +113,74 @@ def hessian_det_expr(sys: SystemModel | DerivedSystem) -> ex.Expression:
 class DerivedSystem:
     """A system model together with everything derived from its Lagrangian.
 
-    Exposes the momenta, Euler-Lagrange expressions, Hessian and the
-    unified Hamiltonian ``hamiltonian``, derived when the system is built.
-    Three families that only the unified checks, the integrators and the
-    action read are derived on first read and then kept:
-    ``lagrangian_partials``, the partials of L with respect to the jet
-    orders 0 .. k; ``hamiltonian_partials``, the partials of H; and
-    ``el_reduced``, the Euler-Lagrange expressions with the q_{2k} terms
-    deleted (the affine remainder used when solving for accelerations).
-    So is ``_field``, the unified vector field.  No other code derives
-    from L or keeps what it derives.
+    Each family is derived on first read and then kept, so a command
+    derives only what it reads: ``momenta``, ``el``, ``hessian``, the
+    unified Hamiltonian ``hamiltonian``, ``lagrangian_partials`` (the
+    partials of L with respect to the jet orders 0 .. k-1),
+    ``hamiltonian_partials``, ``el_reduced`` (el with the q_{2k} terms
+    deleted, the affine remainder of the acceleration solve) and
+    ``_field``, the unified vector field.  The momenta and ``el`` share
+    each total derivative of a partial of L.  No other code derives from L
+    or keeps what it derives.
     """
 
     def __init__(self, model: SystemModel):
         self.model = model
-        k, n = model.k, model.n
-        chains = _partial_chains(model)
-        self.momenta = _momenta(chains, k)
-        self.el = _euler_lagrange(chains)
-        # the unsimplified dL/dq_i for i = 0 .. k, per dof
-        self._firsts = [[chain[0] for chain in per_dof] for per_dof in chains]
-        self.hessian = _hessian([firsts[k] for firsts in self._firsts], k)
-
-        # H = -L + sum_{a,i} p_a^i q_{i+1}^a on the unified space
-        coupling_terms = [
-            ex.Product(ex.Variable(ex.momentum(a, i)),
-                       ex.Variable(ex.jet(a, i + 1)))
-            for a in range(1, n + 1) for i in range(k)]
-        self.hamiltonian = ex.simplify(
-            ex._add(ex.Neg(model.lagrangian), *coupling_terms))
         self._kernels = {}
 
     @functools.cached_property
+    def _firsts(self):
+        """The unsimplified dL/dq_j for j = 0 .. k, per dof."""
+        return [[ex.diff(self.model.lagrangian, ex.jet(a, j))
+                 for j in range(self.k + 1)]
+                for a in range(1, self.n + 1)]
+
+    @functools.cached_property
+    def _chains(self):
+        """``_chains[a][j] = [dL/dq_j, D dL/dq_j, ..., D^{j-1} dL/dq_j]``
+        of dof a+1, j = 0 .. k, with entry 0 the unsimplified partial: the
+        total derivatives that the momenta read."""
+        k = self.k
+        return [[list(itertools.accumulate(
+            range(j - 1), lambda d, _: _dt(d, 2 * k), initial=first))
+            for j, first in enumerate(firsts)] for firsts in self._firsts]
+
+    @functools.cached_property
+    def momenta(self):
+        """Level r-1 of dof a: sum_i (-1)^i D^i dL/dq_{r+i}, [dof][level]."""
+        k = self.k
+        return [[_alternating_sum([per_dof[r + i][i]
+                                   for i in range(k - r + 1)])
+                 for r in range(1, k + 1)]
+                for per_dof in self._chains]
+
+    @functools.cached_property
+    def el(self):
+        """el_a = sum_j (-1)^j D^j dL/dq_j: each chain plus one link."""
+        return [_alternating_sum([per_dof[0][0]] + [
+            _dt(chain[-1], 2 * self.k) for chain in per_dof[1:]])
+            for per_dof in self._chains]
+
+    @functools.cached_property
+    def hessian(self):
+        """W_ab = d^2 L / dq_k^b dq_k^a."""
+        k = self.k
+        return [[ex.simplify(ex.diff(firsts[k], ex.jet(b, k)))
+                 for b in range(1, self.n + 1)]
+                for firsts in self._firsts]
+
+    @functools.cached_property
+    def hamiltonian(self):
+        """H = -L + sum_{a,i} p_a^i q_{i+1}^a on the unified space."""
+        return ex.simplify(ex._add(ex.Neg(self.model.lagrangian), *(
+            ex.Product(ex.Variable(ex.momentum(a, i)),
+                       ex.Variable(ex.jet(a, i + 1)))
+            for a in range(1, self.n + 1) for i in range(self.k))))
+
+    @functools.cached_property
     def lagrangian_partials(self):
-        """dL/dq_i for i = 0 .. k, per dof."""
-        return [[ex.simplify(first) for first in firsts]
+        """dL/dq_i for i = 0 .. k-1, per dof: no reader takes dL/dq_k."""
+        return [[ex.simplify(first) for first in firsts[:self.k]]
                 for firsts in self._firsts]
 
     @functools.cached_property
@@ -287,7 +283,7 @@ class DerivedSystem:
         k, n = self.k, self.n
         jets, nn = 2 * k * n, n * n
         exprs = ([w for row in self.hessian for w in row] + self.el_reduced
-                 + [g for row in self.lagrangian_partials for g in row[:k]])
+                 + [g for row in self.lagrangian_partials for g in row])
         kernel = self._kernel("field", lambda: exprs,
                               _coordinates(n, 2 * k, 0))
 

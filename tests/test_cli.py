@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 import ostromech as om
-from ostromech import cli
+from ostromech import cli, legendre
+from ostromech import expressions as ex
 
 from conftest import NL3_LIKE, SYSTEM_DOCS, chain_doc, write_spec
 
@@ -567,14 +569,17 @@ def test_verify_flags_corruption(tmp_path, capsys):
     assert "el_residual" in verdict["failed_checks"]
 
 
-def nan_velocity_csv(tmp_path, capsys, spec):
-    """A harmonic rk45 trajectory with one q_1_1 cell set to NaN."""
+def nan_velocity_csv(tmp_path, capsys, spec, column="q_1_1", value="nan",
+                     row=None):
+    """A harmonic rk45 trajectory with one cell of ``column`` set to
+    ``value``: that of row ``row``, or of the middle row."""
     csv = tmp_path / "h.csv"
     run_json(capsys, ["simulate", spec, "--init", "1,0", "--t-end", "1",
                       "--out", str(csv)])
     lines = csv.read_text().splitlines()
     rows = [line.split(",") for line in lines[1:]]
-    rows[len(rows) // 2][lines[0].split(",").index("q_1_1")] = "nan"
+    rows[len(rows) // 2 if row is None else row][
+        lines[0].split(",").index(column)] = value
     csv.write_text("\n".join([lines[0]] + [",".join(row) for row in rows])
                    + "\n")
     return str(csv)
@@ -588,6 +593,19 @@ def test_verify_fails_a_nan_cell(tmp_path, capsys):
     assert code == 1 and verdict["passed"] is False
     assert verdict["report"]["el_residual"] == "nan"
     assert "el_residual" in verdict["failed_checks"]
+
+
+@pytest.mark.parametrize("value, row", [("nan", None), ("inf", -1),
+                                        ("-inf", 0)])
+@pytest.mark.parametrize("command", ["verify", "action-check"])
+def test_non_finite_time_cell_is_a_usage_error(tmp_path, capsys, command,
+                                               value, row):
+    spec = str(DEMOS / "harmonic.json")
+    csv = nan_velocity_csv(tmp_path, capsys, spec, "t", value, row)
+    code, out, err = run_cli(capsys, [command, spec, "--traj", csv])
+    assert (code, out) == (2, "")
+    assert err == ("error: trajectory grid must be finite and strictly "
+                   "increasing\n")
 
 
 def test_verify_malformed_csv(tmp_path, capsys):
@@ -850,6 +868,52 @@ def test_unified_check_wrong_point_length(tmp_path, capsys):
 
 
 # -- cross-cutting ----------------------------------------------------------
+
+
+def test_each_command_derives_only_the_families_it_reads(tmp_path, capsys,
+                                                         monkeypatch):
+    """Each family of the DerivedSystem a command builds is derived on
+    first read, and each total derivative of a partial of L once: the
+    momenta take n k(k-1)/2 of them, and el n k more."""
+    spec = tmp_path / "nl3.json"
+    spec.write_text(json.dumps(NL3_LIKE))
+    spec, csv = str(spec), str(tmp_path / "nl3.csv")
+    run_json(capsys, ["simulate", spec, "--init", ",".join(["0.1"] * 18),
+                      "--t-end", "0.2", "--out", csv])
+    systems, calls = [], []
+    derive, total_derivative = legendre.derive, ex.total_derivative
+
+    def capturing(model):
+        systems.append(derive(model))
+        return systems[-1]
+
+    def counted(*args):
+        calls.append(args)
+        return total_derivative(*args)
+
+    monkeypatch.setattr(legendre, "derive", capturing)
+    monkeypatch.setattr(ex, "total_derivative", counted)
+    n, k = 3, 3
+    families = {
+        name for name, member in vars(legendre.DerivedSystem).items()
+        if isinstance(member, functools.cached_property)}
+    for argv, derivatives in (
+            (["verify", spec, "--traj", csv], n * k * (k - 1) // 2),
+            (["action-check", spec, "--traj", csv, "--variations", "2"],
+             n * k * (k - 1) // 2),
+            (["unified-check", spec, "--random", "2"], n * k * (k + 1) // 2),
+            (["derive", spec, "--samples", "2"], n * k * (k + 1) // 2)):
+        systems.clear()
+        calls.clear()
+        assert run_cli(capsys, argv)[0] in (0, 1), argv[0]
+        derived = set(vars(systems[0])) & families
+        if argv[0] in ("verify", "action-check"):
+            assert not derived & {"el", "hessian"}, argv[0]
+        elif argv[0] == "derive":
+            assert {"momenta", "el", "hessian", "hamiltonian"} <= derived
+        else:
+            assert derived == families
+        assert len(calls) == derivatives, argv[0]
 
 
 def test_outputs_byte_identical_across_runs(tmp_path, capsys):

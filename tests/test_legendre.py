@@ -132,8 +132,10 @@ def test_hessian_det_expr_equals_numeric_det(n, kind):
 def test_hessian_det_expr_cost_is_subset_bounded(monkeypatch):
     """The memoized row expansion of a dense 6 x 6 W forms at most
     6 * 2^5 = 192 products (Leibniz: 720 of six factors each) and never
-    re-simplifies a minor."""
+    re-simplifies a minor; W is read first, since it is derived on first
+    read."""
     ds = om.derive(om.build_system(chain_doc(6)))
+    ds.hessian
     calls = {"product": 0, "simplify": 0}
 
     def counted(name, function):
@@ -155,8 +157,9 @@ def test_hessian_det_expr_cost_is_subset_bounded(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_derive_takes_each_total_derivative_once(k, monkeypatch):
-    """derive differentiates each dL/dq_j along its chain once: per dof
-    D^i dL/dq_j for 1 <= i <= j <= k, so n k(k+1)/2 total derivatives."""
+    """Reading the families differentiates each dL/dq_j along its chain
+    once: per dof D^i dL/dq_j for 1 <= i <= j <= k, so n k(k+1)/2 total
+    derivatives, of which the momenta read n k(k-1)/2."""
     n = 2
     terms = [f"1/2*q{k}_{a}^2" for a in (1, 2)]
     terms += [f"q{i}_1*q{i + 1}_2" for i in range(k)]
@@ -171,6 +174,7 @@ def test_derive_takes_each_total_derivative_once(k, monkeypatch):
 
     monkeypatch.setattr(ex, "total_derivative", counted)
     ds = legendre.derive(model)
+    ds.momenta, ds.el, ds.hessian
     assert len(calls) == n * k * (k + 1) // 2
     monkeypatch.undo()
     assert ds.momenta == legendre.momentum_exprs(model)
@@ -339,7 +343,8 @@ def test_stacked_sweep_is_the_sample_by_sample_sweep(doc, domain, samples,
 
 def test_unified_families_are_derived_on_first_read(pu):
     ds = om.derive(pu.model)
-    lazy = ("lagrangian_partials", "hamiltonian_partials", "el_reduced")
+    lazy = ("momenta", "el", "hessian", "hamiltonian", "lagrangian_partials",
+            "hamiltonian_partials", "el_reduced")
     assert not set(lazy) & set(vars(ds))
     for name in lazy:
         assert getattr(ds, name) == getattr(pu, name)
@@ -452,10 +457,11 @@ def test_rank_deficient_hessian_refused_by_dynamics():
 
 
 def test_hessian_det_expr_reuses_derived_hessian(pu, monkeypatch):
-    # a DerivedSystem input derives nothing again
+    # a DerivedSystem input whose W has been read derives nothing again
     expected = om.to_text(om.hessian_det_expr(pu.model))
-    monkeypatch.setattr(legendre, "_partial_chains", None)
-    monkeypatch.setattr(legendre, "_hessian", None)
+    pu.hessian
+    for name in ("diff", "total_derivative", "simplify"):
+        monkeypatch.setattr(ex, name, None)
     assert om.to_text(om.hessian_det_expr(pu)) == expected
 
 

@@ -368,6 +368,18 @@ def _later_runs(work: Path):
                ",".join(["0.1"] * (2 * order)), "--t-end", "1",
                *method], None
     yield ["verify", "u5.json", "--traj", "u5.csv"], None
+    # a time cell of nan (mid-grid) or inf (the last row) is no grid: a
+    # usage error of verify and of action-check
+    lines = (work / "harmonic_rk45.csv").read_text().splitlines()
+    for what, row in (("nan", len(lines) // 2), ("inf", len(lines) - 1)):
+        cells = lines[row].split(",")
+        cells[0] = what
+        (work / f"harmonic_t_{what}.csv").write_text("\n".join(
+            lines[:row] + [",".join(cells)] + lines[row + 1:]) + "\n")
+        yield ["verify", "harmonic.json", "--traj",
+               f"harmonic_t_{what}.csv"], None
+        yield ["action-check", "harmonic.json", "--traj",
+               f"harmonic_t_{what}.csv", "--variations", "5"], None
 
 
 def _line(label, command, work, env, csv=None):

@@ -8,13 +8,20 @@ command.  This script starts one worker process per checkout.  The worker
 imports the checkout's ``src`` and its ``bench/workloads.py`` without
 writing bytecode, sets the workload up in a temporary directory and runs
 one untimed pass; then it runs one pass per request, timing each command
-of ``cli.main`` in-process.  The two workers take turns pass by pass, so a
-change of the machine's speed reaches both alike.  The table gives each
-command's minimum time over ``--rounds`` passes in ms, the ratio NEW / OLD
-and, last, the sums of those minima.
+of ``cli.main`` in-process.  The two workers take turns pass by pass, and
+which of them goes first alternates from round to round, so a change of
+the machine's speed reaches both alike.  The table gives each command's
+minimum time over ``--rounds`` passes in ms, the ratio NEW / OLD and,
+last, the sums of those minima.
+
+Each worker also hashes the exit code and stdout of every command of its
+untimed pass, with its temporary directory's path taken out.  Below the
+table the script names each command whose output differs between the
+checkouts, and then exits 1; so a change meant to keep its output gets a
+byte-identity check next to its timing.
 
 Only the workloads that run the command line (verify, derive) have
-commands; the workers check no output.
+commands.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ sys.dont_write_bytecode = True
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import subprocess  # noqa: E402
@@ -34,9 +42,9 @@ from pathlib import Path  # noqa: E402
 
 
 def worker(checkout, workload, seed):
-    """Set the workload up, print its command keys, then answer each line
-    of stdin with one JSON line of the seconds each command of one pass
-    took."""
+    """Set the workload up, print the hash of each command's output in one
+    untimed pass, then answer each line of stdin with one JSON line of the
+    seconds each command of one pass took."""
     root = Path(checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import ostromech
@@ -49,18 +57,20 @@ def worker(checkout, workload, seed):
             raise SystemExit(f"workload {workload} runs no commands")
 
         def one_pass():
-            times = {}
+            times, outputs = {}, {}
             for key, argv in commands.items():
                 with contextlib.redirect_stderr(io.StringIO()):
                     start = time.perf_counter()
-                    workloads.capture_cli(bench.cli.main, argv)
+                    code, out = workloads.capture_cli(bench.cli.main, argv)
                     times[key] = time.perf_counter() - start
-            return times
+                outputs[key] = hashlib.sha256(
+                    f"{code}\n{out.replace(workdir, '')}".encode()
+                ).hexdigest()
+            return times, outputs
 
-        one_pass()
-        print(json.dumps(list(commands)), flush=True)
+        print(json.dumps(one_pass()[1]), flush=True)
         for _ in sys.stdin:
-            print(json.dumps(one_pass()), flush=True)
+            print(json.dumps(one_pass()[0]), flush=True)
 
 
 def main(argv=None):
@@ -84,10 +94,12 @@ def main(argv=None):
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         for checkout in (args.old, args.new)]
     try:
-        keys = [json.loads(proc.stdout.readline()) for proc in procs][0]
+        outputs = [json.loads(proc.stdout.readline()) for proc in procs]
+        keys = list(outputs[0])
         best = [dict.fromkeys(keys, float("inf")) for _ in procs]
-        for _ in range(args.rounds):
-            for proc, mins in zip(procs, best):
+        turns = list(zip(procs, best))
+        for round_ in range(args.rounds):
+            for proc, mins in turns[::-1] if round_ % 2 else turns:
                 proc.stdin.write("pass\n")
                 proc.stdin.flush()
                 for key, seconds in json.loads(proc.stdout.readline()).items():
@@ -104,7 +116,10 @@ def main(argv=None):
                     for mins in best)
         print(f"{key:<{width}}  {old * 1e3:8.2f}  {new * 1e3:8.2f}  "
               f"{new / old:7.3f}")
-    return 0
+    differ = [key for key in keys if outputs[0][key] != outputs[1].get(key)]
+    for key in differ:
+        print(f"output differs: {key}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
