@@ -411,8 +411,8 @@ def cmd_unified_check(args, ds):
         "system": ds.model.name,
         "n_points": len(entries),
         "all_on_constraint": on_constraint,
-        "max_field_difference": max(diffs) if diffs else None,
-        "max_kernel_residual": max(kernels) if kernels else None,
+        "max_field_difference": float(np.max(diffs)) if diffs else None,
+        "max_kernel_residual": float(np.max(kernels)) if kernels else None,
         "points": entries,
     }
     if args.random:

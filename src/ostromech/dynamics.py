@@ -326,14 +326,18 @@ def integrate_unified(ds: DerivedSystem, init: UnifiedPoint, t_end: float,
     """
     k, n = ds.k, ds.n
     _check_point(ds, init)
-    _constraint_check([init], legendre_map(ds, init.jet)[None],
+    _constraint_check(init.momenta[None], legendre_map(ds, init.jet)[None],
                       require="initial point")
     grid, states, meta = _integrate(
         ds._field, init.t, init.to_state(), t_end, method, step,
         rtol, atol, max_step, max_steps)
     traj = Trajectory(grid, states, "unified", k, n, meta)
 
-    drift = float(np.max(np.abs(_constraint_series(ds, traj))))
+    # the constraint residuals of the grid points, stacked points first
+    _, own, env = _grid_bindings(traj)
+    drift = float(np.max(np.abs(_constraint_check(
+        np.moveaxis(own, -1, 0),
+        np.moveaxis(_values(ds.momenta, env, grid.shape), -1, 0))[0])))
     meta["max_constraint_residual"] = drift
     threshold = 10.0 * meta["tolerance"]
     meta["constraint_drift_warning"] = not drift <= threshold
@@ -349,11 +353,10 @@ def integrate_unified(ds: DerivedSystem, init: UnifiedPoint, t_end: float,
 # ---------------------------------------------------------------------------
 
 
-def _energy(ds, env, jets):
-    """E = sum p_A^i q_{i+1}^A - L with the momenta of the Legendre map,
-    at a point or over a grid."""
-    return (_pairing(_values(ds.momenta, env, jets.shape[2:]), jets)
-            - ds.lagrangian_value(env))
+def _energy(ds, env, jets, momenta):
+    """E = sum p_A^i q_{i+1}^A - L with ``momenta`` the values of
+    ``ds.momenta`` under ``env``, at a point or over a grid."""
+    return _pairing(momenta, jets) - ds.lagrangian_value(env)
 
 
 def ostrogradsky_energy(ds: DerivedSystem, jp: JetPoint) -> float:
@@ -361,7 +364,8 @@ def ostrogradsky_energy(ds: DerivedSystem, jp: JetPoint) -> float:
     if jp.n != ds.n or jp.orders < 2 * ds.k:
         raise DimensionError(f"jet point must carry {ds.n} dofs and orders "
                              f"up to {2 * ds.k - 1}")
-    return float(_energy(ds, jet_bindings(jp), jp.q))
+    env = jet_bindings(jp)
+    return float(_energy(ds, env, jp.q, _values(ds.momenta, env)))
 
 
 def _grid_bindings(traj):
@@ -374,14 +378,7 @@ def _grid_bindings(traj):
 def energy_series(ds: DerivedSystem, traj: Trajectory) -> np.ndarray:
     """Ostrogradsky energy at every grid point (via the Legendre map)."""
     jets, _, env = _grid_bindings(traj)
-    return _energy(ds, env, jets)
-
-
-def _constraint_series(ds, traj):
-    """Constraint residuals p - (closed-form momenta) along a trajectory,
-    indexed [dof, level, grid point]."""
-    _, momenta, env = _grid_bindings(traj)
-    return momenta - _values(ds.momenta, env, traj.grid.shape)
+    return _energy(ds, env, jets, _values(ds.momenta, env, traj.grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +508,11 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
     tol = tolerance if tolerance is not None else traj.meta.get("tolerance")
 
     # one first-order difference of the closed-form p^0, of every jet and
-    # of the recorded momenta (none in the jet layout)
-    p0 = _values([per_dof[0] for per_dof in ds.momenta], env, grid.shape)
+    # of the recorded momenta (none in the jet layout); the energy reads
+    # the same closed-form momenta
+    closed = _values(ds.momenta, env, grid.shape)
     rates = fd_derivative(grid, np.concatenate(
-        [p0[:, None], jets, momenta], axis=1))
+        [closed[:, :1], jets, momenta], axis=1))
 
     # Euler-Lagrange defect in the form dp^0/dt = dL/dq_0; one maximum
     # over every dof, so a NaN residual is not dropped
@@ -544,7 +542,7 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
 
     energy_drift = None
     if ds.model.autonomous:
-        energies = energy_series(ds, traj)
+        energies = _energy(ds, env, jets, closed)
         energy_drift = float(np.max(np.abs(energies - energies[0])))
 
     momenta_residual = hq_residual = hp_residual = None

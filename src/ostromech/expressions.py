@@ -1097,10 +1097,11 @@ def equivalent_numeric(e1: Expression, e2: Expression, domain=None,
                        seed: int = 0) -> EquivalenceResult:
     """Compare two expressions numerically on seeded random samples.
 
-    The test at each sampled point is
-    ``|v1 - v2| <= tol * (1 + max(|v1|, |v2|))``.  Sampling is deterministic
-    for a given seed.  Domain errors at a sample point propagate to the
-    caller rather than being swallowed.
+    Two values agree at a sampled point when equal, infinities included,
+    or finite with ``|v1 - v2| <= tol * (1 + max(|v1|, |v2|))``; else a
+    NaN or an infinity gives deviation NaN, and the first such sample is
+    the worst.  Sampling is deterministic for a given seed.  Domain errors
+    at a sample point propagate to the caller rather than being swallowed.
     """
     rng = np.random.default_rng(seed)
     variables = e1.free_vars() | e2.free_vars()
@@ -1110,12 +1111,16 @@ def equivalent_numeric(e1: Expression, e2: Expression, domain=None,
         point = sample_point(variables, rng, domain)
         v1 = e1.evaluate(point)
         v2 = e2.evaluate(point)
-        defect = abs(v1 - v2)
-        scaled = defect / (1.0 + max(abs(v1), abs(v2)))
-        if scaled > worst[0]:
+        if v1 == v2:
+            scaled = 0.0
+        elif math.isfinite(v1) and math.isfinite(v2):
+            defect = abs(v1 - v2)
+            scaled = defect / (1.0 + max(abs(v1), abs(v2)))
+            ok = ok and not defect > tol * (1.0 + max(abs(v1), abs(v2)))
+        else:
+            scaled, ok = math.nan, False
+        if not (math.isnan(worst[0]) or scaled <= worst[0]):
             worst = (scaled, point, (v1, v2))
-        if defect > tol * (1.0 + max(abs(v1), abs(v2))):
-            ok = False
     return EquivalenceResult(
         equivalent=ok,
         max_deviation=max(worst[0], 0.0),

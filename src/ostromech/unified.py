@@ -94,19 +94,18 @@ def _point_family(ds: DerivedSystem):
 def _point_values(ds: DerivedSystem, points, explicit=False):
     """The values of :func:`_point_family` at matching points, stacked
     and sliced: the momenta (m, n, k), H (m,), the partials of H
-    (m, 3kn + 1), W (m, n, n) and ``el_reduced`` (m, n), then, with
-    ``explicit``, the explicit fields (m, 3kn + 1), else None.  Point by
-    point, in order, each point is checked, flattened once and evaluated
-    once by the point kernel, which is built before the field kernel, and
-    with ``explicit`` by the field, so the first point that fails raises
-    its error."""
+    (m, 3kn + 1), W (m, n, n) and ``el_reduced`` (m, n), the flattened
+    states (m, 3kn) and, with ``explicit``, the explicit fields
+    (m, 3kn + 1), else None.  Point by point, in order, each point is
+    checked and evaluated once by the point kernel, which is built before
+    the field kernel, and with ``explicit`` by the field, so the first
+    point that fails raises its error."""
     k, n = ds.k, ds.n
     kernel = ds._kernel("point", lambda: _point_family(ds),
                         _coordinates(n, 2 * k, k))
-    rows, fields = [], []
-    for up in points:
+    rows, fields, states = [], [], [up.to_state() for up in points]
+    for up, state in zip(points, states):
         _check_point(ds, up)
-        state = up.to_state()
         rows.append(kernel(up.t, *state.tolist()))
         if explicit:
             fields.append([1.0, *ds._field(up.t, state)])
@@ -114,6 +113,7 @@ def _point_values(ds: DerivedSystem, points, explicit=False):
     h = nk + 2 + 3 * k * n  # W starts here
     return (rows[:, :nk].reshape(m, n, k), rows[:, nk], rows[:, nk + 1:h],
             rows[:, h:h + n * n].reshape(m, n, n), rows[:, h + n * n:],
+            np.reshape(states, (m, 3 * k * n)),
             np.array(fields) if explicit else None)
 
 
@@ -205,7 +205,7 @@ def omega_r_matrix(ds: DerivedSystem, up: UnifiedPoint) -> TwoFormMatrix:
 
 def constraint_tolerance(up: UnifiedPoint) -> float:
     """Scale-aware tolerance for membership in the constraint manifold."""
-    return float(_constraint_check([up], up.momenta[None])[1][0])
+    return float(_constraint_check(up.momenta[None], up.momenta[None])[1][0])
 
 
 def constraint_residuals(ds: DerivedSystem, up: UnifiedPoint):
@@ -217,19 +217,19 @@ def constraint_residuals(ds: DerivedSystem, up: UnifiedPoint):
     length n.  Only the momenta of the Legendre map are evaluated.
     """
     _check_point(ds, up)
-    return list(_constraint_check([up], legendre_map(ds, up.jet)[None])[0][0])
+    return list(_constraint_check(up.momenta[None],
+                                  legendre_map(ds, up.jet)[None])[0][0])
 
 
-def _constraint_check(points, momenta, require=None):
+def _constraint_check(own, momenta, require=None):
     """The one membership test of the constraint manifold, over a stack of
-    points whose jets the Legendre map takes to ``momenta`` (m, n, k): the
-    constraint residuals (m, k, n), level by level, the tolerances
-    1e-8 * (1 + max |p|) their worst absolute values are held to and the
-    verdicts, each point on the manifold only when ``worst <= tolerance``
-    and both are finite, as a list.  With ``require``, the name of the
-    point in the message, a point off the manifold raises
-    :class:`OffConstraintError`."""
-    own = np.array([up.momenta for up in points])
+    own momenta ``own`` (m, n, k) whose jets the Legendre map takes to
+    ``momenta`` (m, n, k): the constraint residuals p - (Legendre momenta)
+    (m, k, n), level by level, the tolerances 1e-8 * (1 + max |p|) their
+    worst absolute values are held to and the verdicts, each point on the
+    manifold only when ``worst <= tolerance`` and both are finite, as a
+    list.  With ``require``, the name of the point in the message, a point
+    off the manifold raises :class:`OffConstraintError`."""
     residuals = (own - momenta)[:, :, ::-1].transpose(0, 2, 1)
     worst = np.max(np.abs(residuals), axis=(1, 2), initial=0.0)
     tolerances = 1e-8 * (1.0 + np.max(np.abs(own), axis=(1, 2), initial=0.0))
@@ -274,14 +274,17 @@ def solve_unified_vf(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
     :class:`SingularHessianError` when the Hessian is singular at the
     point, in which case no numeric answer is produced.
     """
-    momenta, _, partials, hessians, reduced, _ = _point_values(ds, [up])
-    _constraint_check([up], momenta, require="point")
+    momenta, _, partials, hessians, reduced, states, _ = \
+        _point_values(ds, [up])
+    _constraint_check(up.momenta[None], momenta, require="point")
     if _regular_inverse(hessians[0])[0] is None:
         raise SingularHessianError(
             "Hessian is singular, the unified vector field is not "
             "determined", time=up.t)
-    return _solved(ds.k, ds.n, [up], hessians, reduced,
-                   _omegas(ds.k, ds.n, partials))[0]
+    fields, conditions = _solved(ds.k, ds.n, states, hessians, reduced,
+                                 _omegas(ds.k, ds.n, partials))
+    return SemisprayVector(fields[0], _coordinates(ds.n, 2 * ds.k, ds.k),
+                           condition=conditions[0])
 
 
 @functools.cache
@@ -302,20 +305,22 @@ def _positions(k: int, n: int):
             at(ex.jet(a, 2 * k - 1) for a in dofs))
 
 
-def _solved(k: int, n: int, points, hessians, reduced, omegas):
+def _solved(k: int, n: int, states, hessians, reduced, omegas):
     """:func:`solve_unified_vf` at points on the constraint manifold whose
-    W passed the regularity test, given their stacked W, ``el_reduced``
-    values and two-form matrices.  The linear systems, their solve and
-    their condition are each formed once over the stacked points, and the
-    ill-conditioning warnings keep the point order."""
+    W passed the regularity test, given their stacked states, W,
+    ``el_reduced`` values and two-form matrices: the fields
+    (m, 3kn + 1) and the condition numbers, a list.  The linear systems,
+    their solve and their condition are each formed once over the stacked
+    points, and the ill-conditioning warnings keep the point order."""
     levels, _, low, top = _positions(k, n)
-    size, m = 3 * k * n, len(points)
+    size, m = 3 * k * n, len(states)
     a = np.zeros((m, size, size))
     b = np.zeros((m, size))
     # semispray rows: jet components below the top order shift upward
+    # (q_{i+1} is at the state position of q_i's coordinate, t counted)
     semi = len(low)
     a[:, np.arange(semi), low - 1] = 1.0
-    b[:, :semi] = np.reshape([up.jet.q[:, 1:] for up in points], (m, semi))
+    b[:, :semi] = states[:, low]
     # tangency rows determine the top jet components
     sign = -1.0 if k % 2 else 1.0
     a[:, semi:semi + n, top - 1] = sign * hessians
@@ -325,16 +330,13 @@ def _solved(k: int, n: int, points, hessians, reduced, omegas):
     b[:, semi + n:] = -omegas[:, levels, 0]
 
     solutions = np.linalg.solve(a, b[..., None])[..., 0]
-    coords = _coordinates(n, 2 * k, k)
-    out = []
-    for solution, condition in zip(solutions, np.linalg.cond(a).tolist()):
+    conditions = np.linalg.cond(a).tolist()
+    for condition in conditions:
         if condition > _CONDITION_WARN:
             logger.warning(
                 "unified vector-field system is ill-conditioned (cond=%.3e)",
                 condition)
-        out.append(SemisprayVector(np.concatenate([[1.0], solution]), coords,
-                                   condition=condition))
-    return out
+    return np.concatenate([np.ones((m, 1)), solutions], axis=1), conditions
 
 
 @dataclass(frozen=True)
@@ -362,17 +364,9 @@ def kernel_check(ds: DerivedSystem, up: UnifiedPoint, field) -> KernelReport:
         raise ValidationError(
             f"vector length {x.shape} does not match the unified dimension "
             f"{omegas.shape[-1]}")
-    return _contracted(omegas, x[None])[0]
-
-
-def _contracted(omegas, xs) -> list:
-    """:func:`kernel_check` of each vector xs[i] against the two-form
-    matrix omegas[i], with one stacked product."""
-    contractions = (omegas @ xs[..., None])[..., 0]
-    residuals = np.max(np.abs(contractions), axis=-1).tolist()
-    return [KernelReport(residual=residual, transversality=float(x[0]),
-                         contraction=contraction)
-            for residual, x, contraction in zip(residuals, xs, contractions)]
+    contraction = (omegas @ x[:, None])[0, :, 0]
+    return KernelReport(float(np.max(np.abs(contraction))), float(x[0]),
+                        contraction)
 
 
 def check_points(ds: DerivedSystem, points) -> list:
@@ -381,59 +375,57 @@ def check_points(ds: DerivedSystem, points) -> list:
     :func:`_point_values` evaluates the points one by one, and a singular
     W raises the explicit field's :class:`SingularHessianError`, so every
     point solved here has passed the one regularity test.  The rest is
-    formed once per block of ``_POINT_BLOCK`` points: the constraint test,
-    the two-form matrices, the solved field of the points on the
-    constraint manifold, the contraction of each point's field, solved or
-    else explicit, the field differences and the couplings; each array
-    becomes plain values with one ``tolist``.
+    formed once per block of ``_POINT_BLOCK`` points from the stacked
+    arrays: the constraint test, the two-form matrices, the solved field
+    of the points on the constraint manifold, the contraction of each
+    point's field, solved or else explicit, the field differences and the
+    couplings; each array becomes plain values with one ``tolist``.
     """
     return [entry for start in range(0, len(points), _POINT_BLOCK)
             for entry in _check_block(ds, points[start:start + _POINT_BLOCK])]
 
 
 def _check_block(ds: DerivedSystem, points) -> list:
-    momenta, hamiltonians, partials, hessians, reduced, explicit = \
+    k, n = ds.k, ds.n
+    momenta, hamiltonians, partials, hessians, reduced, states, explicit = \
         _point_values(ds, points, explicit=True)
-    residuals, tolerances, verdicts = _constraint_check(points, momenta)
+    own = states[:, 2 * k * n:].reshape(-1, n, k)
+    residuals, tolerances, verdicts = _constraint_check(own, momenta)
     on = [i for i, verdict in enumerate(verdicts) if verdict]
-    omegas = _omegas(ds.k, ds.n, partials)
-    solved = dict(zip(on, _solved(ds.k, ds.n, [points[i] for i in on],
-                                  hessians[on], reduced[on], omegas[on])))
+    omegas = _omegas(k, n, partials)
     fields = explicit.copy()
-    for i, field in solved.items():
-        fields[i] = field.components
-    kernels = _contracted(omegas, fields)
+    fields[on], conditions = _solved(k, n, states[on], hessians[on],
+                                     reduced[on], omegas[on])
+    conditions = dict(zip(on, conditions))
+    kernels = np.max(np.abs((omegas @ fields[..., None])[..., 0]),
+                     axis=-1).tolist()
     differences = dict(zip(on, np.max(np.abs(fields[on] - explicit[on]),
                                       axis=1).tolist()))
     hamiltonians = hamiltonians.tolist()
     # the coupling of each point's own momenta, the points along the last axis
-    own, jets = (np.moveaxis(np.array(stack), 0, -1) for stack in (
-        [up.momenta for up in points], [up.jet.q for up in points]))
     starts = [-h if up.p_ext is None else up.p_ext
               for up, h in zip(points, hamiltonians)]
-    couplings = _pairing(own, jets, start=np.array(starts)).tolist()
+    couplings = _pairing(np.moveaxis(own, 0, -1),
+                         states.T[:2 * k * n].reshape(n, 2 * k, -1),
+                         start=np.array(starts)).tolist()
     entries = []
     for i, (up, levels, tolerance, explicit_field, field_values) in \
             enumerate(zip(points, residuals.tolist(), tolerances.tolist(),
                           explicit.tolist(), fields.tolist())):
-        field = solved.get(i)
-        entry = {
+        solved = verdicts[i]
+        entries.append({
             "t": up.t,
-            "on_constraint": verdicts[i],
+            "on_constraint": solved,
             "constraint_residuals": levels,
             "constraint_tolerance": tolerance,
             "hamiltonian": hamiltonians[i],
             "section_p": -hamiltonians[i],
             "coupling": couplings[i],
             "explicit_field": explicit_field,
-            "solved_field": None,
-        }
-        if field is not None:
-            entry["solved_field"] = field_values
-            entry["max_field_difference"] = differences[i]
-        entry["kernel_residual"] = kernels[i].residual
-        entry["transversality"] = kernels[i].transversality
-        if field is not None:
-            entry["condition"] = field.condition
-        entries.append(entry)
+            "solved_field": field_values if solved else None,
+            **({"max_field_difference": differences[i]} if solved else {}),
+            "kernel_residual": kernels[i],
+            "transversality": field_values[0],
+            **({"condition": conditions[i]} if solved else {}),
+        })
     return entries

@@ -390,7 +390,7 @@ def stationarity_check(ds: DerivedSystem, path, n_variations: int = 20,
     derivatives = [action_derivative(ds, path, v, quad_points=quad_points)
                    for v in variations]
     action = discrete_action(ds, path, "lagrangian", quad_points)
-    max_abs = max(abs(d) for d in derivatives)
+    max_abs = float(np.max(np.abs(derivatives)))
     return StationarityReport(
         stationary=math.isfinite(action)
         and max_abs <= tol * (1.0 + abs(action)),

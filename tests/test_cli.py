@@ -861,6 +861,21 @@ def test_unified_check_fails_an_overflowing_point(tmp_path, capsys):
         "unified-check", spec, "--point", "0,1,0,0"])["points"][0])
 
 
+def test_unified_check_summary_keeps_a_nan(tmp_path, capsys):
+    # exp(q0) overflows across the box: one point's kernel residual is
+    # NaN, and the summary's maximum is NaN wherever that point comes
+    spec = _lagrangian_spec(tmp_path, "1/2*q1^2 - exp(q0)*q1^2/1000")
+    for seed, point in ((1, 0), (2, 5)):
+        code, out, err = run_cli(capsys, [
+            "unified-check", spec, "--random", "12", "--box=-800,800",
+            "--seed", str(seed)])
+        assert code == 1 and f"point {point} has non-finite" in err
+        report = json.loads(out)
+        residuals = [entry["kernel_residual"] for entry in report["points"]]
+        assert residuals.index("nan") == point
+        assert report["max_kernel_residual"] == "nan"
+
+
 def test_unified_check_wrong_point_length(tmp_path, capsys):
     spec = write_spec(tmp_path, "harmonic")
     code, _, err = run_cli(capsys, ["unified-check", spec, "--point", "0,1,0"])

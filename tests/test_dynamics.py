@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ostromech as om
-from ostromech import cli, dynamics, legendre
+from ostromech import cli, dynamics, legendre, unified
 
 from conftest import NL3_LIKE, cos_jet, derived, hex_digest
 
@@ -584,20 +584,53 @@ def test_holonomy_verdict_per_column():
 @pytest.mark.parametrize("key", ["coupled_beam", "pais_uhlenbeck", "driven"])
 def test_point_and_grid_values_agree_bit_for_bit(key):
     """The energy and the constraint residuals of a trajectory row are the
-    same numbers whether evaluated at the point or over the grid."""
+    same numbers whether evaluated at the point or over the grid, where
+    the one constraint test takes the trajectory's stack and gives the
+    drift integrate_unified records."""
     ds = derived(key)
     k, n = ds.k, ds.n
     jp = om.JetPoint(0.0, 0.3 + 0.1 * np.arange(2 * k * n).reshape(n, 2 * k))
     traj = om.integrate_unified(
         ds, om.UnifiedPoint(jp, om.legendre_map(ds, jp)), 1.0)
     energies = om.energy_series(ds, traj)
-    series = dynamics._constraint_series(ds, traj)
+    _, own, env = dynamics._grid_bindings(traj)
+    stack = unified._constraint_check(
+        np.moveaxis(own, -1, 0),
+        np.moveaxis(legendre._values(ds.momenta, env, traj.grid.shape),
+                    -1, 0))[0]
+    assert traj.meta["max_constraint_residual"] == np.max(np.abs(stack))
     for r in range(traj.grid.size):
         assert om.ostrogradsky_energy(ds, traj.jet_point(r)) == energies[r]
         levels = om.constraint_residuals(ds, traj.unified_point(r))
-        for level, residuals in enumerate(levels, start=1):
-            np.testing.assert_array_equal(residuals,
-                                          series[:, k - level, r])
+        for level, residuals in enumerate(levels):
+            np.testing.assert_array_equal(residuals, stack[r, level])
+
+
+@pytest.mark.parametrize("layout", ["jet", "unified"])
+def test_verify_evaluates_the_momenta_once(pu, monkeypatch, layout):
+    # p^0 of the Euler-Lagrange defect and the energy read one evaluation
+    # of the closed-form momenta over the grid
+    traj = (om.integrate(pu, cos_jet(), 2.0) if layout == "jet"
+            else om.integrate_unified(pu, pu_unified_init(pu), 2.0))
+    momenta = {id(p) for per_dof in pu.momenta for p in per_dof}
+    reads = []
+    values = dynamics._values
+
+    def recording(family, env, shape=()):
+        leaves, stack = [], [family]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, list):
+                stack.extend(item)
+            else:
+                leaves.append(item)
+        if momenta & set(map(id, leaves)):
+            reads.append(family)
+        return values(family, env, shape)
+    monkeypatch.setattr(dynamics, "_values", recording)
+    report = om.verify_trajectory(pu, traj)
+    assert report.energy_drift < 1e-8
+    assert len(reads) == 1 and reads[0] is pu.momenta
 
 
 def test_verify_dimension_mismatch(pu, harmonic):

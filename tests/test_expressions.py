@@ -544,3 +544,20 @@ def test_domain_errors_print_plain_numbers():
         with pytest.raises(om.DomainEvalError) as err:
             om.parse(text, ctx).evaluate({om.jet(1, 0): value})
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text", ["exp(800 + q0)", "0*exp(1000*q0^2 + 800)"])
+def test_equivalent_numeric_counts_no_overflow_as_agreement(text):
+    # an infinity or a NaN against 12345 disagrees, and the first such
+    # sample is the worst, with deviation NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = om.equivalent_numeric(om.parse(text, CTX),
+                                       om.parse("12345", CTX))
+        same = om.equivalent_numeric(om.parse(text, CTX),
+                                     om.parse(text, CTX))
+    assert result.equivalent is False
+    assert np.isnan(result.max_deviation)
+    assert result.worst_values[1] == 12345
+    assert not np.isfinite(result.worst_values[0])
+    # equal infinities agree; two NaNs do not
+    assert same.equivalent is (text == "exp(800 + q0)")

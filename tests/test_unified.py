@@ -699,6 +699,24 @@ def test_check_points_in_blocks_equal_the_points_one_by_one(name):
     assert together[17]["coupling"] != together[4]["coupling"]
 
 
+@pytest.mark.parametrize("name", ["harmonic", "pais_uhlenbeck",
+                                  "coupled_beam"])
+def test_check_points_builds_no_point_objects(name, monkeypatch):
+    # the check reads stacked arrays: only solve_unified_vf and
+    # kernel_check wrap a field or a contraction in an object
+    ds = om.derive(om.build_system(SYSTEM_DOCS[name]))
+    points = _check_points(ds, seed=5)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a point object was built")
+    monkeypatch.setattr(unified, "SemisprayVector", refused)
+    monkeypatch.setattr(unified, "KernelReport", refused)
+    entries = unified.check_points(ds, points)
+    assert [entry["on_constraint"] for entry in entries] == [True] * 20 + [
+        False]
+    assert all(entry["kernel_residual"] < 1e-8 for entry in entries[:20])
+
+
 def test_random_points_are_one_draw_of_the_scalar_and_array_stream(
         tmp_path, capsys, monkeypatch):
     # the points of unified-check --random, each once drawn as a scalar

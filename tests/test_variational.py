@@ -311,6 +311,24 @@ def test_stationarity_fail_off_solution(harmonic):
     assert report.max_abs_derivative > 1e-3
 
 
+def test_stationarity_keeps_a_nan_derivative_after_the_first(harmonic,
+                                                              monkeypatch):
+    # a NaN derivative of the second variation is the maximum, so the
+    # solution path is not judged stationary
+    path = om.PathRepresentation("fourier", [0.0, 1.0, 0.0], (0.0, np.pi))
+    derivative = variational.action_derivative
+    calls = []
+
+    def second_nan(*args, **kwargs):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else derivative(*args, **kwargs)
+    monkeypatch.setattr(variational, "action_derivative", second_nan)
+    report = om.stationarity_check(harmonic, path, n_variations=8, seed=2)
+    assert math.isnan(report.derivatives[1])
+    assert math.isnan(report.max_abs_derivative)
+    assert not report.stationary
+
+
 def test_stationarity_seeding(harmonic):
     path = om.PathRepresentation("monomial", [0.0, 1.0], (0.0, 1.0))
     one = om.stationarity_check(harmonic, path, n_variations=6, seed=5)
