@@ -373,26 +373,29 @@ def cmd_action_check(args, ds):
 def cmd_unified_check(args, ds):
     k, n = ds.k, ds.n
 
-    points = []
     if args.point is not None:
         values = _parse_floats(
             args.point, "--point", 1 + 3 * k * n + (1 if args.extended else 0),
             f" (t, {2 * k * n} jets, {k * n} momenta"
             + (", p)" if args.extended else ")"))
-        points.append(UnifiedPoint.from_state(
-            values[0], values[1:1 + 3 * k * n], k, n,
-            values[-1] if args.extended else None))
+        entries = unified.check_states(
+            ds, values[:1], np.array([values[1:1 + 3 * k * n]]),
+            values[-1:] if args.extended else None)
     else:
         box = _parse_domain(args.box) or ex.DEFAULT_SAMPLE_RANGE
         # one draw of every point's time and jets, in the order of the
         # stream that a scalar and an array draw per point would take
         draws = np.random.default_rng(args.seed).uniform(
             box[0], box[1], (args.random, 1 + 2 * k * n))
-        for t, row in zip(draws[:, 0].tolist(), draws[:, 1:]):
-            jet = JetPoint(t, row.reshape(n, 2 * k))
-            points.append(UnifiedPoint(jet, legendre.legendre_map(ds, jet)))
+        times, jets = draws[:, 0].tolist(), draws[:, 1:]
+        # the states: the drawn jets, then the momenta of the Legendre map
+        states = np.empty((args.random, 3 * k * n))
+        states[:, :2 * k * n] = jets
+        momenta = legendre._momenta_kernel(ds)
+        for state, t, row in zip(states, times, jets.tolist()):
+            state[2 * k * n:] = momenta(t, *row)
+        entries = unified.check_states(ds, times, states)
 
-    entries = unified.check_points(ds, points)
     # the entries hold plain floats, and lists of them or None for fields
     non_finite = [(i, bad) for i, entry in enumerate(entries) if (bad := [
         name for name in ("hamiltonian", "section_p", "coupling")

@@ -18,6 +18,7 @@ conservation, and holonomy.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -182,7 +183,9 @@ def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, max_steps):
     (``hA[s, :s] @ stages[:s]``), zero coefficients included, so a
     non-finite stage rejects the step.  The error estimate is
     h (b5 - b4) @ stages, one product, so it carries no cancellation
-    between two O(1) solutions."""
+    between two O(1) solutions.  A step shorter than four units in the
+    last place of the larger end of the span is an underflow: every time
+    of the span resolves it, so a step never leaves t where it was."""
     t = t0
     y = np.array(y0, dtype=float)
     grid = [t]
@@ -198,6 +201,7 @@ def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, max_steps):
     weighted = [(ha[s, :s], stages[:s], _RKF_C[s]) for s in range(1, 6)]
     abs_y = np.abs(y)
     stretch = 1.3
+    floor = 4.0 * math.ulp(max(abs(t0), abs(t_end)))
     while t < t_end:
         h = min(h, max_step)
         # land exactly on t_end, stretching up to 30% so the final step
@@ -210,7 +214,7 @@ def _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, max_steps):
             if h > max_step * (1.0 + 1e-9):
                 h *= 0.5
                 last = False
-        if h < 1e-14 * max(1.0, abs(t)):
+        if h < floor:
             raise ConvergenceError(
                 f"adaptive step size underflow at t={t!r}")
         np.multiply(_RKF_A, h, out=ha)

@@ -508,8 +508,14 @@ def legendre_map(ds: DerivedSystem, jp: JetPoint) -> np.ndarray:
     if jp.n != n or jp.orders < 2 * k:
         raise DimensionError(
             f"jet point must carry {n} dofs and orders up to {2 * k - 1}")
-    kernel = ds._kernel(
+    return np.array(_momenta_kernel(ds)(
+        jp.t, *jp.q[:, :2 * k].reshape(-1).tolist())).reshape(n, k)
+
+
+def _momenta_kernel(ds: DerivedSystem):
+    """The system's compiled momenta kernel: called with t and the 2kn
+    jets dof-major, it returns the nk momenta dof-major, the layout of
+    the momenta of a unified state."""
+    return ds._kernel(
         "momenta", lambda: [p for per_dof in ds.momenta for p in per_dof],
-        _coordinates(n, 2 * k, 0))
-    return np.array(kernel(jp.t, *jp.q[:, :2 * k].reshape(-1).tolist())
-                    ).reshape(n, k)
+        _coordinates(ds.n, 2 * ds.k, 0))

@@ -91,30 +91,37 @@ def _point_family(ds: DerivedSystem):
             *(w for row in ds.hessian for w in row), *ds.el_reduced]
 
 
-def _point_values(ds: DerivedSystem, points, explicit=False):
-    """The values of :func:`_point_family` at matching points, stacked
-    and sliced: the momenta (m, n, k), H (m,), the partials of H
-    (m, 3kn + 1), W (m, n, n) and ``el_reduced`` (m, n), the flattened
-    states (m, 3kn) and, with ``explicit``, the explicit fields
-    (m, 3kn + 1), else None.  Point by point, in order, each point is
-    checked and evaluated once by the point kernel, which is built before
-    the field kernel, and with ``explicit`` by the field, so the first
-    point that fails raises its error."""
+def _point_values(ds: DerivedSystem, times, states, explicit=False):
+    """The values of :func:`_point_family` at the points of the times
+    ``times`` (m floats) and the unified states ``states`` (m, 3kn),
+    stacked and sliced: the momenta (m, n, k), H (m,), the partials of H
+    (m, 3kn + 1), W (m, n, n) and ``el_reduced`` (m, n) and, with
+    ``explicit``, the explicit fields (m, 3kn + 1), else None.  Point by
+    point, in order, each point is evaluated once by the point kernel,
+    which is built before the field kernel, and with ``explicit`` by the
+    field, so the first point that fails raises its error."""
     k, n = ds.k, ds.n
     kernel = ds._kernel("point", lambda: _point_family(ds),
                         _coordinates(n, 2 * k, k))
-    rows, fields, states = [], [], [up.to_state() for up in points]
-    for up, state in zip(points, states):
-        _check_point(ds, up)
-        rows.append(kernel(up.t, *state.tolist()))
+    rows, m, nk = [], len(states), n * k
+    # the time component of every explicit field is 1
+    fields = np.ones((m, 3 * k * n + 1)) if explicit else None
+    for i, (t, state, values) in enumerate(zip(times, states,
+                                               states.tolist())):
+        rows.append(kernel(t, *values))
         if explicit:
-            fields.append([1.0, *ds._field(up.t, state)])
-    rows, m, nk = np.array(rows, dtype=float), len(points), n * k
+            fields[i, 1:] = ds._field(t, state)
+    rows = np.array(rows, dtype=float)
     h = nk + 2 + 3 * k * n  # W starts here
     return (rows[:, :nk].reshape(m, n, k), rows[:, nk], rows[:, nk + 1:h],
             rows[:, h:h + n * n].reshape(m, n, n), rows[:, h + n * n:],
-            np.reshape(states, (m, 3 * k * n)),
-            np.array(fields) if explicit else None)
+            fields)
+
+
+def _one_point(ds: DerivedSystem, up: UnifiedPoint):
+    """:func:`_point_values` of the checked point, a one-row stack."""
+    _check_point(ds, up)
+    return _point_values(ds, [up.t], up.to_state()[None])
 
 
 def _omegas(k: int, n: int, partials):
@@ -194,12 +201,12 @@ def hamiltonian_section_p(ds: DerivedSystem, up: UnifiedPoint) -> float:
     Substituting this value makes :func:`coupling` equal the Lagrangian at
     the point, which is the defining property of the section.
     """
-    return float(-_point_values(ds, [up])[1][0])
+    return float(-_one_point(ds, up)[1][0])
 
 
 def omega_r_matrix(ds: DerivedSystem, up: UnifiedPoint) -> TwoFormMatrix:
     """Numeric two-form matrix at a point."""
-    return TwoFormMatrix(_omegas(ds.k, ds.n, _point_values(ds, [up])[2])[0],
+    return TwoFormMatrix(_omegas(ds.k, ds.n, _one_point(ds, up)[2])[0],
                          _coordinates(ds.n, 2 * ds.k, ds.k))
 
 
@@ -274,15 +281,14 @@ def solve_unified_vf(ds: DerivedSystem, up: UnifiedPoint) -> SemisprayVector:
     :class:`SingularHessianError` when the Hessian is singular at the
     point, in which case no numeric answer is produced.
     """
-    momenta, _, partials, hessians, reduced, states, _ = \
-        _point_values(ds, [up])
+    momenta, _, partials, hessians, reduced, _ = _one_point(ds, up)
     _constraint_check(up.momenta[None], momenta, require="point")
     if _regular_inverse(hessians[0])[0] is None:
         raise SingularHessianError(
             "Hessian is singular, the unified vector field is not "
             "determined", time=up.t)
-    fields, conditions = _solved(ds.k, ds.n, states, hessians, reduced,
-                                 _omegas(ds.k, ds.n, partials))
+    fields, conditions = _solved(ds.k, ds.n, up.to_state()[None], hessians,
+                                 reduced, _omegas(ds.k, ds.n, partials))
     return SemisprayVector(fields[0], _coordinates(ds.n, 2 * ds.k, ds.k),
                            condition=conditions[0])
 
@@ -357,7 +363,7 @@ class KernelReport:
 
 def kernel_check(ds: DerivedSystem, up: UnifiedPoint, field) -> KernelReport:
     """Contract the two-form with a vector and report the residual."""
-    omegas = _omegas(ds.k, ds.n, _point_values(ds, [up])[2])
+    omegas = _omegas(ds.k, ds.n, _one_point(ds, up)[2])
     x = field.components if isinstance(field, SemisprayVector) else \
         np.asarray(field, dtype=float)
     if x.shape != omegas.shape[-1:]:
@@ -370,8 +376,23 @@ def kernel_check(ds: DerivedSystem, up: UnifiedPoint, field) -> KernelReport:
 
 
 def check_points(ds: DerivedSystem, points) -> list:
+    """:func:`check_states` of unified point objects, each checked
+    against the system first."""
+    for up in points:
+        _check_point(ds, up)
+    return check_states(ds, [up.t for up in points],
+                        np.reshape([up.to_state() for up in points],
+                                   (len(points), 3 * ds.k * ds.n)),
+                        [up.p_ext for up in points])
+
+
+def check_states(ds: DerivedSystem, times, states, p_ext=None) -> list:
     """The unified-check entry of each point, a dict of plain values.
 
+    The points are read from stacked arrays: ``times``, m floats, the
+    unified states ``states`` (m, 3kn), jets then momenta dof-major, and
+    ``p_ext``, None or each point's extended momentum or None, where None
+    takes the Hamiltonian section's -H.  No point object is built.
     :func:`_point_values` evaluates the points one by one, and a singular
     W raises the explicit field's :class:`SingularHessianError`, so every
     point solved here has passed the one regularity test.  The rest is
@@ -381,14 +402,18 @@ def check_points(ds: DerivedSystem, points) -> list:
     point's field, solved or else explicit, the field differences and the
     couplings; each array becomes plain values with one ``tolist``.
     """
-    return [entry for start in range(0, len(points), _POINT_BLOCK)
-            for entry in _check_block(ds, points[start:start + _POINT_BLOCK])]
+    if p_ext is None:
+        p_ext = [None] * len(times)
+    return [entry for start in range(0, len(times), _POINT_BLOCK)
+            for entry in _check_block(ds, *(
+                part[start:start + _POINT_BLOCK]
+                for part in (times, states, p_ext)))]
 
 
-def _check_block(ds: DerivedSystem, points) -> list:
+def _check_block(ds: DerivedSystem, times, states, p_ext) -> list:
     k, n = ds.k, ds.n
-    momenta, hamiltonians, partials, hessians, reduced, states, explicit = \
-        _point_values(ds, points, explicit=True)
+    momenta, hamiltonians, partials, hessians, reduced, explicit = \
+        _point_values(ds, times, states, explicit=True)
     own = states[:, 2 * k * n:].reshape(-1, n, k)
     residuals, tolerances, verdicts = _constraint_check(own, momenta)
     on = [i for i, verdict in enumerate(verdicts) if verdict]
@@ -403,18 +428,17 @@ def _check_block(ds: DerivedSystem, points) -> list:
                                       axis=1).tolist()))
     hamiltonians = hamiltonians.tolist()
     # the coupling of each point's own momenta, the points along the last axis
-    starts = [-h if up.p_ext is None else up.p_ext
-              for up, h in zip(points, hamiltonians)]
+    starts = [-h if p is None else p for p, h in zip(p_ext, hamiltonians)]
     couplings = _pairing(np.moveaxis(own, 0, -1),
                          states.T[:2 * k * n].reshape(n, 2 * k, -1),
                          start=np.array(starts)).tolist()
     entries = []
-    for i, (up, levels, tolerance, explicit_field, field_values) in \
-            enumerate(zip(points, residuals.tolist(), tolerances.tolist(),
+    for i, (t, levels, tolerance, explicit_field, field_values) in \
+            enumerate(zip(times, residuals.tolist(), tolerances.tolist(),
                           explicit.tolist(), fields.tolist())):
         solved = verdicts[i]
         entries.append({
-            "t": up.t,
+            "t": t,
             "on_constraint": solved,
             "constraint_residuals": levels,
             "constraint_tolerance": tolerance,

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DimensionError, ValidationError
 from .dynamics import Trajectory
@@ -69,11 +68,16 @@ def _basis_matrices(basis, interval, n_coeffs, ts, max_order):
         w = m * base
         phase = w * tau
         cos, sin = np.cos(phase), np.sin(phase)
-        for j, cycle in ((2 * m - 1, (cos, -sin, -cos, sin)),
-                         (2 * m, (sin, cos, -sin, -cos))):
+        # the derivatives cycle through the signed waves; the sign goes on
+        # the factor w^order, which flips it exactly
+        for j, cycle in ((2 * m - 1, ((1, cos), (-1, sin), (-1, cos),
+                                      (1, sin))),
+                         (2 * m, ((1, sin), (1, cos), (-1, sin),
+                                  (-1, cos)))):
             if j < n_coeffs:
                 for order, matrix in enumerate(out):
-                    matrix[:, j] = w ** order * cycle[order % 4]
+                    sign, wave = cycle[order % 4]
+                    np.multiply(sign * w ** order, wave, out=matrix[:, j])
     return out
 
 
@@ -154,14 +158,24 @@ class Variation:
         if self.exponent < 1:
             raise ValidationError("variation exponent must be at least 1")
         left, right = self.support
+        # half_width^(2 exponent) underflows to 0 on a short support, and
+        # overflows on a long one
+        try:
+            scale = self.amplitude / self.half_width ** (2 * self.exponent)
+        except (OverflowError, ZeroDivisionError):
+            scale = math.nan
+        if not math.isfinite(scale):
+            raise ValidationError(
+                f"variation support [{left}, {right}] admits no bump of "
+                f"exponent {self.exponent}: amplitude / half_width^"
+                f"{2 * self.exponent} is not a finite number")
         # (t - l)(r - t) has the coefficients (-l r, l + r, -1); each
         # derivative multiplies coefficient j by j and drops the constant
         factor = np.convolve([-left, 1.0], [right, -1.0])
         bump = factor
         for _ in range(1, self.exponent):
             bump = np.convolve(bump, factor)
-        coefficients = [bump * (self.amplitude
-                                / self.half_width ** (2 * self.exponent))]
+        coefficients = [bump * scale]
         while coefficients[-1].size > 1:
             c = coefficients[-1]
             coefficients.append(np.arange(1, c.size) * c[1:])
@@ -181,10 +195,16 @@ class Variation:
         inside = (ts > left) & (ts < right)
         out = np.zeros((max_order + 1, ts.size))
         if np.any(inside):
-            last = len(self._coefficients) - 1
+            x, last = ts[inside], len(self._coefficients) - 1
             for order in range(max_order + 1):
-                out[order, inside] = npoly.polyval(
-                    ts[inside], self._coefficients[min(order, last)])
+                # Horner's rule in numpy.polynomial.polyval's order of
+                # operations, in place
+                c = self._coefficients[min(order, last)]
+                value = c[-1] + x * 0
+                for coefficient in c[-2::-1]:
+                    value *= x
+                    value += coefficient
+                out[order, inside] = value
         return out
 
     def derivative_values(self, ts, order: int = 0) -> np.ndarray:
@@ -210,11 +230,20 @@ def _nodes(interval, panels):
     return np.linspace(lo, hi, 2 * panels + 1), (hi - lo) / (2 * panels)
 
 
-def _simpson(values, h):
-    """Composite Simpson sum of node values at step h."""
-    weights = np.ones(values.size)
+def _simpson_weights(size):
+    """Composite Simpson weights of ``size`` nodes, the factor h / 3
+    left out."""
+    weights = np.ones(size)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
+    return weights
+
+
+def _simpson(values, h, weights=None):
+    """Composite Simpson sum of node values at step h, with the weights
+    ``weights`` where they are given."""
+    if weights is None:
+        weights = _simpson_weights(values.size)
     return (h / 3.0) * float(weights @ values)
 
 
@@ -289,7 +318,11 @@ def action_derivative(ds: DerivedSystem, path, variation: Variation,
     all of them share one quadrature grid on it, so quadrature error
     cancels in the differences, and one set of path and bump derivatives
     on it, each action adding its scaled bump jets to the path jets of
-    the variation's dof.
+    the variation's dof.  The actions of one difference are evaluated
+    together: their jets are laid side by side along the grid axis, so
+    the integrand is called once for the three actions of the central
+    difference and once for the two of the Richardson step, and each
+    action is one product with the Simpson weights, built once.
     """
     _check_path(ds, path)
     _variation_inside(path, variation)
@@ -297,23 +330,25 @@ def action_derivative(ds: DerivedSystem, path, variation: Variation,
     row = variation.dof - 1
     ts, h = _nodes(variation.support, quad_points)
     jets, bump = path.jets(ts, top), variation.jets(ts, top)
+    weights, size = _simpson_weights(ts.size), ts.size
 
-    def action(scale):
-        varied = jets
-        if scale:
-            varied = jets.copy()
-            varied[row] += scale * bump
-        return _simpson(f(ds, ts, varied), h)
+    def actions(*scales):
+        varied = np.concatenate([jets] * len(scales), axis=-1)
+        for i, scale in enumerate(scales):
+            if scale:
+                varied[row, :, i * size:(i + 1) * size] += scale * bump
+        values = f(ds, np.concatenate([ts] * len(scales)), varied)
+        return [_simpson(part, h, weights)
+                for part in values.reshape(len(scales), size)]
 
-    s_plus = action(_EPSILON)
-    s_minus = action(-_EPSILON)
-    s_zero = action(0.0)
+    s_plus, s_minus, s_zero = actions(_EPSILON, -_EPSILON, 0.0)
     central = (s_plus - s_minus) / (2.0 * _EPSILON)
     d_plus = (s_plus - s_zero) / _EPSILON
     d_minus = (s_zero - s_minus) / _EPSILON
     disagreement = abs(d_plus - d_minus)
     if disagreement > 0.1 * max(abs(d_plus), abs(d_minus)):
-        half = (action(0.5 * _EPSILON) - action(-0.5 * _EPSILON)) / _EPSILON
+        s_half, s_minus_half = actions(0.5 * _EPSILON, -0.5 * _EPSILON)
+        half = (s_half - s_minus_half) / _EPSILON
         return (4.0 * half - central) / 3.0
     return central
 

@@ -469,6 +469,17 @@ def test_simulate_blow_up_exits_singular(tmp_path, capsys):
     assert "underflow" in err
 
 
+@pytest.mark.parametrize("key, init", [("harmonic", "1,0"),
+                                       ("pais_uhlenbeck", "1,0,-1,0")])
+def test_simulate_short_span_is_no_step_underflow(tmp_path, capsys, key,
+                                                  init):
+    # the step floor was 1e-14 near t = 0, above every step of this span
+    spec = write_spec(tmp_path, key)
+    summary = run_json(capsys, ["simulate", spec, "--init", init,
+                                "--t-end", "1e-13"])
+    assert summary["final_time"] == 1e-13 and summary["steps"] == 4
+
+
 STEEP = {"name": "steep", "order": 1, "dofs": 1,
          "lagrangian": "1/2*q0^200*q1^2"}
 
@@ -655,6 +666,26 @@ def test_action_check_fails_off_solution(tmp_path, capsys):
         "action-check", spec, "--path", str(pf), "--variations", "10"])
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+@pytest.mark.parametrize("key, basis, coefficients, interval", [
+    ("harmonic", "fourier", [[0, 1, 0]], [0, 1e-200]),
+    ("pais_uhlenbeck", "monomial", [[0, 1]], [0, 1e-60]),
+    ("harmonic", "monomial", [[0, 1]], [0, 1e200])])
+def test_action_check_bump_scale_out_of_range_is_a_usage_error(
+        tmp_path, capsys, key, basis, coefficients, interval):
+    # half_width^(2 exponent) underflowed to 0 on a short interval (a
+    # ZeroDivisionError traceback) and overflowed on a long one (an
+    # OverflowError traceback)
+    spec = write_spec(tmp_path, key)
+    pf = tmp_path / "path.json"
+    pf.write_text(json.dumps({"basis": basis, "coefficients": coefficients,
+                              "interval": interval}))
+    code, out, err = run_cli(capsys, ["action-check", spec, "--path",
+                                      str(pf)])
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"error: variation support \[\S+, \S+\] admits no "
+                        r"bump of exponent \d+: .*\n", err)
 
 
 def test_action_check_fitted_trajectory(tmp_path, capsys):

@@ -267,6 +267,33 @@ def test_step_collapse_at_blow_up():
     assert "underflow" in str(info.value)
 
 
+def test_stuck_step_underflows_at_a_few_ulps_of_the_span():
+    # a field that rejects every step shrinks it below four ulps of the
+    # span's larger end, which raises; before, a floor of 1e-14 near t = 0
+    # also refused the steps of a span as short as 1e-13
+    calls = []
+
+    def stuck(t, y):
+        calls.append(t)
+        return np.array([np.nan])
+    for t0, t_end in ((0.0, 1e-13), (1e6, 1e6 + 1.0)):
+        calls.clear()
+        with pytest.raises(om.ConvergenceError, match="underflow"):
+            dynamics._run_rkf45(stuck, t0, [1.0], t_end, 1e-9, 1e-9, np.inf,
+                                10**6)
+        floor = 4.0 * math.ulp(t_end)
+        # six stages per attempt, each step 0.2 of the last
+        h = (t_end - t0) / 100.0
+        attempts = 1
+        while h * 0.2 >= floor:
+            h *= 0.2
+            attempts += 1
+        assert len(calls) == 6 * attempts
+    ok = dynamics._run_rkf45(lambda t, y: -y, 0.0, [1.0], 1e-13, 1e-9, 1e-9,
+                             np.inf, 10**6)
+    assert ok[0][-1] == 1e-13
+
+
 def test_singular_start_reports_last_good_time(degenerate):
     init = om.JetPoint(0.0, np.array([[1.0, 0.0, 0.0, 0.0]]))
     with pytest.raises(om.SingularHessianError) as info:

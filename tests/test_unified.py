@@ -720,27 +720,55 @@ def test_check_points_builds_no_point_objects(name, monkeypatch):
 def test_random_points_are_one_draw_of_the_scalar_and_array_stream(
         tmp_path, capsys, monkeypatch):
     # the points of unified-check --random, each once drawn as a scalar
-    # time and an (n, 2k) array of jets
+    # time and an (n, 2k) array of jets, are the rows of one stack whose
+    # momenta are those of the Legendre map
     ds = om.derive(om.build_system(SYSTEM_DOCS["coupled_beam"]))
     drawn = []
-    check_points = unified.check_points
+    check_states = unified.check_states
 
-    def recording(ds, points):
-        drawn.extend(points)
-        return check_points(ds, points)
-    monkeypatch.setattr(unified, "check_points", recording)
+    def recording(ds, times, states, p_ext=None):
+        drawn.append((times, states.copy(), p_ext))
+        return check_states(ds, times, states, p_ext)
+    monkeypatch.setattr(unified, "check_states", recording)
+    jets = 2 * ds.k * ds.n
     for seed, box in ((0, None), (7, "-3,0.5")):
         drawn.clear()
         argv = ["unified-check", write_spec(tmp_path, "coupled_beam"),
                 "--random", "5", "--seed", str(seed)]
         assert cli.main(argv + ([f"--box={box}"] if box else [])) == 0
         capsys.readouterr()
+        (times, states, p_ext), = drawn
+        assert p_ext is None and states.shape == (5, 3 * ds.k * ds.n)
         lo, hi = (-2.0, 2.0) if box is None else (-3.0, 0.5)
         rng = np.random.default_rng(seed)
-        for up in drawn:
-            t = float(rng.uniform(lo, hi))
-            jets = rng.uniform(lo, hi, size=(ds.n, 2 * ds.k))
-            assert up.t == t and up.jet.q.tobytes() == jets.tobytes()
-            assert up.momenta.tobytes() == om.legendre_map(
-                ds, om.JetPoint(t, jets)).tobytes()
-        assert len(drawn) == 5
+        for t, state in zip(times, states):
+            want_t = float(rng.uniform(lo, hi))
+            want = rng.uniform(lo, hi, size=(ds.n, 2 * ds.k))
+            assert t == want_t and state[:jets].tobytes() == want.tobytes()
+            assert state[jets:].tobytes() == om.legendre_map(
+                ds, om.JetPoint(t, want)).tobytes()
+        assert len(times) == 5
+
+
+@pytest.mark.parametrize("name", ["harmonic", "pais_uhlenbeck",
+                                  "coupled_beam"])
+def test_random_check_builds_no_point_objects(name, tmp_path, capsys,
+                                              monkeypatch):
+    # unified-check --random fills one stack of states from the draws and
+    # checks it as one: no jet or unified point, no Legendre map call and
+    # no per-point check
+    argv = ["unified-check", write_spec(tmp_path, name), "--random", "20",
+            "--seed", "3"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a point object was built")
+    for owner, attr in ((om.JetPoint, "__post_init__"),
+                        (om.UnifiedPoint, "__post_init__"),
+                        (om.legendre, "legendre_map"),
+                        (unified, "legendre_map"),
+                        (unified, "_check_point")):
+        monkeypatch.setattr(owner, attr, refused)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want

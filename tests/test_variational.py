@@ -73,6 +73,11 @@ def test_variation_args():
         om.Variation(dof=1, center=0.5, half_width=0.0, exponent=2)
     with pytest.raises(om.ValidationError):
         om.Variation(dof=1, center=0.5, half_width=0.1, exponent=0)
+    # half_width^(2 exponent) underflows to 0, or overflows
+    for half_width in (1e-100, 1e100):
+        with pytest.raises(om.ValidationError, match="admits no bump"):
+            om.Variation(dof=1, center=0.0, half_width=half_width,
+                         exponent=4)
 
 
 def test_discrete_action_oracles(free_particle):
@@ -221,6 +226,36 @@ def test_action_derivative_evaluates_each_jet_once(pu, coupled_beam,
     om.action_derivative(ds, path, bump, integrand=integrand)
     assert counts == {"PathRepresentation": 1, "Variation": 1,
                       "_simpson": actions}
+
+
+@pytest.mark.parametrize("integrand", ["lagrangian", "cartan"])
+@pytest.mark.parametrize("case, calls", [("pu", 1), ("beam", 2)])
+def test_action_derivative_calls_the_integrand_once_per_difference(
+        pu, coupled_beam, monkeypatch, integrand, case, calls):
+    # the actions of one difference are one stacked integrand call: the
+    # three of the central difference, then the two of the Richardson
+    # step; the Simpson weights are built once
+    ds, path, bump = ((pu, _PU_OFF, _PU_BUMP) if case == "pu"
+                      else (coupled_beam, _BEAM_PATH, _BEAM_BUMP))
+    want = om.action_derivative(ds, path, bump, integrand=integrand)
+    sizes = []
+    name = "_" + integrand
+    f = getattr(variational, name)
+
+    def counted(ds, ts, jets):
+        sizes.append(ts.size)
+        return f(ds, ts, jets)
+    monkeypatch.setattr(variational, name, counted)
+    weights = variational._simpson_weights
+
+    def counted_weights(size):
+        sizes.append(("weights", size))
+        return weights(size)
+    monkeypatch.setattr(variational, "_simpson_weights", counted_weights)
+    got = om.action_derivative(ds, path, bump, integrand=integrand)
+    assert got.hex() == want.hex()
+    nodes = 2 * 512 + 1
+    assert sizes == [("weights", nodes), 3 * nodes, 2 * nodes][:1 + calls]
 
 
 def _whole_interval_derivative(ds, path, variation, integrand):

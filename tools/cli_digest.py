@@ -389,6 +389,22 @@ def _later_runs(work: Path):
     (work / "expq.json").write_text(EXPQ)
     yield ["unified-check", "expq.json", "--random", "12", "--box=-800,800",
            "--seed", "2"], None
+    # a span of 1e-13 takes rk45 steps far below 1e-14
+    yield ["simulate", "harmonic.json", "--init", "1,0", "--t-end",
+           "1e-13"], None
+    yield ["simulate", "pais_uhlenbeck.json", "--init", "1,0,-1,0",
+           "--t-end", "1e-13"], None
+    # a path interval so short that a bump's half_width^(2 exponent)
+    # underflows to 0 is a usage error
+    for name, what, text in (
+            ("harmonic.json", "short_fourier",
+             '{"basis": "fourier", "coefficients": [[0, 1, 0]], '
+             '"interval": [0, 1e-200]}'),
+            ("pais_uhlenbeck.json", "short_monomial",
+             '{"basis": "monomial", "coefficients": [[0, 1]], '
+             '"interval": [0, 1e-60]}')):
+        (work / f"{what}.json").write_text(text)
+        yield ["action-check", name, "--path", f"{what}.json"], None
 
 
 def _line(label, command, work, env, csv=None):
