@@ -429,6 +429,12 @@ def fd_derivative(grid, values, order: int = 1) -> np.ndarray:
     width).  The weights of every grid point come from one vectorized
     recurrence, once for the whole stack.
     """
+    return _differences(grid, values, order)[0]
+
+
+def _differences(grid, values, order):
+    """:func:`fd_derivative` of ``values``, and the weights (npts, width)
+    of each grid point's stencil that gave it."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     npts = grid.size
@@ -448,7 +454,7 @@ def fd_derivative(grid, values, order: int = 1) -> np.ndarray:
     # moves the last bits
     rows = values.reshape(-1, npts)
     return np.array([np.matmul(w, row[idx][:, :, None])[:, 0, 0]
-                     for row in rows]).reshape(values.shape)
+                     for row in rows]).reshape(values.shape), w[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +478,9 @@ class VerificationReport:
     Lagrangian form.  ``energy_drift`` is None for non-autonomous systems.
     Holonomy passes when every differentiated q_i^A series matches
     q_{i+1}^A within 10x the integrator tolerance plus the truncation
-    floor h^4 max|q_{i+5}^A| of its differencing, h the largest step;
+    floor h^4 max|q_{i+5}^A| of its differencing, h the largest step,
+    and at least the rounding floor 4 ulp(max|q_i^A|) times the largest
+    sum of |w| over the weights of a point's first-difference stencil;
     ``holonomy_tolerance`` is the bound of the column whose defect is the
     largest fraction of its bound.  A grid of fewer than five points gets
     no verdict, and its differences are accurate only to order
@@ -515,8 +523,8 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
     # of the recorded momenta (none in the jet layout); the energy reads
     # the same closed-form momenta
     closed = _values(ds.momenta, env, grid.shape)
-    rates = fd_derivative(grid, np.concatenate(
-        [closed[:, :1], jets, momenta], axis=1))
+    rates, weights = _differences(grid, np.concatenate(
+        [closed[:, :1], jets, momenta], axis=1), 1)
 
     # Euler-Lagrange defect in the form dp^0/dt = dL/dq_0; one maximum
     # over every dof, so a NaN residual is not dropped
@@ -539,6 +547,12 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
             for order in range(max(1, 5 - top), 5)]
         tols = 10.0 * float(tol) + h4 * np.stack(
             [np.max(np.abs(q), axis=-1) for q in higher], axis=1)
+        # nor sharper than the rounding of its samples: a few ulp of
+        # max|q_i| through the largest sum of |w| of a point's stencil;
+        # fmax keeps the bound where that floor is NaN
+        tols = np.fmax(tols, 4.0 * np.spacing(
+            np.max(np.abs(jets[:, :top]), axis=-1))
+            * float(np.max(np.abs(weights).sum(axis=-1))))
         # a bound of zero gives a ratio of inf or NaN, not an exception
         with np.errstate(divide="ignore", invalid="ignore"):
             holo_tol = float(tols.flat[np.argmax(defects / tols)])

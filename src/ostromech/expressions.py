@@ -1169,6 +1169,29 @@ def compile_kernel(exprs, coords, name: str = "kernel"):
     logging one line reports ``name``, the expression and temporary counts
     and the build time.
     """
+    return _generated(exprs, coords, name, lambda args, body, outputs: [
+        f"def kernel({', '.join(args)}):",
+        "    try:",
+        *body,
+        f"        return ({''.join(out + ', ' for out in outputs)})",
+        "    except (ArithmeticError, ValueError, TypeError):",
+        f"        return _walk({', '.join(args)})",
+    ])
+
+
+def _generated(exprs, coords, name, assemble, **names):
+    """The generator behind :func:`compile_kernel`, shared with the unified
+    field of :class:`legendre.DerivedSystem`.
+
+    ``assemble(args, body, outputs)`` returns the source lines of one
+    function named ``kernel``: ``args`` names the local of each coordinate
+    (``x0``, ``x1``, ...), ``body`` holds the straight-line lines that
+    compute every temporary, indented for a ``try`` block, and
+    ``outputs`` is the operand text of each expression.  The function sees
+    ``_walk(*values)``, the tree walker's values of ``exprs``, the
+    generated constants and ``names``; it is built once with
+    ``compile()`` and returned, and the debug line is logged.
+    """
     start = time.perf_counter()
     exprs, coords = tuple(exprs), tuple(coords)
     args = {ref: f"x{i}" for i, ref in enumerate(coords)}
@@ -1177,7 +1200,8 @@ def compile_kernel(exprs, coords, name: str = "kernel"):
         env = dict(zip(coords, np.array([float(v) for v in values])))
         return tuple(e.evaluate(env) for e in exprs)
 
-    namespace = {"_real_power": _real_power, "_walk": walk, **_SCALAR_FUNCS}
+    namespace = {"_real_power": _real_power, "_walk": walk, **_SCALAR_FUNCS,
+                 **names}
     temps = {}          # node -> name of the local holding its value
     body = []
 
@@ -1224,14 +1248,7 @@ def compile_kernel(exprs, coords, name: str = "kernel"):
         return local
 
     outputs = [operand(expr) for expr in exprs]
-    source = "\n".join([
-        f"def kernel({', '.join(args.values())}):",
-        "    try:",
-        *body,
-        f"        return ({''.join(out + ', ' for out in outputs)})",
-        "    except (ArithmeticError, ValueError, TypeError):",
-        f"        return _walk({', '.join(args.values())})",
-    ])
+    source = "\n".join(assemble(list(args.values()), body, outputs))
     exec(compile(source, f"<kernel {name}>", "exec"), namespace)
     logger.debug("compiled kernel %s: %d expressions, %d temporaries, "
                  "%.2f ms", name, len(outputs), len(temps),

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -208,19 +207,20 @@ class DerivedSystem:
     def n(self):
         return self.model.n
 
-    def _kernel(self, use, family, coords):
+    def _kernel(self, use, family, coords, build=None):
         """The compiled kernel of ``use``, built on first use by
-        :func:`expressions.compile_kernel` from the expressions
+        ``build(exprs, coords, name)``, by default
+        :func:`expressions.compile_kernel`, from the expressions
         ``family()`` over ``coords`` and then cached on the system, so a
-        system compiles each kernel once.  A call returns the tree
-        walker's values of the whole family, or raises its first
-        :class:`DomainEvalError`.  The debug line of the build names the
-        system, followed by ``use`` except for the unified field's
-        kernel."""
+        system compiles each kernel once.  A call of a compiled kernel
+        returns the tree walker's values of the whole family, or raises
+        its first :class:`DomainEvalError`.  The debug line of the build
+        names the system, followed by ``use`` except for the unified
+        field."""
         kernel = self._kernels.get(use)
         if kernel is None:
             name = self.model.name + ("" if use == "field" else f" {use}")
-            kernel = self._kernels[use] = ex.compile_kernel(
+            kernel = self._kernels[use] = (build or ex.compile_kernel)(
                 family(), coords, name=name)
         return kernel
 
@@ -269,52 +269,83 @@ class DerivedSystem:
         G^i = dL/dq_i - p^{i-1}.  A singular Hessian raises
         :class:`SingularHessianError` with the state attached.
 
-        The Hessian, the reduced Euler-Lagrange values and the partials
-        dL/dq_i (i < k) come from one kernel over (t, jets) built by
-        :meth:`_kernel` on first use, so a system compiles it once.  For
+        The field is one function generated by :meth:`_kernel` on first
+        use, so a system builds it once: the straight-line body of the
+        kernel of the Hessian, the reduced Euler-Lagrange values and the
+        partials dL/dq_i (i < k) over (t, jets), as
+        :func:`expressions.compile_kernel` would build it, followed by the
+        solve and the assembly of the derivative (see
+        :func:`_field_source`).  Where that body raises, the function
+        takes the tree walker's values, so a state too raises the tree
+        walker's first :class:`DomainEvalError` where any of these
+        expressions, the partials included, cannot be evaluated.  For
         n <= 3 the top jets come from the straight-line solve
-        :func:`_top_jet_solver` on the kernel's floats; it leaves every
-        doubtful W, and above n = 3 every W, to :meth:`_solve_top_jets`
-        and its one regularity test.  The kernel answers with the tree
-        walker's values, so a jet state too raises the tree walker's first
-        :class:`DomainEvalError` where any of these expressions, the
-        partials included, cannot be evaluated.
+        :func:`_top_jet_solver` on those values; it leaves every doubtful
+        W, and above n = 3 every W, to :meth:`_solve_top_jets` and its one
+        regularity test.
         """
         k, n = self.k, self.n
-        jets, nn = 2 * k * n, n * n
         exprs = ([w for row in self.hessian for w in row] + self.el_reduced
                  + [g for row in self.lagrangian_partials for g in row])
-        kernel = self._kernel("field", lambda: exprs,
-                              _coordinates(n, 2 * k, 0))
-
         solve = _top_jet_solver(n) if n <= 3 else None
-        sign = -1.0 if k % 2 else 1.0
-        zeros = [0.0] * n
+        assemble = functools.partial(_field_source, k, n, solve is not None)
+        return self._kernel(
+            "field", lambda: exprs, _coordinates(n, 2 * k, 0),
+            lambda exprs, coords, name: ex._generated(
+                exprs, coords, name, assemble, _self=self, _solve=solve,
+                _array=np.array, _SingularHessianError=SingularHessianError))
 
-        def field(t, y):
-            ys = y.tolist()
-            values = kernel(t, *ys[:jets])
-            try:
-                if not solve or (accel := solve(values, sign)) is None:
-                    accel = self._solve_top_jets(
-                        np.array(values[:nn]).reshape(n, n),
-                        values[nn:nn + n], t)
-            except SingularHessianError as err:
-                err.state = np.array(y)
-                raise
-            # each jet order moves to the next one; the top order of every
-            # dof is then its solved value
-            ydot = ys[1:jets]
-            ydot.append(0.0)
-            ydot[2 * k - 1::2 * k] = accel
-            if len(ys) > jets:
-                # G^i = dL/dq_i - p^{i-1}, with p^{-1} = 0 for every dof
-                lower = ys[jets - 1:-1]
-                lower[::k] = zeros
-                ydot += map(operator.sub, values[nn + n:], lower)
-            return np.array(ydot)
 
-        return field
+def _field_source(k, n, solved, args, body, outputs):
+    """The source lines of :meth:`DerivedSystem._field`, the ``assemble``
+    of :func:`expressions._generated` for the kernel body of the n^2
+    Hessian entries, the n reduced Euler-Lagrange values and the nk
+    partials dL/dq_i.
+
+    ``kernel(t, y)`` binds ``t`` and the 2kn jets of ``y.tolist()`` to the
+    kernel's arguments, runs the body and names its values ``o0``, ...,
+    or the tree walker's where the body raises.  The top jets come from
+    ``_solve`` where ``solved``, else (or where it returns None) from
+    ``_self._solve_top_jets``.  The derivative is one list display: each
+    jet order moves to the next one, the top order of every dof is its
+    solved value and, for a 3kn state, G^i = dL/dq_i - p^{i-1} follows,
+    with p^{-1} = 0 for every dof."""
+    jets, nn, top = 2 * k * n, n * n, 2 * k - 1
+    sign = -1.0 if k % 2 else 1.0
+
+    def listed(names):
+        return "".join(f"{name}, " for name in names)
+
+    values = [f"o{i}" for i in range(len(outputs))]
+    accel = [f"a{a}" for a in range(n)]
+    shift = [accel[j // (2 * k)] if j % (2 * k) == top else args[j + 2]
+             for j in range(jets)]
+    forces = [g if j % k == 0 else f"{g} - ys[{jets + j - 1}]"
+              for j, g in enumerate(values[nn + n:])]
+    inverse = [
+        "try:",
+        f"    accel = _self._solve_top_jets(_array([{listed(values[:nn])}])"
+        f".reshape({n}, {n}), ({listed(values[nn:nn + n])}), x0)",
+        "except _SingularHessianError as err:",
+        "    err.state = _array(y)",
+        "    raise"]
+    if solved:
+        inverse = [f"accel = _solve(({listed(values[:nn + n])}), {sign!r})",
+                   "if accel is None:", *("    " + line for line in inverse)]
+    return [
+        "def kernel(x0, y):",
+        "    ys = y.tolist()",
+        f"    {listed(args[1:])}= ys[:{jets}]",
+        "    try:",
+        *body,
+        f"        {listed(values)}= {listed(outputs)}",
+        "    except (ArithmeticError, ValueError, TypeError):",
+        f"        {listed(values)}= _walk({', '.join(args)})",
+        *("    " + line for line in inverse),
+        f"    {listed(accel)}= accel",
+        f"    if len(ys) == {jets}:",
+        f"        return _array([{listed(shift)}])",
+        f"    return _array([{listed(shift + forces)}])"]
 
 
 def _values(family, env, shape=()) -> np.ndarray:

@@ -113,6 +113,9 @@ class PathRepresentation:
                                   f"[{a}, {b}]")
         if not b > a:
             raise ValidationError("path interval must have positive length")
+        if not np.isfinite(b - a):
+            raise ValidationError(f"path interval length must be finite, "
+                                  f"got [{a}, {b}]")
         object.__setattr__(self, "interval", (a, b))
 
     @property

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import ostromech as om
+from ostromech import legendre
+from ostromech.systems import _coordinates
 
 # the example corpus: small systems exercising every structural case
 # (orders 1 and 2, one and two dofs, autonomy and driving, degeneracy)
@@ -68,6 +70,10 @@ NL3_LIKE = {
                   " + 1/100*exp(1/4*q1_1)*q3_2*q3_3",
 }
 
+# each kernel of this system meets a domain error wherever q0 <= 0
+LOG_DOC = {"name": "log", "order": 2, "dofs": 1,
+           "lagrangian": "1/2*q2^2*log(q0) + q1^2*sqrt(q0)"}
+
 # systems with an everywhere-regular Hessian
 REGULAR = ("pais_uhlenbeck", "harmonic", "free_particle", "driven",
            "coupled_beam")
@@ -128,6 +134,53 @@ def on_constraint_points(ds, count, seed, box=(-2.0, 2.0)):
         momenta = om.legendre_map(ds, om.JetPoint(t, jets))
         points.append(om.UnifiedPoint(om.JetPoint(t, jets), momenta))
     return points
+
+
+def field_family(ds):
+    """The expressions whose values the unified field reads: the Hessian
+    row by row, ``el_reduced`` and the partials dL/dq_i (i < k), over the
+    coordinates (t, jets)."""
+    exprs = ([w for row in ds.hessian for w in row] + ds.el_reduced
+             + [g for row in ds.lagrangian_partials for g in row])
+    return exprs, _coordinates(ds.n, 2 * ds.k, 0)
+
+
+def reference_field(ds, t, y, values):
+    """The unified field at (t, y) by separate steps from ``values``, the
+    values of :func:`field_family`: the top jets from the straight-line
+    solve where it answers, else from ``_solve_top_jets``; then the jet
+    shift and G^i = dL/dq_i - p^{i-1} by array slicing.  A singular W
+    raises with ``y`` as its state."""
+    k, n = ds.k, ds.n
+    jets, nn = 2 * k * n, n * n
+    solve = legendre._top_jet_solver(n) if n <= 3 else None
+    accel = solve(values, -1.0 if k % 2 else 1.0) if solve else None
+    if accel is None:
+        try:
+            accel = ds._solve_top_jets(np.array(values[:nn]).reshape(n, n),
+                                       values[nn:nn + n], t)
+        except om.SingularHessianError as err:
+            err.state = np.array(y)
+            raise
+    q = np.reshape(y[:jets], (n, 2 * k))
+    out = np.concatenate([q[:, 1:], np.reshape(accel, (n, 1))], axis=1)
+    if len(y) == jets:
+        return out.ravel()
+    p = np.reshape(y[jets:], (n, k))
+    lower = np.concatenate([np.zeros((n, 1)), p[:, :-1]], axis=1)
+    forces = np.reshape(np.array(values[nn + n:], dtype=float), (n, k))
+    return np.concatenate([out.ravel(), (forces - lower).ravel()])
+
+
+def field_outcome(fn):
+    """The bytes of a field's answer, or its error: a singular W with the
+    state it carries, any other error by type and message."""
+    try:
+        return "ok", fn().tobytes()
+    except om.SingularHessianError as err:
+        return "singular", str(err), err.state.tobytes()
+    except om.OstromechError as err:
+        return type(err).__name__, str(err)
 
 
 def hex_digest(values):

@@ -769,8 +769,13 @@ def test_action_check_usage(tmp_path, capsys):
     b'"interval": [0, Infinity]}',
     b"\xff\xfe",
     b'{"basis": "monomial", "coefficients": [[null, 1]], "interval": [0, 1]}',
+    # finite ends whose b - a overflows: drawing the bump centres raised
+    # numpy's OverflowError
+    b'{"basis": "monomial", "coefficients": [[0, 1]], '
+    b'"interval": [-1e308, 1e308]}',
 ], ids=["not_object", "text_coefficients", "text_interval", "ragged",
-        "infinite_interval", "not_utf8", "null_coefficient"])
+        "infinite_interval", "not_utf8", "null_coefficient",
+        "overflowing_interval"])
 def test_malformed_path_document_is_a_usage_error(tmp_path, capsys, text):
     spec = write_spec(tmp_path, "harmonic")
     pf = tmp_path / "path.json"

@@ -608,6 +608,33 @@ def test_holonomy_verdict_per_column():
     assert report.holonomy_defect > report.holonomy_tolerance
 
 
+@pytest.mark.parametrize("key, init", [("harmonic", [[1.0, 0.0]]),
+                                       ("pais_uhlenbeck",
+                                        [[1.0, 0.0, -1.0, 0.0]])])
+def test_holonomy_bound_has_a_rounding_floor(key, init):
+    """Over a span of 1e-13, q_0 = 1 does not change in its last bit, yet
+    its difference reads 16: the stencil weights are some 1e16 and do not
+    sum to zero exactly.  Each column's bound is at least 4 ulp of its
+    max|q_i| times the largest sum of |w| of a point's stencil, so the
+    correct run passes, and a change of 1e-12 in one q_0 sample fails."""
+    ds = derived(key)
+    traj = om.integrate(ds, om.JetPoint(0.0, np.array(init)), 1e-13)
+    assert np.all(traj.states[:, 0] == 1.0)
+    report = om.verify_trajectory(ds, traj)
+    assert report.holonomy_defect == pytest.approx(16.0)
+    grid = traj.grid
+    w = dynamics._fornberg_weights(grid, grid[np.arange(5)[None, :]
+                                              .repeat(5, axis=0)], 1)
+    floor = 4.0 * np.spacing(1.0) * np.max(np.abs(w[:, :, 1]).sum(axis=-1))
+    assert report.holonomy_tolerance == floor
+    assert report.holonomy_ok is True
+
+    states = traj.states.copy()
+    states[2, 0] += 1e-12
+    bad = om.Trajectory(grid, states, "jet", ds.k, ds.n, dict(traj.meta))
+    assert om.verify_trajectory(ds, bad).holonomy_ok is False
+
+
 @pytest.mark.parametrize("key", ["coupled_beam", "pais_uhlenbeck", "driven"])
 def test_point_and_grid_values_agree_bit_for_bit(key):
     """The energy and the constraint residuals of a trajectory row are the

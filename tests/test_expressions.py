@@ -10,6 +10,8 @@ import ostromech as om
 from ostromech import expressions as ex
 from ostromech import unified
 
+from conftest import LOG_DOC, field_family, field_outcome, reference_field
+
 CTX = om.SystemContext.for_lagrangian(2, 1)
 CTX2 = om.SystemContext.for_lagrangian(1, 2)
 
@@ -475,28 +477,27 @@ def test_compiled_kernel_answers_as_the_tree_walker_where_its_body_fails():
         kernel(0.0, 2.0)
 
 
-# each kernel of this system meets a domain error wherever q0 <= 0
-LOG_DOC = {"name": "log", "order": 2, "dofs": 1,
-           "lagrangian": "1/2*q2^2*log(q0) + q1^2*sqrt(q0)"}
-
 
 def test_kernels_of_every_family_answer_as_the_numpy_tree_walker(
         monkeypatch):
     # the field, point, momenta and Hessian kernels, each built by the
     # function that reads it, at inputs where the straight-line body fails:
-    # overflows of all-nodes, and besides them domain errors of log; the
-    # kernel answers as the tree walker on numpy scalars and on floats
+    # overflows of all-nodes, and besides them domain errors of log; a
+    # kernel answers as the tree walker on numpy scalars and on floats, and
+    # the field as the top-jet solve and the jet shift of those values
     built = {}
-    compile_kernel = ex.compile_kernel
+    generated = ex._generated
 
-    def recording(exprs, coords, name="kernel"):
+    def recording(exprs, coords, name, assemble, **names):
         exprs, coords = list(exprs), list(coords)
-        built[name] = exprs, coords, compile_kernel(exprs, coords, name)
+        built[name] = exprs, coords, generated(exprs, coords, name, assemble,
+                                               **names)
         return built[name][2]
 
-    monkeypatch.setattr(ex, "compile_kernel", recording)
+    monkeypatch.setattr(ex, "_generated", recording)
+    systems = {}
     for doc in (ALL_NODES_DOC, LOG_DOC):
-        ds = om.derive(om.build_system(doc))
+        ds = systems[doc["name"]] = om.derive(om.build_system(doc))
         size = 3 * ds.k * ds.n
         up = om.UnifiedPoint.from_state(0.0, np.full(size, 0.5), ds.k, ds.n)
         om.explicit_semispray(ds, up)
@@ -506,6 +507,8 @@ def test_kernels_of_every_family_answer_as_the_numpy_tree_walker(
     assert sorted(built) == [
         "all-nodes", "all-nodes hessian", "all-nodes momenta",
         "all-nodes point", "log", "log hessian", "log momenta", "log point"]
+    for name, ds in systems.items():
+        assert built[name][:2] == tuple(map(list, field_family(ds)))
 
     walks = []
     evaluate = ex.Expression.evaluate
@@ -522,6 +525,20 @@ def test_kernels_of_every_family_answer_as_the_numpy_tree_walker(
                 values[rng.choice(len(coords), scaled, replace=False)] *= 1e200
                 values = values.tolist()
                 walks.clear()
+                if name in systems:
+                    # the field of a unified state, whose momenta are 0.5
+                    ds = systems[name]
+                    t, y = values[0], np.array(values[1:] + [0.5] * ds.k)
+                    got = field_outcome(lambda: kernel(t, y))
+                    if not walks:
+                        continue  # the straight-line body answered
+                    failing += 1
+                    for bound in (np.array(values), values):
+                        walked = _walked(exprs, coords, bound)
+                        assert got == field_outcome(
+                            lambda: reference_field(ds, t, y, walked())), name
+                    kinds.setdefault(name + " field", set()).add(got[0])
+                    continue
                 got = _outcome(lambda: kernel(*values))
                 if not walks:
                     continue  # the straight-line body answered
@@ -531,7 +548,9 @@ def test_kernels_of_every_family_answer_as_the_numpy_tree_walker(
                 assert got == _outcome(_walked(exprs, coords, values)), name
                 kinds.setdefault(name.split()[0], set()).add(got[0])
             assert failing >= 20, name
-    assert kinds == {"all-nodes": {"ok"}, "log": {"ok", "DomainEvalError"}}
+    assert kinds == {"all-nodes": {"ok"}, "log": {"ok", "DomainEvalError"},
+                     "all-nodes field": {"ok"},
+                     "log field": {"ok", "DomainEvalError"}}
 
 
 def test_domain_errors_print_plain_numbers():

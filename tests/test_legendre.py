@@ -13,9 +13,11 @@ import ostromech as om
 from ostromech import expressions as ex
 from ostromech import legendre
 
-from conftest import SYSTEM_DOCS, chain_doc, cos_jet, derived
+from conftest import (LOG_DOC, NL3_LIKE, SYSTEM_DOCS, chain_doc, cos_jet,
+                      derived, field_family, field_outcome, reference_field)
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "pais_uhlenbeck_derivation.json"
+DEMO_SYSTEMS = pathlib.Path(__file__).parent.parent / "demos" / "systems"
 
 
 def test_derivation_matches_hand_worked_fixture(pu):
@@ -444,6 +446,96 @@ def test_straight_line_top_jets_match_the_solve(n, harmonic, pu):
             assert got is not None
             assert (np.max(np.abs(np.subtract(got, want)))
                     <= 1e-12 * condition * np.max(np.abs(want)))
+
+
+# -- the generated unified field ----------------------------------------------
+#
+# DerivedSystem._field is one generated function: the body of the kernel
+# of its family, the top-jet solve and the assembly of the derivative.
+# Each test holds it bit for bit to an independent route: the values of
+# the family's compiled kernel, then the solve, then the jet shift by
+# array slicing.
+
+FIELD_DOCS = [SYSTEM_DOCS[key] for key in
+              ("harmonic", "driven", "pais_uhlenbeck", "coupled_beam")] + [
+    NL3_LIKE, chain_doc(4)]
+
+
+def _kernel_route(ds, t, y):
+    exprs, coords = field_family(ds)
+    values = ex.compile_kernel(exprs, coords)(
+        t, *y[:2 * ds.k * ds.n].tolist())
+    return reference_field(ds, t, y, values)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["solve", "inverse"])
+@pytest.mark.parametrize("doc", FIELD_DOCS, ids=lambda doc: doc["name"])
+def test_generated_field_matches_the_kernel_route(monkeypatch, doc, forced):
+    """Random jet and unified states of n = 1, 2, 3 and 4 dofs; forced,
+    every W goes to _solve_top_jets, as it does above n = 3."""
+    inverted = []
+    solve_top_jets = om.DerivedSystem._solve_top_jets
+    monkeypatch.setattr(om.DerivedSystem, "_solve_top_jets",
+                        lambda self, *args: (inverted.append(args[-1]),
+                                             solve_top_jets(self, *args))[1])
+    if forced:
+        monkeypatch.setattr(legendre, "_top_jet_solver", lambda n: None)
+    ds = om.derive(om.build_system(doc))
+    k, n = ds.k, ds.n
+    rng = np.random.default_rng(n * 10 + k)
+    for layout in (2, 3):
+        for _ in range(50):
+            t = float(rng.uniform(-2.0, 2.0))
+            y = rng.uniform(-2.0, 2.0, layout * k * n)
+            got = field_outcome(lambda: ds._field(t, y))
+            assert got[0] == "ok"
+            assert got == field_outcome(lambda: _kernel_route(ds, t, y))
+    # the field and the route each inverted W once per state
+    assert len(inverted) == (200 if forced or n > 3 else 0)
+
+
+@pytest.mark.parametrize("layout", [2, 3])
+@pytest.mark.parametrize("q0", [0.0, -0.5])
+def test_generated_field_raises_the_tree_walkers_domain_error(layout, q0):
+    ds = om.derive(om.build_system(LOG_DOC))
+    y = np.array([q0, 0.3, -0.2, 0.1, 0.5, 0.25][:layout * 2])
+    got = field_outcome(lambda: ds._field(0.5, y))
+    assert got == ("DomainEvalError", f"log of non-positive value {q0}")
+    assert got == field_outcome(lambda: _kernel_route(ds, 0.5, y))
+
+
+@pytest.mark.parametrize("layout", [2, 3])
+def test_generated_field_raises_singular_with_the_state(layout):
+    doc = json.loads((DEMO_SYSTEMS / "degenerate.json").read_text())
+    ds = om.derive(om.build_system(doc))
+    y = np.linspace(-1.0, 1.0, layout * ds.k * ds.n)
+    with pytest.raises(om.SingularHessianError) as info:
+        ds._field(0.25, y)
+    assert info.value.time == 0.25
+    assert info.value.state.tobytes() == y.tobytes()
+    assert info.value.state is not y
+    assert (field_outcome(lambda: ds._field(0.25, y))
+            == field_outcome(lambda: _kernel_route(ds, 0.25, y)))
+
+
+def test_generated_field_is_built_once_per_system(monkeypatch):
+    built = []
+    generated = ex._generated
+
+    def counting(exprs, coords, name, assemble, **extra):
+        built.append(name)
+        return generated(exprs, coords, name, assemble, **extra)
+
+    monkeypatch.setattr(ex, "_generated", counting)
+    ds = om.derive(om.build_system(NL3_LIKE))
+    field = ds._field
+    jet = om.JetPoint(0.0, np.full((3, 6), 0.1))
+    om.lagrangian_rhs(ds, 0.0, jet.to_state())
+    om.integrate(ds, jet, 0.5)
+    om.integrate_unified(ds, om.UnifiedPoint(jet, om.legendre_map(ds, jet)),
+                         0.5)
+    assert ds._field is field
+    assert built == ["nl3-like", "nl3-like momenta"]
 
 
 def test_rank_deficient_hessian_refused_by_dynamics():

@@ -374,14 +374,16 @@ def test_straight_line_solve_leaves_doubtful_w_to_the_one_test(
 
 
 def test_field_compiles_once_per_system(tmp_path, capsys, monkeypatch):
+    # every kernel, the generated field among them, is built by one
+    # generator; count its builds
     names = []
-    compile_kernel = ex.compile_kernel
+    generated = ex._generated
 
-    def counting(exprs, coords, name="kernel"):
+    def counting(exprs, coords, name, assemble, **extra):
         names.append(name)
-        return compile_kernel(exprs, coords, name)
+        return generated(exprs, coords, name, assemble, **extra)
 
-    monkeypatch.setattr(ex, "compile_kernel", counting)
+    monkeypatch.setattr(ex, "_generated", counting)
 
     def debug_run(argv):
         # stdout and the kernels named by the debug lines of one run

@@ -405,6 +405,12 @@ def _later_runs(work: Path):
              '"interval": [0, 1e-60]}')):
         (work / f"{what}.json").write_text(text)
         yield ["action-check", name, "--path", f"{what}.json"], None
+    # ... and so is one whose length b - a overflows to inf
+    (work / "overflowing_interval.json").write_text(
+        '{"basis": "monomial", "coefficients": [[0, 1]], '
+        '"interval": [-1e308, 1e308]}')
+    yield ["action-check", "harmonic.json", "--path",
+           "overflowing_interval.json", "--variations", "3"], None
 
 
 def _line(label, command, work, env, csv=None):

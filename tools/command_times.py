@@ -1,4 +1,4 @@
-"""Time each command of one benchmark workload's pass, for two checkouts.
+"""Time each item of one benchmark workload's pass, for two checkouts.
 
     python3 tools/command_times.py OLD NEW --workload verify --seed 3
 
@@ -20,8 +20,14 @@ table the script names each command whose output differs between the
 checkouts, and then exits 1; so a change meant to keep its output gets a
 byte-identity check next to its timing.
 
-Only the workloads that run the command line (verify, derive) have
-commands.
+The workloads that run the command line (verify, derive) are timed
+command by command.  The integrate workload runs no command: its pass
+calls ``integrate`` or ``integrate_unified`` once per ``name/layout``,
+so the worker times each of those library calls instead, and hashes the
+bytes of the call's ``grid`` and ``states`` (or its error), so a change
+meant to keep every trajectory to the bit is checked the same way:
+
+    python3 tools/command_times.py OLD NEW --workload integrate --rounds 3
 """
 
 from __future__ import annotations
@@ -38,13 +44,14 @@ import json  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import types  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 
 def worker(checkout, workload, seed):
-    """Set the workload up, print the hash of each command's output in one
+    """Set the workload up, print the hash of each item's output in one
     untimed pass, then answer each line of stdin with one JSON line of the
-    seconds each command of one pass took."""
+    seconds each item of one pass took."""
     root = Path(checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import ostromech
@@ -52,25 +59,59 @@ def worker(checkout, workload, seed):
     bench = workloads.WORKLOADS[workload]()
     with tempfile.TemporaryDirectory() as workdir:
         bench.setup(ostromech, workdir, int(seed))
-        commands = getattr(bench, "commands", None)
-        if commands is None:
-            raise SystemExit(f"workload {workload} runs no commands")
-
-        def one_pass():
-            times, outputs = {}, {}
-            for key, argv in commands.items():
-                with contextlib.redirect_stderr(io.StringIO()):
-                    start = time.perf_counter()
-                    code, out = workloads.capture_cli(bench.cli.main, argv)
-                    times[key] = time.perf_counter() - start
-                outputs[key] = hashlib.sha256(
-                    f"{code}\n{out.replace(workdir, '')}".encode()
-                ).hexdigest()
-            return times, outputs
-
+        one_pass = (library_pass(bench, ostromech) if workload == "integrate"
+                    else command_pass(bench, workloads, workdir))
         print(json.dumps(one_pass()[1]), flush=True)
         for _ in sys.stdin:
             print(json.dumps(one_pass()[0]), flush=True)
+
+
+def command_pass(bench, workloads, workdir):
+    """One pass of a command-line workload: the seconds of each command
+    and the hash of its exit code and stdout, without ``workdir``."""
+    def one_pass():
+        times, outputs = {}, {}
+        for key, argv in bench.commands.items():
+            with contextlib.redirect_stderr(io.StringIO()):
+                start = time.perf_counter()
+                code, out = workloads.capture_cli(bench.cli.main, argv)
+                times[key] = time.perf_counter() - start
+            outputs[key] = hashlib.sha256(
+                f"{code}\n{out.replace(workdir, '')}".encode()).hexdigest()
+        return times, outputs
+    return one_pass
+
+
+def library_pass(bench, ostromech):
+    """One pass of the integrate workload: the seconds of each
+    ``name/layout`` call and the hash of its grid and states bytes.  The
+    pass reaches the integrators through the module it was set up with,
+    so that module is swapped for a copy whose integrators time each call,
+    in the order of the pass's keys."""
+    seconds = []
+
+    def timed(integrator):
+        def call(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return integrator(*args, **kwargs)
+            finally:
+                seconds.append(time.perf_counter() - start)
+        return call
+
+    bench.om = types.SimpleNamespace(**{
+        **vars(ostromech), "integrate": timed(ostromech.integrate),
+        "integrate_unified": timed(ostromech.integrate_unified)})
+
+    def one_pass():
+        seconds.clear()
+        out = bench.run_pass()
+        outputs = {key: hashlib.sha256(
+            repr(value["error"]).encode() if "error" in value
+            else value["grid"].tobytes() + value["states"].tobytes()
+        ).hexdigest() for key, value in out.items()}
+        return dict(zip(out, seconds, strict=True)), outputs
+    return one_pass
 
 
 def main(argv=None):
@@ -81,7 +122,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old", help="the checkout to compare against")
     parser.add_argument("new", help="the checkout under test")
-    parser.add_argument("--workload", choices=("verify", "derive"),
+    parser.add_argument("--workload",
+                        choices=("verify", "derive", "integrate"),
                         default="verify")
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--rounds", type=int, default=20,
@@ -110,7 +152,7 @@ def main(argv=None):
             proc.wait()
 
     width = max(len(key) for key in keys + ["total"])
-    print(f"{'command':<{width}}  {'old ms':>8}  {'new ms':>8}  new/old")
+    print(f"{'item':<{width}}  {'old ms':>8}  {'new ms':>8}  new/old")
     for key in keys + ["total"]:
         old, new = (sum(mins.values()) if key == "total" else mins[key]
                     for mins in best)
