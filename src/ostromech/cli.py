@@ -559,12 +559,18 @@ def main(argv=None) -> int:
             if work > _ACTION_WORK:
                 raise ValidationError("--variations x --quad-points must be "
                                       f"at most {_ACTION_WORK}, got {work}")
-            # a NaN bound fails every comparison; inf stays "no bound"
+            # a NaN bound fails every comparison and a negative one every
+            # check; inf stays "no bound".  simulate's --tol is rk45's
+            # error tolerance, which rk45 checks itself
             for name, value in vars(args).items():
-                if (name.endswith("tol") and value is not None
-                        and math.isnan(value)):
-                    raise ValidationError(f"--{name.replace('_', '-')} "
-                                          "must be a number, got nan")
+                if not name.endswith("tol") or value is None:
+                    continue
+                flag = f"--{name.replace('_', '-')}"
+                if math.isnan(value):
+                    raise ValidationError(f"{flag} must be a number, got nan")
+                if value < 0 and args.command != "simulate":
+                    raise ValidationError(
+                        f"{flag} must be non-negative, got {value}")
             ds = legendre.derive(build_system(_load_json(args.spec, "spec")))
             return args.func(args, ds)
         except SingularHessianError as err:

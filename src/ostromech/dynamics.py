@@ -365,11 +365,8 @@ def _energy(ds, env, jets, momenta):
 
 def ostrogradsky_energy(ds: DerivedSystem, jp: JetPoint) -> float:
     """E = sum p_A^i q_{i+1}^A - L with momenta from the Legendre map."""
-    if jp.n != ds.n or jp.orders < 2 * ds.k:
-        raise DimensionError(f"jet point must carry {ds.n} dofs and orders "
-                             f"up to {2 * ds.k - 1}")
-    env = jet_bindings(jp)
-    return float(_energy(ds, env, jp.q, _values(ds.momenta, env)))
+    momenta = legendre_map(ds, jp)
+    return float(_energy(ds, jet_bindings(jp), jp.q, momenta))
 
 
 def _grid_bindings(traj):
@@ -448,7 +445,15 @@ def _differences(grid, values, order):
             f"{npts} points")
     starts = np.clip(np.arange(npts) - width // 2, 0, npts - width)
     idx = starts[:, None] + np.arange(width)
-    w = _fornberg_weights(grid, grid[idx], order)[:, None, :, order]
+    # the recurrence multiplies node differences, whose products underflow
+    # on very short steps; it runs on the nodes times 2^-e, e the binary
+    # exponent of the largest step, and the weights are scaled back by
+    # 2^(-e order) in place, both exact, so a grid of normal steps keeps
+    # its weights to the bit
+    e = int(np.frexp(np.max(np.diff(grid), initial=0.0))[1])
+    w = _fornberg_weights(np.ldexp(grid, -e), np.ldexp(grid[idx], -e),
+                          order)[:, None, :, order]
+    np.ldexp(w, -e * order, out=w)
     # one dot product per point, series by series: a sum over the stencil
     # or a single matrix product for all points adds in another order and
     # moves the last bits
@@ -540,13 +545,20 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
     # five points or more
     if tol is not None and grid.size >= 5:
         h4 = float(np.max(np.diff(grid))) ** 4
-        # q_5 .. q_{top+4}: recorded up to the top order, differenced above
-        higher = [jets[:, i] for i in range(5, top + 1)] + [
-            rates[:, top + 1] if order == 1
-            else fd_derivative(grid, jets[:, top], order)
-            for order in range(max(1, 5 - top), 5)]
-        tols = 10.0 * float(tol) + h4 * np.stack(
-            [np.max(np.abs(q), axis=-1) for q in higher], axis=1)
+        # q_5 .. q_{top+4}: recorded up to the top order, differenced above;
+        # on very short steps the weights of the higher differences
+        # overflow, so over finite samples a floor that is not finite
+        # bounds nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            higher = [jets[:, i] for i in range(5, top + 1)] + [
+                rates[:, top + 1] if order == 1
+                else fd_derivative(grid, jets[:, top], order)
+                for order in range(max(1, 5 - top), 5)]
+            floors = h4 * np.stack(
+                [np.max(np.abs(q), axis=-1) for q in higher], axis=1)
+        if np.all(np.isfinite(jets)):
+            floors[~np.isfinite(floors)] = 0.0
+        tols = 10.0 * float(tol) + floors
         # nor sharper than the rounding of its samples: a few ulp of
         # max|q_i| through the largest sum of |w| of a point's stencil;
         # fmax keeps the bound where that floor is NaN

@@ -207,21 +207,18 @@ class DerivedSystem:
     def n(self):
         return self.model.n
 
-    def _kernel(self, use, family, coords, build=None):
+    def _kernel(self, use, family, coords):
         """The compiled kernel of ``use``, built on first use by
-        ``build(exprs, coords, name)``, by default
-        :func:`expressions.compile_kernel`, from the expressions
+        :func:`expressions.compile_kernel` from the expressions
         ``family()`` over ``coords`` and then cached on the system, so a
         system compiles each kernel once.  A call of a compiled kernel
         returns the tree walker's values of the whole family, or raises
         its first :class:`DomainEvalError`.  The debug line of the build
-        names the system, followed by ``use`` except for the unified
-        field."""
+        names the system, followed by ``use``."""
         kernel = self._kernels.get(use)
         if kernel is None:
-            name = self.model.name + ("" if use == "field" else f" {use}")
-            kernel = self._kernels[use] = (build or ex.compile_kernel)(
-                family(), coords, name=name)
+            kernel = self._kernels[use] = ex.compile_kernel(
+                family(), coords, name=f"{self.model.name} {use}")
         return kernel
 
     def lagrangian_value(self, env) -> float:
@@ -269,9 +266,9 @@ class DerivedSystem:
         G^i = dL/dq_i - p^{i-1}.  A singular Hessian raises
         :class:`SingularHessianError` with the state attached.
 
-        The field is one function generated by :meth:`_kernel` on first
-        use, so a system builds it once: the straight-line body of the
-        kernel of the Hessian, the reduced Euler-Lagrange values and the
+        The field is one function generated on first use, so a system
+        builds it once: the straight-line body of the kernel of the
+        Hessian, the reduced Euler-Lagrange values and the
         partials dL/dq_i (i < k) over (t, jets), as
         :func:`expressions.compile_kernel` would build it, followed by the
         solve and the assembly of the derivative (see
@@ -288,12 +285,11 @@ class DerivedSystem:
         exprs = ([w for row in self.hessian for w in row] + self.el_reduced
                  + [g for row in self.lagrangian_partials for g in row])
         solve = _top_jet_solver(n) if n <= 3 else None
-        assemble = functools.partial(_field_source, k, n, solve is not None)
-        return self._kernel(
-            "field", lambda: exprs, _coordinates(n, 2 * k, 0),
-            lambda exprs, coords, name: ex._generated(
-                exprs, coords, name, assemble, _self=self, _solve=solve,
-                _array=np.array, _SingularHessianError=SingularHessianError))
+        return ex._generated(
+            exprs, _coordinates(n, 2 * k, 0), self.model.name,
+            functools.partial(_field_source, k, n, solve is not None),
+            _self=self, _solve=solve, _array=np.array,
+            _SingularHessianError=SingularHessianError)
 
 
 def _field_source(k, n, solved, args, body, outputs):

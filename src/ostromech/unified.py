@@ -46,7 +46,8 @@ from .errors import (
     SingularHessianError,
     ValidationError,
 )
-from .legendre import DerivedSystem, _regular_inverse, legendre_map
+from .legendre import (DerivedSystem, _momenta_kernel, _regular_inverse,
+                       legendre_map)
 from .systems import UnifiedPoint, _coordinates, _index, _pairing, _readonly
 
 __all__ = [
@@ -81,26 +82,26 @@ def _check_point(ds: DerivedSystem, up: UnifiedPoint):
 
 
 def _point_family(ds: DerivedSystem):
-    """The expressions of the point kernel in the order of its outputs:
-    the momenta dof-major, H, the partials of H along every coordinate of
-    :func:`unified_coordinates` (zero where H does not depend on it), W
-    row by row and ``el_reduced``."""
-    return [*(p for per_dof in ds.momenta for p in per_dof), ds.hamiltonian,
+    """The expressions of the point kernel in the order of its outputs: H,
+    the partials of H along every coordinate of :func:`unified_coordinates`
+    (zero where H does not depend on it), W row by row and ``el_reduced``."""
+    return [ds.hamiltonian,
             *(ds.hamiltonian_partials.get(ref, ex._ZERO)
               for ref in _coordinates(ds.n, 2 * ds.k, ds.k)),
             *(w for row in ds.hessian for w in row), *ds.el_reduced]
 
 
 def _point_values(ds: DerivedSystem, times, states, explicit=False):
-    """The values of :func:`_point_family` at the points of the times
-    ``times`` (m floats) and the unified states ``states`` (m, 3kn),
-    stacked and sliced: the momenta (m, n, k), H (m,), the partials of H
-    (m, 3kn + 1), W (m, n, n) and ``el_reduced`` (m, n) and, with
-    ``explicit``, the explicit fields (m, 3kn + 1), else None.  Point by
-    point, in order, each point is evaluated once by the point kernel,
-    which is built before the field kernel, and with ``explicit`` by the
-    field, so the first point that fails raises its error."""
+    """The Legendre map's momenta and the values of :func:`_point_family`
+    at the points of the times ``times`` (m floats) and the unified states
+    ``states`` (m, 3kn), stacked and sliced: the momenta (m, n, k), H (m,),
+    the partials of H (m, 3kn + 1), W (m, n, n) and ``el_reduced`` (m, n)
+    and, with ``explicit``, the explicit fields (m, 3kn + 1), else None.
+    Point by point, in order, each point is evaluated once by the momenta
+    kernel, then the point kernel and with ``explicit`` the field, built
+    in that order, so the first point that fails raises its error."""
     k, n = ds.k, ds.n
+    momenta = _momenta_kernel(ds)
     kernel = ds._kernel("point", lambda: _point_family(ds),
                         _coordinates(n, 2 * k, k))
     rows, m, nk = [], len(states), n * k
@@ -108,7 +109,7 @@ def _point_values(ds: DerivedSystem, times, states, explicit=False):
     fields = np.ones((m, 3 * k * n + 1)) if explicit else None
     for i, (t, state, values) in enumerate(zip(times, states,
                                                states.tolist())):
-        rows.append(kernel(t, *values))
+        rows.append(momenta(t, *values[:2 * nk]) + kernel(t, *values))
         if explicit:
             fields[i, 1:] = ds._field(t, state)
     rows = np.array(rows, dtype=float)

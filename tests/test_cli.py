@@ -1219,6 +1219,12 @@ def test_installed_entry_point(tmp_path):
       for name, *_ in cli._VERIFY_CHECKS),
     ["verify", "--traj", "TRAJ", "--tol", "nan"],
     ["action-check", "--traj", "TRAJ", "--tol", "nan"],
+    # so is a negative one, which passed or failed every check
+    *(["verify", "--traj", "TRAJ", f"--{name}-tol=-1"]
+      for name, *_ in cli._VERIFY_CHECKS),
+    ["verify", "--traj", "TRAJ", "--tol=-1"],
+    ["verify", "--traj", "TRAJ", "--tol=-inf"],
+    ["action-check", "--traj", "TRAJ", "--tol=-1"],
 ])
 def test_non_finite_or_extra_numbers_are_usage_errors(tmp_path, capsys, argv):
     spec = write_spec(tmp_path, "harmonic")

@@ -311,6 +311,40 @@ def test_ostrogradsky_energy(pu, harmonic):
         assert e == pytest.approx(0.5 * (q[0, 0] ** 2 + q[0, 1] ** 2))
 
 
+DEMO_SYSTEMS = Path(__file__).resolve().parent.parent / "demos" / "systems"
+
+# momenta that read sin, exp and log
+TRIG_DOC = {"name": "trig", "order": 2, "dofs": 2,
+            "lagrangian": "1/2*(q2_1^2 + q2_2^2) + sin(q1_1)*q2_2*exp(q0_2/4)"
+                          " - log(1 + q0_1^2)*q1_2^2 + q2_1*q1_2*q0_1"}
+
+
+@pytest.mark.parametrize("doc", [
+    *(json.loads(path.read_text())
+      for path in sorted(DEMO_SYSTEMS.glob("*.json"))), TRIG_DOC],
+    ids=lambda doc: doc["name"])
+def test_ostrogradsky_energy_reads_the_legendre_map(doc):
+    # the momenta come from the Legendre map's kernel, bit for bit the
+    # tree walker's, and an order above 2k - 1 is not read
+    ds = om.derive(om.build_system(doc))
+    rng = np.random.default_rng(11)
+    for orders in [2 * ds.k] * 100 + [2 * ds.k + 1] * 10:
+        jp = om.JetPoint(float(rng.uniform(-2, 2)),
+                         rng.uniform(-2, 2, (ds.n, orders)))
+        env = om.jet_bindings(jp)
+        want = dynamics._energy(ds, env, jp.q,
+                                legendre._values(ds.momenta, env))
+        assert om.ostrogradsky_energy(ds, jp).hex() == float(want).hex()
+
+
+def test_ostrogradsky_energy_refuses_a_short_jet_point(pu):
+    for q in (np.zeros((1, 3)), np.zeros((2, 4))):
+        with pytest.raises(om.DimensionError) as info:
+            om.ostrogradsky_energy(pu, om.JetPoint(0.0, q))
+        assert str(info.value) == ("jet point must carry 1 dofs and orders "
+                                   "up to 3")
+
+
 def test_energy_series_matches_pointwise(pu):
     init = cos_jet()
     traj = om.integrate(pu, init, 3.0)
@@ -633,6 +667,52 @@ def test_holonomy_bound_has_a_rounding_floor(key, init):
     states[2, 0] += 1e-12
     bad = om.Trajectory(grid, states, "jet", ds.k, ds.n, dict(traj.meta))
     assert om.verify_trajectory(ds, bad).holonomy_ok is False
+
+
+@pytest.mark.parametrize("order, power", [(1, 600), (2, 400), (4, 200)])
+def test_differences_scale_with_the_grid_to_the_bit(order, power):
+    """A grid times 2^-power has the weights times 2^(power order), and so
+    the derivatives, bit for bit; the products of node differences in the
+    recurrence underflowed there, and the weights came out inf or NaN.
+    On a grid of normal steps the weights are the recurrence's own."""
+    rng = np.random.default_rng(order)
+    grid = np.cumsum(rng.uniform(0.05, 0.2, 12))
+    values = np.stack([np.sin(grid), np.exp(-grid)])
+    idx = np.clip(np.arange(12) - (order + 4) // 2, 0, 8 - order)[:, None] \
+        + np.arange(order + 4)
+    derivative, weights = dynamics._differences(grid, values, order)
+    assert weights.tobytes() == dynamics._fornberg_weights(
+        grid, grid[idx], order)[:, :, order].tobytes()
+    short, short_weights = dynamics._differences(
+        np.ldexp(grid, -power), values, order)
+    assert short_weights.tobytes() == np.ldexp(weights,
+                                               power * order).tobytes()
+    assert short.tobytes() == np.ldexp(derivative, power * order).tobytes()
+
+
+@pytest.mark.parametrize("span", [1e-80, 1e-300])
+@pytest.mark.parametrize("key, init", [("harmonic", [[1.0, 0.0]]),
+                                       ("pais_uhlenbeck",
+                                        [[1.0, 0.0, -1.0, 0.0]])])
+def test_very_short_spans_verify_without_warnings(key, init, span):
+    """Steps of 1e-82 and below: the Euler-Lagrange defect was 1e-3 or
+    NaN, and the holonomy defect 1e77 or NaN, since the stencil weights
+    underflowed.  The truncation floor's higher differences still
+    overflow there; a floor that is not finite bounds nothing, so the
+    bound is the rounding floor."""
+    ds = derived(key)
+    traj = om.integrate(ds, om.JetPoint(0.0, np.array(init)), span)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = om.verify_trajectory(ds, traj)
+    assert report.el_residual < 6e-14
+    assert report.holonomy_ok is True
+    # the rounding floor of the q_0 column, whose samples are all 1
+    assert np.all(traj.states[:, 0] == 1.0)
+    weights = dynamics._differences(traj.grid, traj.states[:, 0], 1)[1]
+    assert report.holonomy_tolerance == 4.0 * np.spacing(1.0) * float(
+        np.max(np.abs(weights).sum(axis=-1)))
+    assert 0.0 < report.holonomy_defect < report.holonomy_tolerance < np.inf
 
 
 @pytest.mark.parametrize("key", ["coupled_beam", "pais_uhlenbeck", "driven"])

@@ -13,7 +13,7 @@ from ostromech import expressions as ex
 from ostromech import cli, unified
 
 from conftest import (
-    NL3_LIKE, SYSTEM_DOCS, cos_jet, hex_digest, on_constraint_points,
+    NL3_LIKE, SYSTEM_DOCS, cos_jet, derived, hex_digest, on_constraint_points,
     write_spec)
 
 
@@ -435,6 +435,51 @@ def test_field_compiles_once_per_system(tmp_path, capsys, monkeypatch):
                "pais-uhlenbeck"]
     assert names == kernels
     assert debug_run(argv) == (quiet, kernels)
+
+
+@pytest.mark.parametrize("name", [*SYSTEM_DOCS, "nl3_like"])
+def test_point_family_holds_no_momenta(name):
+    # H, its 3kn + 1 partials, W and el_reduced: the momenta of a point
+    # come from the Legendre map's kernel alone
+    ds = om.derive(om.build_system(NL3_LIKE if name == "nl3_like"
+                                   else SYSTEM_DOCS[name]))
+    k, n = ds.k, ds.n
+    assert len(unified._point_family(ds)) == 1 + (3 * k * n + 1) + n * n + n
+
+
+@pytest.mark.parametrize("run", ["point", "random", "library"])
+def test_unified_checks_build_each_kernel_once(tmp_path, capsys, monkeypatch,
+                                               run):
+    # the Legendre map's momenta kernel, the point kernel and the field,
+    # each built once per system however many points are checked
+    names = []
+    generated = ex._generated
+
+    def counting(exprs, coords, name, assemble, **extra):
+        names.append(name)
+        return generated(exprs, coords, name, assemble, **extra)
+
+    points = on_constraint_points(derived("coupled_beam"), 3, seed=4)
+    monkeypatch.setattr(ex, "_generated", counting)
+    kernels = ["coupled-beam momenta", "coupled-beam point", "coupled-beam"]
+    if run == "library":
+        ds = derived("coupled_beam")
+        for up in points:
+            om.solve_unified_vf(ds, up)
+            om.constraint_residuals(ds, up)
+            om.omega_r_matrix(ds, up)
+        assert names == kernels[:2]
+        for up in points:
+            om.explicit_semispray(ds, up)
+        assert names == kernels
+        return
+    spec = write_spec(tmp_path, "coupled_beam")
+    options = (["--random", "20"] if run == "random" else
+               ["--point", ",".join(map(repr, [
+                   points[0].t, *points[0].to_state().tolist()]))])
+    assert cli.main(["unified-check", spec, *options]) == 0
+    assert json.loads(capsys.readouterr().out)["points"][0]["on_constraint"]
+    assert names == kernels
 
 
 @pytest.mark.parametrize("momentum", [np.nan, np.inf])

@@ -411,6 +411,16 @@ def _later_runs(work: Path):
         '"interval": [-1e308, 1e308]}')
     yield ["action-check", "harmonic.json", "--path",
            "overflowing_interval.json", "--variations", "3"], None
+    # spans whose steps make the products of node differences of the
+    # Fornberg recurrence subnormal (1e-80) or zero (1e-300)
+    for span in ("1e-80", "1e-300"):
+        yield ["simulate", "harmonic.json", "--init", "1,0", "--t-end",
+               span], None
+        yield ["simulate", "pais_uhlenbeck.json", "--init", "1,0,-1,0",
+               "--t-end", span], None
+    # a negative tolerance is a usage error
+    yield ["verify", "harmonic.json", "--traj", "harmonic_rk45.csv",
+           "--tol", "-1"], None
 
 
 def _line(label, command, work, env, csv=None):
