@@ -39,9 +39,6 @@ EXIT_CHECKS_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 
-# default coefficient count of the action-check --traj fit
-_FIT_COEFFS = 12
-
 # derive prints hessian_det up to this many dofs; the text of the nested
 # row expansion grows like n!: about 2.3 MB at 8 dofs, some 20 MB at 9
 _DET_TEXT_MAX_DOFS = 8
@@ -328,22 +325,20 @@ def _load_path(path_file):
 
 def cmd_action_check(args, ds):
     source = {}
-    fit_finite = True
+    finite = True
     if args.path:
         path = _load_path(args.path)
         source["path_file"] = args.path
     else:
         traj = dynamics.load_trajectory_csv(args.traj, k=ds.k, n=ds.n)
-        coeffs = args.coeffs
-        if coeffs is None:
-            coeffs = min(_FIT_COEFFS, traj.grid.size)
-        fit = variational.fit_path(traj, args.basis, coeffs)
-        path = fit.path
+        path = variational.HermitePath(traj)
         source["trajectory_file"] = args.traj
-        source["fit"] = fit.to_dict()
-        # a non-finite residual means the recorded jets are not a path
-        fit_finite = bool(np.all(np.isfinite(
-            [fit.max_residual, *fit.derivative_residuals])))
+        # a non-finite recorded jet is not a path, whether or not a
+        # quadrature node falls on its intervals
+        finite = bool(np.all(np.isfinite(path.coefficients)))
+        if not finite:
+            print("warning: non-finite jets in the trajectory",
+                  file=sys.stderr)
 
     stat = variational.stationarity_check(
         ds, path, n_variations=args.variations, tol=args.tol, seed=args.seed,
@@ -359,7 +354,7 @@ def cmd_action_check(args, ds):
         "action_cartan": s_cartan,
         "action_difference": abs(s_lagrangian - s_cartan),
         "stationarity": stat.to_dict(),
-        "passed": stat.stationary and fit_finite,
+        "passed": stat.stationary and finite,
     }
     _emit(args, report)
     return EXIT_OK if report["passed"] else EXIT_CHECKS_FAILED
@@ -473,11 +468,11 @@ def _build_parser():
     p.add_argument("--method", choices=("rk45", "rk4"), default="rk45",
                    help="integrator (default rk45)")
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="adaptive error tolerance (default 1e-9)")
+                   help="adaptive error tolerance (rk45 only, default 1e-9)")
     p.add_argument("--step", type=float,
                    help="fixed step size (rk4 only)")
     p.add_argument("--max-step", type=float, dest="max_step",
-                   help="cap on the adaptive step size")
+                   help="cap on the adaptive step size (rk45 only)")
     p.add_argument("--unified", action="store_true",
                    help="integrate on the unified jet-momentum space "
                         "(initial point must satisfy the constraints)")
@@ -504,13 +499,8 @@ def _build_parser():
                        help="path document (JSON: basis, coefficients, "
                             "interval)")
     group.add_argument("--traj", metavar="FILE",
-                       help="trajectory CSV to fit a path through")
-    p.add_argument("--basis", choices=("monomial", "fourier"),
-                   default="monomial",
-                   help="fit basis for --traj (default monomial)")
-    p.add_argument("--coeffs", type=int,
-                   help=f"fit coefficient count for --traj (default "
-                        f"{_FIT_COEFFS}, or the grid point count if smaller)")
+                       help="trajectory CSV, read as the piecewise "
+                            "polynomial through its recorded q_0 .. q_k")
     p.add_argument("--variations", type=int, default=20,
                    help="number of random bump variations (default 20)")
     p.add_argument("--tol", type=float, default=1e-6,
@@ -561,7 +551,7 @@ def main(argv=None) -> int:
                                       f"at most {_ACTION_WORK}, got {work}")
             # a NaN bound fails every comparison and a negative one every
             # check; inf stays "no bound".  simulate's --tol is rk45's
-            # error tolerance, which rk45 checks itself
+            # error tolerance, which the integrator checks itself
             for name, value in vars(args).items():
                 if not name.endswith("tol") or value is None:
                     continue

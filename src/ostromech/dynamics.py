@@ -274,6 +274,15 @@ def _integrate(f, t0, y0, t_end, method, step, rtol, atol, max_step,
                               f"t0={float(t0)}, t_end={float(t_end)}")
     if t_end <= t0:
         raise ValidationError("t_end must lie after the initial time")
+    if method not in ("rk4", "rk45"):
+        raise ValidationError(f"unknown integration method {method!r}")
+    # rk4 reads none of them, but a meaningless value is refused under
+    # either method
+    if not (atol > 0 and rtol >= 0 and max_step > 0):
+        raise ValidationError(
+            f"{method} integration needs atol > 0, rtol >= 0 and "
+            f"max_step > 0, got atol={atol}, rtol={rtol}, "
+            f"max_step={max_step}")
     # a stage may overflow to inf or NaN, which rk45 rejects as it rejects
     # any too-large error, so a library caller that turns RuntimeWarning
     # into an error must still get the rejection and not an exception
@@ -282,15 +291,7 @@ def _integrate(f, t0, y0, t_end, method, step, rtol, atol, max_step,
             if step is None or not step > 0:
                 raise ValidationError("rk4 integration needs a positive step")
             return _run_rk4(f, t0, y0, t_end, step, max_steps)
-        if method == "rk45":
-            if not (atol > 0 and rtol >= 0 and max_step > 0):
-                raise ValidationError(
-                    f"rk45 integration needs atol > 0, rtol >= 0 and "
-                    f"max_step > 0, got atol={atol}, rtol={rtol}, "
-                    f"max_step={max_step}")
-            return _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step,
-                              max_steps)
-    raise ValidationError(f"unknown integration method {method!r}")
+        return _run_rkf45(f, t0, y0, t_end, rtol, atol, max_step, max_steps)
 
 
 def integrate(ds: DerivedSystem, init: JetPoint, t_end: float,
@@ -513,11 +514,16 @@ def verify_trajectory(ds: DerivedSystem, traj: Trajectory,
 
     ``tolerance`` overrides the integrator tolerance recorded in the
     trajectory metadata for the holonomy verdict; when neither is
-    available the holonomy defect is reported without a verdict.
+    available the holonomy defect is reported without a verdict.  A
+    given ``tolerance`` must be non-negative; inf bounds nothing.
     """
     k, n = ds.k, ds.n
     if traj.k != k or traj.n != n:
         raise DimensionError("trajectory dimensions do not match the system")
+    # a NaN or negative bound would pass or fail every column alike
+    if tolerance is not None and not tolerance >= 0:
+        raise ValidationError(
+            f"tolerance must be non-negative, got {tolerance}")
     grid = traj.grid
     jets, momenta, env = _grid_bindings(traj)
     partials = _values(ds.lagrangian_partials, env, grid.shape)

@@ -62,7 +62,7 @@ logger = logging.getLogger("ostromech.unified")
 # condition number above which the vector-field solve logs a warning
 _CONDITION_WARN = 1e12
 
-# check_points solves and contracts the fields of this many points at a
+# check_states solves and contracts the fields of this many points at a
 # time; larger blocks gain no time and raise the peak memory
 _POINT_BLOCK = 16
 
@@ -374,17 +374,6 @@ def kernel_check(ds: DerivedSystem, up: UnifiedPoint, field) -> KernelReport:
     contraction = (omegas @ x[:, None])[0, :, 0]
     return KernelReport(float(np.max(np.abs(contraction))), float(x[0]),
                         contraction)
-
-
-def check_points(ds: DerivedSystem, points) -> list:
-    """:func:`check_states` of unified point objects, each checked
-    against the system first."""
-    for up in points:
-        _check_point(ds, up)
-    return check_states(ds, [up.t for up in points],
-                        np.reshape([up.to_state() for up in points],
-                                   (len(points), 3 * ds.k * ds.n)),
-                        [up.p_ext for up in points])
 
 
 def check_states(ds: DerivedSystem, times, states, p_ext=None) -> list:

@@ -2,7 +2,8 @@
 
 Paths are smooth curves t -> q(t) with analytic derivatives to any order,
 either polynomial (monomial basis) or half-range trigonometric (fourier
-basis, frequencies m*pi/(b-a)).  The action of a path is computed by
+basis, frequencies m*pi/(b-a)), or the piecewise polynomial through a
+recorded trajectory's jets.  The action of a path is computed by
 composite Simpson quadrature of the Lagrangian along the analytic jet
 prolongation, or equivalently of the pulled-back unified one-form
 (momenta from the Legendre map, extended momentum from the Hamiltonian
@@ -26,14 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .dynamics import Trajectory
+from .dynamics import Trajectory, fd_derivative
 from .legendre import DerivedSystem, _values
 from .systems import _bindings, _pairing, _split_state
 
 __all__ = [
     "PathRepresentation", "Variation", "discrete_action",
     "action_derivative", "first_variation", "stationarity_check",
-    "StationarityReport", "fit_path", "FitResult", "el_along_path",
+    "StationarityReport", "HermitePath", "el_along_path",
 ]
 
 _BASES = ("monomial", "fourier")
@@ -443,64 +444,68 @@ def el_along_path(ds: DerivedSystem, path, ts) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fitting
+# the path of a recorded trajectory
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FitResult:
-    """A fitted path plus residual diagnostics.
+def _taylor_basis(m):
+    """Monomial coefficients, in s = (t - t_j) / h on one interval, of the
+    two-point Taylor basis of degree 2m - 1.  Row i of the first array
+    takes the scaled derivative h^i q_i / i! at s = 0, row i of the second
+    that at s = 1: s^i (1 - s)^m sum_{j < m - i} C(m - 1 + j, j) s^j, and
+    that function of 1 - s times (-1)^i."""
+    s = np.polynomial.Polynomial([0.0, 1.0])
+    left = [s ** i * (1 - s) ** m * sum(math.comb(m - 1 + j, j) * s ** j
+                                        for j in range(m - i))
+            for i in range(m)]
+    return (np.array([p.coef for p in left]),
+            np.array([(-1) ** i * p(1 - s).coef for i, p in enumerate(left)]))
 
-    ``max_residual`` covers the fitted positions; ``derivative_residuals``
-    compares the analytic derivatives of the fit against the recorded
-    higher jets, orders 1 .. 2k-1.  ``condition`` is the condition number
-    of the normal equations, the squared ratio of the extreme singular
-    values of the design matrix (inf where the smallest is 0).
+
+class HermitePath:
+    """The piecewise polynomial through a trajectory's recorded jets.
+
+    On each grid interval it is the polynomial of degree 2k + 1 that takes
+    the recorded q_0 .. q_k at both ends, so it is exact at the nodes and
+    joins C^k; the grid fixes it.  At k = 1, where a cubic is too coarse
+    for a bump a few steps wide, it also takes q_2, the recorded q_1
+    differenced, and has degree 5.  ``coefficients[p, a, j]`` multiplies
+    s^p, s = (t - t_j) / (t_j+1 - t_j), for dof a on interval j.
     """
 
-    path: PathRepresentation
-    max_residual: float
-    derivative_residuals: list
-    condition: float
+    def __init__(self, traj: Trajectory):
+        grid = traj.grid
+        jets = _split_state(traj.states.T, traj.k, traj.n)[0][:, :traj.k + 1]
+        if traj.k == 1:
+            jets = np.concatenate([jets, fd_derivative(grid, jets[:, 1:])],
+                                  axis=1)
+        m, steps = jets.shape[1], np.diff(grid)
+        # the Taylor data h^i q_i / i! at both ends of every interval
+        scale = np.array([steps ** i / math.factorial(i) for i in range(m)])
+        left, right = _taylor_basis(m)
+        self.grid, self.n = grid, traj.n
+        self.interval = (float(grid[0]), float(grid[-1]))
+        self.coefficients = (
+            np.einsum("aij,ip->paj", jets[..., :-1] * scale, left)
+            + np.einsum("aij,ip->paj", jets[..., 1:] * scale, right))
 
-    def to_dict(self):
-        return {
-            "basis": self.path.basis,
-            "n_coefficients": int(self.path.coefficients.shape[1]),
-            "max_residual": self.max_residual,
-            "derivative_residuals": list(self.derivative_residuals),
-            "condition": self.condition,
-        }
-
-
-def fit_path(traj: Trajectory, basis: str, n_coeffs: int) -> FitResult:
-    """Least-squares fit of the position samples of a trajectory.
-
-    Only the order-0 jets are fitted; the fit's analytic derivatives are
-    then compared against the recorded higher jets and reported.  The
-    normal equations are never formed: one orthogonal least-squares solve
-    gives the coefficients and the singular values for ``condition``.
-    """
-    if basis not in _BASES:
-        raise ValidationError(f"unknown path basis {basis!r}")
-    npts = traj.grid.size
-    if not 1 <= n_coeffs <= npts:
-        raise ValidationError(
-            f"n_coeffs must lie in 1..{npts} (grid points), got {n_coeffs}")
-    interval = (float(traj.grid[0]), float(traj.grid[-1]))
-    design, = _basis_matrices(basis, interval, n_coeffs, traj.grid, 0)
-    jets = _split_state(traj.states.T, traj.k, traj.n)[0]
-    targets = np.column_stack([jets[a, 0] for a in range(traj.n)])
-
-    coeffs, _, _, singular = np.linalg.lstsq(design, targets, rcond=None)
-    # on Python floats an overflowing ratio is inf, not a NumPy warning
-    ratio = (float(singular[0]) / float(singular[-1]) if singular[-1]
-             else np.inf)
-    condition = ratio * ratio
-    path = PathRepresentation(basis, coeffs.T, interval)
-
-    residuals = np.max(np.abs(path.jets(traj.grid, 2 * traj.k - 1)
-                              - jets), axis=(0, 2))
-    return FitResult(path=path, max_residual=float(residuals[0]),
-                     derivative_residuals=residuals[1:].tolist(),
-                     condition=condition)
+    def jets(self, ts, max_order: int) -> np.ndarray:
+        """jets[a, i]: the order-i time derivative of dof a at the given
+        times, orders 0 .. max_order; each time is read on the interval
+        that holds it, the right one at a node."""
+        ts = np.asarray(ts, dtype=float)
+        grid, c = self.grid, self.coefficients
+        j = np.clip(np.searchsorted(grid, ts, side="right") - 1, 0,
+                    grid.size - 2)
+        steps = grid[j + 1] - grid[j]
+        x = (ts - grid[j]) / steps
+        out = np.zeros((self.n, max_order + 1, ts.size))
+        for order in range(min(max_order + 1, len(c))):
+            # Horner's rule in s on the order-th s-derivative, whose
+            # coefficient of s^(p - order) is c[p] p! / (p - order)!; one
+            # interval's coefficients are gathered per time and power
+            for power in range(len(c) - 1, order - 1, -1):
+                out[:, order] *= x
+                out[:, order] += math.perm(power, order) * c[power][:, j]
+            out[:, order] /= steps ** order
+        return out

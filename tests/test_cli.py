@@ -529,6 +529,17 @@ def test_simulate_rejects_bad_integrator_inputs(tmp_path, capsys, flag):
     assert err.startswith("error: rk45 integration needs atol > 0")
 
 
+@pytest.mark.parametrize("flag", ["--tol=-1", "--max-step=-1"])
+def test_simulate_rk4_rejects_bad_integrator_inputs(tmp_path, capsys, flag):
+    # rk4 reads neither option, and ran with them to exit 0
+    spec = write_spec(tmp_path, "harmonic")
+    code, out, err = run_cli(capsys, [
+        "simulate", spec, "--init", "1,0", "--t-end", "1", "--method", "rk4",
+        "--step", "0.1", flag])
+    assert code == 2 and out == ""
+    assert err.startswith("error: rk4 integration needs atol > 0")
+
+
 @pytest.mark.parametrize("method", [["--method", "rk4", "--step", "0.1"],
                                     ["--method", "rk45"]])
 @pytest.mark.parametrize("layout", [["--init", "1,0"],
@@ -581,12 +592,12 @@ def test_verify_flags_corruption(tmp_path, capsys):
 
 
 def nan_velocity_csv(tmp_path, capsys, spec, column="q_1_1", value="nan",
-                     row=None):
-    """A harmonic rk45 trajectory with one cell of ``column`` set to
-    ``value``: that of row ``row``, or of the middle row."""
+                     row=None, span=("--init", "1,0", "--t-end", "1")):
+    """A harmonic rk45 trajectory over ``span`` with one cell of
+    ``column`` set to ``value``: that of row ``row``, or of the middle
+    row."""
     csv = tmp_path / "h.csv"
-    run_json(capsys, ["simulate", spec, "--init", "1,0", "--t-end", "1",
-                      "--out", str(csv)])
+    run_json(capsys, ["simulate", spec, *span, "--out", str(csv)])
     lines = csv.read_text().splitlines()
     rows = [line.split(",") for line in lines[1:]]
     rows[len(rows) // 2 if row is None else row][
@@ -689,56 +700,117 @@ def test_action_check_bump_scale_out_of_range_is_a_usage_error(
 
 
 def test_action_check_fitted_trajectory(tmp_path, capsys):
+    # the path through the recorded jets is stationary
     spec = write_spec(tmp_path, "harmonic")
     csv = tmp_path / "traj.csv"
     run_json(capsys, ["simulate", spec, "--init", "1,0",
                       "--t-end", f"{2 * np.pi:.17g}", "--out", str(csv)])
-    report = run_json(capsys, [
-        "action-check", spec, "--traj", str(csv), "--basis", "fourier",
-        "--coeffs", "9", "--variations", "10"])
+    report = run_json(capsys, ["action-check", spec, "--traj", str(csv),
+                               "--variations", "10"])
     assert report["passed"] is True
-    assert "used_orthogonal" not in report["source"]["fit"]
-    assert report["source"]["fit"]["max_residual"] < 1e-8
+    assert report["source"] == {"trajectory_file": str(csv)}
+    assert report["interval"] == [0.0, 2 * np.pi]
 
 
 def test_action_check_default_fit_is_silent(tmp_path, capsys):
-    # the default 12-coefficient monomial fit has cond(D^T D) above 1e10
+    # the path through the recorded jets takes no option and prints
+    # nothing on stderr
     spec = write_spec(tmp_path, "harmonic")
     csv = tmp_path / "traj.csv"
     run_json(capsys, ["simulate", spec, "--init", "1,0",
                       "--t-end", f"{2 * np.pi:.17g}", "--out", str(csv)])
-    _, out, err = run_cli(capsys, ["action-check", spec, "--traj", str(csv),
-                                   "--variations", "2"])
-    assert err == ""
-    assert json.loads(out)["source"]["fit"]["condition"] > 1e10
+    code, out, err = run_cli(capsys, ["action-check", spec, "--traj",
+                                      str(csv), "--variations", "2"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["passed"] is True
+
+
+# simulate arguments of correct rk45 runs over long spans, each of which
+# the global least-squares fit of 12 coefficients failed (max|dS| 5e-6 to
+# 1.2e-3 against bounds near 1e-6)
+_LONG_SPANS = {
+    "harmonic": ["--init", "0.7,-0.4", "--t-end", "7.3"],
+    "pais_uhlenbeck": ["--init", "1,0,-1,0", "--t-end", "6"],
+    "pais_uhlenbeck_unified": ["--init", "1,0,-1,0,0,-1", "--t-end", "6",
+                               "--unified"],
+    "coupled_mass": ["--init", "0.3,0.4,0.5,0.6,0.7,0.8", "--t-end", "5"],
+    "coupled_beam": ["--init", "0.3,0.1,0,0,0.5,-0.2,0,0", "--t-end", "4"],
+    "driven_oscillator": ["--init", "0.3,0", "--t-end", "6"],
+}
+
+
+def _moved(csv, changes):
+    """Add to each named column of the CSV a function of the time."""
+    lines = csv.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    for row in rows:
+        for column, change in changes.items():
+            row[header.index(column)] += change(row[0])
+    csv.write_text("\n".join([lines[0]] + [",".join(map(repr, row))
+                                           for row in rows]) + "\n")
+
+
+@pytest.mark.parametrize("case", [*_LONG_SPANS, "harmonic_perturbed"])
+def test_action_check_long_span_trajectories(tmp_path, capsys, case):
+    # k = 1 and k = 2, jet and unified layouts: the path through the
+    # recorded jets keeps max|dS| two orders below the bound; q0 moved by
+    # 2e-4 t^2, and q1 with it, is not a solution and fails
+    name = case.removesuffix("_unified").removesuffix("_perturbed")
+    spec = str(DEMOS / f"{name}.json")
+    csv = tmp_path / "traj.csv"
+    run_json(capsys, ["simulate", spec, *_LONG_SPANS.get(
+        case, _LONG_SPANS["harmonic"]), "--out", str(csv)])
+    if case.endswith("_perturbed"):
+        _moved(csv, {"q_0_1": lambda t: 2e-4 * t * t,
+                     "q_1_1": lambda t: 4e-4 * t})
+    code, out, err = run_cli(capsys, ["action-check", spec, "--traj",
+                                      str(csv)])
+    report = json.loads(out)
+    stat = report["stationarity"]
+    bound = stat["tolerance"] * (1.0 + abs(stat["action"]))
+    assert err == "" and report["action_difference"] <= 1e-14
+    if case.endswith("_perturbed"):
+        assert (code, report["passed"]) == (1, False)
+        assert stat["max_abs_derivative"] > 1e3 * bound
+    else:
+        assert (code, report["passed"]) == (0, True)
+        assert stat["max_abs_derivative"] < 0.2 * bound
 
 
 def test_action_check_fails_a_non_finite_fit_residual(tmp_path, capsys):
-    # the fit reads positions only, so the path stays stationary
+    # a NaN velocity, read by the path, fails the run whether or not a
+    # quadrature node falls on the intervals it enters: at row 21 of 137
+    # one bump and 17 nodes miss them, and the loose bound passes the
+    # finite action
     spec = str(DEMOS / "harmonic.json")
-    csv = nan_velocity_csv(tmp_path, capsys, spec)
-    code, out, _ = run_cli(capsys, ["action-check", spec, "--traj", csv,
-                                    "--variations", "5"])
-    report = json.loads(out)
-    assert report["source"]["fit"]["derivative_residuals"] == ["nan"]
+    csv = nan_velocity_csv(tmp_path, capsys, spec, row=21,
+                           span=_LONG_SPANS["harmonic"])
+    for options in ([], ["--variations", "1", "--quad-points", "8",
+                         "--tol", "1e-3"]):
+        code, out, err = run_cli(capsys, ["action-check", spec, "--traj",
+                                          csv, *options])
+        report = json.loads(out)
+        assert (code, report["passed"]) == (1, False)
+        assert err == "warning: non-finite jets in the trajectory\n"
     assert report["stationarity"]["stationary"] is True
-    assert code == 1 and report["passed"] is False
+    assert math.isfinite(report["action_lagrangian"])
 
 
 def test_action_check_short_trajectory_default_coeffs(tmp_path, capsys):
-    # rk45 takes 4 steps here; the default fit needs no more coefficients
-    # than the trajectory has grid points
+    # rk45 takes 4 steps here: four intervals are a path
     spec = str(DEMOS / "free_particle.json")
     csv = tmp_path / "short.csv"
     run_json(capsys, ["simulate", spec, "--init", "0,1", "--t-end", "3",
                       "--out", str(csv)])
     assert len(csv.read_text().splitlines()) == 1 + 5
     report = run_json(capsys, ["action-check", spec, "--traj", str(csv)])
-    assert report["source"]["fit"]["n_coefficients"] == 5
     assert report["passed"] is True
-    code, _, err = run_cli(capsys, ["action-check", spec, "--traj", str(csv),
-                                    "--coeffs", "6"])
-    assert code == 2 and "n_coeffs" in err
+    # the path takes no coefficient count
+    with pytest.raises(SystemExit) as info:
+        cli.main(["action-check", spec, "--traj", str(csv), "--coeffs", "9"])
+    assert info.value.code == 2
+    capsys.readouterr()
 
 
 def test_action_check_usage(tmp_path, capsys):
@@ -1368,9 +1440,10 @@ def test_domain_error_names_its_value_on_a_grid(tmp_path, capsys,
     spec.write_text(json.dumps({"name": "logpot", "order": 1, "dofs": 1,
                                 "lagrangian": "1/2*q1^2 + log(q0)"}))
     # verify evaluates on the recorded grid, action-check on the quadrature
-    # nodes of the first bump's support, along the path fitted to the grid
+    # nodes of the first bump's support, along the path through the
+    # recorded jets
     for command, value in (("verify", "-0.02870131354713589"),
-                           ("action-check", "-6.922574613577254e-05")):
+                           ("action-check", "-6.922574316861228e-05")):
         code, out, err = run_cli(capsys, [command, str(spec), "--traj",
                                           "h.csv"])
         assert (code, out, err) == (

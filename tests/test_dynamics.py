@@ -226,9 +226,25 @@ def test_rk45_accepts_zero_rtol_and_rk4_ignores_tolerances(harmonic):
     init = om.JetPoint(0.0, np.array([[1.0, 0.0]]))
     traj = om.integrate(harmonic, init, 1.0, rtol=0.0)
     assert abs(traj.states[-1, 0] - math.cos(1.0)) < 1e-8
+    # valid tolerances and a cap below the step change nothing under rk4
     traj = om.integrate(harmonic, init, 1.0, method="rk4", step=0.1,
-                        atol=0.0, max_step=0.0)
+                        atol=1.0, rtol=1.0, max_step=1e-3)
     assert traj.meta["steps"] == 10
+
+
+@pytest.mark.parametrize("name, value", [
+    ("atol", 0.0), ("atol", -1e-9), ("atol", math.nan), ("rtol", -1e-9),
+    ("rtol", math.nan), ("max_step", 0.0), ("max_step", -0.1)])
+def test_rk4_rejects_the_tolerances_and_step_caps_rk45_rejects(
+        harmonic, pu, name, value):
+    # rk4 reads none of them, and accepted every one
+    init = om.JetPoint(0.0, np.array([[1.0, 0.0]]))
+    with pytest.raises(om.ValidationError, match="rk4 integration needs"):
+        om.integrate(harmonic, init, 1.0, method="rk4", step=0.1,
+                     **{name: value})
+    with pytest.raises(om.ValidationError, match="rk4 integration needs"):
+        om.integrate_unified(pu, pu_unified_init(pu), 1.0, method="rk4",
+                             step=0.1, **{name: value})
 
 
 def test_first_step_knob_is_gone(harmonic):
@@ -771,6 +787,17 @@ def test_verify_dimension_mismatch(pu, harmonic):
     traj = om.integrate(harmonic, om.JetPoint(0.0, np.array([[1.0, 0.0]])), 1.0)
     with pytest.raises(om.DimensionError):
         om.verify_trajectory(pu, traj)
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, -math.inf, math.nan])
+def test_verify_rejects_a_negative_or_nan_tolerance(harmonic, tolerance):
+    # the holonomy bound was built from 10 * tolerance and then floored:
+    # 3.59e-14 for -1
+    traj = om.integrate(harmonic, om.JetPoint(0.0, np.array([[1.0, 0.0]])), 1.0)
+    with pytest.raises(om.ValidationError, match="non-negative"):
+        om.verify_trajectory(harmonic, traj, tolerance=tolerance)
+    report = om.verify_trajectory(harmonic, traj, tolerance=math.inf)
+    assert report.holonomy_tolerance == math.inf and report.holonomy_ok
 
 
 def test_csv_round_trip(tmp_path, pu):

@@ -168,6 +168,13 @@ def test_condition_warning_logged(pu, monkeypatch, caplog):
     assert any("ill-conditioned" in rec.message for rec in caplog.records)
 
 
+def _stacked(points):
+    """The times, unified states and extended momenta of unified points:
+    the stacked arguments of unified.check_states."""
+    return ([up.t for up in points], np.array([up.to_state() for up in points]),
+            [up.p_ext for up in points])
+
+
 def test_unified_check_raises_the_first_failing_points_error():
     # W = q0 - 1 is singular at q0 = 1, and log(q0) fails at q0 = -1
     ds = _one_dof("1/2*(q0 - 1)*q1^2 + log(q0)")
@@ -178,9 +185,9 @@ def test_unified_check_raises_the_first_failing_points_error():
     regular, singular, domain = point(0.0, 2.0), point(0.5, 1.0), point(
         1.0, -1.0)
     with pytest.raises(om.SingularHessianError, match="accelerations"):
-        unified.check_points(ds, [regular, singular, domain])
+        unified.check_states(ds, *_stacked([regular, singular, domain]))
     with pytest.raises(om.DomainEvalError):
-        unified.check_points(ds, [domain, singular, regular])
+        unified.check_states(ds, *_stacked([domain, singular, regular]))
 
 
 def test_unified_check_warnings_keep_the_point_order(tmp_path, capsys,
@@ -351,9 +358,9 @@ def test_straight_line_solve_leaves_doubtful_w_to_the_one_test(
                 om.solve_unified_vf(ds, up)
             with pytest.raises(om.SingularHessianError,
                                match="accelerations"):
-                unified.check_points(ds, [up])
+                unified.check_states(ds, [up.t], up.to_state()[None])
         else:
-            entry, = unified.check_points(ds, [up])
+            entry, = unified.check_states(ds, [up.t], up.to_state()[None])
             if verdict == "regular":
                 solved = om.solve_unified_vf(ds, up).components
                 assert entry["solved_field"] == solved.tolist()
@@ -491,7 +498,8 @@ def test_non_finite_momentum_is_off_constraint(harmonic, momentum):
     with pytest.raises(om.OffConstraintError):
         om.integrate_unified(harmonic, bad, 1.0, method="rk4", step=0.1)
     with np.errstate(invalid="ignore"):
-        entry, = unified.check_points(harmonic, [bad])
+        entry, = unified.check_states(harmonic, [bad.t],
+                                      bad.to_state()[None])
     assert entry["on_constraint"] is False and entry["solved_field"] is None
 
 
@@ -607,7 +615,7 @@ def _public_entry(ds, up):
 
 def _cli_entry(ds, up):
     """The unified-check entry of one point."""
-    return unified.check_points(ds, [up])[0]
+    return unified.check_states(ds, [up.t], up.to_state()[None])[0]
 
 
 def _bits(value):
@@ -676,7 +684,7 @@ def test_one_evaluation_gives_the_tree_walked_answer(name):
         # the entries of all points at once, solved and contracted over
         # the stacked points, are those of the points one by one
         with np.errstate(over="ignore", invalid="ignore"):
-            assert _bits(unified.check_points(ds, points)) == [
+            assert _bits(unified.check_states(ds, *_stacked(points))) == [
                 _bits(_public_entry(ds, up)) for up in points]
     if name == "harmonic":
         # where the point kernel's straight-line code overflows, it
@@ -737,9 +745,9 @@ def test_check_points_in_blocks_equal_the_points_one_by_one(name):
         0.0, [1e200] * (2 * k * n) + [0.0] * (k * n), k, n))
     points.append(om.UnifiedPoint(points[7].jet, points[7].momenta))
     with np.errstate(over="ignore", invalid="ignore"):
-        together = unified.check_points(ds, points)
+        together = unified.check_states(ds, *_stacked(points))
         alone = [entry for up in points
-                 for entry in unified.check_points(ds, [up])]
+                 for entry in unified.check_states(ds, *_stacked([up]))]
     assert json.dumps(together) == json.dumps(alone)
     assert [entry["on_constraint"] for entry in together].count(False) >= 2
     assert not np.isfinite(together[18]["hamiltonian"])
@@ -758,7 +766,7 @@ def test_check_points_builds_no_point_objects(name, monkeypatch):
         raise AssertionError("a point object was built")
     monkeypatch.setattr(unified, "SemisprayVector", refused)
     monkeypatch.setattr(unified, "KernelReport", refused)
-    entries = unified.check_points(ds, points)
+    entries = unified.check_states(ds, *_stacked(points))
     assert [entry["on_constraint"] for entry in entries] == [True] * 20 + [
         False]
     assert all(entry["kernel_residual"] < 1e-8 for entry in entries[:20])

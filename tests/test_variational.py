@@ -1,6 +1,5 @@
 """Paths, variations, discrete actions, stationarity probes, fitting."""
 
-import logging
 import math
 
 import numpy as np
@@ -402,56 +401,60 @@ def test_el_along_path(pu):
                                -0.3 * np.sin(ts), atol=1e-10)
 
 
-def test_fit_path_fourier_recovery(harmonic):
-    traj = om.integrate(harmonic, om.JetPoint(0.0, np.array([[1.0, 0.0]])),
-                        2.0 * np.pi)
-    fit = om.fit_path(traj, "fourier", 9)
-    assert fit.max_residual < 1e-8
-    assert all(r < 1e-6 for r in fit.derivative_residuals)
-    # the full-period cosine is the m = 2 mode of this basis
-    coeffs = fit.path.coefficients[0]
-    assert coeffs[3] == pytest.approx(1.0, abs=1e-7)
-    assert np.max(np.abs(np.delete(coeffs, 3))) < 1e-7
+def _polynomial_trajectory(k, n, grid, degree, seed=0):
+    """A jet trajectory whose dof a is a polynomial of the given degree,
+    and the coefficients of each dof."""
+    coefficients = np.random.default_rng(seed).uniform(-1, 1, (n, degree + 1))
+    states = np.stack([
+        np.polynomial.polynomial.polyval(
+            grid, np.polynomial.polynomial.polyder(c, i))
+        for c in coefficients for i in range(2 * k)], axis=1)
+    return om.Trajectory(grid, states, "jet", k, n), coefficients
 
 
-def test_fit_path_ill_conditioned_fit_is_silent(harmonic, caplog):
-    traj = om.integrate(harmonic, om.JetPoint(0.0, np.array([[1.0, 0.0]])),
-                        2.0 * np.pi)
-    with caplog.at_level(logging.DEBUG, logger="ostromech"):
-        fit = om.fit_path(traj, "monomial", 12)
-    assert fit.condition > 1e10
-    assert fit.max_residual < 1e-4
-    assert not caplog.records
+@pytest.mark.parametrize("k, degree", [(1, 5), (2, 5), (3, 7)])
+def test_hermite_path_reproduces_polynomials_of_its_degree(k, degree):
+    # each interval's polynomial is the only one of its degree that takes
+    # q_0 .. q_k at both ends, and at k = 1 the differenced q_2, exact on
+    # a quartic q_1; so a polynomial path comes back with every derivative,
+    # on an uneven grid
+    grid = np.cumsum([0.0, 0.3, 0.05, 0.4, 0.2, 0.25]) - 0.5
+    traj, coefficients = _polynomial_trajectory(k, 2, grid, degree)
+    path = om.HermitePath(traj)
+    assert (path.n, path.interval) == (2, (-0.5, 0.7))
+    assert path.coefficients.shape == (degree + 1, 2, 5)
+    ts = np.linspace(-0.5, 0.7, 61)
+    jets = path.jets(ts, degree + 1)
+    for a, c in enumerate(coefficients):
+        for order in range(degree + 2):
+            want = np.polynomial.polynomial.polyval(
+                ts, np.polynomial.polynomial.polyder(c, order))
+            # rounding grows as order! / h^order, h down to 0.05
+            np.testing.assert_allclose(
+                jets[a, order], want, rtol=0,
+                atol=1e-12 * 20.0 ** order * math.factorial(order))
 
 
-@pytest.mark.parametrize("basis", ["monomial", "fourier"])
-def test_fit_path_is_one_least_squares_solve(harmonic, basis):
-    traj = om.integrate(harmonic, om.JetPoint(0.0, np.array([[1.0, 0.0]])),
-                        2.0 * np.pi)
-    fit = om.fit_path(traj, basis, 9)
-    design, = variational._basis_matrices(basis, (0.0, 2.0 * np.pi), 9,
-                                          traj.grid, 0)
-    coeffs, _, _, singular = np.linalg.lstsq(design, traj.states[:, :1],
-                                             rcond=None)
-    assert fit.path.coefficients.tobytes() == coeffs.T.tobytes()
-    assert fit.condition == (singular[0] / singular[-1]) ** 2
+def test_hermite_path_takes_the_recorded_jets_at_the_nodes():
+    # matching q_0 .. q_k only: q_{k+1} of a degree-9 polynomial is not
+    # taken at the nodes, the lower jets are
+    k, grid = 2, np.linspace(0.0, 1.0, 11)
+    traj, _ = _polynomial_trajectory(k, 1, grid, 9, seed=1)
+    jets = om.HermitePath(traj).jets(grid, 2 * k - 1)
+    recorded = traj.states.T.reshape(1, 2 * k, -1)
+    np.testing.assert_allclose(jets[:, :k + 1], recorded[:, :k + 1],
+                               rtol=1e-12, atol=1e-11)
+    assert np.max(np.abs(jets[:, k + 1] - recorded[:, k + 1])) > 1e-6
 
 
-@pytest.mark.parametrize("n_coeffs", [2, 3])
-def test_fit_path_condition_is_inf_without_a_warning(n_coeffs):
-    # t^2 underflows to a zero column on this grid (smallest singular value
-    # 0), and with two columns the squared ratio overflows
-    traj = om.Trajectory(np.array([0.0, 1e-170, 2e-170]), np.zeros((3, 2)),
-                         "jet", 1, 1)
-    fit = om.fit_path(traj, "monomial", n_coeffs)
-    assert fit.condition == np.inf
-    assert fit.max_residual == 0.0
-
-
-def test_fit_path_validation(harmonic):
-    traj = om.integrate(harmonic, om.JetPoint(0.0, np.array([[1.0, 0.0]])),
-                        1.0)
-    with pytest.raises(om.ValidationError):
-        om.fit_path(traj, "monomial", traj.grid.size + 1)
-    with pytest.raises(om.ValidationError):
-        om.fit_path(traj, "legendre", 4)
+def test_hermite_path_of_a_non_finite_jet():
+    # a NaN q_1 at node 3 enters the intervals 2 and 3 only
+    traj, _ = _polynomial_trajectory(2, 1, np.linspace(0.0, 1.0, 6), 5)
+    states = traj.states.copy()
+    states[3, 1] = np.nan
+    path = om.HermitePath(om.Trajectory(traj.grid, states, "jet", 2, 1))
+    finite = np.isfinite(path.coefficients).all(axis=(0, 1))
+    assert finite.tolist() == [True, True, False, False, True]
+    jets = path.jets(np.array([0.1, 0.5, 0.9]), 1)
+    assert np.isfinite(jets[:, :, [0, 2]]).all()
+    assert np.isnan(jets[:, :, 1]).all()

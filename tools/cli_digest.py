@@ -206,8 +206,6 @@ def _runs(work: Path):
         yield ["verify", s, "--traj", rk45, "--tol", "1e-9"], None
         yield ["verify", s, "--traj", uni, "--tol", "1e-9"], None
         yield ["action-check", s, "--traj", rk45, "--variations", "5"], None
-        yield ["action-check", s, "--traj", rk45, "--basis", "fourier",
-               "--variations", "5"], None
         yield ["action-check", s, "--path", f"{name}_path.json",
                "--variations", "5"], None
         yield ["unified-check", s, "--random", "20"], None
@@ -224,7 +222,7 @@ def _runs(work: Path):
     (work / "harmonic_nan.csv").write_text(
         "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n")
     yield ["verify", "harmonic.json", "--traj", "harmonic_nan.csv"], None
-    # ... and action-check, whose fit then has a NaN derivative residual
+    # ... and action-check, whose path then reads a NaN jet
     yield ["action-check", "harmonic.json", "--traj", "harmonic_nan.csv",
            "--variations", "5"], None
 
@@ -421,6 +419,14 @@ def _later_runs(work: Path):
     # a negative tolerance is a usage error
     yield ["verify", "harmonic.json", "--traj", "harmonic_rk45.csv",
            "--tol", "-1"], None
+    # ... under rk4 too, which reads neither --tol nor --max-step
+    yield ["simulate", "harmonic.json", "--init", "1,0", "--t-end", "1",
+           "--method", "rk4", "--step", "0.1", "--tol=-1"], None
+    # a correct trajectory over a long span, 136 points, is stationary
+    yield ["simulate", "harmonic.json", "--init", "0.7,-0.4", "--t-end",
+           "7.3", "--out", "harmonic_long.csv"], "harmonic_long.csv"
+    yield ["action-check", "harmonic.json", "--traj", "harmonic_long.csv"], \
+        None
 
 
 def _line(label, command, work, env, csv=None):
