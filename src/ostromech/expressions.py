@@ -992,61 +992,109 @@ def _wrap(text, prec, minimum):
     return f"({text})" if prec < minimum else text
 
 
-def _render(expr, n):
-    """Return (text, precedence)."""
+# the children of each non-leaf node type, for the walk of _shared_nodes
+_CHILDREN = {
+    Sum: lambda e: e.terms,
+    Product: lambda e: e.factors,
+    Quotient: lambda e: (e.numerator, e.denominator),
+    Power: lambda e: (e.base,),
+    Neg: lambda e: (e.child,),
+    Call: lambda e: (e.arg,),
+}
+
+
+def _shared_nodes(expr):
+    """A memo for one print of ``expr``: a key for the ``id`` of each
+    non-leaf node that occurs more than once in it, each mapped to None
+    until its text is known.  The walk is iterative and enters a node once."""
+    seen, memo = set(), {}
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        children = _CHILDREN.get(type(node))
+        if children is None:
+            continue
+        key = id(node)
+        if key in seen:
+            memo[key] = None
+        else:
+            seen.add(key)
+            stack.extend(children(node))
+    return memo
+
+
+def _render(expr, n, memo):
+    """Return (text, precedence).  A node keyed in ``memo`` is rendered
+    once; its entry holds the node too, so that no other object can take
+    its id while the memo lives."""
     if isinstance(expr, Const):
         if expr.value < 0:
             return f"-{_format_number(-expr.value)}", _PREC_UNARY
         return _format_number(expr.value), _PREC_ATOM
     if isinstance(expr, Variable):
         return expr.ref.display(n), _PREC_ATOM
+    key = id(expr)
+    shared = key in memo
+    if shared and memo[key] is not None:
+        return memo[key][1:]
     if isinstance(expr, Call):
-        inner, _ = _render(expr.arg, n)
-        return f"{expr.fname}({inner})", _PREC_ATOM
-    if isinstance(expr, Neg):
-        inner, prec = _render(expr.child, n)
-        return f"-{_wrap(inner, prec, _PREC_UNARY + 1)}", _PREC_UNARY
-    if isinstance(expr, Power):
-        base, prec = _render(expr.base, n)
+        inner, _ = _render(expr.arg, n, memo)
+        text, prec = f"{expr.fname}({inner})", _PREC_ATOM
+    elif isinstance(expr, Neg):
+        inner, prec = _render(expr.child, n, memo)
+        text, prec = f"-{_wrap(inner, prec, _PREC_UNARY + 1)}", _PREC_UNARY
+    elif isinstance(expr, Power):
+        base, prec = _render(expr.base, n, memo)
         base = _wrap(base, prec, _PREC_ATOM)
         e = expr.exponent
         etext = _format_number(e) if e >= 0 else f"-{_format_number(-e)}"
-        return f"{base}^{etext}", _PREC_POWER
-    if isinstance(expr, Quotient):
-        num, nprec = _render(expr.numerator, n)
-        den, dprec = _render(expr.denominator, n)
-        return (f"{_wrap(num, nprec, _PREC_TERM)}/{_wrap(den, dprec, _PREC_TERM + 1)}",
-                _PREC_TERM)
-    if isinstance(expr, Product):
+        text, prec = f"{base}^{etext}", _PREC_POWER
+    elif isinstance(expr, Quotient):
+        num, nprec = _render(expr.numerator, n, memo)
+        den, dprec = _render(expr.denominator, n, memo)
+        text = f"{_wrap(num, nprec, _PREC_TERM)}/{_wrap(den, dprec, _PREC_TERM + 1)}"
+        prec = _PREC_TERM
+    elif isinstance(expr, Product):
         parts = []
         for f in expr.factors:
-            text, prec = _render(f, n)
+            text, prec = _render(f, n, memo)
             parts.append(_wrap(text, prec, _PREC_TERM + (1 if parts else 0)))
-        return "*".join(parts), _PREC_TERM
-    if isinstance(expr, Sum):
-        first, prec = _render(expr.terms[0], n)
-        out = _wrap(first, prec, _PREC_SUM)
+        text, prec = "*".join(parts), _PREC_TERM
+    elif isinstance(expr, Sum):
+        first, prec = _render(expr.terms[0], n, memo)
+        text = _wrap(first, prec, _PREC_SUM)
         for term in expr.terms[1:]:
-            sign, body = _signed_render(term, n)
-            out += f" {sign} {body}"
-        return out, _PREC_SUM
-    raise TypeError(f"cannot render node {type(expr).__name__}")
+            sign, body = _signed_render(term, n, memo)
+            text += f" {sign} {body}"
+        prec = _PREC_SUM
+    else:
+        raise TypeError(f"cannot render node {type(expr).__name__}")
+    if shared:
+        memo[key] = (expr, text, prec)
+    return text, prec
 
 
-def _signed_render(term, n):
-    """Render a sum term as ('+' | '-', text) pulling a leading minus out."""
-    if isinstance(term, Neg):
-        inner, prec = _render(term.child, n)
-        return "-", _wrap(inner, prec, _PREC_SUM + 1)
+def _signed_render(term, n, memo):
+    """Render a sum term as ('+' | '-', text) pulling a leading minus out.
+    A term keyed in ``memo`` is signed once; its entry is keyed ``~id``."""
+    key = id(term)
+    shared = key in memo
+    if shared and ~key in memo:
+        return memo[~key][1:]
     if isinstance(term, Const) and term.value < 0:
         return "-", _format_number(-term.value)
-    coeff, factors = _term_parts(term)
-    if coeff < 0 and factors:
-        flipped = _rebuild_term(-coeff, factors)
-        inner, prec = _render(flipped, n)
-        return "-", _wrap(inner, prec, _PREC_SUM + 1)
-    inner, prec = _render(term, n)
-    return "+", _wrap(inner, prec, _PREC_SUM + 1)
+    sign, body = "+", term
+    if isinstance(term, Neg):
+        sign, body = "-", term.child
+    else:
+        coeff, factors = _term_parts(term)
+        if coeff < 0 and factors:
+            sign, body = "-", _rebuild_term(-coeff, factors)
+    inner, prec = _render(body, n, memo)
+    text = _wrap(inner, prec, _PREC_SUM + 1)
+    if shared:
+        memo[~key] = (term, sign, text)
+    return sign, text
 
 
 def to_text(expr: Expression, n_dofs: int = 1) -> str:
@@ -1055,8 +1103,11 @@ def to_text(expr: Expression, n_dofs: int = 1) -> str:
     Re-parsing the output in a sufficiently wide context yields a
     numerically equivalent tree.  A constant that is not finite, made by
     folding or deriving, has no literal and raises :class:`ExpressionError`.
+    A subexpression shared as one object is rendered once, so the cost
+    follows the distinct nodes and the length of the text, not the size of
+    the tree that the text spells.
     """
-    text, _ = _render(expr, n_dofs)
+    text, _ = _render(expr, n_dofs, _shared_nodes(expr))
     return text
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import ostromech as om
 from ostromech import expressions as ex
-from ostromech import unified
+from ostromech import legendre, unified
 
 from conftest import LOG_DOC, field_family, field_outcome, reference_field
 
@@ -375,12 +375,16 @@ def _kernel_families(ds):
     return exprs + [ds.hamiltonian, ds.model.lagrangian]
 
 
+def _children(node):
+    return (getattr(node, "terms", ()) + getattr(node, "factors", ())
+            + tuple(getattr(node, attr) for attr in
+                    ("base", "child", "numerator", "denominator", "arg")
+                    if hasattr(node, attr)))
+
+
 def _nodes(expr):
     yield expr
-    for child in (getattr(expr, "terms", ()) + getattr(expr, "factors", ())
-                  + tuple(getattr(expr, attr) for attr in
-                          ("base", "child", "numerator", "denominator", "arg")
-                          if hasattr(expr, attr))):
+    for child in _children(expr):
         yield from _nodes(child)
 
 
@@ -580,3 +584,196 @@ def test_equivalent_numeric_counts_no_overflow_as_agreement(text):
     assert not np.isfinite(result.worst_values[0])
     # equal infinities agree; two NaNs do not
     assert same.equivalent is (text == "exp(800 + q0)")
+
+
+# -- printing shared subexpressions ---------------------------------------------
+
+
+def _roster_rng(seed, stream):
+    return np.random.default_rng([seed, stream])
+
+
+def _chain_rotors_doc(seed, n):
+    """n rotors in a chain, built as the benchmark's six-rotor roster entry:
+    nearest-neighbour springs plus all-pairs velocity couplings, so W is
+    dense and its determinant's minors are shared throughout."""
+    rng = _roster_rng(seed, 4)
+    terms = ["1/2*(" + " + ".join(f"q1_{a}^2" for a in range(1, n + 1)) + ")"]
+    terms += [f"{rng.uniform(0.02, 0.1):.6f}*cos(q0_{a} - q0_{b})*q1_{a}*q1_{b}"
+              for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    springs = rng.uniform(0.5, 1.5, n)
+    terms.append(f"-1/2*{springs[0]:.6f}*q0_1^2")
+    terms += [f"-1/2*{springs[a]:.6f}*(q0_{a} - q0_{a + 1})^2"
+              for a in range(1, n)]
+    return {"name": f"chain{n}", "order": 1, "dofs": n,
+            "lagrangian": " + ".join(terms), "autonomous": True}
+
+
+def _roster_nl3_doc(seed):
+    """Three sixth-order oscillators with weak couplings, as the
+    benchmark's nl3 roster entry."""
+    rng = _roster_rng(seed, 1)
+    freqs = np.linspace(0.55, 1.45, 9) + rng.uniform(-0.03, 0.03, 9)
+    order = rng.permutation(9)
+    terms = []
+    for dof in range(3):
+        w2 = np.round(freqs[order[3 * dof:3 * dof + 3]], 6) ** 2
+        a, c = w2.sum(), w2.prod()
+        b = w2[0] * w2[1] + w2[0] * w2[2] + w2[1] * w2[2]
+        d = dof + 1
+        terms.append(f"1/2*(q3_{d}^2 - {a:.6f}*q2_{d}^2 + {b:.6f}*q1_{d}^2"
+                     f" - {c:.6f}*q0_{d}^2)")
+    e1, e2, e3 = rng.uniform(0.01, 0.03, 3)
+    terms += [f"{e1:.6f}*q0_3^2*q3_1^2", f"{e2:.6f}*q0_1^2*q0_2^2",
+              f"{e3:.6f}*q0_2*q0_3*q1_1^2"]
+    return {"name": "nl3", "order": 3, "dofs": 3,
+            "lagrangian": " + ".join(terms), "autonomous": True}
+
+
+def _roster_order4_doc(seed):
+    """The order-4, two-dof roster entry with a state-dependent W entry."""
+    rng = _roster_rng(seed, 3)
+    a1, a2 = rng.uniform(1.0, 2.0, 2)
+    k, e = rng.uniform(0.1, 0.5), rng.uniform(0.01, 0.05)
+    text = (f"1/2*(q4_1^2 + q4_2^2) - 1/2*({a1:.6f}*q2_1^2 + {a2:.6f}*q2_2^2)"
+            f" + 1/2*{k:.6f}*(q1_1 - q1_2)^2 + {e:.6f}*q0_2^2*q4_1^2"
+            f" - 1/2*(q0_1^2 + q0_2^2)")
+    return {"name": "order4", "order": 4, "dofs": 2, "lagrangian": text,
+            "autonomous": True}
+
+
+def _printed_docs():
+    """The seven demos, and the benchmark's derive roster of seeds 1-3."""
+    docs = {path.stem: json.loads(path.read_text())
+            for path in sorted(DEMO_SYSTEMS.glob("*.json"))}
+    for seed in (1, 2, 3):
+        docs[f"nl3-{seed}"] = _roster_nl3_doc(seed)
+        docs[f"order4-{seed}"] = _roster_order4_doc(seed)
+        docs[f"chain6-{seed}"] = _chain_rotors_doc(seed, 6)
+    return docs
+
+
+def _tree_text(expr, n):
+    """The plain recursive printer, the oracle of to_text: every occurrence
+    of a shared node is rendered anew."""
+    if isinstance(expr, ex.Const):
+        if expr.value < 0:
+            return f"-{ex._format_number(-expr.value)}", ex._PREC_UNARY
+        return ex._format_number(expr.value), ex._PREC_ATOM
+    if isinstance(expr, ex.Variable):
+        return expr.ref.display(n), ex._PREC_ATOM
+    if isinstance(expr, ex.Call):
+        return f"{expr.fname}({_tree_text(expr.arg, n)[0]})", ex._PREC_ATOM
+    if isinstance(expr, ex.Neg):
+        return (f"-{ex._wrap(*_tree_text(expr.child, n), ex._PREC_UNARY + 1)}",
+                ex._PREC_UNARY)
+    if isinstance(expr, ex.Power):
+        e = expr.exponent
+        etext = ex._format_number(e) if e >= 0 else f"-{ex._format_number(-e)}"
+        return (f"{ex._wrap(*_tree_text(expr.base, n), ex._PREC_ATOM)}^{etext}",
+                ex._PREC_POWER)
+    if isinstance(expr, ex.Quotient):
+        num = ex._wrap(*_tree_text(expr.numerator, n), ex._PREC_TERM)
+        den = ex._wrap(*_tree_text(expr.denominator, n), ex._PREC_TERM + 1)
+        return f"{num}/{den}", ex._PREC_TERM
+    if isinstance(expr, ex.Product):
+        return "*".join(
+            ex._wrap(*_tree_text(f, n), ex._PREC_TERM + (1 if i else 0))
+            for i, f in enumerate(expr.factors)), ex._PREC_TERM
+    out = ex._wrap(*_tree_text(expr.terms[0], n), ex._PREC_SUM)
+    for term in expr.terms[1:]:
+        sign, body = "+", term
+        if isinstance(term, ex.Neg):
+            sign, body = "-", term.child
+        elif isinstance(term, ex.Const) and term.value < 0:
+            sign, body = "-", ex.Const(-term.value)
+        else:
+            coeff, factors = ex._term_parts(term)
+            if coeff < 0 and factors:
+                sign, body = "-", ex._rebuild_term(-coeff, factors)
+        out += f" {sign} {ex._wrap(*_tree_text(body, n), ex._PREC_SUM + 1)}"
+    return out, ex._PREC_SUM
+
+
+def _compound_ids(expr):
+    """The ids of the distinct non-leaf nodes of ``expr``, and the count of
+    non-leaf nodes of the tree it spells."""
+    sizes = {}
+
+    def walk(node):
+        if isinstance(node, (ex.Const, ex.Variable)):
+            return 0
+        if id(node) not in sizes:
+            sizes[id(node)] = 1 + sum(walk(child) for child in _children(node))
+        return sizes[id(node)]
+
+    size = walk(expr)
+    return set(sizes), size
+
+
+def _counted_text(monkeypatch, expr, n):
+    """to_text(expr, n), and how often each non-leaf node was rendered:
+    called, and not answered from the memo of the call."""
+    renders = {}
+    render = ex._render
+
+    def counting(node, n, *memo):
+        if (not isinstance(node, (ex.Const, ex.Variable))
+                and (not memo or memo[0].get(id(node)) is None)):
+            renders[id(node)] = renders.get(id(node), 0) + 1
+        return render(node, n, *memo)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ex, "_render", counting)
+        text = ex.to_text(expr, n)
+    return text, renders
+
+
+def test_dense_determinant_renders_each_node_once(monkeypatch):
+    # det W of six dense rotors is a DAG: each minor is one object, read by
+    # every larger minor that contains it
+    ds = om.derive(om.build_system(_chain_rotors_doc(1, 6)))
+    det = legendre.hessian_det_expr(ds)
+    nodes, tree_size = _compound_ids(det)
+    assert tree_size > 5 * len(nodes)
+    text, renders = _counted_text(monkeypatch, det, 6)
+    assert text == _tree_text(det, 6)[0]
+    assert {key: count for key, count in renders.items()
+            if key in nodes and count > 1} == {}
+    # the rest are the fresh terms whose leading minus a sum pulls out
+    assert sum(renders.values()) - len(renders.keys() & nodes) < tree_size // 5
+
+
+@pytest.mark.parametrize("key", sorted(_printed_docs()))
+def test_to_text_equals_the_tree_printer_on_every_family(key):
+    ds = om.derive(om.build_system(_printed_docs()[key]))
+    exprs = _kernel_families(ds) + list(ds.el)
+    if ds.n > 1:
+        exprs.append(legendre.hessian_det_expr(ds))
+    for expr in exprs:
+        assert ex.to_text(expr, ds.n) == _tree_text(expr, ds.n)[0]
+
+
+@pytest.mark.parametrize("shared", ["q0 + cos(q1)", "2*q0*q1", "q0^2",
+                                    "-q1", "q0/q1", "sin(q0 - 1)"])
+def test_to_text_renders_a_shared_node_once_in_every_position(
+        monkeypatch, shared):
+    s = om.parse(shared, CTX)
+    q0, q1 = om.parse("q0", CTX), om.parse("q1", CTX)
+    # the same objects as sum terms: plain, negated and with a negative
+    # coefficient, whose minus a sum pulls out; the last two also hold a
+    # node that occurs nowhere else
+    negated = ex.Neg(ex.Product(s, ex.Call("cos", q0)))
+    scaled = ex.Product(ex.Const(-2.0), s, ex.Call("sin", q1))
+    expr = ex.Sum(
+        ex.Sum(q1, s), ex.Sum(s, q0), ex.Sum(q0, negated), ex.Sum(q1, negated),
+        ex.Sum(q0, scaled), ex.Sum(q1, scaled, s),
+        ex.Product(s, q0), ex.Product(q1, s, s),
+        ex.Quotient(s, q1), ex.Quotient(q0, s), ex.Quotient(s, s),
+        ex.Power(s, 3.0), ex.Power(s, -0.5), ex.Neg(s),
+        ex.Call("exp", s), ex.Call("log", ex.Neg(s)))
+    nodes, _ = _compound_ids(expr)
+    text, renders = _counted_text(monkeypatch, expr, 1)
+    assert text == _tree_text(expr, 1)[0]
+    assert {key: count for key, count in renders.items()
+            if key in nodes and count > 1} == {}

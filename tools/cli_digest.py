@@ -157,6 +157,25 @@ NL3_INIT = "-0.051585,-0.069118,-0.080001,-0.222977,0.321913,-0.45025," \
     "0.387476,-0.167326,-0.315129,-0.333997,-0.077513,0.408727"
 
 
+def _rotor_chain(n, seed):
+    """n rotors in a chain, built as the benchmark's six-rotor roster entry
+    (bench/roster.py, chain6_spec): nearest-neighbour springs plus all-pairs
+    velocity couplings, so W is dense.  At n = 8, the most dofs whose det W
+    derive prints, the det text is 2.6 MB and shares each minor."""
+    import numpy as np
+
+    rng = np.random.default_rng([seed, 4])
+    terms = ["1/2*(" + " + ".join(f"q1_{a}^2" for a in range(1, n + 1)) + ")"]
+    terms += [f"{rng.uniform(0.02, 0.1):.6f}*cos(q0_{a} - q0_{b})*q1_{a}*q1_{b}"
+              for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    springs = rng.uniform(0.5, 1.5, n)
+    terms.append(f"-1/2*{springs[0]:.6f}*q0_1^2")
+    terms += [f"-1/2*{springs[a]:.6f}*(q0_{a} - q0_{a + 1})^2"
+              for a in range(1, n)]
+    return json.dumps({"name": f"chain{n}", "order": 1, "dofs": n,
+                       "lagrangian": " + ".join(terms), "autonomous": True})
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
@@ -427,6 +446,9 @@ def _later_runs(work: Path):
            "7.3", "--out", "harmonic_long.csv"], "harmonic_long.csv"
     yield ["action-check", "harmonic.json", "--traj", "harmonic_long.csv"], \
         None
+    # the largest det W text that derive prints: eight dense rotors
+    (work / "chain8.json").write_text(_rotor_chain(8, 1))
+    yield ["derive", "chain8.json", "--samples", "10"], None
 
 
 def _line(label, command, work, env, csv=None):
