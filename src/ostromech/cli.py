@@ -64,6 +64,11 @@ _VERIFY_CHECKS = (
 )
 
 
+# the items of a list in a report that _emit encodes in one call: as fast
+# as one call for the whole list, and texts of some kilobytes leave less of
+# the heap behind across commands than one text of a long list
+_EMIT_BLOCK = 16
+
 # the range of each count option, and the bound of the cost of action-check,
 # --variations x --quad-points; the largest run of one option or of the
 # product on demos/systems/harmonic.json, the others at their defaults,
@@ -94,7 +99,7 @@ def _jsonable(value):
     """The report fit for json.dumps: every report is built from plain
     Python values, and only a non-finite float, which JSON cannot hold,
     is replaced, by its text ("nan", "inf" or "-inf").  It copies the
-    whole report, so :func:`_emit` calls it only for a report that holds
+    whole value, so :func:`_encoded` calls it only for a value that holds
     such a float."""
     if isinstance(value, dict):
         return {key: _jsonable(item) for key, item in value.items()}
@@ -118,21 +123,64 @@ def _rounded(value):
 
 
 def _emit(args, report, to_out=True):
-    """Print the report as JSON, to --out when given and applicable."""
+    """Print the report as JSON, indented by 2 with --pretty, to --out when
+    given and applicable.
+
+    The text is that of ``json.dumps(report, indent=...)`` followed by a
+    newline, with each non-finite float printed as its text (see
+    :func:`_jsonable`), and it is written one top-level value, and one
+    block of ``_EMIT_BLOCK`` items of a top-level list, at a time: the
+    text of the whole report is never held, and only a value or block
+    that holds a non-finite float is copied.  The keys of a report are
+    strings.
+    """
     indent = 2 if args.pretty else None
-    try:
-        text = json.dumps(report, indent=indent, allow_nan=False)
-    except ValueError:
-        text = json.dumps(_jsonable(report), indent=indent)
     destination = getattr(args, "out", None) if to_out else None
-    # two writes, not one of text + "\n", which would copy the text
     if destination:
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-            fh.write("\n")
+            _write_report(fh.write, report, indent)
     else:
-        sys.stdout.write(text)
-        sys.stdout.write("\n")
+        _write_report(sys.stdout.write, report, indent)
+
+
+def _encoded(encoder, value):
+    """``encoder.encode(value)``, the text of ``json.dumps(value,
+    indent=encoder.indent)`` for an encoder that refuses NaN, or that of
+    the :func:`_jsonable` copy of a value that holds a non-finite float."""
+    try:
+        return encoder.encode(value)
+    except ValueError:
+        return json.dumps(_jsonable(value), indent=encoder.indent)
+
+
+def _write_report(write, report, indent):
+    """Write the text of :func:`_emit` through ``write``.  A newline in
+    JSON text is always one between items, since strings escape theirs,
+    so the text of a value nested one level deeper is indented one level
+    more by replacing each newline."""
+    encoder = json.JSONEncoder(indent=indent, allow_nan=False)
+    if not (isinstance(report, dict) and report):
+        write(_encoded(encoder, report))
+        write("\n")
+        return
+    newline = "" if indent is None else "\n"
+    pad = newline + " " * (indent or 0)
+    comma = "," if newline else ", "
+    write("{")
+    for i, (key, value) in enumerate(report.items()):
+        write(f"{comma if i else ''}{pad}{json.dumps(key)}: ")
+        if not (isinstance(value, list) and value):
+            write(_encoded(encoder, value).replace("\n", pad))
+            continue
+        write("[")
+        for start in range(0, len(value), _EMIT_BLOCK):
+            block = value[start:start + _EMIT_BLOCK]
+            text = _encoded(encoder, block).replace("\n", pad)
+            # the block's items, without its brackets
+            items = text[1:len(text) - len(pad) - 1]
+            write(f"{comma}{items}" if start else items)
+        write(f"{pad}]")
+    write(f"{newline}}}\n")
 
 
 def _load_json(path, what):

@@ -624,13 +624,16 @@ def _column_names(k, n, layout):
 
 
 def save_trajectory_csv(traj: Trajectory, path):
-    """Write a trajectory as CSV with 17-significant-digit floats."""
-    # a file object, so that a name ending in .gz is not compressed
+    """Write a trajectory as CSV with 17-significant-digit floats, the
+    text of ``numpy.savetxt`` with ``fmt="%.17g"``.  A name ending in .gz
+    is not compressed."""
+    # not numpy.savetxt, whose local class leaves a cycle behind each call
+    columns = _column_names(traj.k, traj.n, traj.layout)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack([traj.grid, traj.states]),
-                   fmt="%.17g", delimiter=",", comments="",
-                   header=",".join(
-                       _column_names(traj.k, traj.n, traj.layout)))
+        fh.write(",".join(columns) + "\n")
+        for values in np.column_stack([traj.grid, traj.states]).tolist():
+            fh.write(row % tuple(values))
 
 
 def load_trajectory_csv(path, k: int | None = None,

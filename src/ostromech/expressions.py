@@ -364,30 +364,33 @@ class Call(Expression):
 
 def substitute(expr: Expression, mapping) -> Expression:
     """Replace variables by expressions or numbers, rebuilding the tree."""
-    mapping = {ref: _coerce(value) for ref, value in mapping.items()}
+    return _substituted(
+        expr, {ref: _coerce(value) for ref, value in mapping.items()})
 
-    def walk(e):
-        if isinstance(e, Const):
-            return e
-        if isinstance(e, Variable):
-            return mapping.get(e.ref, e)
-        if not (e._free & mapping.keys()):
-            return e
-        if isinstance(e, Sum):
-            return Sum(*(walk(t) for t in e.terms))
-        if isinstance(e, Product):
-            return Product(*(walk(f) for f in e.factors))
-        if isinstance(e, Power):
-            return Power(walk(e.base), e.exponent)
-        if isinstance(e, Neg):
-            return Neg(walk(e.child))
-        if isinstance(e, Quotient):
-            return Quotient(walk(e.numerator), walk(e.denominator))
-        if isinstance(e, Call):
-            return Call(e.fname, walk(e.arg))
-        raise TypeError(f"unknown node {type(e).__name__}")
 
-    return walk(expr)
+def _substituted(e, mapping):
+    # module level, not a closure: a self-referencing closure is a cycle
+    # that would keep the mapping alive until collected
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Variable):
+        return mapping.get(e.ref, e)
+    if not (e._free & mapping.keys()):
+        return e
+    if isinstance(e, Sum):
+        return Sum(*(_substituted(t, mapping) for t in e.terms))
+    if isinstance(e, Product):
+        return Product(*(_substituted(f, mapping) for f in e.factors))
+    if isinstance(e, Power):
+        return Power(_substituted(e.base, mapping), e.exponent)
+    if isinstance(e, Neg):
+        return Neg(_substituted(e.child, mapping))
+    if isinstance(e, Quotient):
+        return Quotient(_substituted(e.numerator, mapping),
+                        _substituted(e.denominator, mapping))
+    if isinstance(e, Call):
+        return Call(e.fname, _substituted(e.arg, mapping))
+    raise TypeError(f"unknown node {type(e).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -1242,6 +1245,12 @@ def _generated(exprs, coords, name, assemble, **names):
     ``_walk(*values)``, the tree walker's values of ``exprs``, the
     generated constants and ``names``; it is built once with
     ``compile()`` and returned, and the debug line is logged.
+
+    The function's globals are a namespace of their own that does not
+    hold the function, and the lowering's closures are emptied before
+    this returns, so the function and what it refers to form no cycle:
+    they are freed by reference counting once the caller drops the
+    function, as long as ``names`` holds nothing that refers back to it.
     """
     start = time.perf_counter()
     exprs, coords = tuple(exprs), tuple(coords)
@@ -1298,10 +1307,14 @@ def _generated(exprs, coords, name, assemble, **names):
             body.append(f"        {local} = {text}")
         return local
 
-    outputs = [operand(expr) for expr in exprs]
+    try:
+        outputs = [operand(expr) for expr in exprs]
+    finally:
+        # operand and operation refer to each other through their cells
+        del operand, operation
     source = "\n".join(assemble(list(args.values()), body, outputs))
     exec(compile(source, f"<kernel {name}>", "exec"), namespace)
     logger.debug("compiled kernel %s: %d expressions, %d temporaries, "
                  "%.2f ms", name, len(outputs), len(temps),
                  1e3 * (time.perf_counter() - start))
-    return namespace["kernel"]
+    return namespace.pop("kernel")

@@ -228,32 +228,12 @@ class DerivedSystem:
         return _values(self.hessian, env)
 
     def acceleration(self, env) -> np.ndarray:
-        """Solve the Euler-Lagrange system for the order-2k jets.
-
-        Uses el_a = (-1)^k W_ab q_{2k}^b + reduced_a = 0, i.e. a linear
-        solve against the Hessian at the bound point.  Raises
-        :class:`SingularHessianError` when the Hessian fails the regularity
-        test of :func:`_regular_inverse`.
-        """
-        return self._solve_top_jets(
-            self.hessian_value(env),
+        """Solve the Euler-Lagrange system for the order-2k jets at the
+        bound point by :func:`_solve_top_jets`."""
+        return _solve_top_jets(
+            self.k, self.hessian_value(env),
             (e.evaluate(env) for e in self.el_reduced),
             env.get(ex.time_var()))
-
-    def _solve_top_jets(self, w, reduced, time) -> np.ndarray:
-        """Solve (-1)^k W q_{2k} + reduced = 0 for the order-2k jets.
-
-        ``reduced`` is iterated only after the regularity test, so a
-        generator of evaluations runs in the tree walker's order; a
-        singular ``w`` raises :class:`SingularHessianError` at ``time``.
-        """
-        inv = _regular_inverse(w)[0]
-        if inv is None:
-            raise SingularHessianError(
-                "Hessian is singular, accelerations are not determined",
-                time=time)
-        sign = -1.0 if self.k % 2 else 1.0
-        return sign * (inv @ np.array([-value for value in reduced]))
 
     @functools.cached_property
     def _field(self):
@@ -278,8 +258,9 @@ class DerivedSystem:
         expressions, the partials included, cannot be evaluated.  For
         n <= 3 the top jets come from the straight-line solve
         :func:`_top_jet_solver` on those values; it leaves every doubtful
-        W, and above n = 3 every W, to :meth:`_solve_top_jets` and its one
-        regularity test.
+        W, and above n = 3 every W, to :func:`_solve_top_jets` and its one
+        regularity test.  The function refers to no system, so a system
+        and its field are freed by reference counting.
         """
         k, n = self.k, self.n
         exprs = ([w for row in self.hessian for w in row] + self.el_reduced
@@ -288,7 +269,7 @@ class DerivedSystem:
         return ex._generated(
             exprs, _coordinates(n, 2 * k, 0), self.model.name,
             functools.partial(_field_source, k, n, solve is not None),
-            _self=self, _solve=solve, _array=np.array,
+            _solve_top_jets=_solve_top_jets, _solve=solve, _array=np.array,
             _SingularHessianError=SingularHessianError)
 
 
@@ -302,7 +283,7 @@ def _field_source(k, n, solved, args, body, outputs):
     kernel's arguments, runs the body and names its values ``o0``, ...,
     or the tree walker's where the body raises.  The top jets come from
     ``_solve`` where ``solved``, else (or where it returns None) from
-    ``_self._solve_top_jets``.  The derivative is one list display: each
+    ``_solve_top_jets``.  The derivative is one list display: each
     jet order moves to the next one, the top order of every dof is its
     solved value and, for a 3kn state, G^i = dL/dq_i - p^{i-1} follows,
     with p^{-1} = 0 for every dof."""
@@ -320,7 +301,7 @@ def _field_source(k, n, solved, args, body, outputs):
               for j, g in enumerate(values[nn + n:])]
     inverse = [
         "try:",
-        f"    accel = _self._solve_top_jets(_array([{listed(values[:nn])}])"
+        f"    accel = _solve_top_jets({k}, _array([{listed(values[:nn])}])"
         f".reshape({n}, {n}), ({listed(values[nn:nn + n])}), x0)",
         "except _SingularHessianError as err:",
         "    err.state = _array(y)",
@@ -366,6 +347,24 @@ def derive(sys: SystemModel) -> DerivedSystem:
     return DerivedSystem(sys)
 
 
+def _solve_top_jets(k, w, reduced, time) -> np.ndarray:
+    """Solve el_a = (-1)^k W_ab q_{2k}^b + reduced_a = 0 for the order-2k
+    jets q_{2k}, a linear solve against the Hessian ``w``.
+
+    ``reduced`` is iterated only after the regularity test of
+    :func:`_regular_inverse`, so a generator of evaluations runs in the
+    tree walker's order; a singular ``w`` raises
+    :class:`SingularHessianError` at ``time``.
+    """
+    inv = _regular_inverse(w)[0]
+    if inv is None:
+        raise SingularHessianError(
+            "Hessian is singular, accelerations are not determined",
+            time=time)
+    sign = -1.0 if k % 2 else 1.0
+    return sign * (inv @ np.array([-value for value in reduced]))
+
+
 def _kappa(w, inv):
     """kappa_1(W) = |W|_1 |W^-1|_1 over the last two axes, so of one W or
     of a stack of them."""
@@ -403,19 +402,11 @@ def _top_jet_solver(n: int):
     Hessian entries row by row then the n reduced Euler-Lagrange values,
     and returns the jets ``sign * (W^-1 @ -reduced)`` with
     W^-1 = adj(W) / det W, or None to leave W to
-    :meth:`DerivedSystem._solve_top_jets`.  It does so unless det W is
+    :func:`_solve_top_jets`.  It does so unless det W is
     finite and nonzero and kappa_1(W) * _SINGULAR_RTOL < 0.999, so every
     singular verdict and NaN outcome is still that of
     :func:`_regular_inverse`; the adjugate's kappa_1 is off by about
     n kappa_1 eps, some 1e-6 relative at 1e9, so no verdict changes."""
-    def minor(rows, cols):
-        # the determinant of W on rows x cols, along its first row, as text
-        return " ".join(
-            ("- " if pos % 2 else "+ " if pos else "") + f"w{rows[0]}{c}"
-            + (f" * ({minor(rows[1:], cols[:pos] + cols[pos + 1:])})"
-               if len(rows) > 1 else "")
-            for pos, c in enumerate(cols)) or "1.0"
-
     idx = range(n)
     pairs = list(itertools.product(idx, idx))
     source = "\n    ".join([
@@ -423,7 +414,8 @@ def _top_jet_solver(n: int):
         "".join(f"w{i}{j}, " for i, j in pairs)
         + "".join(f"r{i}, " for i in idx) + f"= values[:{n * n + n}]",
         *(f"c{i}{j} = {'-' if (i + j) % 2 else ''}("
-          f"{minor([r for r in idx if r != i], [c for c in idx if c != j])})"
+          + _minor_text([r for r in idx if r != i],
+                        [c for c in idx if c != j]) + ")"
           for i, j in pairs),
         "det = " + " + ".join(f"w0{j} * c0{j}" for j in idx),
         "if not 0.0 < abs(det) < _INF: return None",
@@ -438,6 +430,16 @@ def _top_jet_solver(n: int):
     namespace = {"_INF": np.inf, "_RTOL": _SINGULAR_RTOL}
     exec(compile(source, f"<top-jet solve n={n}>", "exec"), namespace)
     return namespace["solve"]
+
+
+def _minor_text(rows, cols):
+    """The determinant of W on rows x cols, along its first row, as the
+    text of :func:`_top_jet_solver`."""
+    return " ".join(
+        ("- " if pos % 2 else "+ " if pos else "") + f"w{rows[0]}{c}"
+        + (f" * ({_minor_text(rows[1:], cols[:pos] + cols[pos + 1:])})"
+           if len(rows) > 1 else "")
+        for pos, c in enumerate(cols)) or "1.0"
 
 
 @dataclass

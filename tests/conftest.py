@@ -157,8 +157,8 @@ def reference_field(ds, t, y, values):
     accel = solve(values, -1.0 if k % 2 else 1.0) if solve else None
     if accel is None:
         try:
-            accel = ds._solve_top_jets(np.array(values[:nn]).reshape(n, n),
-                                       values[nn:nn + n], t)
+            accel = legendre._solve_top_jets(
+                k, np.array(values[:nn]).reshape(n, n), values[nn:nn + n], t)
         except om.SingularHessianError as err:
             err.state = np.array(y)
             raise

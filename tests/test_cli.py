@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import functools
+import gc
 import hashlib
 import importlib.util
 import io
@@ -12,6 +13,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -1140,19 +1142,134 @@ def test_emit_copies_only_a_report_with_a_non_finite_float(capsys,
     cases = [(report, json.dumps(cli._jsonable(report), indent=indent) + "\n")
              for report in (finite, non_finite)]
     jsonable = cli._jsonable
-    copied = []
+    copied, walking = [], []
 
     def recording_jsonable(value):
-        copied.append(value)
-        return jsonable(value)
+        # the outermost call only: _jsonable recurses through this wrapper
+        if not walking:
+            copied.append(value)
+        walking.append(value)
+        try:
+            return jsonable(value)
+        finally:
+            walking.pop()
 
     monkeypatch.setattr(cli, "_jsonable", recording_jsonable)
     for report, expected in cases:
         cli._emit(args, report)
         assert capsys.readouterr().out == expected
     assert '"nan"' in expected
-    # the finite report, emitted first, was never walked
-    assert copied and copied[0] is non_finite
+    # the finite report, emitted first, was never walked; of the other,
+    # each top-level value was copied by itself, the list as its one block
+    assert copied == [non_finite["a"], non_finite["c"], non_finite["e"]]
+    assert copied[1] is non_finite["c"] and copied[2] is non_finite["e"]
+
+
+# -- memory -------------------------------------------------------------------
+
+
+def _demo_runs(tmp_path):
+    """Every subcommand on every demo system, with the exit code it ends
+    in: a run of each exit code 0 to 3 is among them."""
+    runs = []
+    for spec in sorted(DEMOS.glob("*.json")):
+        doc = json.loads(spec.read_text())
+        k, n = doc["order"], doc["dofs"]
+        jets = ",".join(["0.3"] * (2 * k * n))
+        csv = tmp_path / f"{spec.stem}.csv"
+        runs += [["derive", str(spec), "--samples", "20"],
+                 ["simulate", str(spec), "--init", jets, "--t-end", "0.5",
+                  "--out", str(csv)],
+                 ["unified-check", str(spec), "--random", "3"],
+                 # momenta of 5 lie off the constraint: exit 1, or 3
+                 ["unified-check", str(spec), "--point",
+                  f"0,{jets},{','.join(['5'] * (k * n))}"],
+                 ["derive", str(spec), "--samples", "0"]]
+        if spec.stem != "degenerate":
+            runs += [["verify", str(spec), "--traj", str(csv)],
+                     ["action-check", str(spec), "--traj", str(csv),
+                      "--variations", "2"]]
+    return runs
+
+
+def test_commands_leave_no_reference_cycles(tmp_path, capsys):
+    """What a command derives, compiles and prints is freed by reference
+    counting when it returns: with the collector off during the run, a
+    collection afterwards finds nothing, whatever the exit code."""
+    runs = _demo_runs(tmp_path)
+    # the per-process caches (parser, top-jet solvers, imports) fill first
+    codes = [run_cli(capsys, argv)[0] for argv in runs]
+    assert set(codes) == {0, 1, 2, 3}
+    gc.collect()
+    for argv, code in zip(runs, codes):
+        gc.disable()
+        try:
+            assert run_cli(capsys, argv)[0] == code
+        finally:
+            gc.enable()
+        assert gc.collect() == 0, argv
+
+
+STREAMED_REPORTS = {
+    "nested": {"a": [[1, [2.5, {"b": [None, True]}]], {"c": {"d": []}}],
+               "e": {"f": [{"g": -0.0}], "h": 1e-300}},
+    "empty": {"list": [], "dict": {}, "text": ""},
+    "none": {},
+    "non_ascii": {"name": "pais–uhlenbeck ☃",
+                  "ключ": ["é\n\"x\"", "\u0000"]},
+    "non_finite": {"points": [{"i": i, "v": [math.nan if i % 3 else 1.0]}
+                              for i in range(7)],
+                   "worst": math.inf, "rows": [[np.float64("-inf")], []]},
+    "long": {"points": [{"i": i, "x": [i * 0.1, -i]} for i in range(600)],
+             "n": 600},
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, 16])
+@pytest.mark.parametrize("pretty", [False, True])
+@pytest.mark.parametrize("name", sorted(STREAMED_REPORTS))
+def test_emit_streams_the_text_of_json_dumps(tmp_path, capsys, monkeypatch,
+                                             name, pretty, block):
+    """The streamed report is json.dumps(report, indent=...) with each
+    non-finite float as its text, to stdout and to --out, and no write
+    holds a list of many items whole."""
+    monkeypatch.setattr(cli, "_EMIT_BLOCK", block)
+    report = STREAMED_REPORTS[name]
+    indent = 2 if pretty else None
+    expected = json.dumps(cli._jsonable(report), indent=indent) + "\n"
+    out = tmp_path / "report.json"
+    for destination in (None, str(out)):
+        args = argparse.Namespace(pretty=pretty, out=destination)
+        cli._emit(args, report)
+        written = capsys.readouterr().out
+        if destination:
+            assert written == ""
+            written = out.read_bytes().decode("utf-8")
+        assert written == expected
+    writes = []
+    monkeypatch.setattr(sys, "stdout", argparse.Namespace(write=writes.append))
+    cli._emit(argparse.Namespace(pretty=pretty, out=None), report)
+    assert "".join(writes) == expected
+    if name == "long":
+        assert max(map(len, writes)) < len(expected) / 2
+
+
+def test_unified_check_peak_memory_follows_the_entries(tmp_path):
+    """The traced peak of unified-check --random 2000 stays below what the
+    whole report's text and its encoder's parts added to it (6.6 MB,
+    against 2.6 MB when the report is streamed)."""
+    argv = ["unified-check", str(DEMOS / "harmonic.json"), "--random",
+            "2000", "--seed", "1"]
+    with open(tmp_path / "out.json", "w") as sink, \
+            contextlib.redirect_stdout(sink):
+        assert cli.main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_derive_worst_point_is_the_first_nan_condition(tmp_path, capsys):

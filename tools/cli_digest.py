@@ -2,12 +2,13 @@
 
 Runs every subcommand of ``ostromech`` on each spec of ``demos/systems``
 and prints one line per run: the argv, the exit code and the first 16
-hex digits of the sha256 of stdout, of stderr and of the CSV the run
-wrote, if any.  Then it runs each ``demos/0*.py`` under
-``-W error::RuntimeWarning`` and prints the same fields, the CSV always
-``-``, and last a few more command-line runs.  The runs take place in a
-temporary directory with relative file names, so no line depends on
-where the repository lives.  Two checkouts print the same lines exactly
+hex digits of the sha256 of stdout, of stderr and of the CSV (or the
+``--out`` report) the run wrote, if any.  Then it runs each
+``demos/0*.py`` under ``-W error::RuntimeWarning`` and prints the same
+fields, the CSV always ``-``, and last a few more command-line runs, the
+``--pretty`` ones among them.  The runs take place in a temporary
+directory with relative file names, so no line depends on where the
+repository lives.  Two checkouts print the same lines exactly
 when their output is byte-identical:
 
     python3 tools/cli_digest.py > digest.txt
@@ -449,6 +450,25 @@ def _later_runs(work: Path):
     # the largest det W text that derive prints: eight dense rotors
     (work / "chain8.json").write_text(_rotor_chain(8, 1))
     yield ["derive", "chain8.json", "--samples", "10"], None
+    # indented reports of all five subcommands, to stdout and to --out,
+    # and one whose list items and top-level values hold NaN and inf
+    yield ["derive", "pais_uhlenbeck.json", "--pretty"], None
+    yield ["derive", "coupled_mass.json", "--pretty", "--out",
+           "coupled_mass_derive.json"], "coupled_mass_derive.json"
+    yield ["simulate", "harmonic.json", "--init", "1,0", "--t-end", "1",
+           "--pretty"], None
+    yield ["verify", "nl3.json", "--traj", "nl3_rk45.csv", "--pretty"], None
+    yield ["action-check", "harmonic.json", "--path", "harmonic_path.json",
+           "--variations", "5", "--pretty"], None
+    for style in ([], ["--pretty"]):
+        # 300 points: many blocks of cli._EMIT_BLOCK (16) items
+        yield ["unified-check", "coupled_beam.json", "--random", "300",
+               *style], None
+    yield ["unified-check", "expq.json", "--random", "12", "--box=-800,800",
+           "--seed", "2", "--pretty", "--out", "expq.json.out"], \
+        "expq.json.out"
+    yield ["derive", "gap.json", "--domain=-10,10", "--samples", "40",
+           "--seed", "3", "--pretty"], None
 
 
 def _line(label, command, work, env, csv=None):

@@ -12,7 +12,11 @@ of ``cli.main`` in-process.  The two workers take turns pass by pass, and
 which of them goes first alternates from round to round, so a change of
 the machine's speed reaches both alike.  The table gives each command's
 minimum time over ``--rounds`` passes in ms, the ratio NEW / OLD and,
-last, the sums of those minima.
+last, the sums of those minima.  Next to the times it gives, from one
+more untimed pass run before them, each command's ``tracemalloc`` peak
+in MB and the count ``gc.collect()`` returns after it, with the
+collector off while the command runs: what it left in reference cycles.
+The timed passes run untraced.
 
 Each worker also hashes the exit code and stdout of every command of its
 untimed pass, with its temporary directory's path taken out.  Below the
@@ -38,20 +42,48 @@ sys.dont_write_bytecode = True
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import gc  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 import types  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 
+def timed(call, record):
+    """Run ``call()`` and record the seconds it took."""
+    start = time.perf_counter()
+    try:
+        return call()
+    finally:
+        record(time.perf_counter() - start)
+
+
+def traced(call, record):
+    """Run ``call()`` under ``tracemalloc`` with the collector off, and
+    record its traced peak in MB and the count of unreachable objects a
+    collection then finds."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        return call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        gc.enable()
+        record([peak / 1e6, gc.collect()])
+
+
 def worker(checkout, workload, seed):
     """Set the workload up, print the hash of each item's output in one
-    untimed pass, then answer each line of stdin with one JSON line of the
-    seconds each item of one pass took."""
+    untimed pass and each item's peak and cycles in one traced pass, then
+    answer each line of stdin with one JSON line of the seconds each item
+    of one pass took."""
     root = Path(checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import ostromech
@@ -62,55 +94,55 @@ def worker(checkout, workload, seed):
         one_pass = (library_pass(bench, ostromech) if workload == "integrate"
                     else command_pass(bench, workloads, workdir))
         print(json.dumps(one_pass()[1]), flush=True)
+        print(json.dumps(one_pass(traced)[0]), flush=True)
         for _ in sys.stdin:
             print(json.dumps(one_pass()[0]), flush=True)
 
 
 def command_pass(bench, workloads, workdir):
-    """One pass of a command-line workload: the seconds of each command
-    and the hash of its exit code and stdout, without ``workdir``."""
-    def one_pass():
-        times, outputs = {}, {}
+    """One pass of a command-line workload: what ``meter`` records of each
+    command and the hash of its exit code and stdout, without
+    ``workdir``."""
+    def one_pass(meter=timed):
+        values, outputs = {}, {}
         for key, argv in bench.commands.items():
             with contextlib.redirect_stderr(io.StringIO()):
-                start = time.perf_counter()
-                code, out = workloads.capture_cli(bench.cli.main, argv)
-                times[key] = time.perf_counter() - start
+                code, out = meter(
+                    lambda: workloads.capture_cli(bench.cli.main, argv),
+                    lambda value: values.__setitem__(key, value))
             outputs[key] = hashlib.sha256(
                 f"{code}\n{out.replace(workdir, '')}".encode()).hexdigest()
-        return times, outputs
+        return values, outputs
     return one_pass
 
 
 def library_pass(bench, ostromech):
-    """One pass of the integrate workload: the seconds of each
+    """One pass of the integrate workload: what ``meter`` records of each
     ``name/layout`` call and the hash of its grid and states bytes.  The
     pass reaches the integrators through the module it was set up with,
-    so that module is swapped for a copy whose integrators time each call,
-    in the order of the pass's keys."""
-    seconds = []
+    so that module is swapped for a copy whose integrators meter each
+    call, in the order of the pass's keys."""
+    values, meter_of_pass = [], [timed]
 
-    def timed(integrator):
+    def metered(integrator):
         def call(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return integrator(*args, **kwargs)
-            finally:
-                seconds.append(time.perf_counter() - start)
+            return meter_of_pass[0](lambda: integrator(*args, **kwargs),
+                                    values.append)
         return call
 
     bench.om = types.SimpleNamespace(**{
-        **vars(ostromech), "integrate": timed(ostromech.integrate),
-        "integrate_unified": timed(ostromech.integrate_unified)})
+        **vars(ostromech), "integrate": metered(ostromech.integrate),
+        "integrate_unified": metered(ostromech.integrate_unified)})
 
-    def one_pass():
-        seconds.clear()
+    def one_pass(meter=timed):
+        values.clear()
+        meter_of_pass[0] = meter
         out = bench.run_pass()
         outputs = {key: hashlib.sha256(
             repr(value["error"]).encode() if "error" in value
             else value["grid"].tobytes() + value["states"].tobytes()
         ).hexdigest() for key, value in out.items()}
-        return dict(zip(out, seconds, strict=True)), outputs
+        return dict(zip(out, values, strict=True)), outputs
     return one_pass
 
 
@@ -137,6 +169,7 @@ def main(argv=None):
         for checkout in (args.old, args.new)]
     try:
         outputs = [json.loads(proc.stdout.readline()) for proc in procs]
+        memory = [json.loads(proc.stdout.readline()) for proc in procs]
         keys = list(outputs[0])
         best = [dict.fromkeys(keys, float("inf")) for _ in procs]
         turns = list(zip(procs, best))
@@ -152,12 +185,17 @@ def main(argv=None):
             proc.wait()
 
     width = max(len(key) for key in keys + ["total"])
-    print(f"{'item':<{width}}  {'old ms':>8}  {'new ms':>8}  new/old")
+    print(f"{'item':<{width}}  {'old ms':>8}  {'new ms':>8}  new/old  "
+          f"{'old MB':>7}  {'new MB':>7}  {'old gc':>6}  {'new gc':>6}")
     for key in keys + ["total"]:
         old, new = (sum(mins.values()) if key == "total" else mins[key]
                     for mins in best)
-        print(f"{key:<{width}}  {old * 1e3:8.2f}  {new * 1e3:8.2f}  "
-              f"{new / old:7.3f}")
+        line = (f"{key:<{width}}  {old * 1e3:8.2f}  {new * 1e3:8.2f}  "
+                f"{new / old:7.3f}")
+        if key != "total":
+            (old_mb, old_gc), (new_mb, new_gc) = (side[key] for side in memory)
+            line += f"  {old_mb:7.3f}  {new_mb:7.3f}  {old_gc:6d}  {new_gc:6d}"
+        print(line)
     differ = [key for key in keys if outputs[0][key] != outputs[1].get(key)]
     for key in differ:
         print(f"output differs: {key}")
